@@ -1,7 +1,6 @@
 """Autoregressive-rollout training and evaluation for small time-series forecasters."""
 
 from .autodiff import (
-    GradCheckReport,
     Tape,
     Tensor,
     absolute,
@@ -37,6 +36,7 @@ from .models import (
 )
 from .rollout import (
     BlockErrors,
+    GradCheckReport,
     RolloutConfig,
     RolloutPrediction,
     ar_loss,

@@ -1,10 +1,11 @@
 """Reverse-mode automatic differentiation on a per-evaluation tape.
 
 Dense float64 tensors plus the operation set the forecasting models and
-the rollout objective need: elementwise arithmetic, matrix multiply,
-relu/abs, full reductions, slicing and concatenation, softmax and layer
-normalization along an axis, and a stop-gradient operator that is the
-identity in the forward pass and blocks all gradient flow backward.
+the rollout objective need: elementwise arithmetic, column-broadcast
+addition, matrix multiply, relu/abs, full reductions, slicing and
+concatenation, softmax and layer normalization along an axis, and a
+stop-gradient operator that is the identity in the forward pass and
+blocks all gradient flow backward.
 
 A ``Tape`` is built fresh for every loss evaluation (define-by-run) and
 is a single-threaded unit of work; separate tapes share no mutable state
@@ -18,7 +19,6 @@ from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -249,7 +249,11 @@ def _emit(values: np.ndarray, inputs: tuple[Tensor, ...], rule, ctx: tuple) -> T
 # op time, so a test harness can swap one out as a negative control.
 
 def _add_rule(ctx, g):
-    return g, g
+    # Reduce a broadcast column's gradient as g @ ones.T, not np.sum(g, axis=1):
+    # the two round differently in the last bit, and the BLAS product keeps
+    # trained checkpoints byte-identical to those of the ones-matrix bias
+    # broadcast the models used before.
+    return tuple(g if width is None else g @ np.ones((1, width)).T for width in ctx)
 
 
 def _sub_rule(ctx, g):
@@ -326,9 +330,21 @@ def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
         raise ValueError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
 
 
+def _is_column_of(col: Tensor, other: Tensor) -> bool:
+    return other.values.ndim == 2 and col.shape == (other.shape[0], 1)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "add")
-    return _emit(a.values + b.values, (a, b), _add_rule, ())
+    """Elementwise sum; an (n, 1) operand may also be added to each column of an (n, V) one."""
+    if a.shape == b.shape:
+        widths = (None, None)
+    elif _is_column_of(a, b):
+        widths = (b.shape[1], None)
+    elif _is_column_of(b, a):
+        widths = (None, a.shape[1])
+    else:
+        raise ValueError(f"add: shape mismatch {a.shape} vs {b.shape}")
+    return _emit(a.values + b.values, (a, b), _add_rule, widths)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -469,24 +485,3 @@ def max_relative_error(a, b, scale_floor: float = 1e-6) -> float:
         return 0.0
     denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), scale_floor)
     return float(np.max(np.abs(a - b) / denom))
-
-
-@dataclass
-class GradCheckReport:
-    """Outcome of checking reverse-mode gradients against the central-difference oracle."""
-
-    max_rel_error: float
-    per_param_errors: list[tuple[str, float]]
-    step_size: float
-    norm_bound_ok: bool
-    d_hat: float
-
-    def lines(self) -> list[str]:
-        out = [
-            f"max_rel_error: {self.max_rel_error:.3e}",
-            f"step_size: {self.step_size:.1e}",
-            f"norm_bound_ok: {self.norm_bound_ok}",
-            f"d_hat: {self.d_hat:.6g}",
-        ]
-        out.extend(f"  {name}: {err:.3e}" for name, err in self.per_param_errors)
-        return out

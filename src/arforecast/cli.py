@@ -12,11 +12,19 @@ from __future__ import annotations
 import argparse
 import configparser
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
-from .data import SeriesDataset, gen_ar_process, gen_sinusoid, load_csv, window_iter
+from .data import (
+    DEFAULT_SPLIT,
+    SeriesDataset,
+    gen_ar_process,
+    gen_sinusoid,
+    load_csv,
+    window_iter,
+)
 from .evaluation import evaluate, export_curve, write_report_json
-from .models import Dims, NormState, apply_norm, init_forecaster, invert_norm, param_count
+from .models import KINDS, Dims, NormState, apply_norm, init_forecaster, invert_norm
 from .rollout import RolloutConfig, check_gradients, loss_kink_gap, rollout_predict
 from .training import (
     CheckpointError,
@@ -35,51 +43,83 @@ class ConfigError(ValueError):
     """Invalid configuration or command input; maps to exit code 2."""
 
 
-_SECTION_KEYS = {
-    "dataset": {"source", "path", "has_header", "time_column", "length", "variates",
-                "periods", "amplitude", "noise_std", "coeffs", "seed", "split"},
-    "model": {"kind", "hidden"},
-    "rollout": {"s", "t", "l", "n", "gamma", "beta"},
-    "train": {"lr", "adam_beta1", "adam_beta2", "adam_eps", "batch_size",
-              "max_epochs", "patience", "seed", "objective"},
-    "output": {"dir"},
+SOURCES = ("sinusoid", "ar", "csv")
+_SYNTHETIC = ("sinusoid", "ar")
+
+
+def _bool(raw: str) -> bool:
+    if raw.lower() in ("true", "1", "yes"):
+        return True
+    if raw.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(raw)
+
+
+def _float_list(raw: str) -> tuple[float, ...]:
+    return tuple(float(x) for x in raw.split(","))
+
+
+_FORMATS = {
+    float: "{:g}".format,
+    _bool: lambda value: str(value).lower(),
+    _float_list: lambda value: ",".join(f"{x:g}" for x in value),
 }
+_PARSERS = {"int": int, "float": float, "str": str}
 
 
-def _get(section, key, cast, default=None, required=False):
-    raw = section.get(key)
+def _dataclass_keys(section, cls):
+    return tuple((section, f.name.lower(), _PARSERS[f.type], f.default, SOURCES)
+                 for f in fields(cls))
+
+
+# (section, key, parser, default, sources the key applies to), in the order
+# config_resolved.ini lists them. A MISSING default marks a required key; a
+# None value is left out of the resolved config.
+SCHEMA = (
+    ("dataset", "source", str, MISSING, SOURCES),
+    ("dataset", "split", _float_list, DEFAULT_SPLIT, SOURCES),
+    ("dataset", "path", Path, MISSING, ("csv",)),
+    ("dataset", "has_header", _bool, True, ("csv",)),
+    ("dataset", "time_column", str, None, ("csv",)),
+    ("dataset", "length", int, MISSING, _SYNTHETIC),
+    ("dataset", "variates", int, 1, _SYNTHETIC),
+    ("dataset", "noise_std", float, 0.0, _SYNTHETIC),
+    ("dataset", "seed", int, 0, _SYNTHETIC),
+    ("dataset", "periods", _float_list, (24.0,), ("sinusoid",)),
+    ("dataset", "amplitude", float, 1.0, ("sinusoid",)),
+    ("dataset", "coeffs", _float_list, MISSING, ("ar",)),
+    ("model", "kind", str, MISSING, SOURCES),
+    ("model", "hidden", int, 0, SOURCES),
+    *_dataclass_keys("rollout", RolloutConfig),
+    *_dataclass_keys("train", TrainConfig),
+    ("output", "dir", Path, None, SOURCES),
+)
+
+
+def _one_of(section: str, key: str, value, choices: tuple[str, ...]) -> None:
+    if value not in choices:
+        allowed = ", ".join(choices[:-1]) + f", or {choices[-1]}"
+        raise ConfigError(f"[{section}] {key} must be {allowed}, got {value!r}")
+
+
+def _parse(section, key, parser, default, raw):
     if raw is None or raw == "":
-        if required:
-            raise ConfigError(f"[{section.name}] missing required key {key!r}")
+        if default is MISSING:
+            raise ConfigError(f"[{section}] missing required key {key!r}")
         return default
     try:
-        if cast is bool:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(raw)
-        return cast(raw)
+        return parser(raw)
     except ValueError:
-        raise ConfigError(
-            f"[{section.name}] {key}: cannot parse {raw!r} as {cast.__name__}"
-        ) from None
-
-
-def _float_list(section, key, required=False):
-    raw = section.get(key)
-    if raw is None or raw == "":
-        if required:
-            raise ConfigError(f"[{section.name}] missing required key {key!r}")
-        return None
-    try:
-        return [float(x) for x in raw.split(",")]
-    except ValueError:
-        raise ConfigError(f"[{section.name}] {key}: cannot parse {raw!r} as float list") from None
+        name = parser.__name__.lstrip("_").replace("_", " ")
+        raise ConfigError(f"[{section}] {key}: cannot parse {raw!r} as {name}") from None
 
 
 class RunConfig:
-    """Parsed, validated, fully defaulted run configuration."""
+    """Parsed, validated, fully defaulted run configuration.
+
+    ``values[section][key]`` holds every SCHEMA key that applies to the
+    dataset source; ``rollout``, ``train`` and ``out_dir`` are built from it.
+    """
 
     def __init__(self, path, out_override=None, seed_override=None):
         parser = configparser.ConfigParser()
@@ -91,115 +131,87 @@ class RunConfig:
         except configparser.Error as exc:
             raise ConfigError(f"{path}: {exc}") from exc
 
+        keys: dict[str, set[str]] = {}
+        for section, key, *_ in SCHEMA:
+            keys.setdefault(section, set()).add(key)
         for name in parser.sections():
-            if name not in _SECTION_KEYS:
+            if name not in keys:
                 raise ConfigError(f"unknown config section [{name}]")
             for key in parser[name]:
-                if key not in _SECTION_KEYS[name]:
+                if key not in keys[name]:
                     raise ConfigError(f"[{name}] unknown key {key!r}")
-        for name in ("dataset", "model", "rollout"):
+        required_sections = dict.fromkeys(row[0] for row in SCHEMA if row[3] is MISSING)
+        for name in required_sections:
             if name not in parser:
                 raise ConfigError(f"missing config section [{name}]")
-        if "train" not in parser:
-            parser.add_section("train")
-        if "output" not in parser:
-            parser.add_section("output")
 
-        ds = parser["dataset"]
-        self.source = _get(ds, "source", str, required=True)
-        if self.source not in ("sinusoid", "ar", "csv"):
-            raise ConfigError(f"[dataset] source must be sinusoid, ar, or csv, got {self.source!r}")
-        self.split = tuple(_float_list(ds, "split") or (0.7, 0.1, 0.2))
-        if len(self.split) != 3 or any(r < 0 for r in self.split) \
-                or abs(sum(self.split) - 1.0) > 1e-9:
+        def raw(section, key):
+            return parser[section].get(key) if section in parser else None
+
+        self.source = _parse("dataset", "source", str, MISSING, raw("dataset", "source"))
+        _one_of("dataset", "source", self.source, SOURCES)
+        self.values: dict[str, dict] = {}
+        for section, key, parse, default, sources in SCHEMA:
+            if self.source in sources:
+                self.values.setdefault(section, {})[key] = \
+                    _parse(section, key, parse, default, raw(section, key))
+        if seed_override is not None:
+            self.values["train"]["seed"] = seed_override
+        if out_override:
+            self.values["output"]["dir"] = Path(out_override)
+
+        ds = self.values["dataset"]
+        split = ds["split"]
+        if len(split) != 3 or any(r < 0 for r in split) or abs(sum(split) - 1.0) > 1e-9:
             raise ConfigError(f"[dataset] split must be 3 nonnegative ratios summing to 1, "
-                              f"got {self.split}")
-        self.dataset_seed = _get(ds, "seed", int, default=0)
+                              f"got {split}")
         if self.source == "csv":
-            self.csv_path = Path(_get(ds, "path", str, required=True))
-            if not self.csv_path.exists():
-                raise ConfigError(f"[dataset] path: no such file {self.csv_path}")
-            self.has_header = _get(ds, "has_header", bool, default=True)
-            self.time_column = _get(ds, "time_column", str, default=None)
+            if not ds["path"].exists():
+                raise ConfigError(f"[dataset] path: no such file {ds['path']}")
         else:
-            self.length = _get(ds, "length", int, required=True)
-            if self.length < 1:
-                raise ConfigError(f"[dataset] length must be >= 1, got {self.length}")
-            self.variates = _get(ds, "variates", int, default=1)
-            if self.variates < 1:
-                raise ConfigError(f"[dataset] variates must be >= 1, got {self.variates}")
-            self.noise_std = _get(ds, "noise_std", float, default=0.0)
-            if self.source == "sinusoid":
-                self.periods = _float_list(ds, "periods") or [24.0]
-                self.amplitude = _get(ds, "amplitude", float, default=1.0)
-            else:
-                self.coeffs = _float_list(ds, "coeffs", required=True)
-
-        mdl = parser["model"]
-        self.kind = _get(mdl, "kind", str, required=True)
-        if self.kind not in ("linear", "mlp", "inverted_attention"):
-            raise ConfigError(f"[model] kind must be linear, mlp, or inverted_attention, "
-                              f"got {self.kind!r}")
-        self.hidden = _get(mdl, "hidden", int, default=0)
-
-        ro = parser["rollout"]
+            for key in ("length", "variates"):
+                if ds[key] < 1:
+                    raise ConfigError(f"[dataset] {key} must be >= 1, got {ds[key]}")
+        self.kind = self.values["model"]["kind"]
+        _one_of("model", "kind", self.kind, KINDS)
+        ro = self.values["rollout"]
         try:
-            self.rollout = RolloutConfig(
-                S=_get(ro, "s", int, required=True),
-                T=_get(ro, "t", int, required=True),
-                L=_get(ro, "l", int, default=0),
-                n=_get(ro, "n", int, default=1),
-                gamma=_get(ro, "gamma", float, default=0.5),
-                beta=_get(ro, "beta", float, default=0.1),
-            )
+            self.rollout = RolloutConfig(**{f.name: ro[f.name.lower()]
+                                            for f in fields(RolloutConfig)})
         except ValueError as exc:
             raise ConfigError(f"[rollout] {exc}") from None
-
-        tr = parser["train"]
         try:
-            self.train = TrainConfig(
-                lr=_get(tr, "lr", float, default=1e-3),
-                adam_beta1=_get(tr, "adam_beta1", float, default=0.9),
-                adam_beta2=_get(tr, "adam_beta2", float, default=0.999),
-                adam_eps=_get(tr, "adam_eps", float, default=1e-8),
-                batch_size=_get(tr, "batch_size", int, default=32),
-                max_epochs=_get(tr, "max_epochs", int, default=100),
-                patience=_get(tr, "patience", int, default=10),
-                seed=seed_override if seed_override is not None
-                     else _get(tr, "seed", int, default=0),
-                objective=_get(tr, "objective", str, default="ar"),
-            )
+            self.train = TrainConfig(**self.values["train"])
         except ValueError as exc:
             raise ConfigError(f"[train] {exc}") from None
-
-        out_dir = out_override or _get(parser["output"], "dir", str, default=None)
-        if out_dir is None:
+        self.out_dir = self.values["output"]["dir"]
+        if self.out_dir is None:
             raise ConfigError("[output] missing key 'dir' (or pass --out)")
-        self.out_dir = Path(out_dir)
 
     def build_dataset(self) -> SeriesDataset:
+        ds = self.values["dataset"]
         try:
             if self.source == "csv":
-                return load_csv(self.csv_path, has_header=self.has_header,
-                                time_column=self.time_column, ratios=self.split)
+                return load_csv(ds["path"], has_header=ds["has_header"],
+                                time_column=ds["time_column"], ratios=ds["split"])
             if self.source == "sinusoid":
-                periods = self.periods
+                periods = ds["periods"]
                 if len(periods) == 1:
-                    periods = periods * self.variates
-                if len(periods) != self.variates:
-                    raise ValueError(f"{len(periods)} periods for {self.variates} variates")
-                return gen_sinusoid(self.length, V=self.variates, periods=periods,
-                                    amplitude=self.amplitude, noise_std=self.noise_std,
-                                    seed=self.dataset_seed, ratios=self.split)
-            return gen_ar_process(self.length, V=self.variates, coeffs=self.coeffs,
-                                  noise_std=self.noise_std, seed=self.dataset_seed,
-                                  ratios=self.split)
+                    periods = periods * ds["variates"]
+                if len(periods) != ds["variates"]:
+                    raise ValueError(f"{len(periods)} periods for {ds['variates']} variates")
+                return gen_sinusoid(ds["length"], V=ds["variates"], periods=periods,
+                                    amplitude=ds["amplitude"], noise_std=ds["noise_std"],
+                                    seed=ds["seed"], ratios=ds["split"])
+            return gen_ar_process(ds["length"], V=ds["variates"], coeffs=ds["coeffs"],
+                                  noise_std=ds["noise_std"], seed=ds["seed"],
+                                  ratios=ds["split"])
         except (ValueError, FileNotFoundError) as exc:
             raise ConfigError(f"[dataset] {exc}") from None
 
     def build_model(self, n_variates: int):
         dims = Dims(S=self.rollout.S, T=self.rollout.T, L=self.rollout.L,
-                    V=n_variates, hidden=self.hidden)
+                    V=n_variates, hidden=self.values["model"]["hidden"])
         try:
             return init_forecaster(self.kind, dims, seed=self.train.seed)
         except ValueError as exc:
@@ -207,34 +219,13 @@ class RunConfig:
 
     def resolved(self) -> configparser.ConfigParser:
         out = configparser.ConfigParser()
-        out["dataset"] = {"source": self.source,
-                          "split": ",".join(f"{r:g}" for r in self.split)}
-        if self.source == "csv":
-            out["dataset"]["path"] = str(self.csv_path)
-            out["dataset"]["has_header"] = str(self.has_header).lower()
-            if self.time_column is not None:
-                out["dataset"]["time_column"] = self.time_column
-        else:
-            out["dataset"]["length"] = str(self.length)
-            out["dataset"]["variates"] = str(self.variates)
-            out["dataset"]["noise_std"] = f"{self.noise_std:g}"
-            out["dataset"]["seed"] = str(self.dataset_seed)
-            if self.source == "sinusoid":
-                out["dataset"]["periods"] = ",".join(f"{p:g}" for p in self.periods)
-                out["dataset"]["amplitude"] = f"{self.amplitude:g}"
-            else:
-                out["dataset"]["coeffs"] = ",".join(f"{c:g}" for c in self.coeffs)
-        out["model"] = {"kind": self.kind, "hidden": str(self.hidden)}
-        ro = self.rollout
-        out["rollout"] = {"s": str(ro.S), "t": str(ro.T), "l": str(ro.L), "n": str(ro.n),
-                          "gamma": f"{ro.gamma:g}", "beta": f"{ro.beta:g}"}
-        tr = self.train
-        out["train"] = {"lr": f"{tr.lr:g}", "adam_beta1": f"{tr.adam_beta1:g}",
-                        "adam_beta2": f"{tr.adam_beta2:g}", "adam_eps": f"{tr.adam_eps:g}",
-                        "batch_size": str(tr.batch_size), "max_epochs": str(tr.max_epochs),
-                        "patience": str(tr.patience), "seed": str(tr.seed),
-                        "objective": tr.objective}
-        out["output"] = {"dir": str(self.out_dir)}
+        for section, key, parse, _, sources in SCHEMA:
+            value = self.values[section].get(key)
+            if self.source not in sources or value is None:
+                continue
+            if not out.has_section(section):
+                out.add_section(section)
+            out.set(section, key, _FORMATS.get(parse, str)(value))
         return out
 
     def write_resolved(self) -> None:

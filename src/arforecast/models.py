@@ -15,7 +15,6 @@ import numpy as np
 
 from .autodiff import (
     Tensor,
-    concat,
     layer_norm,
     matmul,
     relu,
@@ -84,6 +83,8 @@ class Forecaster:
 
 def _param_shapes(kind: str, dims: Dims) -> list[tuple[str, tuple[int, int], int]]:
     """(name, shape, fan_in) triples, in initialization/serialization order."""
+    if kind in ("mlp", "inverted_attention") and dims.hidden < 1:
+        raise ValueError(f"{kind} requires hidden >= 1, got {dims.hidden}")
     out = dims.out_len
     if kind == "linear":
         return [("w", (out, dims.S), dims.S), ("b", (out, 1), dims.S)]
@@ -119,21 +120,12 @@ def init_forecaster(kind: str, dims: Dims, seed: int) -> Forecaster:
     """
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-    if kind in ("mlp", "inverted_attention") and dims.hidden < 1:
-        raise ValueError(f"{kind} requires hidden >= 1, got {dims.hidden}")
     rng = np.random.Generator(np.random.Philox(seed))
     params: dict[str, Tensor] = {}
     for name, shape, fan_in in _param_shapes(kind, dims):
         bound = 1.0 / np.sqrt(fan_in)
         params[name] = Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
     return Forecaster(kind=kind, dims=dims, params=params)
-
-
-def _with_bias(x: Tensor, b: Tensor, v: int) -> Tensor:
-    # column-broadcast b (n,1) across v columns, staying inside the op set
-    if v == 1:
-        return x + b
-    return x + matmul(b, Tensor(np.ones((1, v))))
 
 
 def forecast(model: Forecaster, context: Tensor) -> Tensor:
@@ -143,27 +135,26 @@ def forecast(model: Forecaster, context: Tensor) -> Tensor:
         context = Tensor(context)
     if context.values.ndim != 2 or context.shape[0] != dims.S:
         raise ValueError(f"context must be ({dims.S}, V), got {context.shape}")
-    v = context.shape[1]
     p = model.params
     if model.kind == "linear":
-        return _with_bias(matmul(p["w"], context), p["b"], v)
+        return matmul(p["w"], context) + p["b"]
     if model.kind == "mlp":
-        hidden = relu(_with_bias(matmul(p["w1"], context), p["b1"], v))
-        return _with_bias(matmul(p["w2"], hidden), p["b2"], v)
+        hidden = relu(matmul(p["w1"], context) + p["b1"])
+        return matmul(p["w2"], hidden) + p["b2"]
     if model.kind == "inverted_attention":
-        tokens = _with_bias(matmul(p["embed_w"], context), p["embed_b"], v)
-        q = _with_bias(matmul(p["q_w"], tokens), p["q_b"], v)
-        k = _with_bias(matmul(p["k_w"], tokens), p["k_b"], v)
-        val = _with_bias(matmul(p["v_w"], tokens), p["v_b"], v)
+        tokens = matmul(p["embed_w"], context) + p["embed_b"]
+        q = matmul(p["q_w"], tokens) + p["q_b"]
+        k = matmul(p["k_w"], tokens) + p["k_b"]
+        val = matmul(p["v_w"], tokens) + p["v_b"]
         scores = scale(matmul(transpose(q), k), 1.0 / np.sqrt(dims.hidden))
         attn = softmax(scores, axis=1)
         mixed = matmul(val, transpose(attn))
-        mixed = _with_bias(matmul(p["o_w"], mixed), p["o_b"], v)
+        mixed = matmul(p["o_w"], mixed) + p["o_b"]
         x1 = layer_norm(tokens + mixed, axis=0)
-        ff = relu(_with_bias(matmul(p["ff1_w"], x1), p["ff1_b"], v))
-        ff = _with_bias(matmul(p["ff2_w"], ff), p["ff2_b"], v)
+        ff = relu(matmul(p["ff1_w"], x1) + p["ff1_b"])
+        ff = matmul(p["ff2_w"], ff) + p["ff2_b"]
         x2 = layer_norm(x1 + ff, axis=0)
-        return _with_bias(matmul(p["proj_w"], x2), p["proj_b"], v)
+        return matmul(p["proj_w"], x2) + p["proj_b"]
     raise ValueError(f"unknown forecaster kind {model.kind!r}")
 
 

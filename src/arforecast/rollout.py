@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
-    GradCheckReport,
     Tape,
     Tensor,
     absolute,
@@ -31,6 +30,7 @@ from .autodiff import (
     slice_axis,
     stop_gradient,
 )
+from .data import SeriesWindow
 from .models import Forecaster, NormState, apply_norm, forecast
 
 
@@ -81,6 +81,27 @@ class BlockErrors:
     violations: int
 
 
+@dataclass
+class GradCheckReport:
+    """Outcome of checking reverse-mode gradients against the central-difference oracle."""
+
+    max_rel_error: float
+    per_param_errors: list[tuple[str, float]]
+    step_size: float
+    norm_bound_ok: bool
+    d_hat: float
+
+    def lines(self) -> list[str]:
+        out = [
+            f"max_rel_error: {self.max_rel_error:.3e}",
+            f"step_size: {self.step_size:.1e}",
+            f"norm_bound_ok: {self.norm_bound_ok}",
+            f"d_hat: {self.d_hat:.6g}",
+        ]
+        out.extend(f"  {name}: {err:.3e}" for name, err in self.per_param_errors)
+        return out
+
+
 def _check_model_cfg(model: Forecaster, cfg: RolloutConfig) -> None:
     d = model.dims
     if (d.S, d.T, d.L) != (cfg.S, cfg.T, cfg.L):
@@ -106,30 +127,29 @@ def rollout_predict(model: Forecaster, context: Tensor, cfg: RolloutConfig) -> R
     S, T, L, n = cfg.S, cfg.T, cfg.L, cfg.n
 
     first = forecast(model, context)
-    overlap = slice_axis(first, 0, 0, L) if L > 0 else None
+    head = [slice_axis(first, 0, 0, L)] if L > 0 else []
     blocks = [slice_axis(first, 0, L, L + T)]
-    for k in range(1, n):
-        pieces = []
-        if k * T < S:
-            pieces.append(slice_axis(context, 0, k * T, S))
-        lo = max(S, k * T)
-        hi = S + k * T
-        for j, block in enumerate(blocks):
-            b_lo, b_hi = S + j * T, S + (j + 1) * T
-            take_lo, take_hi = max(lo, b_lo), min(hi, b_hi)
-            if take_lo >= take_hi:
-                continue
-            if take_lo == b_lo and take_hi == b_hi:
-                pieces.append(block)
-            else:
-                pieces.append(slice_axis(block, 0, take_lo - b_lo, take_hi - b_lo))
-        step_input = pieces[0] if len(pieces) == 1 else concat(pieces, axis=0)
-        out = forecast(model, step_input)
+    for _ in range(1, n):
+        out = forecast(model, _tail([context] + blocks, S))
         blocks.append(slice_axis(out, 0, L, L + T))
+    return RolloutPrediction(values=_tail(head + blocks, L + n * T), blocks=blocks)
 
-    parts = ([overlap] if overlap is not None else []) + blocks
-    values = parts[0] if len(parts) == 1 else concat(parts, axis=0)
-    return RolloutPrediction(values=values, blocks=blocks)
+
+def _tail(pieces: list[Tensor], rows: int) -> Tensor:
+    """The last ``rows`` rows of the pieces stacked in order.
+
+    Pieces wholly inside the tail enter as they are; only the one the cut
+    falls in is sliced, and a single piece is returned without a concat.
+    """
+    taken = []
+    for piece in reversed(pieces):
+        if rows <= 0:
+            break
+        size = piece.shape[0]
+        taken.append(piece if size <= rows else slice_axis(piece, 0, size - rows, size))
+        rows -= size
+    taken.reverse()
+    return taken[0] if len(taken) == 1 else concat(taken, axis=0)
 
 
 def block_error(pred_block: Tensor, truth_block) -> Tensor:
@@ -194,30 +214,18 @@ def ar_loss(model: Forecaster, window, cfg: RolloutConfig) -> BlockErrors:
         block_error(block, fut_n[k * cfg.T:(k + 1) * cfg.T])
         for k, block in enumerate(prediction.blocks)
     ]
-    if cfg.n == 1:
-        loss = errors[0]
-    else:
-        loss = discounted_loss(errors, cfg.gamma, cfg.beta)
+    loss = discounted_loss(errors, cfg.gamma, cfg.beta)
     raw = [e.item() for e in errors]
     violations = sum(1 for k in range(len(raw) - 1) if raw[k + 1] < raw[k])
     return BlockErrors(e=errors, loss=loss, violations=violations)
 
 
 def mse_loss(model: Forecaster, window) -> Tensor:
-    """Vanilla single-block objective: normalized MSE of the first T steps."""
-    dims = model.dims
-    context = np.asarray(window.context, dtype=np.float64)
-    future = np.asarray(window.future, dtype=np.float64)
-    if context.ndim != 2 or context.shape[0] != dims.S:
-        raise ValueError(f"window context must be ({dims.S}, V), got {context.shape}")
-    if future.ndim != 2 or future.shape[0] < dims.T or future.shape[1] != context.shape[1]:
-        raise ValueError(f"window future must cover {dims.T} steps of {context.shape[1]} variates")
-    state = NormState.from_context(context)
-    ctx_n = apply_norm(context, state)
-    fut_n = apply_norm(future[:dims.T], state)
-    out = forecast(model, Tensor(ctx_n))
-    block = slice_axis(out, 0, dims.L, dims.L + dims.T)
-    return block_error(block, fut_n)
+    """Vanilla single-block objective: ar_loss at n=1 on the first T future steps."""
+    d = model.dims
+    future = np.asarray(window.future, dtype=np.float64)[:d.T]
+    cfg = RolloutConfig(S=d.S, T=d.T, L=d.L, n=1)
+    return ar_loss(model, SeriesWindow(window.context, future, window.origin_index), cfg).loss
 
 
 def loss_kink_gap(model: Forecaster, window, cfg: RolloutConfig) -> float:

@@ -16,7 +16,7 @@ import numpy as np
 
 from .autodiff import Tape
 from .data import SeriesDataset, window_iter
-from .models import Dims, Forecaster, init_forecaster
+from .models import Dims, Forecaster, _param_shapes, init_forecaster
 from .rollout import RolloutConfig, ar_loss, mse_loss
 
 CHECKPOINT_MAGIC = b"ARPT"
@@ -251,19 +251,27 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(blob[12:header_end].decode("utf-8"))
         dims = Dims(**header["dims"])
         rollout = RolloutConfig(**header["rollout"])
-        shapes = [(name, tuple(shape)) for name, shape in header["params"]]
+        shapes = {name: tuple(shape) for name, shape in header["params"]}
+        expected = {name: shape for name, shape, _ in _param_shapes(header["kind"], dims)}
         meta = header["meta"]
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointFormatError(f"{path}: corrupt header ({exc})") from exc
-    total = sum(int(np.prod(shape)) for _, shape in shapes)
+    if shapes != expected or len(header["params"]) != len(expected):
+        raise CheckpointFormatError(
+            f"{path}: parameter names or shapes do not match a {header['kind']} model of {dims}"
+        )
+    total = sum(int(np.prod(shape)) for shape in expected.values())
     payload = np.frombuffer(blob[header_end:], dtype="<f8")
     if payload.size != total:
         raise CheckpointFormatError(
             f"{path}: payload holds {payload.size} doubles, header expects {total}"
         )
+    if not np.all(np.isfinite(payload)):
+        raise CheckpointFormatError(f"{path}: payload holds non-finite values")
     params = {}
     offset = 0
-    for name, shape in shapes:
+    for name, _ in header["params"]:
+        shape = expected[name]
         size = int(np.prod(shape))
         params[name] = payload[offset:offset + size].reshape(shape).astype(np.float64)
         offset += size

@@ -9,6 +9,7 @@ from arforecast.autodiff import (
     Tape,
     Tensor,
     absolute,
+    add,
     concat,
     finite_diff_oracle,
     layer_norm,
@@ -145,6 +146,50 @@ def test_concat_slice_round_trip_gradients():
         tape.backward(piece.sum())
         np.testing.assert_array_equal(tape.grad_of(a), [[0.0], [1.0]])
         np.testing.assert_array_equal(tape.grad_of(b), [[1.0], [1.0], [0.0]])
+
+
+@pytest.mark.parametrize("column_first", [False, True])
+def test_column_broadcast_add_matches_oracle(column_first):
+    rng = np.random.default_rng(8)
+    m_vals, c_vals = rng.normal(size=(3, 4)), rng.normal(size=(3, 1))
+
+    def loss_of(m, c):
+        s = add(c, m) if column_first else add(m, c)
+        return (s * s).mean()
+
+    with Tape() as tape:
+        m, c = Tensor(m_vals, requires_grad=True), Tensor(c_vals, requires_grad=True)
+        out = add(c, m) if column_first else add(m, c)
+        np.testing.assert_array_equal(out.values, m_vals + c_vals)
+        grads = tape.gradient(loss_of(m, c), [m, c])
+    assert [g.shape for g in grads] == [(3, 4), (3, 1)]
+
+    def eval_at(vec):
+        return loss_of(Tensor(vec[:12].reshape(3, 4)), Tensor(vec[12:].reshape(3, 1))).item()
+
+    fd = finite_diff_oracle(eval_at, np.concatenate([m_vals.ravel(), c_vals.ravel()]), 1e-4)
+    assert max_relative_error(np.concatenate([g.ravel() for g in grads]), fd) < 1e-7
+
+
+def test_column_broadcast_gradient_matches_ones_matmul_bitwise():
+    # the broadcast must reduce exactly as a ones-matrix product would, so
+    # trained checkpoints do not move by an ulp
+    rng = np.random.default_rng(9)
+    m_vals, c_vals = rng.normal(size=(16, 4)), rng.normal(size=(16, 1))
+    grads = []
+    for broadcast in (lambda c: c, lambda c: matmul(c, Tensor(np.ones((1, 4))))):
+        with Tape() as tape:
+            c = Tensor(c_vals, requires_grad=True)
+            s = Tensor(m_vals) + broadcast(c)
+            grads.append(tape.gradient((s * s).mean(), [c])[0])
+    assert grads[0].tobytes() == grads[1].tobytes()
+
+
+@pytest.mark.parametrize("a,b", [((3, 4), (4, 1)), ((3, 4), (1, 4)), ((3, 4), (3, 2)),
+                                 ((3, 1), (4, 1)), ((3,), (3, 1)), ((3, 1), (3,))])
+def test_add_rejects_other_shape_mismatches(a, b):
+    with pytest.raises(ValueError, match="shape mismatch"):
+        add(Tensor(np.zeros(a)), Tensor(np.zeros(b)))
 
 
 def test_slice_bounds_validated():

@@ -1,13 +1,16 @@
 """Command-line workflows: exit codes, output files, config echo."""
 
+import json
+import struct
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import arforecast.autodiff as autodiff
-from arforecast.cli import main
+from arforecast.cli import RunConfig, main
 from arforecast.models import Dims, init_forecaster
 from arforecast.rollout import RolloutConfig
 from arforecast.training import Checkpoint, save_checkpoint
@@ -216,3 +219,168 @@ def test_module_entry_point(tmp_path):
                            "--config", str(cfg)], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "checkpoint.arpt").exists()
+
+
+
+def _corrupt_predict_checkpoint(tmp_path, how):
+    path = _predict_checkpoint(tmp_path)
+    blob = path.read_bytes()
+    if how == "nan":
+        path.write_bytes(blob[:-8] + struct.pack("<d", float("nan")))
+        return path
+    (size,) = struct.unpack_from("<I", blob, 8)
+    header = json.loads(blob[12:12 + size])
+    header["kind"] = "mlp"  # a linear payload labelled as another kind
+    encoded = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(blob[:8] + struct.pack("<I", len(encoded)) + encoded + blob[12 + size:])
+    return path
+
+
+@pytest.mark.parametrize("how", ["nan", "kind"])
+def test_predict_rejects_invalid_checkpoint(tmp_path, capsys, how):
+    ck = _corrupt_predict_checkpoint(tmp_path, how)
+    inp = _write_rows(tmp_path / "input.csv", 48)
+    out = tmp_path / "pred"
+    assert main(["predict", str(inp), "--checkpoint", str(ck),
+                 "--horizon", "12", "--out", str(out)]) == 2
+    assert "predict.arpt" in capsys.readouterr().err
+    assert not (out / "predictions.csv").exists()
+
+
+# config_resolved.ini is how runs are compared and reproduced, so its text
+# for these configs is pinned byte for byte.
+RESOLVED_INPUTS = {
+    "sinusoid": ("[dataset]\nsource = sinusoid\nlength = 400\nvariates = 2\nperiods = 24,12.5\n"
+                 "amplitude = 2.5\n\n[model]\nkind = mlp\nhidden = 4\n\n"
+                 "[rollout]\ns = 12\nt = 4\nn = 2\n\n[output]\ndir = out/sinusoid/\n"),
+    "ar": ("[dataset]\nsource = ar\nlength = 300\ncoeffs = 0.5,-0.25\nnoise_std = 0.2\n"
+           "seed = 3\nsplit = 0.6,0.2,0.2\n\n[model]\nkind = inverted_attention\nhidden = 3\n\n"
+           "[rollout]\ns = 8\nt = 2\nl = 1\nn = 3\ngamma = 0.7\nbeta = 0.2\n\n"
+           "[train]\nlr = 0.05\nbatch_size = 8\nobjective = mse\nadam_eps = 1e-10\n\n"
+           "[output]\ndir = out/ar\n"),
+    "csv": ("[dataset]\nsource = csv\npath = data.csv\nhas_header = yes\ntime_column = date\n\n"
+            "[model]\nkind = linear\n\n[rollout]\ns = 6\nt = 2\n\n[train]\nseed = 5\n"),
+}
+RESOLVED_TEXTS = {
+    "sinusoid": """\
+[dataset]
+source = sinusoid
+split = 0.7,0.1,0.2
+length = 400
+variates = 2
+noise_std = 0
+seed = 0
+periods = 24,12.5
+amplitude = 2.5
+
+[model]
+kind = mlp
+hidden = 4
+
+[rollout]
+s = 12
+t = 4
+l = 0
+n = 2
+gamma = 0.5
+beta = 0.1
+
+[train]
+lr = 0.001
+adam_beta1 = 0.9
+adam_beta2 = 0.999
+adam_eps = 1e-08
+batch_size = 32
+max_epochs = 100
+patience = 10
+seed = 0
+objective = ar
+
+[output]
+dir = out/sinusoid
+
+""",
+    "ar": """\
+[dataset]
+source = ar
+split = 0.6,0.2,0.2
+length = 300
+variates = 1
+noise_std = 0.2
+seed = 3
+coeffs = 0.5,-0.25
+
+[model]
+kind = inverted_attention
+hidden = 3
+
+[rollout]
+s = 8
+t = 2
+l = 1
+n = 3
+gamma = 0.7
+beta = 0.2
+
+[train]
+lr = 0.05
+adam_beta1 = 0.9
+adam_beta2 = 0.999
+adam_eps = 1e-10
+batch_size = 8
+max_epochs = 100
+patience = 10
+seed = 0
+objective = mse
+
+[output]
+dir = out/ar
+
+""",
+    "csv": """\
+[dataset]
+source = csv
+split = 0.7,0.1,0.2
+path = data.csv
+has_header = true
+time_column = date
+
+[model]
+kind = linear
+hidden = 0
+
+[rollout]
+s = 6
+t = 2
+l = 0
+n = 1
+gamma = 0.5
+beta = 0.1
+
+[train]
+lr = 0.001
+adam_beta1 = 0.9
+adam_beta2 = 0.999
+adam_eps = 1e-08
+batch_size = 32
+max_epochs = 100
+patience = 10
+seed = 9
+objective = ar
+
+[output]
+dir = out/csv
+
+""",
+}
+
+
+@pytest.mark.parametrize("name", sorted(RESOLVED_INPUTS))
+def test_resolved_config_text_is_pinned(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    Path("data.csv").write_text("date,a\n" + "".join(f"d{i},{i % 7}\n" for i in range(40)))
+    Path("run.ini").write_text(RESOLVED_INPUTS[name])
+    overrides = {"out_override": "out/csv", "seed_override": 9} if name == "csv" else {}
+    cfg = RunConfig("run.ini", **overrides)
+    cfg.write_resolved()
+    assert (cfg.out_dir / "config_resolved.ini").read_text() == RESOLVED_TEXTS[name]

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arforecast.autodiff import Tape, Tensor, absolute, scale, stop_gradient
@@ -68,6 +68,34 @@ def test_rollout_matches_numpy_oracle(L, n):
     values, blocks, _ = _numpy_linear_rollout(w, b, ctx, cfg)
     assert got.values.shape == (L + n * 3, 2)
     np.testing.assert_allclose(got.values.values, values, rtol=1e-12, atol=1e-14)
+    for have, want in zip(got.blocks, blocks):
+        np.testing.assert_allclose(have.values, want, rtol=1e-12, atol=1e-14)
+
+
+@st.composite
+def _linear_geometries(draw):
+    """(RolloutConfig, V) over small S, T, L < S, n, V; T may reach or pass S."""
+    S = draw(st.integers(1, 8))
+    cfg = RolloutConfig(S=S, T=draw(st.integers(1, 12)), L=draw(st.integers(0, S - 1)),
+                        n=draw(st.integers(1, 5)))
+    return cfg, draw(st.integers(1, 3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_linear_geometries(), st.integers(0, 2 ** 32 - 1))
+@example((RolloutConfig(S=3, T=5, L=1, n=4), 2), 0)  # T > S: inputs past block 1 are all predicted
+@example((RolloutConfig(S=4, T=2, L=0, n=5), 1), 1)  # 2T == S: a step input is whole blocks
+def test_rollout_matches_numpy_oracle_over_geometries(geometry, seed):
+    cfg, V = geometry
+    model = init_forecaster("linear", Dims(S=cfg.S, T=cfg.T, L=cfg.L, V=V), seed=seed % 1000)
+    ctx = np.random.default_rng(seed).normal(size=(cfg.S, V))
+    with Tape():
+        got = rollout_predict(model, Tensor(ctx), cfg)
+    values, blocks, _ = _numpy_linear_rollout(
+        model.params["w"].values, model.params["b"].values, ctx, cfg)
+    assert got.values.shape == (cfg.L + cfg.n * cfg.T, V)
+    np.testing.assert_allclose(got.values.values, values, rtol=1e-12, atol=1e-14)
+    assert len(got.blocks) == cfg.n
     for have, want in zip(got.blocks, blocks):
         np.testing.assert_allclose(have.values, want, rtol=1e-12, atol=1e-14)
 

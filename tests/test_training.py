@@ -1,5 +1,6 @@
 """Adam updates, the training loop, and checkpoint serialization."""
 
+import json
 import math
 import struct
 
@@ -215,3 +216,42 @@ def test_history_csv_format(tmp_path):
     cells = lines[2].split(",")
     assert int(cells[0]) == 2
     assert float(cells[1]) == 1.0 / 3.0  # 17 significant digits round-trip
+
+
+def _rewrite_header(path, edit):
+    """Apply ``edit`` to a saved checkpoint's JSON header, keeping its payload."""
+    blob = path.read_bytes()
+    (size,) = struct.unpack_from("<I", blob, 8)
+    header = json.loads(blob[12:12 + size])
+    edit(header)
+    encoded = json.dumps(header, sort_keys=True).encode("utf-8")
+    path.write_bytes(blob[:8] + struct.pack("<I", len(encoded)) + encoded + blob[12 + size:])
+
+
+def _linear_checkpoint(path):
+    model = init_forecaster("linear", Dims(S=6, T=2), seed=4)
+    save_checkpoint(Checkpoint.from_forecaster(model, RolloutConfig(S=6, T=2), 0, 0.5, 4), path)
+    return path
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h.update(kind="mlp"),
+    lambda h: h.update(kind="mlp", dims=dict(h["dims"], hidden=3)),
+    lambda h: h.update(kind="transformer"),
+    lambda h: h.update(params=[["w", [2, 6]], ["bias", [2, 1]]]),
+    lambda h: h.update(params=[["w", [6, 2]], ["b", [2, 1]]]),
+], ids=["kind", "kind-and-hidden", "unknown-kind", "name", "shape"])
+def test_checkpoint_params_must_match_kind_and_dims(tmp_path, edit):
+    path = _linear_checkpoint(tmp_path / "model.arpt")
+    _rewrite_header(path, edit)
+    with pytest.raises(CheckpointFormatError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_checkpoint_non_finite_payload_rejected(tmp_path, bad):
+    path = _linear_checkpoint(tmp_path / "model.arpt")
+    blob = path.read_bytes()
+    path.write_bytes(blob[:-8] + struct.pack("<d", bad))
+    with pytest.raises(CheckpointFormatError):
+        load_checkpoint(path)
