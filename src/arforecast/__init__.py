@@ -21,6 +21,8 @@ from .autodiff import (
     sub,
     sum_all,
     transpose,
+    window_mix,
+    window_scores,
 )
 from .data import SeriesDataset, SeriesWindow, gen_ar_process, gen_sinusoid, load_csv, window_iter
 from .evaluation import EvalReport, compare, evaluate, export_curve, write_report_json

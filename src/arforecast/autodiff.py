@@ -3,9 +3,10 @@
 Dense float64 tensors plus the operation set the forecasting models and
 the rollout objective need: elementwise arithmetic, column-broadcast
 addition, matrix multiply, relu/abs, full reductions, slicing and
-concatenation, softmax and layer normalization along an axis, and a
-stop-gradient operator that is the identity in the forward pass and
-blocks all gradient flow backward.
+concatenation, softmax and layer normalization along an axis, two
+per-window products for windows stored side by side as groups of V
+columns, and a stop-gradient operator that is the identity in the
+forward pass and blocks all gradient flow backward.
 
 A ``Tape`` is built fresh for every loss evaluation (define-by-run) and
 is a single-threaded unit of work; separate tapes share no mutable state
@@ -77,7 +78,7 @@ class Tensor:
     def item(self) -> float:
         if self.values.size != 1:
             raise ValueError(f"item() requires a scalar tensor, got shape {self.shape}")
-        return float(self.values)
+        return float(self.values.item())
 
     def relu(self) -> "Tensor":
         return relu(self)
@@ -325,6 +326,18 @@ def _layer_norm_rule(ctx, g):
     return (inv * (g - g_mean - y * gy_mean),)
 
 
+def _window_scores_rule(ctx, g):
+    q3, k3 = ctx  # (B, h, V) each
+    g3 = g.reshape(q3.shape[0], q3.shape[2], q3.shape[2])
+    return _unwindow(k3 @ g3.transpose(0, 2, 1)), _unwindow(q3 @ g3)
+
+
+def _window_mix_rule(ctx, g):
+    v3, a3 = ctx  # (B, h, V) and (B, V, V)
+    g3 = _windows(g, a3.shape[2])
+    return _unwindow(g3 @ a3), (g3.transpose(0, 2, 1) @ v3).reshape(-1, a3.shape[2])
+
+
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
     if a.shape != b.shape:
         raise ValueError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
@@ -376,6 +389,53 @@ def transpose(a: Tensor) -> Tensor:
     if a.values.ndim != 2:
         raise ValueError(f"transpose: expects a 2-d tensor, got {a.shape}")
     return _emit(np.ascontiguousarray(a.values.T), (a,), _transpose_rule, ())
+
+
+def _windows(x: np.ndarray, V: int) -> np.ndarray:
+    """(h, B*V) -> (B, h, V): window b is the column group b*V .. (b+1)*V."""
+    h, width = x.shape
+    return x.reshape(h, width // V, V).transpose(1, 0, 2)
+
+
+def _unwindow(x3: np.ndarray) -> np.ndarray:
+    """Inverse of ``_windows``: (B, h, V) -> (h, B*V)."""
+    B, h, V = x3.shape
+    return x3.transpose(1, 0, 2).reshape(h, B * V)
+
+
+def _check_windows(op: str, a: Tensor, V: int) -> None:
+    if a.values.ndim != 2 or V < 1 or a.values.shape[1] % V:
+        raise ValueError(f"{op}: expects a 2-d operand of whole {V}-column windows, got {a.shape}")
+
+
+def window_scores(q: Tensor, k: Tensor, V: int) -> Tensor:
+    """Per-window ``q_b.T @ k_b``, stacked as a (B*V, V) tensor.
+
+    ``q`` and ``k`` are (h, B*V): B windows of V columns each, side by side.
+    Row block b of the result holds window b's V-by-V products.
+    """
+    _check_windows("window_scores", q, V)
+    _same_shape(q, k, "window_scores")
+    q3, k3 = _windows(q.values, V), _windows(k.values, V)
+    out = (q3.transpose(0, 2, 1) @ k3).reshape(-1, V)
+    return _emit(out, (q, k), _window_scores_rule, (q3, k3))
+
+
+def window_mix(val: Tensor, attn: Tensor, V: int) -> Tensor:
+    """Per-window ``val_b @ attn_b.T``, stacked back as an (h, B*V) tensor.
+
+    ``val`` is (h, B*V) in V-column windows; ``attn`` is the (B*V, V) stack
+    of per-window V-by-V matrices that ``window_scores`` produces.
+    """
+    _check_windows("window_mix", val, V)
+    h, width = val.values.shape
+    if attn.values.shape != (width, V):
+        raise ValueError(f"window_mix: attn must be ({width}, {V}), got {attn.shape}")
+    v3, a3 = _windows(val.values, V), attn.values.reshape(-1, V, V)
+    # (attn_b @ val_b.T).T is val_b @ attn_b.T; the (B, V, h) product
+    # flattens to (B*V, h) without a copy
+    out = (a3 @ v3.transpose(0, 2, 1)).reshape(width, h).T
+    return _emit(out, (val, attn), _window_mix_rule, (v3, a3))
 
 
 def relu(a: Tensor) -> Tensor:

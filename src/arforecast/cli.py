@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -337,10 +338,10 @@ def cmd_predict(args) -> int:
     values = invert_norm(prediction.values.values, state)
 
     out_path = out_dir / "predictions.csv"
+    row_format = ",".join(["%.17g"] * values.shape[1]) + "\n"
     with open(out_path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(dataset.columns) + "\n")
-        for row in values:
-            fh.write(",".join(f"{x:.17g}" for x in row) + "\n")
+        fh.write("".join(row_format % tuple(row) for row in values.tolist()))
     print(f"wrote {values.shape[0]} forecast rows to {out_path}")
     return 0
 
@@ -368,7 +369,9 @@ def cmd_gradcheck(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parsing does not modify it."""
     parser = argparse.ArgumentParser(
         prog="arforecast",
         description="Train, evaluate, and run rollout forecasts for small time-series models.",

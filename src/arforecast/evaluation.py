@@ -142,8 +142,7 @@ def report_to_dict(report: EvalReport) -> dict:
 
 def write_report_json(report: EvalReport, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report_to_dict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n")
 
 
 def export_curve(report: EvalReport, path) -> None:

@@ -4,7 +4,10 @@ Three kinds share the interface: a per-variate linear map, a per-variate
 one-hidden-layer MLP, and a single-block single-head attention model that
 treats each variate's whole history as one token. The linear and MLP heads
 are channel independent (one temporal map shared across variates), so
-parameter counts never depend on V.
+parameter counts never depend on V. Every op but attention's variate
+mixing is column-wise, so B windows stacked side by side as the S-by-(B*V)
+columns of one context run as one forecast; attention mixes only within
+each window's group of V columns.
 """
 
 from __future__ import annotations
@@ -20,7 +23,8 @@ from .autodiff import (
     relu,
     scale,
     softmax,
-    transpose,
+    window_mix,
+    window_scores,
 )
 
 KINDS = ("linear", "mlp", "inverted_attention")
@@ -129,7 +133,7 @@ def init_forecaster(kind: str, dims: Dims, seed: int) -> Forecaster:
 
 
 def forecast(model: Forecaster, context: Tensor) -> Tensor:
-    """Apply the model to one S-by-V context, producing (L+T)-by-V values."""
+    """Apply the model to an S-by-(B*V) stack of B contexts, producing (L+T)-by-(B*V) values."""
     dims = model.dims
     if not isinstance(context, Tensor):
         context = Tensor(context)
@@ -146,10 +150,9 @@ def forecast(model: Forecaster, context: Tensor) -> Tensor:
         q = matmul(p["q_w"], tokens) + p["q_b"]
         k = matmul(p["k_w"], tokens) + p["k_b"]
         val = matmul(p["v_w"], tokens) + p["v_b"]
-        scores = scale(matmul(transpose(q), k), 1.0 / np.sqrt(dims.hidden))
+        scores = scale(window_scores(q, k, dims.V), 1.0 / np.sqrt(dims.hidden))
         attn = softmax(scores, axis=1)
-        mixed = matmul(val, transpose(attn))
-        mixed = matmul(p["o_w"], mixed) + p["o_b"]
+        mixed = matmul(p["o_w"], window_mix(val, attn, dims.V)) + p["o_b"]
         x1 = layer_norm(tokens + mixed, axis=0)
         ff = relu(matmul(p["ff1_w"], x1) + p["ff1_b"])
         ff = matmul(p["ff2_w"], ff) + p["ff2_b"]

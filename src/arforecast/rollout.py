@@ -24,6 +24,7 @@ from .autodiff import (
     absolute,
     concat,
     finite_diff_oracle,
+    matmul,
     max_relative_error,
     mean_all,
     scale,
@@ -74,7 +75,8 @@ class RolloutPrediction:
 
 @dataclass
 class BlockErrors:
-    """Per-block errors e_1..e_n (still on tape), the objective, and the violation count."""
+    """Per-block errors e_1..e_n as (1, B) rows over a batch of B windows (still on tape),
+    the batch objective, and how many (window, block) errors fell below the previous block's."""
 
     e: list[Tensor]
     loss: Tensor
@@ -152,14 +154,24 @@ def _tail(pieces: list[Tensor], rows: int) -> Tensor:
     return taken[0] if len(taken) == 1 else concat(taken, axis=0)
 
 
-def block_error(pred_block: Tensor, truth_block) -> Tensor:
-    """Mean squared error over every entry of one block, kept differentiable."""
+def block_error(pred_block: Tensor, truth_block, V: int | None = None) -> Tensor:
+    """Per-window mean squared error of one block, kept differentiable.
+
+    The block holds B windows side by side as groups of ``V`` columns
+    (by default one window of all columns); the result is their (1, B) row
+    of errors, each the mean over that window's T-by-V entries.
+    """
     if not isinstance(truth_block, Tensor):
         truth_block = Tensor(truth_block)
     if pred_block.shape != truth_block.shape:
         raise ValueError(f"block shapes differ: {pred_block.shape} vs {truth_block.shape}")
+    rows, width = pred_block.shape
+    V = width if V is None else V
     diff = pred_block - truth_block
-    return mean_all(diff * diff)
+    per_column = matmul(Tensor(np.full((1, rows), 1.0 / (rows * V))), diff * diff)
+    if V == 1:
+        return per_column
+    return matmul(per_column, Tensor(np.kron(np.eye(width // V), np.ones((V, 1)))))
 
 
 def discounted_loss(errors: list[Tensor], gamma: float, beta: float) -> Tensor:
@@ -189,43 +201,55 @@ def loss_magnitude_factor(cfg: RolloutConfig) -> float:
     return (1.0 - cfg.gamma ** cfg.n) / (1.0 - cfg.gamma)
 
 
-def ar_loss(model: Forecaster, window, cfg: RolloutConfig) -> BlockErrors:
-    """Rollout objective for one window, on the window's normalized scale.
+def _batch(windows) -> list:
+    """A window (anything with ``context`` and ``future``) is a batch of one."""
+    batch = [windows] if hasattr(windows, "context") else list(windows)
+    if not batch:
+        raise ValueError("empty batch of windows")
+    return batch
 
-    The window context fixes the normalization state; the rollout runs in
-    normalized space and each block is scored against the correspondingly
-    normalized slice of the ground-truth future.
+
+def ar_loss(model: Forecaster, windows, cfg: RolloutConfig) -> BlockErrors:
+    """Rollout objective averaged over a batch of windows, each on its own normalized scale.
+
+    Each window's context fixes its normalization state. The B contexts
+    are normalized and stacked side by side as the S-by-(B*V) columns of
+    one rollout, so e_k is the (1, B) row of per-window block errors, the
+    penalty applies to it elementwise, and the loss is the mean of the
+    per-window objectives (a batch of one is its own mean).
     """
     _check_model_cfg(model, cfg)
-    context = np.asarray(window.context, dtype=np.float64)
-    future = np.asarray(window.future, dtype=np.float64)
-    if context.ndim != 2 or context.shape[0] != cfg.S:
-        raise ValueError(f"window context must be ({cfg.S}, V), got {context.shape}")
-    if future.shape != (cfg.horizon, context.shape[1]):
-        raise ValueError(
-            f"window future must be ({cfg.horizon}, {context.shape[1]}), got {future.shape}"
-        )
+    batch = _batch(windows)
+    context = np.stack([np.asarray(w.context, dtype=np.float64) for w in batch], axis=1)
+    future = np.stack([np.asarray(w.future, dtype=np.float64) for w in batch], axis=1)
+    if context.ndim != 3 or context.shape[0] != cfg.S:
+        raise ValueError(f"window context must be ({cfg.S}, V), got {context.shape[::2]}")
+    B, V = context.shape[1:]
+    if future.shape != (cfg.horizon, B, V):
+        raise ValueError(f"window future must be ({cfg.horizon}, {V}), got {future.shape[::2]}")
+    context = context.reshape(cfg.S, B * V)
     state = NormState.from_context(context)
     ctx_n = apply_norm(context, state)
-    fut_n = apply_norm(future, state)
+    fut_n = apply_norm(future.reshape(cfg.horizon, B * V), state)
 
     prediction = rollout_predict(model, Tensor(ctx_n), cfg)
     errors = [
-        block_error(block, fut_n[k * cfg.T:(k + 1) * cfg.T])
+        block_error(block, fut_n[k * cfg.T:(k + 1) * cfg.T], V)
         for k, block in enumerate(prediction.blocks)
     ]
-    loss = discounted_loss(errors, cfg.gamma, cfg.beta)
-    raw = [e.item() for e in errors]
-    violations = sum(1 for k in range(len(raw) - 1) if raw[k + 1] < raw[k])
+    objective = discounted_loss(errors, cfg.gamma, cfg.beta)
+    loss = objective if B == 1 else mean_all(objective)
+    raw = np.vstack([e.values for e in errors])
+    violations = int(np.count_nonzero(raw[1:] < raw[:-1]))
     return BlockErrors(e=errors, loss=loss, violations=violations)
 
 
-def mse_loss(model: Forecaster, window) -> Tensor:
-    """Vanilla single-block objective: ar_loss at n=1 on the first T future steps."""
+def mse_loss(model: Forecaster, windows) -> Tensor:
+    """Vanilla single-block objective: ar_loss at n=1 on each window's first T future steps."""
     d = model.dims
-    future = np.asarray(window.future, dtype=np.float64)[:d.T]
-    cfg = RolloutConfig(S=d.S, T=d.T, L=d.L, n=1)
-    return ar_loss(model, SeriesWindow(window.context, future, window.origin_index), cfg).loss
+    batch = [SeriesWindow(w.context, np.asarray(w.future, dtype=np.float64)[:d.T], w.origin_index)
+             for w in _batch(windows)]
+    return ar_loss(model, batch, RolloutConfig(S=d.S, T=d.T, L=d.L, n=1)).loss
 
 
 def loss_kink_gap(model: Forecaster, window, cfg: RolloutConfig) -> float:

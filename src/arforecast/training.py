@@ -1,8 +1,9 @@
 """Mini-batch Adam training over the rollout objective (or plain MSE).
 
 Everything is deterministic given (seed, config, dataset): window order is
-shuffled with a seeded Philox generator, gradients accumulate in fixed
-index order, and checkpoints serialize to a byte-stable binary format.
+shuffled with a seeded Philox generator, each mini-batch is one tape over
+its windows stacked side by side, and checkpoints serialize to a
+byte-stable binary format.
 """
 
 from __future__ import annotations
@@ -14,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape
+from .autodiff import Tape, Tensor
 from .data import SeriesDataset, window_iter
-from .models import Dims, Forecaster, _param_shapes, init_forecaster
+from .models import Dims, Forecaster, _param_shapes
 from .rollout import RolloutConfig, ar_loss, mse_loss
 
 CHECKPOINT_MAGIC = b"ARPT"
@@ -108,10 +109,10 @@ class Checkpoint:
     seed: int = 0
 
     def to_forecaster(self) -> Forecaster:
-        model = init_forecaster(self.kind, self.dims, seed=0)
-        for name in model.params:
-            model.params[name].values[...] = self.params[name]
-        return model
+        """A model holding copies of the checkpoint's parameters, in initialization order."""
+        params = {name: Tensor(self.params[name], requires_grad=True)
+                  for name, _, _ in _param_shapes(self.kind, self.dims)}
+        return Forecaster(kind=self.kind, dims=self.dims, params=params)
 
     @classmethod
     def from_forecaster(cls, model: Forecaster, rollout: RolloutConfig,
@@ -136,14 +137,15 @@ class EpochStats:
 
 def _objective_fn(objective: str):
     if objective == "ar":
-        return lambda model, window, cfg: ar_loss(model, window, cfg).loss
-    return lambda model, window, cfg: mse_loss(model, window)
+        return lambda model, windows, cfg: ar_loss(model, windows, cfg).loss
+    return lambda model, windows, cfg: mse_loss(model, windows)
 
 
-def _mean_objective(model, windows, cfg, loss_fn) -> float:
+def _mean_objective(model, windows, cfg, loss_fn, batch_size: int) -> float:
     total = 0.0
-    for w in windows:
-        total += loss_fn(model, w, cfg).item()
+    for start in range(0, len(windows), batch_size):
+        chunk = windows[start:start + batch_size]
+        total += loss_fn(model, chunk, cfg).item() * len(chunk)
     return total / len(windows)
 
 
@@ -152,8 +154,10 @@ def train(model: Forecaster, dataset: SeriesDataset, rollout_cfg: RolloutConfig,
     """Train in place; returns the best-validation checkpoint and the loss history.
 
     The mse objective trains on single-block windows (horizon T); the ar
-    objective needs the full n*T future. If the validation split is too
-    short for any window, the training loss stands in for early stopping.
+    objective needs the full n*T future. Each mini-batch is one tape whose
+    loss is the mean of its windows' objectives; validation runs in chunks
+    of the same size. If the validation split is too short for any window,
+    the training loss stands in for early stopping.
     """
     horizon = rollout_cfg.T if train_cfg.objective == "mse" else rollout_cfg.horizon
     train_windows = window_iter(dataset, "train", rollout_cfg.S, horizon)
@@ -178,21 +182,17 @@ def train(model: Forecaster, dataset: SeriesDataset, rollout_cfg: RolloutConfig,
         order = rng.permutation(len(train_windows))
         epoch_loss = 0.0
         for start in range(0, len(order), train_cfg.batch_size):
-            batch = order[start:start + train_cfg.batch_size]
-            grad_sum = {k: np.zeros_like(p) for k, p in param_arrays.items()}
-            for idx in batch:
-                with Tape() as tape:
-                    loss = loss_fn(model, train_windows[idx], rollout_cfg)
-                    grads = tape.gradient(loss, param_tensors)
-                epoch_loss += loss.item()
-                for name, g in zip(param_arrays, grads):
-                    grad_sum[name] += g
-            grad_mean = {k: g / len(batch) for k, g in grad_sum.items()}
+            batch = [train_windows[i] for i in order[start:start + train_cfg.batch_size]]
+            with Tape() as tape:
+                loss = loss_fn(model, batch, rollout_cfg)
+                grads = tape.gradient(loss, param_tensors)
+            epoch_loss += loss.item() * len(batch)
             step += 1
-            adam_step(param_arrays, grad_mean, state, step, train_cfg)
+            adam_step(param_arrays, dict(zip(param_arrays, grads)), state, step, train_cfg)
         train_loss = epoch_loss / len(train_windows)
         if val_windows:
-            val_loss = _mean_objective(model, val_windows, rollout_cfg, loss_fn)
+            val_loss = _mean_objective(model, val_windows, rollout_cfg, loss_fn,
+                                       train_cfg.batch_size)
         else:
             val_loss = train_loss
         history.append(EpochStats(epoch=epoch, train_loss=train_loss, val_loss=val_loss))
@@ -254,6 +254,13 @@ def load_checkpoint(path) -> Checkpoint:
         shapes = {name: tuple(shape) for name, shape in header["params"]}
         expected = {name: shape for name, shape, _ in _param_shapes(header["kind"], dims)}
         meta = header["meta"]
+        val_loss = meta["val_loss"]
+        meta_fields = dict(
+            norm_policy=header["norm_policy"],
+            epoch=int(meta["epoch"]),
+            val_loss=math.nan if val_loss is None else float(val_loss),
+            seed=int(meta["seed"]),
+        )
     except (ValueError, KeyError, TypeError) as exc:
         raise CheckpointFormatError(f"{path}: corrupt header ({exc})") from exc
     if shapes != expected or len(header["params"]) != len(expected):
@@ -275,17 +282,7 @@ def load_checkpoint(path) -> Checkpoint:
         size = int(np.prod(shape))
         params[name] = payload[offset:offset + size].reshape(shape).astype(np.float64)
         offset += size
-    val_loss = meta["val_loss"]
-    return Checkpoint(
-        kind=header["kind"],
-        dims=dims,
-        params=params,
-        rollout=rollout,
-        norm_policy=header["norm_policy"],
-        epoch=int(meta["epoch"]),
-        val_loss=math.nan if val_loss is None else float(val_loss),
-        seed=int(meta["seed"]),
-    )
+    return Checkpoint(kind=header["kind"], dims=dims, params=params, rollout=rollout, **meta_fields)
 
 
 def write_history_csv(history: list[EpochStats], path) -> None:

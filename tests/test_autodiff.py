@@ -22,6 +22,8 @@ from arforecast.autodiff import (
     softmax,
     stop_gradient,
     transpose,
+    window_mix,
+    window_scores,
 )
 
 
@@ -315,5 +317,52 @@ def test_random_composites_match_oracle(seed):
         out, _ = _composite(av, bv)
         return out.item()
 
-    fd = finite_diff_oracle(eval_at, np.concatenate([a_vals.ravel(), b_vals.ravel()]), 1e-4)
+    # Richardson extrapolation of two central differences cancels their O(h^2)
+    # truncation error, which alone exceeds 1e-5 on some smooth draws at h=1e-4.
+    base = np.concatenate([a_vals.ravel(), b_vals.ravel()])
+    fd_half, fd = (finite_diff_oracle(eval_at, base, h) for h in (5e-5, 1e-4))
+    fd = (4.0 * fd_half - fd) / 3.0
     assert max_relative_error(flat, fd) < 1e-5
+
+
+@pytest.mark.parametrize("h,B,V", [(3, 1, 1), (2, 1, 3), (3, 4, 1), (2, 3, 2)])
+def test_window_ops_match_per_window_products(h, B, V):
+    rng = np.random.default_rng(10 * B + V)
+    q, k, val = (rng.normal(size=(h, B * V)) for _ in range(3))
+    attn = rng.normal(size=(B * V, V))
+    scores = window_scores(Tensor(q), Tensor(k), V).values
+    mixed = window_mix(Tensor(val), Tensor(attn), V).values
+    for b in range(B):
+        cols, rows = slice(b * V, (b + 1) * V), slice(b * V, (b + 1) * V)
+        np.testing.assert_allclose(scores[rows], q[:, cols].T @ k[:, cols], rtol=1e-14)
+        np.testing.assert_allclose(mixed[:, cols], val[:, cols] @ attn[rows].T, rtol=1e-14)
+
+
+@pytest.mark.parametrize("op", [window_scores, window_mix])
+@pytest.mark.parametrize("B,V", [(1, 3), (3, 1), (3, 2)])
+def test_window_ops_match_oracle(op, B, V):
+    rng = np.random.default_rng(B + 7 * V)
+    h = 3
+    shapes = [(h, B * V), (h, B * V) if op is window_scores else (B * V, V)]
+    weight = rng.normal(size=(h, B * V) if op is window_mix else (B * V, V))
+    sizes = [int(np.prod(s)) for s in shapes]
+    base = rng.normal(size=sum(sizes))
+
+    def loss_of(vec):
+        x, y = (Tensor(part.reshape(shape), requires_grad=True)
+                for part, shape in zip(np.split(vec, [sizes[0]]), shapes))
+        out = op(x, y, V)
+        return (out * out * Tensor(weight)).sum(), (x, y)
+
+    with Tape() as tape:
+        loss, (x, y) = loss_of(base)
+        grads = np.concatenate([g.ravel() for g in tape.gradient(loss, [x, y])])
+    fd = finite_diff_oracle(lambda vec: loss_of(vec)[0].item(), base, 1e-4)
+    assert max_relative_error(grads, fd) < 1e-6
+
+
+def test_window_ops_reject_partial_windows():
+    with pytest.raises(ValueError, match="window"):
+        window_scores(Tensor(np.zeros((2, 5))), Tensor(np.zeros((2, 5))), 2)
+    with pytest.raises(ValueError, match="attn"):
+        window_mix(Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 4))), 2)

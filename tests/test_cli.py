@@ -230,13 +230,16 @@ def _corrupt_predict_checkpoint(tmp_path, how):
         return path
     (size,) = struct.unpack_from("<I", blob, 8)
     header = json.loads(blob[12:12 + size])
-    header["kind"] = "mlp"  # a linear payload labelled as another kind
+    if how == "kind":
+        header["kind"] = "mlp"  # a linear payload labelled as another kind
+    else:
+        header["meta"]["epoch"] = "x"
     encoded = json.dumps(header, sort_keys=True).encode("utf-8")
     path.write_bytes(blob[:8] + struct.pack("<I", len(encoded)) + encoded + blob[12 + size:])
     return path
 
 
-@pytest.mark.parametrize("how", ["nan", "kind"])
+@pytest.mark.parametrize("how", ["nan", "kind", "meta"])
 def test_predict_rejects_invalid_checkpoint(tmp_path, capsys, how):
     ck = _corrupt_predict_checkpoint(tmp_path, how)
     inp = _write_rows(tmp_path / "input.csv", 48)

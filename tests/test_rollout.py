@@ -358,3 +358,61 @@ def test_check_gradients_n1_bound_degenerates():
             np.concatenate([g.ravel() for g in tape.gradient(blocks.e[0], params)])
         )
     assert abs(norm_l - norm_e1) <= 1e-12
+
+
+@st.composite
+def _batch_draws(draw):
+    kind, hidden = draw(st.sampled_from([("linear", 0), ("mlp", 3), ("inverted_attention", 3)]))
+    S = draw(st.integers(2, 7))
+    cfg = RolloutConfig(S=S, T=draw(st.integers(1, 4)), L=draw(st.integers(0, S - 1)),
+                        n=draw(st.integers(1, 4)), gamma=draw(st.sampled_from([0.3, 0.5, 0.9])),
+                        beta=draw(st.sampled_from([0.05, 0.1, 0.3])))
+    V = draw(st.integers(1, 3))
+    windows = draw(st.integers(1, 7))
+    batch_size = draw(st.integers(1, windows))  # the last batch is ragged unless it divides
+    return kind, hidden, cfg, V, windows, batch_size, draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_batch_draws())
+@example(("inverted_attention", 3, RolloutConfig(S=5, T=2, L=1, n=3), 3, 7, 3, 0))
+@example(("linear", 0, RolloutConfig(S=4, T=2, n=2), 1, 5, 5, 1))
+def test_batched_ar_loss_is_mean_of_per_window(draw):
+    kind, hidden, cfg, V, n_windows, batch_size, seed = draw
+    rng = np.random.default_rng(seed)
+    model = init_forecaster(kind, Dims(S=cfg.S, T=cfg.T, L=cfg.L, V=V, hidden=hidden), seed=seed)
+    params = list(model.params.values())
+    windows = [SeriesWindow(rng.normal(size=(cfg.S, V)) * rng.uniform(0.5, 3.0),
+                            rng.normal(size=(cfg.horizon, V)), i) for i in range(n_windows)]
+
+    def loss_and_grad(batch):
+        with Tape() as tape:
+            blocks = ar_loss(model, batch, cfg)
+            grad = np.concatenate([g.ravel() for g in tape.gradient(blocks.loss, params)])
+        return blocks, grad
+
+    for start in range(0, n_windows, batch_size):
+        batch = windows[start:start + batch_size]
+        blocks, grad = loss_and_grad(batch)
+        singles = [loss_and_grad(w) for w in batch]
+        want_loss = np.mean([b.loss.item() for b, _ in singles])
+        want_grad = np.mean([g for _, g in singles], axis=0)
+        assert abs(blocks.loss.item() - want_loss) <= 1e-12 * max(abs(want_loss), 1.0)
+        # relative to the largest coordinate: attention's k gradient is
+        # analytically zero, so per-coordinate errors would compare noise
+        assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+        per_window = np.array([[e.item() for e in b.e] for b, _ in singles])  # (B, n)
+        np.testing.assert_allclose(np.vstack([e.values for e in blocks.e]).T, per_window,
+                                   rtol=1e-12, atol=1e-15)
+        assert blocks.violations == sum(b.violations for b, _ in singles)
+        assert blocks.e[0].shape == (1, len(batch))
+
+
+def test_mse_loss_takes_a_batch():
+    ds = gen_sinusoid(150, noise_std=0.3, seed=9)
+    model = init_forecaster("mlp", Dims(S=8, T=4, hidden=5), seed=11)
+    windows = window_iter(ds, "train", 8, 8)[:5]  # futures longer than T are cut to T
+    singles = [mse_loss(model, w).item() for w in windows]
+    assert mse_loss(model, windows).item() == pytest.approx(np.mean(singles), rel=1e-12)
+    with pytest.raises(ValueError, match="empty"):
+        ar_loss(model, [], RolloutConfig(S=8, T=4))

@@ -255,3 +255,51 @@ def test_checkpoint_non_finite_payload_rejected(tmp_path, bad):
     path.write_bytes(blob[:-8] + struct.pack("<d", bad))
     with pytest.raises(CheckpointFormatError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h["meta"].update(epoch="x"),
+    lambda h: h["meta"].update(val_loss="low"),
+    lambda h: h["meta"].update(seed=None),
+    lambda h: h["meta"].pop("epoch"),
+    lambda h: h.pop("meta"),
+    lambda h: h.pop("norm_policy"),
+], ids=["epoch", "val-loss", "seed", "no-epoch", "no-meta", "no-norm-policy"])
+def test_checkpoint_bad_meta_is_a_format_error(tmp_path, edit):
+    path = _linear_checkpoint(tmp_path / "model.arpt")
+    _rewrite_header(path, edit)
+    with pytest.raises(CheckpointFormatError):
+        load_checkpoint(path)
+
+
+def test_to_forecaster_copies_params_and_rejects_unknown_kind():
+    ck = _small_checkpoint()
+    model = ck.to_forecaster()
+    assert list(model.params) == list(ck.params)
+    for name, tensor in model.params.items():
+        assert tensor.requires_grad
+        assert tensor.values.tobytes() == ck.params[name].tobytes()
+        assert tensor.values is not ck.params[name]
+    ck.kind = "transformer"
+    with pytest.raises(ValueError, match="transformer"):
+        ck.to_forecaster()
+
+
+@pytest.mark.parametrize("objective,batch_size", [("ar", 16), ("ar", 7), ("mse", 1000)])
+def test_epoch_builds_one_tape_per_mini_batch(monkeypatch, objective, batch_size):
+    from arforecast.autodiff import Tape
+    from arforecast.data import window_iter
+
+    model, ds, roll, _ = _quick_setup(objective=objective)
+    horizon = roll.horizon if objective == "ar" else roll.T
+    n_windows = len(window_iter(ds, "train", roll.S, horizon))
+    calls = []
+    gradient = Tape.gradient
+
+    def counted(self, *args):
+        calls.append(1)
+        return gradient(self, *args)
+
+    monkeypatch.setattr(Tape, "gradient", counted)
+    train(model, ds, roll, TrainConfig(batch_size=batch_size, max_epochs=1, objective=objective))
+    assert len(calls) == math.ceil(n_windows / batch_size)
