@@ -8,7 +8,6 @@ from .autodiff import (
     concat,
     finite_diff_oracle,
     layer_norm,
-    make_tensor,
     matmul,
     max_relative_error,
     mean_all,
@@ -20,7 +19,6 @@ from .autodiff import (
     stop_gradient,
     sub,
     sum_all,
-    transpose,
     window_mix,
     window_scores,
 )
@@ -57,6 +55,7 @@ from .training import (
     CheckpointVersionError,
     EpochStats,
     TrainConfig,
+    TrainingDivergedError,
     adam_step,
     load_checkpoint,
     save_checkpoint,

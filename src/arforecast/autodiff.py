@@ -46,9 +46,9 @@ def active_tape() -> "Tape | None":
 class Tensor:
     """Dense float64 array, optionally tracked on the active tape.
 
-    A tensor with ``requires_grad`` is (re-)registered as a leaf on
-    whichever tape first consumes it, so persistent parameters can be
-    reused across the per-evaluation tapes.
+    Construction copies ``values``. A tensor with ``requires_grad`` becomes
+    a leaf of whichever tape first consumes it, so persistent parameters
+    can be reused across the per-evaluation tapes.
     """
 
     __slots__ = ("values", "requires_grad", "tape_serial", "node_id")
@@ -58,33 +58,15 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.tape_serial: int | None = None
         self.node_id: int | None = None
-        if self.requires_grad:
-            tape = active_tape()
-            if tape is not None:
-                tape.watch(self)
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.values.shape
 
-    @property
-    def size(self) -> int:
-        return self.values.size
-
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
-
     def item(self) -> float:
         if self.values.size != 1:
             raise ValueError(f"item() requires a scalar tensor, got shape {self.shape}")
         return float(self.values.item())
-
-    def relu(self) -> "Tensor":
-        return relu(self)
-
-    def abs(self) -> "Tensor":
-        return absolute(self)
 
     def mean(self) -> "Tensor":
         return mean_all(self)
@@ -130,17 +112,13 @@ class Tape:
     """Append-only record of operations, in topological order.
 
     Records hold (output id, input ids, local-gradient rule, saved
-    context). ``backward`` walks the records once, in reverse append
-    order, accumulating adjoints; leaves that the loss never reaches get
-    exact zero gradients.
+    context). A tensor gets a node id on this tape only when a recorded op
+    consumes it (a ``requires_grad`` leaf) or produces it.
     """
 
     def __init__(self):
         self.serial = next(_serials)
         self.records: list[tuple[int, tuple[int | None, ...], object, tuple]] = []
-        self.leaf_shapes: dict[int, tuple[int, ...]] = {}
-        self.grad_table: dict[int, Tensor] = {}
-        self.min_kink_gap = float("inf")
         self._next_id = 0
 
     def __enter__(self) -> "Tape":
@@ -152,51 +130,44 @@ class Tape:
         assert popped is self
         return False
 
-    def _new_id(self) -> int:
-        node_id = self._next_id
-        self._next_id += 1
-        return node_id
-
-    def watch(self, tensor: Tensor) -> int:
-        """Register a requires_grad tensor as a leaf of this tape."""
-        if tensor.tape_serial == self.serial and tensor.node_id is not None:
-            return tensor.node_id
-        node_id = self._new_id()
-        tensor.tape_serial = self.serial
-        tensor.node_id = node_id
-        self.leaf_shapes[node_id] = tensor.values.shape
-        return node_id
-
     def _node_for(self, tensor: Tensor) -> int | None:
-        if tensor.tape_serial == self.serial:
-            return tensor.node_id
-        if tensor.requires_grad:
-            return self.watch(tensor)
-        return None
+        if tensor.tape_serial != self.serial:
+            if not tensor.requires_grad:
+                return None
+            tensor.tape_serial = self.serial
+            tensor.node_id = self._next_id
+            self._next_id += 1
+        return tensor.node_id
 
     def record(self, out: Tensor, inputs: tuple[Tensor, ...], rule, ctx: tuple) -> None:
         ids = tuple(self._node_for(t) for t in inputs)
         if all(i is None for i in ids):
             return
         out.tape_serial = self.serial
-        out.node_id = self._new_id()
+        out.node_id = self._next_id
+        self._next_id += 1
         self.records.append((out.node_id, ids, rule, ctx))
 
-    def observe_kink(self, gap: float) -> None:
-        if gap < self.min_kink_gap:
-            self.min_kink_gap = gap
+    @property
+    def min_kink_gap(self) -> float:
+        """Smallest |input| of any recorded relu or abs (inf if there is none)."""
+        kinks = (_relu_rule, _abs_rule)  # looked up now, so a swapped-in rule still counts
+        return min((float(np.min(np.abs(ctx[0]), initial=np.inf))
+                    for _, _, rule, ctx in self.records if rule in kinks), default=float("inf"))
 
-    def backward(self, loss: Tensor) -> dict[int, Tensor]:
-        """Populate and return the gradient table d(loss)/d(leaf).
+    def gradient(self, loss: Tensor, tensors: list[Tensor]) -> list[np.ndarray]:
+        """d(loss)/d(tensor) for each of ``tensors``, in order.
 
         ``loss`` must be scalar. Each record is visited exactly once, in
-        reverse topological (= reverse append) order. Adjoint arrays are
-        never mutated in place, so shared references stay safe.
+        reverse topological (= reverse append) order. A tensor the loss
+        never reaches, or that this tape never saw, gets exact zeros.
+        Adjoint arrays are never mutated in place, so shared references
+        stay safe; the returned arrays may share memory with each other.
         """
         if not isinstance(loss, Tensor) or loss.values.size != 1:
-            raise ValueError("backward requires a scalar loss tensor")
+            raise ValueError("gradient requires a scalar loss tensor")
         grads: dict[int, np.ndarray] = {}
-        if loss.tape_serial == self.serial and loss.node_id is not None:
+        if loss.tape_serial == self.serial:
             grads[loss.node_id] = np.ones_like(loss.values)
         for out_id, in_ids, rule, ctx in reversed(self.records):
             upstream = grads.pop(out_id, None)
@@ -207,39 +178,20 @@ class Tape:
                     continue
                 held = grads.get(node_id)
                 grads[node_id] = contrib if held is None else held + contrib
-        table = {}
-        for leaf_id, shape in self.leaf_shapes.items():
-            grad = grads.get(leaf_id)
-            table[leaf_id] = Tensor(grad if grad is not None else np.zeros(shape))
-        self.grad_table = table
-        return table
-
-    def grad_of(self, tensor: Tensor) -> np.ndarray:
-        """Gradient of the last backward w.r.t. ``tensor`` (zeros if unreached)."""
-        if tensor.tape_serial == self.serial and tensor.node_id in self.grad_table:
-            return self.grad_table[tensor.node_id].values
-        return np.zeros_like(tensor.values)
-
-    def gradient(self, loss: Tensor, tensors: list[Tensor]) -> list[np.ndarray]:
-        """backward() plus gradient lookup for ``tensors``, in order."""
-        self.backward(loss)
-        return [self.grad_of(t) for t in tensors]
+        found = [grads.get(t.node_id) if t.tape_serial == self.serial else None for t in tensors]
+        return [np.zeros_like(t.values) if g is None else g for t, g in zip(tensors, found)]
 
 
-def make_tensor(shape, values, requires_grad: bool = False) -> Tensor:
-    """Build a tensor from a flat row-major value list."""
-    shape = tuple(int(s) for s in shape)
-    if any(s <= 0 for s in shape):
-        raise ValueError(f"extents must be positive, got {shape}")
-    flat = np.asarray(values, dtype=np.float64).ravel()
-    expected = int(np.prod(shape)) if shape else 1
-    if flat.size != expected:
-        raise ValueError(f"shape {shape} needs {expected} values, got {flat.size}")
-    return Tensor(flat.reshape(shape), requires_grad=requires_grad)
+def _emit(values, inputs: tuple[Tensor, ...], rule, ctx: tuple) -> Tensor:
+    """Wrap an op's freshly computed values, without the copy ``Tensor()`` makes.
 
-
-def _emit(values: np.ndarray, inputs: tuple[Tensor, ...], rule, ctx: tuple) -> Tensor:
-    out = Tensor(values)
+    A C-contiguous slice stays a view of its input; no op writes to its
+    inputs or outputs in place, so the view is never changed through.
+    """
+    out = Tensor.__new__(Tensor)
+    out.values = np.asarray(values, dtype=np.float64, order="C")
+    out.requires_grad = False
+    out.tape_serial = out.node_id = None
     tape = active_tape()
     if tape is not None:
         tape.record(out, inputs, rule, ctx)
@@ -274,10 +226,6 @@ def _scale_rule(ctx, g):
 def _matmul_rule(ctx, g):
     a, b = ctx
     return g @ b.T, a.T @ g
-
-
-def _transpose_rule(ctx, g):
-    return (g.T,)
 
 
 def _relu_rule(ctx, g):
@@ -385,12 +333,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _emit(a.values @ b.values, (a, b), _matmul_rule, (a.values, b.values))
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.values.ndim != 2:
-        raise ValueError(f"transpose: expects a 2-d tensor, got {a.shape}")
-    return _emit(np.ascontiguousarray(a.values.T), (a,), _transpose_rule, ())
-
-
 def _windows(x: np.ndarray, V: int) -> np.ndarray:
     """(h, B*V) -> (B, h, V): window b is the column group b*V .. (b+1)*V."""
     h, width = x.shape
@@ -439,16 +381,10 @@ def window_mix(val: Tensor, attn: Tensor, V: int) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    tape = active_tape()
-    if tape is not None and a.values.size:
-        tape.observe_kink(float(np.min(np.abs(a.values))))
     return _emit(np.maximum(a.values, 0.0), (a,), _relu_rule, (a.values,))
 
 
 def absolute(a: Tensor) -> Tensor:
-    tape = active_tape()
-    if tape is not None and a.values.size:
-        tape.observe_kink(float(np.min(np.abs(a.values))))
     return _emit(np.abs(a.values), (a,), _abs_rule, (a.values,))
 
 
@@ -484,8 +420,7 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
         raise ValueError(f"slice_axis: bounds [{start}, {stop}) invalid for extent {a.shape[axis]}")
     index = [slice(None)] * ndim
     index[axis] = slice(start, stop)
-    values = np.ascontiguousarray(a.values[tuple(index)])
-    return _emit(values, (a,), _slice_rule, (a.values.shape, axis, start, stop))
+    return _emit(a.values[tuple(index)], (a,), _slice_rule, (a.values.shape, axis, start, stop))
 
 
 def softmax(a: Tensor, axis: int) -> Tensor:
@@ -510,7 +445,7 @@ def layer_norm(a: Tensor, axis: int, eps: float = _LN_EPS) -> Tensor:
 
 def stop_gradient(a: Tensor) -> Tensor:
     """Identity forward (bit-exact copy), no gradient flows to ancestors."""
-    return Tensor(a.values.copy())
+    return Tensor(a.values)
 
 
 def finite_diff_oracle(eval_fn, params, h: float) -> np.ndarray:

@@ -16,6 +16,8 @@ import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
 
+import numpy as np
+
 from .data import (
     DEFAULT_SPLIT,
     SeriesDataset,
@@ -327,8 +329,6 @@ def cmd_predict(args) -> int:
         raise ConfigError(f"checkpoint was built for {ck.dims.V} variates, "
                           f"input has {dataset.n_variates}")
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     model = ck.to_forecaster()
     roll = RolloutConfig(S=ck.dims.S, T=ck.dims.T, L=ck.dims.L, n=n,
                          gamma=ck.rollout.gamma, beta=ck.rollout.beta)
@@ -336,7 +336,12 @@ def cmd_predict(args) -> int:
     state = NormState.from_context(context)
     prediction = rollout_predict(model, apply_norm(context, state), roll)
     values = invert_norm(prediction.values.values, state)
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(f"forecast holds non-finite values on the scale of {path}; "
+                          f"no predictions written")
 
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "predictions.csv"
     row_format = ",".join(["%.17g"] * values.shape[1]) + "\n"
     with open(out_path, "w", encoding="utf-8", newline="") as fh:

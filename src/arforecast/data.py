@@ -67,10 +67,6 @@ class SeriesDataset:
             raise ValueError(f"unknown split {split!r}, have {sorted(self.splits)}")
         return self.splits[split]
 
-    def split_values(self, split: str) -> np.ndarray:
-        lo, hi = self.split_range(split)
-        return self.values[lo:hi]
-
 
 def gen_sinusoid(length, V=1, periods=24.0, amplitude=1.0, noise_std=0.0, seed=0,
                  ratios=DEFAULT_SPLIT) -> SeriesDataset:

@@ -38,6 +38,10 @@ class CheckpointVersionError(CheckpointError):
     """File written by an unsupported format version."""
 
 
+class TrainingDivergedError(RuntimeError):
+    """A mini-batch loss or gradient (no update applied), or a validation loss, went non-finite."""
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     lr: float = 1e-3
@@ -157,7 +161,9 @@ def train(model: Forecaster, dataset: SeriesDataset, rollout_cfg: RolloutConfig,
     objective needs the full n*T future. Each mini-batch is one tape whose
     loss is the mean of its windows' objectives; validation runs in chunks
     of the same size. If the validation split is too short for any window,
-    the training loss stands in for early stopping.
+    the training loss stands in for early stopping. A non-finite batch loss
+    or gradient raises ``TrainingDivergedError`` before that batch's update,
+    and so does a non-finite validation loss.
     """
     horizon = rollout_cfg.T if train_cfg.objective == "mse" else rollout_cfg.horizon
     train_windows = window_iter(dataset, "train", rollout_cfg.S, horizon)
@@ -186,8 +192,12 @@ def train(model: Forecaster, dataset: SeriesDataset, rollout_cfg: RolloutConfig,
             with Tape() as tape:
                 loss = loss_fn(model, batch, rollout_cfg)
                 grads = tape.gradient(loss, param_tensors)
-            epoch_loss += loss.item() * len(batch)
             step += 1
+            value = loss.item()
+            if not (math.isfinite(value) and all(np.isfinite(g).all() for g in grads)):
+                raise TrainingDivergedError(f"training diverged at epoch {epoch}, step {step}: "
+                                            f"non-finite loss or gradient (loss {value:.6g})")
+            epoch_loss += value * len(batch)
             adam_step(param_arrays, dict(zip(param_arrays, grads)), state, step, train_cfg)
         train_loss = epoch_loss / len(train_windows)
         if val_windows:
@@ -195,6 +205,9 @@ def train(model: Forecaster, dataset: SeriesDataset, rollout_cfg: RolloutConfig,
                                        train_cfg.batch_size)
         else:
             val_loss = train_loss
+        if not math.isfinite(val_loss):
+            raise TrainingDivergedError(f"training diverged at epoch {epoch}, after step {step}: "
+                                        f"non-finite validation loss")
         history.append(EpochStats(epoch=epoch, train_loss=train_loss, val_loss=val_loss))
         if val_loss < best_val:
             best_val = val_loss

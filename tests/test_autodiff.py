@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import arforecast.autodiff as autodiff
 from arforecast.autodiff import (
     Tape,
     Tensor,
@@ -13,7 +14,6 @@ from arforecast.autodiff import (
     concat,
     finite_diff_oracle,
     layer_norm,
-    make_tensor,
     matmul,
     max_relative_error,
     relu,
@@ -21,27 +21,9 @@ from arforecast.autodiff import (
     slice_axis,
     softmax,
     stop_gradient,
-    transpose,
     window_mix,
     window_scores,
 )
-
-
-def test_make_tensor_row_major_layout():
-    t = make_tensor([2, 2], [1, 2, 3, 4])
-    assert t.values[1][0] == 3
-
-
-def test_make_tensor_zero_leaf_registers_on_tape():
-    with Tape() as tape:
-        t = make_tensor([3], [0, 0, 0], requires_grad=True)
-        assert t.node_id in tape.leaf_shapes
-        assert np.all(t.values == 0)
-
-
-def test_make_tensor_length_mismatch():
-    with pytest.raises(ValueError):
-        make_tensor([2], [1, 2, 3])
 
 
 def test_matmul_values():
@@ -65,9 +47,8 @@ def test_abs_forward_and_subgradient_at_zero():
         x = Tensor([-2.0, 0.0, 5.0], requires_grad=True)
         y = absolute(x)
         np.testing.assert_array_equal(y.values, [2.0, 0.0, 5.0])
-        loss = y.sum()
-        tape.backward(loss)
-        np.testing.assert_array_equal(tape.grad_of(x), [-1.0, 0.0, 1.0])
+        (g,) = tape.gradient(y.sum(), [x])
+        np.testing.assert_array_equal(g, [-1.0, 0.0, 1.0])
 
 
 def test_softmax_symmetry():
@@ -78,24 +59,42 @@ def test_softmax_symmetry():
 def test_relu_backward():
     with Tape() as tape:
         x = Tensor([-1.0, 2.0], requires_grad=True)
-        loss = relu(x).sum()
-        tape.backward(loss)
-        np.testing.assert_array_equal(tape.grad_of(x), [0.0, 1.0])
+        (g,) = tape.gradient(relu(x).sum(), [x])
+        np.testing.assert_array_equal(g, [0.0, 1.0])
+
+
+def test_min_kink_gap_reads_relu_and_abs_records():
+    with Tape() as tape:
+        assert tape.min_kink_gap == float("inf")
+        x = Tensor([[-0.5, 2.0]], requires_grad=True)
+        relu(x)
+        assert tape.min_kink_gap == 0.5
+        absolute(x - Tensor([[0.0, 1.75]]))
+        relu(Tensor([[1e-9]]))  # no tracked input, so no record and no kink
+        assert tape.min_kink_gap == 0.25
+
+
+def test_min_kink_gap_follows_a_swapped_in_rule(monkeypatch):
+    # gradcheck's negative control swaps in a wrong relu rule; its records still are kinks
+    monkeypatch.setattr(autodiff, "_relu_rule", lambda ctx, g: (2.0 * g * (ctx[0] > 0.0),))
+    with Tape() as tape:
+        relu(Tensor([[0.125, -3.0]], requires_grad=True))
+        assert tape.min_kink_gap == 0.125
 
 
 def test_mean_backward():
     with Tape() as tape:
         x = Tensor([1.0, 2.0, 3.0, 4.0], requires_grad=True)
-        tape.backward(x.mean())
-        np.testing.assert_array_equal(tape.grad_of(x), [0.25] * 4)
+        (g,) = tape.gradient(x.mean(), [x])
+        np.testing.assert_array_equal(g, [0.25] * 4)
 
 
 def test_backward_rejects_non_scalar():
     with Tape() as tape:
         x = Tensor([1.0, 2.0], requires_grad=True)
         y = x + x
-        with pytest.raises(ValueError):
-            tape.backward(y)
+        with pytest.raises(ValueError, match="scalar"):
+            tape.gradient(y, [x])
 
 
 def test_stop_gradient_forward_bit_identical():
@@ -109,34 +108,54 @@ def test_stop_gradient_partial_flow():
     # d/dx of x * sg(x) at 3 is 3: only the live factor contributes
     with Tape() as tape:
         x = Tensor(3.0, requires_grad=True)
-        loss = (x * stop_gradient(x)).sum()
-        tape.backward(loss)
-        assert tape.grad_of(x) == pytest.approx(3.0)
+        (g,) = tape.gradient((x * stop_gradient(x)).sum(), [x])
+        assert g == pytest.approx(3.0)
 
 
 def test_stop_gradient_fully_blocked():
     with Tape() as tape:
         x = Tensor(3.0, requires_grad=True)
         sg = stop_gradient(x)
-        loss = (sg * sg).sum()
-        tape.backward(loss)
-        assert tape.grad_of(x) == 0.0
+        (g,) = tape.gradient((sg * sg).sum(), [x])
+        assert g == 0.0
 
 
 def test_unreachable_leaf_gets_exact_zero():
+    other = Tensor([[7.0]], requires_grad=True)
+    with Tape():
+        other * other  # seen by another tape only
     with Tape() as tape:
         x = Tensor([1.0, 2.0], requires_grad=True)
-        unused = Tensor([5.0], requires_grad=True)
-        tape.backward(x.sum())
-        g = tape.grad_of(unused)
-        assert g.shape == (1,) and np.all(g == 0.0)
+        unreached = Tensor([5.0], requires_grad=True)
+        unreached * unreached  # on this tape, but not an ancestor of the loss
+        never_seen = Tensor([3.0, 4.0, 5.0], requires_grad=True)
+        grads = tape.gradient(x.sum(), [unreached, never_seen, other])
+    assert [g.shape for g in grads] == [(1,), (3,), (1, 1)]
+    assert all(np.all(g == 0.0) for g in grads)
+
+
+def test_leaf_built_outside_the_tape_gets_the_same_gradient():
+    rng = np.random.default_rng(3)
+    w_vals, x_vals, m_vals = (rng.normal(size=shape) for shape in ((4, 3), (3, 2), (4, 2)))
+
+    def grad_of_leaf(make_leaf):
+        with Tape() as tape:
+            w = make_leaf()
+            loss = (relu(matmul(w, Tensor(x_vals))) * Tensor(m_vals)).mean()
+            return tape.gradient(loss, [w])[0]
+
+    outside = Tensor(w_vals, requires_grad=True)
+    g_outside = grad_of_leaf(lambda: outside)
+    g_inside = grad_of_leaf(lambda: Tensor(w_vals, requires_grad=True))
+    assert np.any(g_outside != 0.0)
+    assert g_outside.tobytes() == g_inside.tobytes()
 
 
 def test_reused_input_accumulates():
     with Tape() as tape:
         x = Tensor(4.0, requires_grad=True)
-        tape.backward((x * x).sum())
-        assert tape.grad_of(x) == pytest.approx(8.0)
+        (g,) = tape.gradient((x * x).sum(), [x])
+        assert g == pytest.approx(8.0)
 
 
 def test_concat_slice_round_trip_gradients():
@@ -145,9 +164,9 @@ def test_concat_slice_round_trip_gradients():
         b = Tensor([[3.0], [4.0], [5.0]], requires_grad=True)
         joined = concat([a, b], axis=0)
         piece = slice_axis(joined, 0, 1, 4)  # rows 1..3: a[1], b[0], b[1]
-        tape.backward(piece.sum())
-        np.testing.assert_array_equal(tape.grad_of(a), [[0.0], [1.0]])
-        np.testing.assert_array_equal(tape.grad_of(b), [[1.0], [1.0], [0.0]])
+        ga, gb = tape.gradient(piece.sum(), [a, b])
+        np.testing.assert_array_equal(ga, [[0.0], [1.0]])
+        np.testing.assert_array_equal(gb, [[1.0], [1.0], [0.0]])
 
 
 @pytest.mark.parametrize("column_first", [False, True])
@@ -260,8 +279,8 @@ def test_tapes_are_independent_across_threads():
     def worker(tag, value):
         with Tape() as tape:
             x = Tensor(value, requires_grad=True)
-            tape.backward((x * x).sum())
-            results[tag] = float(tape.grad_of(x))
+            (g,) = tape.gradient((x * x).sum(), [x])
+            results[tag] = float(g)
 
     threads = [threading.Thread(target=worker, args=(i, float(i + 1))) for i in range(4)]
     for t in threads:
@@ -293,7 +312,7 @@ def _composite(a_vals, b_vals):
     ln = layer_norm(m, axis=0)
     mixed = concat([s, ln], axis=1)
     part = slice_axis(mixed, 1, 0, mixed.shape[1] - 1)
-    out = (part * part).mean() + scale(absolute(transpose(a)).sum(), 0.01) + relu(b).mean()
+    out = (part * part).mean() + scale(absolute(a).sum(), 0.01) + relu(b).mean()
     return out, (a, b)
 
 

@@ -47,6 +47,15 @@ def test_train_happy_path(tmp_path):
     assert (tmp_path / "out" / "config_resolved.ini").exists()
 
 
+def test_train_divergence_exits_1_without_outputs(tmp_path, capsys):
+    cfg = write_config(tmp_path / "run.ini", tmp_path / "out", {"train": {"lr": "1e300"}})
+    assert main(["train", "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "diverged at epoch 1, step" in err
+    assert not (tmp_path / "out" / "checkpoint.arpt").exists()
+    assert not (tmp_path / "out" / "history.csv").exists()
+
+
 def test_train_invalid_gamma_names_field(tmp_path, capsys):
     cfg = write_config(tmp_path / "run.ini", tmp_path / "out",
                        {"rollout": {"gamma": "1.5"}})
@@ -159,6 +168,18 @@ def test_predict_headerless_input(tmp_path):
                  "--horizon", "12", "--out", str(out)]) == 0
     lines = (out / "predictions.csv").read_text().splitlines()
     assert lines[0] == "var0"
+
+
+def test_predict_refuses_non_finite_forecast(tmp_path, capsys):
+    # finite input whose scale overflows once the forecast is denormalized
+    ck = _predict_checkpoint(tmp_path)
+    inp = tmp_path / "input.csv"
+    inp.write_text("load\n" + "".join(f"{(-1) ** i * 1e308!r}\n" for i in range(48)))
+    out = tmp_path / "pred"
+    assert main(["predict", str(inp), "--checkpoint", str(ck),
+                 "--horizon", "12", "--out", str(out)]) == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not (out / "predictions.csv").exists()
 
 
 def test_predict_too_few_rows(tmp_path, capsys):

@@ -416,3 +416,52 @@ def test_mse_loss_takes_a_batch():
     assert mse_loss(model, windows).item() == pytest.approx(np.mean(singles), rel=1e-12)
     with pytest.raises(ValueError, match="empty"):
         ar_loss(model, [], RolloutConfig(S=8, T=4))
+
+
+def _numpy_kink_inputs(model, window, cfg):
+    """Every relu and abs input of ar_loss on one window, recomputed in plain numpy."""
+    p = {name: t.values for name, t in model.params.items()}
+
+    def layer_norm(x):
+        centered = x - x.mean(axis=0, keepdims=True)
+        return centered / np.sqrt(np.mean(centered * centered, axis=0, keepdims=True) + 1e-5)
+
+    def forward(x, relu_inputs):
+        if model.kind == "mlp":
+            pre = p["w1"] @ x + p["b1"]
+            relu_inputs.append(pre)
+            return p["w2"] @ np.maximum(pre, 0.0) + p["b2"]
+        tokens = p["embed_w"] @ x + p["embed_b"]
+        q, k, v = (p[f"{n}_w"] @ tokens + p[f"{n}_b"] for n in "qkv")
+        scores = q.T @ k / np.sqrt(model.dims.hidden)
+        e = np.exp(scores - scores.max(axis=1, keepdims=True))
+        x1 = layer_norm(tokens + p["o_w"] @ (v @ (e / e.sum(axis=1, keepdims=True)).T) + p["o_b"])
+        pre = p["ff1_w"] @ x1 + p["ff1_b"]
+        relu_inputs.append(pre)
+        x2 = layer_norm(x1 + p["ff2_w"] @ np.maximum(pre, 0.0) + p["ff2_b"])
+        return p["proj_w"] @ x2 + p["proj_b"]
+
+    mean, std = window.context.mean(axis=0), np.maximum(window.context.std(axis=0), 1e-5)
+    seq, future = (window.context - mean) / std, (window.future - mean) / std
+    inputs, errors = [], []
+    for k in range(cfg.n):
+        block = forward(seq[-cfg.S:], inputs)[cfg.L:]
+        errors.append(np.mean((block - future[k * cfg.T:(k + 1) * cfg.T]) ** 2))
+        seq = np.vstack([seq, block])
+    abs_inputs = [np.array(errors[k] - errors[k - 1]) for k in range(1, cfg.n)]
+    return inputs + abs_inputs
+
+
+@pytest.mark.parametrize("kind,V", [("mlp", 1), ("inverted_attention", 3)])
+def test_min_kink_gap_is_smallest_relu_or_abs_input(kind, V):
+    cfg = RolloutConfig(S=12, T=3, L=1, n=3)
+    ds = gen_sinusoid(200, V=V, periods=[24.0, 17.0, 9.0][:V], noise_std=0.2, seed=4)
+    window = window_iter(ds, "train", cfg.S, cfg.horizon)[5]
+    model = init_forecaster(kind, Dims(S=cfg.S, T=cfg.T, L=cfg.L, V=V, hidden=6), seed=2)
+    with Tape() as tape:
+        ar_loss(model, window, cfg)
+        gap = tape.min_kink_gap
+    inputs = _numpy_kink_inputs(model, window, cfg)
+    assert len(inputs) == 2 * cfg.n - 1
+    assert gap == pytest.approx(min(np.min(np.abs(x)) for x in inputs), rel=1e-9)
+    assert Tape().min_kink_gap == float("inf")

@@ -17,6 +17,7 @@ from arforecast.training import (
     CheckpointFormatError,
     CheckpointVersionError,
     TrainConfig,
+    TrainingDivergedError,
     adam_step,
     load_checkpoint,
     save_checkpoint,
@@ -110,6 +111,34 @@ def test_train_determinism_bitwise():
                 tuple((h.epoch, h.train_loss, h.val_loss) for h in history))
 
     assert run() == run()
+
+
+def test_divergence_stops_before_a_non_finite_update(monkeypatch):
+    from arforecast import training
+
+    model, ds, roll, cfg = _quick_setup()
+    updated = []
+    step = training.adam_step
+
+    def recorded(params, *args):
+        out = step(params, *args)
+        updated.append(np.concatenate([p.ravel() for p in params.values()]))
+        return out
+
+    monkeypatch.setattr(training, "adam_step", recorded)
+    with pytest.raises(TrainingDivergedError, match="epoch 1, step") as info:
+        train(model, ds, roll, TrainConfig(lr=1e300, batch_size=16, max_epochs=2, seed=5))
+    # the failing batch is the step after the last update, and it left the parameters alone
+    assert f"step {len(updated) + 1}:" in str(info.value)
+    assert np.all(np.isfinite(updated[-1]))
+    np.testing.assert_array_equal(model.param_vector(), updated[-1])
+
+
+def test_non_finite_validation_loss_is_divergence():
+    # one batch per epoch: its loss and gradient are finite, the parameters it leaves are not usable
+    model, ds, roll, _ = _quick_setup()
+    with pytest.raises(TrainingDivergedError, match="epoch 1, after step 1: non-finite validation"):
+        train(model, ds, roll, TrainConfig(lr=1e300, batch_size=1000, max_epochs=1, seed=5))
 
 
 def test_mse_and_ar_trajectories_identical_at_n1():
