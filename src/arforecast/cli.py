@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import functools
+import io
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -25,6 +26,7 @@ from .data import (
     gen_sinusoid,
     load_csv,
     window_iter,
+    write_fresh,
 )
 from .evaluation import evaluate, export_curve, write_report_json
 from .models import KINDS, Dims, NormState, apply_norm, init_forecaster, invert_norm
@@ -220,7 +222,8 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(f"[model] {exc}") from None
 
-    def resolved(self) -> configparser.ConfigParser:
+    def write_resolved(self) -> None:
+        """Write each key that applies to the source, defaults filled in, to the output dir."""
         out = configparser.ConfigParser()
         for section, key, parse, _, sources in SCHEMA:
             value = self.values[section].get(key)
@@ -229,12 +232,10 @@ class RunConfig:
             if not out.has_section(section):
                 out.add_section(section)
             out.set(section, key, _FORMATS.get(parse, str)(value))
-        return out
-
-    def write_resolved(self) -> None:
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        with open(self.out_dir / "config_resolved.ini", "w", encoding="utf-8") as fh:
-            self.resolved().write(fh)
+        text = io.StringIO()
+        out.write(text)
+        write_fresh(self.out_dir / "config_resolved.ini", text.getvalue())
 
 
 def _load_checkpoint_or_fail(path):
@@ -247,7 +248,9 @@ def _load_checkpoint_or_fail(path):
         raise ConfigError(str(exc)) from exc
 
 
-def _check_horizon(horizon: int, block: int) -> int:
+def _rollout_for(ck, horizon: int) -> RolloutConfig:
+    """The checkpoint's rollout geometry, extended to ``horizon`` in whole blocks."""
+    block = ck.dims.T
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
     if horizon % block != 0:
@@ -259,7 +262,8 @@ def _check_horizon(horizon: int, block: int) -> int:
             f"T={block}; rollouts extend the forecast in whole blocks (k x T), "
             f"so the nearest valid horizons are {pretty}"
         )
-    return horizon // block
+    return RolloutConfig(S=ck.dims.S, T=block, L=ck.dims.L, n=horizon // block,
+                         gamma=ck.rollout.gamma, beta=ck.rollout.beta)
 
 
 def cmd_train(args) -> int:
@@ -280,7 +284,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = RunConfig(args.config, out_override=args.out, seed_override=args.seed)
     ck = _load_checkpoint_or_fail(args.checkpoint)
-    n = _check_horizon(args.horizon, ck.dims.T)
+    roll = _rollout_for(ck, args.horizon)
     dataset = cfg.build_dataset()
     if dataset.n_variates != ck.dims.V:
         raise ConfigError(f"checkpoint was built for {ck.dims.V} variates, "
@@ -288,39 +292,23 @@ def cmd_eval(args) -> int:
     cfg.write_resolved()
 
     model = ck.to_forecaster()
-    roll = RolloutConfig(S=ck.dims.S, T=ck.dims.T, L=ck.dims.L, n=n,
-                         gamma=ck.rollout.gamma, beta=ck.rollout.beta)
     report = evaluate(model, dataset, "test", roll, raw_scale=args.raw_scale)
     write_report_json(report, cfg.out_dir / "report.json")
     export_curve(report, cfg.out_dir / "curve.csv")
     print(f"evaluated {report.window_count} windows over horizon {args.horizon} "
-          f"({n} blocks, {report.scale} scale)")
+          f"({roll.n} blocks, {report.scale} scale)")
     print(f"cumulative mse {report.cumulative[0]:.6g}, mae {report.cumulative[1]:.6g}, "
           f"block violation rate {report.block_violation_rate:.3f}")
     return 0
 
 
-def _read_predict_input(path: Path):
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline()
-    cells = [c.strip() for c in first.strip().split(",")]
-    try:
-        [float(c) for c in cells]
-        has_header = False
-    except ValueError:
-        has_header = True
-    return load_csv(path, has_header=has_header, ratios=(0.0, 0.0, 1.0))
-
-
 def cmd_predict(args) -> int:
     ck = _load_checkpoint_or_fail(args.checkpoint)
-    n = _check_horizon(args.horizon, ck.dims.T)
+    roll = _rollout_for(ck, args.horizon)
     path = Path(args.input_csv)
-    if not path.exists():
-        raise ConfigError(f"input csv not found: {path}")
     try:
-        dataset = _read_predict_input(path)
-    except ValueError as exc:
+        dataset = load_csv(path, has_header=None, ratios=(0.0, 0.0, 1.0))
+    except (ValueError, FileNotFoundError) as exc:
         raise ConfigError(str(exc)) from None
     if dataset.values.shape[0] < ck.dims.S:
         raise ConfigError(f"input provides {dataset.values.shape[0]} rows, "
@@ -330,8 +318,6 @@ def cmd_predict(args) -> int:
                           f"input has {dataset.n_variates}")
 
     model = ck.to_forecaster()
-    roll = RolloutConfig(S=ck.dims.S, T=ck.dims.T, L=ck.dims.L, n=n,
-                         gamma=ck.rollout.gamma, beta=ck.rollout.beta)
     context = dataset.values[-ck.dims.S:]
     state = NormState.from_context(context)
     prediction = rollout_predict(model, apply_norm(context, state), roll)
@@ -344,9 +330,8 @@ def cmd_predict(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "predictions.csv"
     row_format = ",".join(["%.17g"] * values.shape[1]) + "\n"
-    with open(out_path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(dataset.columns) + "\n")
-        fh.write("".join(row_format % tuple(row) for row in values.tolist()))
+    write_fresh(out_path, ",".join(dataset.columns) + "\n"
+                + row_format * values.shape[0] % tuple(values.ravel().tolist()))
     print(f"wrote {values.shape[0]} forecast rows to {out_path}")
     return 0
 

@@ -116,6 +116,13 @@ def gen_ar_process(length, V=1, coeffs=(0.9,), noise_std=1.0, seed=0,
     return SeriesDataset.from_values("ar_process", values, ratios=ratios)
 
 
+def write_fresh(path, content) -> None:
+    """Unlink ``path``, then write ``content`` (text as UTF-8, or bytes) there as a new file."""
+    path = Path(path)
+    path.unlink(missing_ok=True)
+    path.write_bytes(content.encode("utf-8") if isinstance(content, str) else content)
+
+
 def load_csv(path, has_header=True, time_column=None, ratios=DEFAULT_SPLIT) -> SeriesDataset:
     """Comma-separated, '.' decimal, optional header row, optional time column to drop."""
     path = Path(path)
@@ -126,6 +133,12 @@ def load_csv(path, has_header=True, time_column=None, ratios=DEFAULT_SPLIT) -> S
     rows = [r for r in rows if r]  # tolerate trailing blank lines
     if not rows:
         raise ValueError(f"{path}: empty file")
+    if has_header is None:  # a first row with any non-numeric cell is a header
+        try:
+            [float(cell) for cell in rows[0]]
+            has_header = False
+        except ValueError:
+            has_header = True
 
     line0 = 1
     if has_header:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import Tape, Tensor
-from .data import SeriesDataset, window_iter
+from .data import SeriesDataset, window_iter, write_fresh
 from .models import Dims, Forecaster, _param_shapes
 from .rollout import RolloutConfig, ar_loss, mse_loss
 
@@ -238,12 +238,9 @@ def save_checkpoint(ck: Checkpoint, path) -> None:
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     payload = np.concatenate([arr.ravel() for arr in ck.params.values()])
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(header_bytes)))
-        fh.write(header_bytes)
-        fh.write(payload.astype("<f8").tobytes())
+    write_fresh(path, b"".join((CHECKPOINT_MAGIC,
+                                struct.pack("<II", CHECKPOINT_VERSION, len(header_bytes)),
+                                header_bytes, payload.astype("<f8").tobytes())))
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -299,7 +296,5 @@ def load_checkpoint(path) -> Checkpoint:
 
 
 def write_history_csv(history: list[EpochStats], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("epoch,train_loss,val_loss\n")
-        for row in history:
-            fh.write(f"{row.epoch},{row.train_loss:.17g},{row.val_loss:.17g}\n")
+    write_fresh(path, "epoch,train_loss,val_loss\n" + "".join(
+        f"{row.epoch},{row.train_loss:.17g},{row.val_loss:.17g}\n" for row in history))

@@ -7,14 +7,19 @@ not at all.
 """
 
 import importlib.util
+import json
+import math
 from pathlib import Path
 
 import pytest
 
+import arforecast.cli as cli
+import arforecast.evaluation as evaluation
 from arforecast.autodiff import Tape
 from arforecast.data import gen_sinusoid, window_iter
 from arforecast.models import Dims, init_forecaster
 from arforecast.rollout import RolloutConfig, ar_loss
+from arforecast.training import Checkpoint, save_checkpoint
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -49,3 +54,28 @@ def test_counted_rule_names_match_the_tape(kind, V, extra):
     expected = {"matmul", "add", "scale", "slice", "concat", *extra}
     assert expected <= set(spans.RULES)
     assert expected <= names
+
+
+@pytest.mark.parametrize("chunk_windows", [None, 7])
+def test_traced_eval_records_the_spans_the_benchmark_checks(tmp_path, monkeypatch,
+                                                            chunk_windows):
+    V = 2
+    if chunk_windows is not None:
+        monkeypatch.setattr(evaluation, "_CHUNK_COLUMNS", chunk_windows * V)
+    model = init_forecaster("linear", Dims(S=12, T=4, V=V), seed=0)
+    ckpt = tmp_path / "model.arpt"
+    save_checkpoint(Checkpoint.from_forecaster(model, RolloutConfig(S=12, T=4), 0, 0.1, 0), ckpt)
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[dataset]\nsource = sinusoid\nlength = 300\nvariates = 2\n"
+                   "[model]\nkind = linear\n[rollout]\ns = 12\nt = 4\n")
+    out = tmp_path / "eval"
+    tracer = _load_spans().Tracer()
+    with tracer.installed():
+        assert cli.main(["eval", "--config", str(cfg), "--checkpoint", str(ckpt),
+                         "--horizon", "12", "--out", str(out)]) == 0
+    names = [span[0] for span in tracer.spans]
+    assert {"data.window_iter", "evaluation.evaluate", "rollout.rollout_predict",
+            "models.forecast"} <= set(names)
+    windows = json.loads((out / "report.json").read_text())["window_count"]
+    chunks = 1 if chunk_windows is None else math.ceil(windows / chunk_windows)
+    assert names.count("rollout.rollout_predict") == chunks

@@ -170,6 +170,15 @@ def test_predict_headerless_input(tmp_path):
     assert lines[0] == "var0"
 
 
+def test_predict_missing_input_exits_2(tmp_path, capsys):
+    ck = _predict_checkpoint(tmp_path)
+    out = tmp_path / "pred"
+    assert main(["predict", str(tmp_path / "absent.csv"), "--checkpoint", str(ck),
+                 "--horizon", "12", "--out", str(out)]) == 2
+    assert "no such file" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_predict_refuses_non_finite_forecast(tmp_path, capsys):
     # finite input whose scale overflows once the forecast is denormalized
     ck = _predict_checkpoint(tmp_path)

@@ -11,6 +11,7 @@ from arforecast.data import (
     gen_sinusoid,
     load_csv,
     window_iter,
+    write_fresh,
 )
 
 
@@ -114,6 +115,40 @@ def test_load_csv_non_finite_rejected(tmp_path):
 def test_load_csv_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_csv(tmp_path / "absent.csv")
+
+
+@pytest.mark.parametrize("text,columns,first", [
+    ("load,temp\n1.5,2.5\n3.5,4.5\n", ["load", "temp"], [1.5, 2.5]),
+    ("1.5,2.5\n3.5,4.5\n", ["var0", "var1"], [1.5, 2.5]),
+    ("\"load\", 7\n1.5,2.5\n", ["load", "7"], [1.5, 2.5]),  # one word makes a header
+    (" 1.5 ,2.5\n3.5,4.5\n", ["var0", "var1"], [1.5, 2.5]),
+])
+def test_load_csv_detects_header(tmp_path, text, columns, first):
+    p = tmp_path / "series.csv"
+    p.write_text(text)
+    ds = load_csv(p, has_header=None)
+    assert ds.columns == columns
+    np.testing.assert_array_equal(ds.values[0], first)
+
+
+def test_load_csv_detected_header_drops_time_column(tmp_path):
+    p = tmp_path / "ot.csv"
+    p.write_text("date,OT\n2020-01-01,1.0\n2020-01-02,2.0\n")
+    ds = load_csv(p, has_header=None, time_column="date")
+    assert ds.columns == ["OT"]
+    np.testing.assert_array_equal(ds.values[:, 0], [1.0, 2.0])
+
+
+def test_write_fresh_replaces_rather_than_truncates(tmp_path):
+    path = tmp_path / "out.csv"
+    write_fresh(path, "old\n")
+    link = tmp_path / "link.csv"
+    link.hardlink_to(path)
+    write_fresh(path, "new \u00e9\n")
+    assert path.read_bytes() == "new \u00e9\n".encode("utf-8")
+    assert link.read_text() == "old\n"  # the old file lives on under its other name
+    write_fresh(path, b"\x00\x01")
+    assert path.read_bytes() == b"\x00\x01"
 
 
 def test_load_csv_unknown_time_column(tmp_path):

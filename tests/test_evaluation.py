@@ -1,9 +1,14 @@
 """Rollout metrics, report comparison, and curve export."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from arforecast.data import SeriesDataset, gen_ar_process, gen_sinusoid
+import arforecast.evaluation as evaluation
+from arforecast.data import SeriesDataset, gen_ar_process, gen_sinusoid, window_iter
 from arforecast.evaluation import (
     EvalReport,
     compare,
@@ -14,8 +19,8 @@ from arforecast.evaluation import (
     violation_rate,
     write_report_json,
 )
-from arforecast.models import Dims, init_forecaster
-from arforecast.rollout import RolloutConfig
+from arforecast.models import Dims, NormState, apply_norm, init_forecaster, invert_norm
+from arforecast.rollout import RolloutConfig, rollout_predict
 from arforecast.training import TrainConfig, train
 
 
@@ -94,6 +99,116 @@ def test_evaluate_empty_split_is_error():
     with pytest.warns(UserWarning):
         with pytest.raises(ValueError, match="no windows"):
             evaluate(model, ds, "test", RolloutConfig(S=16, T=8, n=2))
+
+
+def _per_window_reference(model, dataset, split, cfg, raw_scale):
+    """One rollout per window, the reference chunked ``evaluate`` must match.
+
+    Returns the (windows, n) block MSE and MAE and the step MAE curve.
+    """
+    windows = window_iter(dataset, split, cfg.S, cfg.horizon)
+    n, T = cfg.n, cfg.T
+    block_mse = np.empty((len(windows), n))
+    block_mae = np.empty((len(windows), n))
+    step_mae = np.zeros(cfg.horizon)
+    for i, w in enumerate(windows):
+        state = NormState.from_context(w.context)
+        prediction = rollout_predict(model, apply_norm(w.context, state), cfg)
+        pred = prediction.values.values[cfg.L:]
+        if raw_scale:
+            pred = invert_norm(pred, state)
+            truth = w.future
+        else:
+            truth = apply_norm(w.future, state)
+        err = pred - truth
+        for k in range(n):
+            block = err[k * T:(k + 1) * T]
+            block_mse[i, k] = np.mean(block * block)
+            block_mae[i, k] = np.mean(np.abs(block))
+        step_mae += np.mean(np.abs(err), axis=1)
+    return block_mse, block_mae, step_mae / len(windows)
+
+
+def _clear_of_ties(curve):
+    """No adjacent pair so close that an ulp could flip its order."""
+    curve = np.asarray(curve)
+    return bool(np.all(np.abs(np.diff(curve)) > 1e-9 * np.abs(curve[1:])))
+
+
+@st.composite
+def _eval_draws(draw):
+    kind, hidden = draw(st.sampled_from([("linear", 0), ("mlp", 3), ("inverted_attention", 3)]))
+    S = draw(st.integers(2, 8))
+    cfg = RolloutConfig(S=S, T=draw(st.integers(1, 4)), L=draw(st.integers(0, S - 1)),
+                        n=draw(st.integers(1, 4)))
+    V = draw(st.integers(1, 4))
+    windows = draw(st.integers(1, 9))
+    chunk_columns = draw(st.integers(1, 12))  # below V still takes one window per rollout
+    return (kind, hidden, cfg, V, windows, chunk_columns, draw(st.booleans()),
+            draw(st.integers(0, 2 ** 32 - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_eval_draws())
+@example(("inverted_attention", 3, RolloutConfig(S=5, T=2, L=1, n=3), 3, 7, 6, True, 0))
+@example(("mlp", 3, RolloutConfig(S=4, T=3, L=2, n=2), 1, 9, 4, False, 1))
+def test_chunked_evaluate_matches_per_window_scoring(draw):
+    kind, hidden, cfg, V, n_windows, chunk_columns, raw_scale, seed = draw
+    rng = np.random.default_rng(seed)
+    model = init_forecaster(kind, Dims(S=cfg.S, T=cfg.T, L=cfg.L, V=V, hidden=hidden), seed=seed)
+    scale = rng.uniform(0.1, 10.0)
+    values = (rng.normal(size=(cfg.S + cfg.horizon + n_windows - 1, V))
+              + rng.uniform(-5.0, 5.0)) * scale
+    ds = SeriesDataset.from_values("drawn", values, ratios=(0.0, 0.0, 1.0))
+
+    curves = []
+
+    def recording_rate(curve):
+        curves.append(np.array(curve))
+        return violation_rate(curve)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evaluation, "_CHUNK_COLUMNS", chunk_columns)
+        mp.setattr(evaluation, "violation_rate", recording_rate)
+        report = evaluate(model, ds, "test", cfg, raw_scale=raw_scale)
+    block_mse, block_mae, step_mae = _per_window_reference(model, ds, "test", cfg, raw_scale)
+
+    assert report.window_count == n_windows
+    want = np.column_stack([block_mse.mean(axis=0), block_mae.mean(axis=0)])
+    np.testing.assert_allclose(report.per_block, want, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(report.cumulative, (block_mse.mean(), block_mae.mean()),
+                               rtol=1e-12, atol=0)
+    mse_curve, step_curve = curves
+    np.testing.assert_allclose(mse_curve, want[:, 0], rtol=1e-12, atol=0)
+    np.testing.assert_allclose(step_curve, step_mae, rtol=1e-12, atol=0)
+    if _clear_of_ties(want[:, 0]):
+        assert report.block_violation_rate == violation_rate(want[:, 0])
+        assert report.per_block_violation_rate == [0.0] + [
+            float(want[k, 0] < want[k - 1, 0]) for k in range(1, cfg.n)]
+    if _clear_of_ties(step_mae):
+        assert report.step_violation_rate == violation_rate(step_mae)
+
+
+def test_evaluate_rolls_out_once_per_chunk(monkeypatch):
+    ds = gen_sinusoid(400, V=3, noise_std=0.2, seed=4)
+    model = init_forecaster("inverted_attention", Dims(S=8, T=4, V=3, hidden=4), seed=2)
+    cfg = RolloutConfig(S=8, T=4, n=2)
+    calls = []
+
+    def counting_rollout(model, context, cfg):
+        calls.append(context.shape[1])
+        return rollout_predict(model, context, cfg)
+
+    monkeypatch.setattr(evaluation, "rollout_predict", counting_rollout)
+    whole = evaluate(model, ds, "test", cfg)
+    assert calls == [3 * whole.window_count]
+    monkeypatch.setattr(evaluation, "_CHUNK_COLUMNS", 3 * 16)
+    calls.clear()
+    chunked = evaluate(model, ds, "test", cfg)
+    windows = whole.window_count
+    assert len(calls) == math.ceil(windows / 16)
+    assert sum(calls) == 3 * windows and max(calls) == 3 * 16
+    np.testing.assert_allclose(chunked.per_block, whole.per_block, rtol=1e-12, atol=0)
 
 
 def _report(cum_mse, per_block=None, T=12):
