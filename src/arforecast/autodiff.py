@@ -2,11 +2,11 @@
 
 Dense float64 tensors plus the operation set the forecasting models and
 the rollout objective need: elementwise arithmetic, column-broadcast
-addition, matrix multiply, relu/abs, full reductions, slicing and
-concatenation, softmax and layer normalization along an axis, two
-per-window products for windows stored side by side as groups of V
-columns, and a stop-gradient operator that is the identity in the
-forward pass and blocks all gradient flow backward.
+addition, matrix multiply, ``w @ x + b``, relu/abs, full reductions,
+slicing and concatenation, softmax and layer normalization along an axis,
+two per-window products for windows side by side as groups of V columns,
+the objective's block error and discounted sum, and a stop-gradient
+operator: the identity forward, and no gradient flow backward.
 
 A ``Tape`` is built fresh for every loss evaluation (define-by-run) and
 is a single-threaded unit of work; separate tapes share no mutable state
@@ -91,14 +91,6 @@ class Tensor:
             return scale(self, float(other))
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return NotImplemented
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
     def __matmul__(self, other):
         if not isinstance(other, Tensor):
             return NotImplemented
@@ -150,8 +142,8 @@ class Tape:
 
     @property
     def min_kink_gap(self) -> float:
-        """Smallest |input| of any recorded relu or abs (inf if there is none)."""
-        kinks = (_relu_rule, _abs_rule)  # looked up now, so a swapped-in rule still counts
+        """Smallest |x| at any recorded kink: relu/abs inputs and discounted_loss's saved gaps."""
+        kinks = (_relu_rule, _abs_rule, _discounted_loss_rule)  # looked up now: swaps count
         return min((float(np.min(np.abs(ctx[0]), initial=np.inf))
                     for _, _, rule, ctx in self.records if rule in kinks), default=float("inf"))
 
@@ -228,6 +220,11 @@ def _matmul_rule(ctx, g):
     return g @ b.T, a.T @ g
 
 
+def _affine_rule(ctx, g):
+    w, x = ctx  # _matmul_rule's products, then _add_rule's column reduction
+    return g @ x.T, w.T @ g, g @ np.ones((1, g.shape[1])).T
+
+
 def _relu_rule(ctx, g):
     (x,) = ctx
     return (g * (x > 0.0),)
@@ -286,6 +283,25 @@ def _window_mix_rule(ctx, g):
     return _unwindow(g3 @ a3), (g3.transpose(0, 2, 1) @ v3).reshape(-1, a3.shape[2])
 
 
+def _block_error_rule(ctx, g):
+    # 2 (pred - truth) / (T V) times each window's upstream value, in the sub/mul/matmul order
+    diff, c, V = ctx
+    grad = 2.0 * ((c * np.repeat(g, V, axis=1)) * diff)
+    return grad, -grad
+
+
+def _discounted_loss_rule(ctx, g):
+    # 1 on e_1, then gamma^(k-1) ((1 - beta) + beta sign(e_k - e_{k-1})): 1, 1 - beta or
+    # 1 - 2 beta as the error rose, held or fell; multiplied out in the scale/abs order
+    gaps, gamma, beta, n = ctx
+    grads = [g]
+    for k in range(1, n):
+        gk = g * gamma ** k
+        coef = gk * (1.0 - beta)
+        grads.append(coef if beta == 0.0 else coef + gk * beta * np.sign(gaps[k - 1]))
+    return tuple(grads)
+
+
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
     if a.shape != b.shape:
         raise ValueError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
@@ -331,6 +347,58 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ValueError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
     return _emit(a.values @ b.values, (a, b), _matmul_rule, (a.values, b.values))
+
+
+def affine(w: Tensor, x: Tensor, b: Tensor) -> Tensor:
+    """``w @ x + b`` for an (m, 1) bias column ``b``, as one record."""
+    if w.values.ndim != 2 or x.values.ndim != 2 or b.shape != (w.shape[0], 1) \
+            or w.shape[1] != x.shape[0]:
+        raise ValueError(f"affine: {w.shape} @ {x.shape} + {b.shape} is not (m,k) @ (k,n) + (m,1)")
+    return _emit(w.values @ x.values + b.values, (w, x, b), _affine_rule, (w.values, x.values))
+
+
+def block_error(pred_block: Tensor, truth_block, V: int | None = None) -> Tensor:
+    """The (1, B) row of per-window mean squared errors of one block, as one record.
+
+    The block holds B windows side by side as groups of ``V`` columns (by default, one window).
+    """
+    if not isinstance(truth_block, Tensor):
+        truth_block = Tensor(truth_block)
+    if pred_block.shape != truth_block.shape:
+        raise ValueError(f"block shapes differ: {pred_block.shape} vs {truth_block.shape}")
+    rows, width = pred_block.shape
+    V = width if V is None else V
+    _check_windows("block_error", pred_block, V)
+    diff = pred_block.values - truth_block.values
+    c = 1.0 / (rows * V)  # the products below are the composite form's, and so are the values
+    errors = np.full((1, rows), c) @ (diff * diff)
+    if V > 1:
+        errors = errors @ np.repeat(np.eye(width // V), V, axis=0)
+    return _emit(errors, (pred_block, truth_block), _block_error_rule, (diff, c, V))
+
+
+def discounted_loss(errors: list[Tensor], gamma: float, beta: float) -> Tensor:
+    """e_1 + sum_k gamma^k * ((1-beta) * e_{k+1} + beta * |e_{k+1} - sg(e_k)|), as one record.
+
+    The record saves the penalty's kinks e_{k+1} - e_k (none if beta == 0). Accepts beta == 0
+    so the pure geometric accumulation can be exercised on its own; RolloutConfig does not.
+    """
+    if not errors:
+        raise ValueError("discounted_loss: empty error list")
+    if not 0.0 < gamma < 1.0:
+        raise ValueError(f"gamma must be in (0, 1), got {gamma}")
+    if not 0.0 <= beta < 0.5:
+        raise ValueError(f"beta must be in [0, 0.5), got {beta}")
+    if len(errors) == 1:
+        return errors[0]
+    e = np.stack([t.values for t in errors])  # raises on differing shapes
+    gaps = e[1:] - e[:-1] if beta > 0.0 else e[:0]
+    loss = e[0]
+    for k in range(1, len(errors)):
+        term = e[k] * (1.0 - beta)
+        term = term if beta == 0.0 else term + np.abs(gaps[k - 1]) * beta
+        loss = loss + term * gamma ** k
+    return _emit(loss, tuple(errors), _discounted_loss_rule, (gaps, gamma, beta, len(errors)))
 
 
 def _windows(x: np.ndarray, V: int) -> np.ndarray:
@@ -418,6 +486,8 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
         raise ValueError(f"slice_axis: axis {axis} out of range for shape {a.shape}")
     if not (0 <= start < stop <= a.shape[axis]):
         raise ValueError(f"slice_axis: bounds [{start}, {stop}) invalid for extent {a.shape[axis]}")
+    if stop - start == a.shape[axis]:  # the whole axis is the tensor itself, with no record
+        return a
     index = [slice(None)] * ndim
     index[axis] = slice(start, stop)
     return _emit(a.values[tuple(index)], (a,), _slice_rule, (a.values.shape, axis, start, stop))

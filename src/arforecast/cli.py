@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import functools
-import io
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -127,7 +126,7 @@ class RunConfig:
     """
 
     def __init__(self, path, out_override=None, seed_override=None):
-        parser = configparser.ConfigParser()
+        parser = configparser.ConfigParser(interpolation=None)  # a '%' is taken literally
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
@@ -139,27 +138,24 @@ class RunConfig:
         keys: dict[str, set[str]] = {}
         for section, key, *_ in SCHEMA:
             keys.setdefault(section, set()).add(key)
-        for name in parser.sections():
+        raw = {name: dict(parser.items(name)) for name in parser.sections()}
+        for name, items in raw.items():
             if name not in keys:
                 raise ConfigError(f"unknown config section [{name}]")
-            for key in parser[name]:
+            for key in items:
                 if key not in keys[name]:
                     raise ConfigError(f"[{name}] unknown key {key!r}")
-        required_sections = dict.fromkeys(row[0] for row in SCHEMA if row[3] is MISSING)
-        for name in required_sections:
-            if name not in parser:
+        for name in dict.fromkeys(row[0] for row in SCHEMA if row[3] is MISSING):
+            if name not in raw:
                 raise ConfigError(f"missing config section [{name}]")
 
-        def raw(section, key):
-            return parser[section].get(key) if section in parser else None
-
-        self.source = _parse("dataset", "source", str, MISSING, raw("dataset", "source"))
+        self.source = _parse("dataset", "source", str, MISSING, raw["dataset"].get("source"))
         _one_of("dataset", "source", self.source, SOURCES)
         self.values: dict[str, dict] = {}
         for section, key, parse, default, sources in SCHEMA:
             if self.source in sources:
                 self.values.setdefault(section, {})[key] = \
-                    _parse(section, key, parse, default, raw(section, key))
+                    _parse(section, key, parse, default, raw.get(section, {}).get(key))
         if seed_override is not None:
             self.values["train"]["seed"] = seed_override
         if out_override:
@@ -223,27 +219,24 @@ class RunConfig:
             raise ConfigError(f"[model] {exc}") from None
 
     def write_resolved(self) -> None:
-        """Write each key that applies to the source, defaults filled in, to the output dir."""
-        out = configparser.ConfigParser()
+        """Write the keys that apply, defaults filled in, in ``ConfigParser.write``'s layout."""
+        sections: dict[str, list[str]] = {}
         for section, key, parse, _, sources in SCHEMA:
             value = self.values[section].get(key)
-            if self.source not in sources or value is None:
-                continue
-            if not out.has_section(section):
-                out.add_section(section)
-            out.set(section, key, _FORMATS.get(parse, str)(value))
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        text = io.StringIO()
-        out.write(text)
-        write_fresh(self.out_dir / "config_resolved.ini", text.getvalue())
+            if self.source in sources and value is not None:
+                text = _FORMATS.get(parse, str)(value).replace("\n", "\n\t")
+                sections.setdefault(section, []).append(f"{key} = {text}\n")
+        if not self.out_dir.is_dir():
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+        write_fresh(self.out_dir / "config_resolved.ini", "".join(
+            f"[{section}]\n{''.join(lines)}\n" for section, lines in sections.items()))
 
 
 def _load_checkpoint_or_fail(path):
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"checkpoint not found: {path}")
     try:
         return load_checkpoint(path)
+    except FileNotFoundError:
+        raise ConfigError(f"checkpoint not found: {Path(path)}") from None
     except CheckpointError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -302,12 +295,12 @@ def cmd_eval(args) -> int:
     return 0
 
 
+@np.errstate(over="raise", invalid="raise")  # an overflow or NaN raises where it happens
 def cmd_predict(args) -> int:
     ck = _load_checkpoint_or_fail(args.checkpoint)
     roll = _rollout_for(ck, args.horizon)
-    path = Path(args.input_csv)
     try:
-        dataset = load_csv(path, has_header=None, ratios=(0.0, 0.0, 1.0))
+        dataset = load_csv(args.input_csv, has_header=None, ratios=(0.0, 0.0, 1.0))
     except (ValueError, FileNotFoundError) as exc:
         raise ConfigError(str(exc)) from None
     if dataset.values.shape[0] < ck.dims.S:
@@ -319,16 +312,19 @@ def cmd_predict(args) -> int:
 
     model = ck.to_forecaster()
     context = dataset.values[-ck.dims.S:]
-    state = NormState.from_context(context)
-    prediction = rollout_predict(model, apply_norm(context, state), roll)
-    values = invert_norm(prediction.values.values, state)
-    if not np.all(np.isfinite(values)):
-        raise ConfigError(f"forecast holds non-finite values on the scale of {path}; "
-                          f"no predictions written")
+    try:
+        state = NormState.from_context(context)
+        prediction = rollout_predict(model, apply_norm(context, state), roll)
+        values = invert_norm(prediction.values.values, state)
+        if not np.isfinite(values).all():
+            raise FloatingPointError
+    except FloatingPointError:
+        raise ConfigError(f"forecast holds non-finite values on the scale of {args.input_csv}; "
+                          f"no predictions written") from None
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "predictions.csv"
+    out_path = Path(args.out, "predictions.csv")
+    if not out_path.parent.is_dir():
+        out_path.parent.mkdir(parents=True, exist_ok=True)
     row_format = ",".join(["%.17g"] * values.shape[1]) + "\n"
     write_fresh(out_path, ",".join(dataset.columns) + "\n"
                 + row_format * values.shape[0] % tuple(values.ravel().tolist()))
@@ -360,8 +356,8 @@ def cmd_gradcheck(args) -> int:
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built once per process; parsing does not modify it."""
+def build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's subparser, built once; parsing changes neither."""
     parser = argparse.ArgumentParser(
         prog="arforecast",
         description="Train, evaluate, and run rollout forecasts for small time-series models.",
@@ -397,11 +393,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_gc.add_argument("--out", default=None)
     p_gc.add_argument("--seed", type=int, default=None)
     p_gc.set_defaults(handler=cmd_gradcheck)
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = build_parsers()
+    if argv and argv[0] in commands:  # what the subparser walk would do, without the walk
+        args, extras = commands[argv[0]].parse_known_args(argv[1:])
+        if extras:
+            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    else:  # help, usage errors and unknown commands
+        args = parser.parse_args(argv)
     try:
         return args.handler(args)
     except ConfigError as exc:

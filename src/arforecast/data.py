@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 DEFAULT_SPLIT = (0.7, 0.1, 0.2)
 
@@ -26,6 +27,27 @@ class SeriesWindow:
     context: np.ndarray
     future: np.ndarray
     origin_index: int
+
+
+class Windows:
+    """N windows as (N, S, V) ``contexts``, (N, H, V) ``futures`` and N ``origins``: an integer
+    index (so iteration) gives a ``SeriesWindow``, a slice or an index array a ``Windows``."""
+
+    def __init__(self, contexts: np.ndarray, futures: np.ndarray, origins: np.ndarray):
+        self.contexts, self.futures, self.origins = contexts, futures, origins
+
+    def __len__(self) -> int:
+        return len(self.origins)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return SeriesWindow(self.contexts[index], self.futures[index], int(self.origins[index]))
+        return Windows(self.contexts[index], self.futures[index], self.origins[index])
+
+    def columns(self) -> tuple[np.ndarray, np.ndarray]:
+        """C-ordered (S, N*V) contexts and (H, N*V) futures; column n*V + v is window n's v."""
+        return tuple(np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(a.shape[1], -1)
+                     for a in (self.contexts, self.futures))
 
 
 @dataclass
@@ -184,12 +206,12 @@ def load_csv(path, has_header=True, time_column=None, ratios=DEFAULT_SPLIT) -> S
 
 
 def window_iter(ds: SeriesDataset, split: str, S: int, horizon: int,
-                stride: int = 1) -> list[SeriesWindow]:
+                stride: int = 1) -> Windows:
     """Every (context, future) window lying fully inside the split.
 
-    Yields floor((split_len - S - horizon) / stride) + 1 windows; a split
-    too short for even one window produces an empty list with a warning
-    rather than an error.
+    Holds floor((split_len - S - horizon) / stride) + 1 windows, as read-only
+    views of the series; a split too short for even one window gives no
+    windows, with a warning rather than an error.
     """
     if S < 1 or horizon < 1 or stride < 1:
         raise ValueError(f"S, horizon, stride must be >= 1, got {S}, {horizon}, {stride}")
@@ -200,12 +222,8 @@ def window_iter(ds: SeriesDataset, split: str, S: int, horizon: int,
             f"too short for S={S} + horizon={horizon}; no windows",
             stacklevel=2,
         )
-        return []
-    windows = []
-    for origin in range(lo, hi - S - horizon + 1, stride):
-        windows.append(SeriesWindow(
-            context=ds.values[origin:origin + S],
-            future=ds.values[origin + S:origin + S + horizon],
-            origin_index=origin,
-        ))
-    return windows
+        empty = np.empty((0, S + horizon, ds.n_variates))
+        return Windows(empty[:, :S], empty[:, S:], np.arange(0))
+    # one read-only (V, S + horizon) view per origin, turned to (S + horizon, V)
+    spans = sliding_window_view(ds.values[lo:hi], S + horizon, 0)[::stride].transpose(0, 2, 1)
+    return Windows(spans[:, :S], spans[:, S:], np.arange(lo, hi - S - horizon + 1, stride))

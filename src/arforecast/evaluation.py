@@ -65,8 +65,7 @@ def evaluate(model: Forecaster, dataset: SeriesDataset, split: str,
     for start in range(0, n_windows, per_chunk):
         chunk = windows[start:start + per_chunk]
         B = len(chunk)
-        context = np.stack([w.context for w in chunk], axis=1).reshape(cfg.S, B * V)
-        future = np.stack([w.future for w in chunk], axis=1).reshape(cfg.horizon, B * V)
+        context, future = chunk.columns()
         state = NormState.from_context(context)
         prediction = rollout_predict(model, apply_norm(context, state), cfg)
         pred = prediction.values.values[cfg.L:]

@@ -18,8 +18,8 @@ import numpy as np
 
 from .autodiff import (
     Tensor,
+    affine,
     layer_norm,
-    matmul,
     relu,
     scale,
     softmax,
@@ -141,23 +141,22 @@ def forecast(model: Forecaster, context: Tensor) -> Tensor:
         raise ValueError(f"context must be ({dims.S}, V), got {context.shape}")
     p = model.params
     if model.kind == "linear":
-        return matmul(p["w"], context) + p["b"]
+        return affine(p["w"], context, p["b"])
     if model.kind == "mlp":
-        hidden = relu(matmul(p["w1"], context) + p["b1"])
-        return matmul(p["w2"], hidden) + p["b2"]
+        return affine(p["w2"], relu(affine(p["w1"], context, p["b1"])), p["b2"])
     if model.kind == "inverted_attention":
-        tokens = matmul(p["embed_w"], context) + p["embed_b"]
-        q = matmul(p["q_w"], tokens) + p["q_b"]
-        k = matmul(p["k_w"], tokens) + p["k_b"]
-        val = matmul(p["v_w"], tokens) + p["v_b"]
+        tokens = affine(p["embed_w"], context, p["embed_b"])
+        q = affine(p["q_w"], tokens, p["q_b"])
+        k = affine(p["k_w"], tokens, p["k_b"])
+        val = affine(p["v_w"], tokens, p["v_b"])
         scores = scale(window_scores(q, k, dims.V), 1.0 / np.sqrt(dims.hidden))
         attn = softmax(scores, axis=1)
-        mixed = matmul(p["o_w"], window_mix(val, attn, dims.V)) + p["o_b"]
+        mixed = affine(p["o_w"], window_mix(val, attn, dims.V), p["o_b"])
         x1 = layer_norm(tokens + mixed, axis=0)
-        ff = relu(matmul(p["ff1_w"], x1) + p["ff1_b"])
-        ff = matmul(p["ff2_w"], ff) + p["ff2_b"]
+        ff = relu(affine(p["ff1_w"], x1, p["ff1_b"]))
+        ff = affine(p["ff2_w"], ff, p["ff2_b"])
         x2 = layer_norm(x1 + ff, axis=0)
-        return matmul(p["proj_w"], x2) + p["proj_b"]
+        return affine(p["proj_w"], x2, p["proj_b"])
     raise ValueError(f"unknown forecaster kind {model.kind!r}")
 
 

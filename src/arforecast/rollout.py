@@ -21,17 +21,15 @@ import numpy as np
 from .autodiff import (
     Tape,
     Tensor,
-    absolute,
+    block_error,
     concat,
+    discounted_loss,
     finite_diff_oracle,
-    matmul,
     max_relative_error,
     mean_all,
-    scale,
     slice_axis,
-    stop_gradient,
 )
-from .data import SeriesWindow
+from .data import SeriesWindow, Windows
 from .models import Forecaster, NormState, apply_norm, forecast
 
 
@@ -130,7 +128,7 @@ def rollout_predict(model: Forecaster, context: Tensor, cfg: RolloutConfig) -> R
 
     first = forecast(model, context)
     head = [slice_axis(first, 0, 0, L)] if L > 0 else []
-    blocks = [slice_axis(first, 0, L, L + T)]
+    blocks = [slice_axis(first, 0, L, L + T)]  # at L = 0 the whole forecast, with no record
     for _ in range(1, n):
         out = forecast(model, _tail([context] + blocks, S))
         blocks.append(slice_axis(out, 0, L, L + T))
@@ -154,64 +152,27 @@ def _tail(pieces: list[Tensor], rows: int) -> Tensor:
     return taken[0] if len(taken) == 1 else concat(taken, axis=0)
 
 
-def block_error(pred_block: Tensor, truth_block, V: int | None = None) -> Tensor:
-    """Per-window mean squared error of one block, kept differentiable.
-
-    The block holds B windows side by side as groups of ``V`` columns
-    (by default one window of all columns); the result is their (1, B) row
-    of errors, each the mean over that window's T-by-V entries.
-    """
-    if not isinstance(truth_block, Tensor):
-        truth_block = Tensor(truth_block)
-    if pred_block.shape != truth_block.shape:
-        raise ValueError(f"block shapes differ: {pred_block.shape} vs {truth_block.shape}")
-    rows, width = pred_block.shape
-    V = width if V is None else V
-    diff = pred_block - truth_block
-    per_column = matmul(Tensor(np.full((1, rows), 1.0 / (rows * V))), diff * diff)
-    if V == 1:
-        return per_column
-    return matmul(per_column, Tensor(np.kron(np.eye(width // V), np.ones((V, 1)))))
-
-
-def discounted_loss(errors: list[Tensor], gamma: float, beta: float) -> Tensor:
-    """e_1 + sum_k gamma^k * ((1-beta) * e_{k+1} + beta * |e_{k+1} - sg(e_k)|).
-
-    Accepts beta == 0 so the pure geometric accumulation can be exercised
-    on its own; RolloutConfig itself keeps beta strictly positive.
-    """
-    if not errors:
-        raise ValueError("discounted_loss: empty error list")
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must be in (0, 1), got {gamma}")
-    if not 0.0 <= beta < 0.5:
-        raise ValueError(f"beta must be in [0, 0.5), got {beta}")
-    loss = errors[0]
-    for k in range(1, len(errors)):
-        term = scale(errors[k], 1.0 - beta)
-        if beta > 0.0:
-            gap = absolute(errors[k] - stop_gradient(errors[k - 1]))
-            term = term + scale(gap, beta)
-        loss = loss + scale(term, gamma ** k)
-    return loss
-
-
 def loss_magnitude_factor(cfg: RolloutConfig) -> float:
     """(1 - gamma^n) / (1 - gamma): the objective-to-single-block magnitude ratio."""
     return (1.0 - cfg.gamma ** cfg.n) / (1.0 - cfg.gamma)
 
 
-def _batch(windows) -> list:
-    """A window (anything with ``context`` and ``future``) is a batch of one."""
-    batch = [windows] if hasattr(windows, "context") else list(windows)
-    if not batch:
+def _as_windows(windows) -> Windows:
+    """A ``Windows`` batch as it is; a ``SeriesWindow`` is a batch of one, a list is stacked."""
+    if not isinstance(windows, Windows):
+        batch = [windows] if isinstance(windows, SeriesWindow) else list(windows)
+        windows = Windows(np.array([w.context for w in batch], dtype=np.float64),
+                          np.array([w.future for w in batch], dtype=np.float64),
+                          np.array([w.origin_index for w in batch]))
+    if not len(windows):
         raise ValueError("empty batch of windows")
-    return batch
+    return windows
 
 
 def ar_loss(model: Forecaster, windows, cfg: RolloutConfig) -> BlockErrors:
     """Rollout objective averaged over a batch of windows, each on its own normalized scale.
 
+    ``windows`` is a ``Windows`` batch, one window, or a list of windows.
     Each window's context fixes its normalization state. The B contexts
     are normalized and stacked side by side as the S-by-(B*V) columns of
     one rollout, so e_k is the (1, B) row of per-window block errors, the
@@ -219,18 +180,17 @@ def ar_loss(model: Forecaster, windows, cfg: RolloutConfig) -> BlockErrors:
     per-window objectives (a batch of one is its own mean).
     """
     _check_model_cfg(model, cfg)
-    batch = _batch(windows)
-    context = np.stack([np.asarray(w.context, dtype=np.float64) for w in batch], axis=1)
-    future = np.stack([np.asarray(w.future, dtype=np.float64) for w in batch], axis=1)
-    if context.ndim != 3 or context.shape[0] != cfg.S:
-        raise ValueError(f"window context must be ({cfg.S}, V), got {context.shape[::2]}")
-    B, V = context.shape[1:]
-    if future.shape != (cfg.horizon, B, V):
-        raise ValueError(f"window future must be ({cfg.horizon}, {V}), got {future.shape[::2]}")
-    context = context.reshape(cfg.S, B * V)
+    batch = _as_windows(windows)
+    contexts, futures = batch.contexts, batch.futures
+    if contexts.ndim != 3 or contexts.shape[1] != cfg.S:
+        raise ValueError(f"window context must be ({cfg.S}, V), got {contexts.shape[1:]}")
+    B, _, V = contexts.shape
+    if futures.shape != (B, cfg.horizon, V):
+        raise ValueError(f"window future must be ({cfg.horizon}, {V}), got {futures.shape[1:]}")
+    context, future = batch.columns()
     state = NormState.from_context(context)
     ctx_n = apply_norm(context, state)
-    fut_n = apply_norm(future.reshape(cfg.horizon, B * V), state)
+    fut_n = apply_norm(future, state)
 
     prediction = rollout_predict(model, Tensor(ctx_n), cfg)
     errors = [
@@ -246,10 +206,9 @@ def ar_loss(model: Forecaster, windows, cfg: RolloutConfig) -> BlockErrors:
 
 def mse_loss(model: Forecaster, windows) -> Tensor:
     """Vanilla single-block objective: ar_loss at n=1 on each window's first T future steps."""
-    d = model.dims
-    batch = [SeriesWindow(w.context, np.asarray(w.future, dtype=np.float64)[:d.T], w.origin_index)
-             for w in _batch(windows)]
-    return ar_loss(model, batch, RolloutConfig(S=d.S, T=d.T, L=d.L, n=1)).loss
+    d, w = model.dims, _as_windows(windows)
+    return ar_loss(model, Windows(w.contexts, w.futures[:, :d.T], w.origins),
+                   RolloutConfig(S=d.S, T=d.T, L=d.L, n=1)).loss
 
 
 def loss_kink_gap(model: Forecaster, window, cfg: RolloutConfig) -> float:
@@ -294,18 +253,12 @@ def check_gradients(
     (and the looser 1/(1-gamma) * max_k form), reporting the largest
     per-block gradient norm as d_hat.
     """
-    names = list(model.params.keys())
+    names, params = list(model.params.keys()), list(model.params.values())
     with Tape() as tape:
         blocks = ar_loss(model, window, cfg)
-        grad_loss = np.concatenate(
-            [g.ravel() for g in tape.gradient(blocks.loss, list(model.params.values()))]
-        )
-        block_norms = []
-        for e in blocks.e:
-            ge = np.concatenate(
-                [g.ravel() for g in tape.gradient(e, list(model.params.values()))]
-            )
-            block_norms.append(float(np.linalg.norm(ge)))
+        grad_loss, *grad_e = (np.concatenate([g.ravel() for g in tape.gradient(t, params)])
+                              for t in [blocks.loss, *blocks.e])
+    block_norms = [float(np.linalg.norm(g)) for g in grad_e]
     anchors = [e.item() for e in blocks.e]
 
     base = model.param_vector()
@@ -319,15 +272,9 @@ def check_gradients(
     finally:
         model.set_param_vector(base)
 
-    per_param = []
-    offset = 0
-    for name in names:
-        size = model.params[name].values.size
-        err = max_relative_error(
-            grad_loss[offset:offset + size], fd[offset:offset + size], scale_floor
-        )
-        per_param.append((name, err))
-        offset += size
+    cuts = np.cumsum([t.values.size for t in params])[:-1]
+    per_param = [(name, max_relative_error(g, f, scale_floor))
+                 for name, g, f in zip(names, np.split(grad_loss, cuts), np.split(fd, cuts))]
 
     loss_norm = float(np.linalg.norm(grad_loss))
     triangle = sum(cfg.gamma ** k * block_norms[k] for k in range(cfg.n))

@@ -153,6 +153,7 @@ def _mean_objective(model, windows, cfg, loss_fn, batch_size: int) -> float:
     return total / len(windows)
 
 
+@np.errstate(over="raise", invalid="raise")  # an overflow or NaN raises where it happens
 def train(model: Forecaster, dataset: SeriesDataset, rollout_cfg: RolloutConfig,
           train_cfg: TrainConfig) -> tuple[Checkpoint, list[EpochStats]]:
     """Train in place; returns the best-validation checkpoint and the loss history.
@@ -161,9 +162,9 @@ def train(model: Forecaster, dataset: SeriesDataset, rollout_cfg: RolloutConfig,
     objective needs the full n*T future. Each mini-batch is one tape whose
     loss is the mean of its windows' objectives; validation runs in chunks
     of the same size. If the validation split is too short for any window,
-    the training loss stands in for early stopping. A non-finite batch loss
-    or gradient raises ``TrainingDivergedError`` before that batch's update,
-    and so does a non-finite validation loss.
+    the training loss stands in for early stopping. An overflow, a NaN, or a
+    non-finite loss or gradient raises ``TrainingDivergedError`` before that
+    batch's update, and so does one in validation.
     """
     horizon = rollout_cfg.T if train_cfg.objective == "mse" else rollout_cfg.horizon
     train_windows = window_iter(dataset, "train", rollout_cfg.S, horizon)
@@ -188,23 +189,26 @@ def train(model: Forecaster, dataset: SeriesDataset, rollout_cfg: RolloutConfig,
         order = rng.permutation(len(train_windows))
         epoch_loss = 0.0
         for start in range(0, len(order), train_cfg.batch_size):
-            batch = [train_windows[i] for i in order[start:start + train_cfg.batch_size]]
-            with Tape() as tape:
-                loss = loss_fn(model, batch, rollout_cfg)
-                grads = tape.gradient(loss, param_tensors)
+            batch = train_windows[order[start:start + train_cfg.batch_size]]
             step += 1
-            value = loss.item()
-            if not (math.isfinite(value) and all(np.isfinite(g).all() for g in grads)):
+            try:
+                with Tape() as tape:
+                    loss = loss_fn(model, batch, rollout_cfg)
+                    grads = tape.gradient(loss, param_tensors)
+                value = loss.item()
+                if not (math.isfinite(value) and all(np.isfinite(g).all() for g in grads)):
+                    raise FloatingPointError(f"loss {value:.6g}")
+                adam_step(param_arrays, dict(zip(param_arrays, grads)), state, step, train_cfg)
+            except FloatingPointError as exc:
                 raise TrainingDivergedError(f"training diverged at epoch {epoch}, step {step}: "
-                                            f"non-finite loss or gradient (loss {value:.6g})")
+                                            f"non-finite loss or gradient ({exc})") from None
             epoch_loss += value * len(batch)
-            adam_step(param_arrays, dict(zip(param_arrays, grads)), state, step, train_cfg)
         train_loss = epoch_loss / len(train_windows)
-        if val_windows:
+        try:
             val_loss = _mean_objective(model, val_windows, rollout_cfg, loss_fn,
-                                       train_cfg.batch_size)
-        else:
-            val_loss = train_loss
+                                       train_cfg.batch_size) if val_windows else train_loss
+        except FloatingPointError:
+            val_loss = math.nan
         if not math.isfinite(val_loss):
             raise TrainingDivergedError(f"training diverged at epoch {epoch}, after step {step}: "
                                         f"non-finite validation loss")

@@ -11,6 +11,7 @@ from arforecast.autodiff import (
     Tensor,
     absolute,
     add,
+    affine,
     concat,
     finite_diff_oracle,
     layer_norm,
@@ -385,3 +386,43 @@ def test_window_ops_reject_partial_windows():
         window_scores(Tensor(np.zeros((2, 5))), Tensor(np.zeros((2, 5))), 2)
     with pytest.raises(ValueError, match="attn"):
         window_mix(Tensor(np.zeros((2, 4))), Tensor(np.zeros((4, 4))), 2)
+
+
+def test_affine_is_matmul_plus_bias_bitwise():
+    rng = np.random.default_rng(5)
+    w_vals, x_vals, b_vals = (rng.normal(size=shape) for shape in ((4, 6), (6, 5), (4, 1)))
+    results = []
+    for layer in (affine, lambda w, x, b: matmul(w, x) + b):
+        with Tape() as tape:
+            w, x, b = (Tensor(v, requires_grad=True) for v in (w_vals, x_vals, b_vals))
+            y = layer(w, x, b)
+            grads = tape.gradient((y * y).mean(), [w, x, b])
+        results.append([y.values.tobytes()] + [g.tobytes() for g in grads])
+    assert results[0] == results[1]
+
+
+def test_affine_matches_oracle():
+    rng = np.random.default_rng(6)
+    shapes = [(3, 4), (4, 2), (3, 1)]
+    sizes = [int(np.prod(s)) for s in shapes]
+    weight = Tensor(rng.normal(size=(3, 2)))
+
+    def loss_of(vec):
+        w, x, b = (Tensor(part.reshape(shape), requires_grad=True)
+                   for part, shape in zip(np.split(vec, np.cumsum(sizes)[:-1]), shapes))
+        y = affine(w, x, b)
+        return (y * y * weight).sum(), (w, x, b)
+
+    base = rng.normal(size=sum(sizes))
+    with Tape() as tape:
+        loss, leaves = loss_of(base)
+        grads = np.concatenate([g.ravel() for g in tape.gradient(loss, list(leaves))])
+    fd = finite_diff_oracle(lambda vec: loss_of(vec)[0].item(), base, 1e-4)
+    assert max_relative_error(grads, fd) < 1e-6
+
+
+@pytest.mark.parametrize("w,x,b", [((3, 4), (5, 2), (3, 1)), ((3, 4), (4, 2), (3, 2)),
+                                   ((3, 4), (4, 2), (4, 1)), ((3, 4), (4,), (3, 1))])
+def test_affine_rejects_bad_shapes(w, x, b):
+    with pytest.raises(ValueError, match="affine"):
+        affine(Tensor(np.zeros(w)), Tensor(np.zeros(x)), Tensor(np.zeros(b)))

@@ -38,8 +38,11 @@ def test_every_trace_target_resolves():
     assert tracer.missing == set()
 
 
-@pytest.mark.parametrize("kind,V,extra", [("linear", 1, ()), ("mlp", 1, ()),
-                                          ("inverted_attention", 4, ("softmax", "layer_norm"))])
+@pytest.mark.parametrize("kind,V,extra", [
+    ("linear", 1, ()), ("mlp", 1, ("relu",)),
+    ("inverted_attention", 4, ("relu", "window_scores", "scale", "softmax", "window_mix", "add",
+                               "layer_norm")),
+])
 def test_counted_rule_names_match_the_tape(kind, V, extra):
     spans = _load_spans()
     cfg = RolloutConfig(S=48, T=12, n=4)
@@ -51,9 +54,10 @@ def test_counted_rule_names_match_the_tape(kind, V, extra):
     # the note spans.py takes on Tape.gradient, stripped to names as its metrics do
     counted = spans._rules((tape,), None)
     names = {rule.__name__.strip("_").removesuffix("_rule") for rule in counted}
-    expected = {"matmul", "add", "scale", "slice", "concat", *extra}
-    assert expected <= set(spans.RULES)
-    assert expected <= names
+    # layers are affine records, each block's error is one block_error record and the
+    # objective one discounted_loss; at L = 0 no block is sliced
+    assert names == {"affine", "concat", "block_error", "discounted_loss", "mean", *extra}
+    assert {"concat", "softmax", "layer_norm"} <= set(spans.RULES)
 
 
 @pytest.mark.parametrize("chunk_windows", [None, 7])

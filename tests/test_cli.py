@@ -417,3 +417,62 @@ def test_resolved_config_text_is_pinned(tmp_path, monkeypatch, name):
     cfg = RunConfig("run.ini", **overrides)
     cfg.write_resolved()
     assert (cfg.out_dir / "config_resolved.ini").read_text() == RESOLVED_TEXTS[name]
+
+
+def _cli(*argv):
+    """Run the CLI in a fresh interpreter, so stderr shows every warning as a user sees it."""
+    return subprocess.run([sys.executable, "-m", "arforecast", *map(str, argv)],
+                          capture_output=True, text=True)
+
+
+def test_diverging_train_prints_one_stderr_line(tmp_path):
+    cfg = write_config(tmp_path / "run.ini", tmp_path / "out", {"train": {"lr": "1e300"}})
+    proc = _cli("train", "--config", cfg)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [proc.stderr.strip()]
+    assert proc.stderr.startswith("runtime error: training diverged at epoch 1, step 2: "
+                                  "non-finite loss or gradient")
+    assert not (tmp_path / "out" / "checkpoint.arpt").exists()
+
+
+def test_overflowing_predict_prints_one_stderr_line(tmp_path):
+    ck = _predict_checkpoint(tmp_path)
+    inp = tmp_path / "input.csv"
+    inp.write_text("load\n" + "".join(f"{(-1) ** i * 1e308!r}\n" for i in range(48)))
+    out = tmp_path / "pred"
+    proc = _cli("predict", inp, "--checkpoint", ck, "--horizon", "12", "--out", out)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [proc.stderr.strip()]
+    assert proc.stderr.startswith("error: forecast holds non-finite values")
+    assert not out.exists()
+
+
+def _percent_csv_config(tmp_path, path_text):
+    csv = tmp_path / "d%1.csv"
+    csv.write_text("a\n" + "".join(f"{np.sin(i / 4):.6f}\n" for i in range(200)))
+    return write_config(tmp_path / "run.ini", tmp_path / "out",
+                        {"dataset": {"source": "csv", "path": path_text}})
+
+
+def test_percent_in_a_config_value_is_taken_literally(tmp_path):
+    path_text = str(tmp_path / "d%1.csv")
+    cfg = _percent_csv_config(tmp_path, path_text)
+    assert main(["train", "--config", str(cfg)]) == 0
+    resolved = (tmp_path / "out" / "config_resolved.ini").read_text()
+    assert f"path = {path_text}\n" in resolved
+    assert RunConfig(tmp_path / "out" / "config_resolved.ini").values["dataset"]["path"] == \
+        Path(path_text)
+
+
+def test_double_percent_is_not_an_escape(tmp_path, capsys):
+    cfg = _percent_csv_config(tmp_path, str(tmp_path / "d%%1.csv"))
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert "d%%1.csv" in capsys.readouterr().err
+
+
+def test_predict_missing_checkpoint_exits_2(tmp_path, capsys):
+    inp = _write_rows(tmp_path / "input.csv", 48)
+    assert main(["predict", str(inp), "--checkpoint", str(tmp_path / "absent.arpt"),
+                 "--horizon", "12", "--out", str(tmp_path / "pred")]) == 2
+    assert f"checkpoint not found: {tmp_path / 'absent.arpt'}" in capsys.readouterr().err
+    assert not (tmp_path / "pred").exists()

@@ -1,12 +1,17 @@
 """Generators, CSV ingestion, splits, and sliding windows."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arforecast.data import (
+    SPLITS,
     SeriesDataset,
+    SeriesWindow,
+    Windows,
     gen_ar_process,
     gen_sinusoid,
     load_csv,
@@ -167,7 +172,7 @@ def test_window_counts_small_cases():
     assert len(window_iter(_toy_dataset(10), "train", 4, 4)) == 3
     assert len(window_iter(_toy_dataset(8), "train", 4, 4)) == 1
     with pytest.warns(UserWarning):
-        assert window_iter(_toy_dataset(7), "train", 4, 4) == []
+        assert len(window_iter(_toy_dataset(7), "train", 4, 4)) == 0
 
 
 def test_window_contiguity_and_origin():
@@ -193,7 +198,7 @@ def test_window_count_closed_form(length, S, horizon, stride):
     if length < S + horizon:
         with pytest.warns(UserWarning):
             windows = window_iter(ds, "train", S, horizon, stride)
-        assert windows == []
+        assert len(windows) == 0
     else:
         windows = window_iter(ds, "train", S, horizon, stride)
         assert len(windows) == (length - S - horizon) // stride + 1
@@ -214,3 +219,52 @@ def test_window_iter_validates_arguments():
         window_iter(ds, "train", 0, 4)
     with pytest.raises(ValueError):
         window_iter(ds, "nope", 4, 4)
+
+
+def _listed_windows(ds, split, S, horizon, stride=1):
+    """window_iter as it was, one SeriesWindow per origin built in a loop: Windows' reference."""
+    lo, hi = ds.split_range(split)
+    return [SeriesWindow(ds.values[o:o + S], ds.values[o + S:o + S + horizon], o)
+            for o in range(lo, hi - S - horizon + 1, stride)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(length=st.integers(1, 150), V=st.integers(1, 3), S=st.integers(1, 12),
+       horizon=st.integers(1, 12), stride=st.integers(1, 4), split=st.sampled_from(SPLITS))
+def test_windows_match_the_listed_windows(length, V, S, horizon, stride, split):
+    ds = gen_sinusoid(length, V=V, periods=[24.0, 7.0, 5.0][:V], noise_std=0.3, seed=length)
+    want = _listed_windows(ds, split, S, horizon, stride)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = window_iter(ds, split, S, horizon, stride)
+    lo, hi = ds.split_range(split)
+    assert len(caught) == (hi - lo < S + horizon)
+    assert isinstance(got, Windows) and len(got) == len(want)
+    assert got.contexts.shape == (len(want), S, V)
+    assert got.futures.shape == (len(want), horizon, V)
+    np.testing.assert_array_equal(got.origins, [w.origin_index for w in want])
+    for i, (one, ref) in enumerate(zip(got, want, strict=True)):
+        for w in (one, got[i]):
+            assert isinstance(w, SeriesWindow) and w.origin_index == ref.origin_index
+            np.testing.assert_array_equal(w.context, ref.context)
+            np.testing.assert_array_equal(w.future, ref.future)
+    picks = np.arange(len(want))[::-2]
+    for part, ref in ((got[1:4], want[1:4]), (got[picks], [want[i] for i in picks])):
+        assert isinstance(part, Windows) and len(part) == len(ref)
+        want_contexts = np.array([w.context for w in ref]).reshape(-1, V)
+        np.testing.assert_array_equal(part.contexts.reshape(-1, V), want_contexts)
+    if want:
+        with pytest.raises(ValueError, match="read-only"):
+            got.contexts[0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            got[0].future[0, 0] = 1.0
+        assert ds.values.flags.writeable
+
+
+def test_windows_columns_stack_windows_side_by_side():
+    ds = gen_sinusoid(60, V=2, periods=[7.0, 5.0], noise_std=0.1, seed=1)
+    windows = window_iter(ds, "train", 4, 3)[np.array([5, 0, 2])]
+    context, future = windows.columns()
+    assert context.flags.c_contiguous and future.flags.c_contiguous
+    np.testing.assert_array_equal(context, np.stack(list(windows.contexts), axis=1).reshape(4, 6))
+    np.testing.assert_array_equal(future, np.stack(list(windows.futures), axis=1).reshape(3, 6))

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arforecast.autodiff import Tape, Tensor, absolute, scale, stop_gradient
+from arforecast.autodiff import Tape, Tensor, absolute, matmul, mean_all, scale, stop_gradient
 from arforecast.data import SeriesWindow, gen_sinusoid, window_iter
 from arforecast.models import Dims, forecast, init_forecaster
 from arforecast.rollout import (
@@ -465,3 +465,105 @@ def test_min_kink_gap_is_smallest_relu_or_abs_input(kind, V):
     assert len(inputs) == 2 * cfg.n - 1
     assert gap == pytest.approx(min(np.min(np.abs(x)) for x in inputs), rel=1e-9)
     assert Tape().min_kink_gap == float("inf")
+
+
+def _composite_block_error(pred_block, truth_block, V):
+    """block_error as sub, mul and constant-matrix matmul records: the fused op's reference."""
+    rows, width = pred_block.shape
+    diff = pred_block - Tensor(truth_block)
+    per_column = matmul(Tensor(np.full((1, rows), 1.0 / (rows * V))), diff * diff)
+    if V == 1:
+        return per_column
+    return matmul(per_column, Tensor(np.kron(np.eye(width // V), np.ones((V, 1)))))
+
+
+def _composite_discounted_loss(errors, gamma, beta):
+    """discounted_loss as scale, abs and stop_gradient records: the reference for the fused op."""
+    loss = errors[0]
+    for k in range(1, len(errors)):
+        term = scale(errors[k], 1.0 - beta)
+        if beta > 0.0:
+            term = term + scale(absolute(errors[k] - stop_gradient(errors[k - 1])), beta)
+        loss = loss + scale(term, gamma ** k)
+    return loss
+
+
+def _batch_objective(model, context, future, cfg, beta, V, block_error_fn, discounted_fn):
+    """(loss, e rows, parameter gradient, min_kink_gap, rule names) of one taped batch."""
+    with Tape() as tape:
+        prediction = rollout_predict(model, Tensor(context), cfg)
+        errors = [block_error_fn(block, future[k * cfg.T:(k + 1) * cfg.T], V)
+                  for k, block in enumerate(prediction.blocks)]
+        loss = mean_all(discounted_fn(errors, cfg.gamma, beta))
+        grad = np.concatenate([g.ravel() for g in tape.gradient(loss, list(model.params.values()))])
+        rules = [rule.__name__ for _, _, rule, _ in tape.records]
+        return loss.item(), np.vstack([e.values for e in errors]), grad, tape.min_kink_gap, rules
+
+
+@st.composite
+def _objective_draws(draw):
+    kind, hidden = draw(st.sampled_from([("linear", 0), ("mlp", 3), ("inverted_attention", 3)]))
+    S = draw(st.integers(2, 7))
+    cfg = RolloutConfig(S=S, T=draw(st.integers(1, 4)), L=draw(st.integers(0, S - 1)),
+                        n=draw(st.integers(1, 5)), gamma=draw(st.sampled_from([0.3, 0.5, 0.9])))
+    beta = draw(st.sampled_from([0.0, 0.05, 0.1, 0.3, 0.45]))
+    return kind, hidden, cfg, beta, draw(st.integers(1, 4)), draw(st.integers(1, 6)), \
+        draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_objective_draws())
+@example(("linear", 0, RolloutConfig(S=6, T=2, n=5), 0.0, 1, 3, 0))
+@example(("inverted_attention", 3, RolloutConfig(S=5, T=2, L=1, n=4), 0.3, 4, 2, 1))
+def test_fused_objective_matches_the_composite(draw):
+    kind, hidden, cfg, beta, V, B, seed = draw
+    rng = np.random.default_rng(seed)
+    model = init_forecaster(kind, Dims(S=cfg.S, T=cfg.T, L=cfg.L, V=V, hidden=hidden), seed=seed)
+    context = rng.normal(size=(cfg.S, B * V))
+    future = rng.normal(size=(cfg.horizon, B * V))
+    args = (model, context, future, cfg, beta, V)
+    loss, e, grad, gap, rules = _batch_objective(*args, block_error, discounted_loss)
+    want_loss, want_e, want_grad, want_gap, _ = _batch_objective(
+        *args, _composite_block_error, _composite_discounted_loss)
+    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+    np.testing.assert_allclose(e, want_e, rtol=1e-12, atol=0.0)
+    assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+    assert gap == want_gap
+    # one record per block error and, past one block, one for the whole objective
+    assert rules.count("_block_error_rule") == cfg.n
+    assert rules.count("_discounted_loss_rule") == (cfg.n > 1)
+
+
+def test_block_error_rejects_partial_windows():
+    with pytest.raises(ValueError, match="window"):
+        block_error(Tensor(np.zeros((2, 5))), Tensor(np.zeros((2, 5))), 2)
+
+
+def test_discounted_loss_saves_the_penalty_gaps():
+    errors = [Tensor(row, requires_grad=True) for row in ([[0.5, 0.25]], [[0.75, 0.125]],
+                                                          [[0.875, 0.5]])]
+    with Tape() as tape:
+        discounted_loss(errors, 0.5, 0.1)
+        assert tape.min_kink_gap == 0.125
+    with Tape() as tape:  # without the penalty there is no kink
+        discounted_loss(errors, 0.5, 0.0)
+        assert tape.min_kink_gap == float("inf")
+
+
+@pytest.mark.parametrize("kind,V", [("linear", 1), ("inverted_attention", 3)])
+def test_ar_loss_on_windows_equals_ar_loss_on_listed_windows(kind, V):
+    cfg = RolloutConfig(S=12, T=3, L=1, n=3)
+    ds = gen_sinusoid(300, V=V, periods=[24.0, 17.0, 9.0][:V], noise_std=0.2, seed=6)
+    windows = window_iter(ds, "train", cfg.S, cfg.horizon)
+    model = init_forecaster(kind, Dims(S=cfg.S, T=cfg.T, L=cfg.L, V=V, hidden=5), seed=8)
+    picks = [17, 3, 40, 9, 3]
+    params = list(model.params.values())
+    results = []
+    for batch in (windows[np.array(picks)], [windows[i] for i in picks]):
+        with Tape() as tape:
+            blocks = ar_loss(model, batch, cfg)
+            grads = tape.gradient(blocks.loss, params)
+        results.append((blocks.loss.values.tobytes(), [e.values.tobytes() for e in blocks.e],
+                        [g.tobytes() for g in grads], blocks.violations,
+                        mse_loss(model, batch).values.tobytes()))
+    assert results[0] == results[1]
