@@ -1,0 +1,115 @@
+#!/usr/bin/env python3
+"""Train, evaluate, predict and gradcheck fixed configs, and print the sha256 of every artifact.
+
+A change meant to keep the numerics bit for bit is checked by running this
+script in two checkouts and comparing the outputs with ``diff``. It imports
+arforecast from the checkout it lives in. Four configs, each trained for 10
+epochs: the README demo for linear, mlp (hidden 32) and inverted_attention
+(hidden 16, V = 4), and inverted_attention with an overlap (hidden 8, V = 3,
+L = 3). For each it hashes the checkpoint and history, the
+``eval --horizon 168`` report and curve (normalized and ``--raw-scale``),
+``predict --horizon 168`` predictions, and ``gradcheck`` stdout. ``run.ini``
+and ``config_resolved.ini`` name the output directory, so they are not hashed.
+
+Usage:
+    python scripts/artifact_hashes.py OUT > hashes.txt
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+import numpy as np  # noqa: E402
+
+from arforecast import gen_sinusoid  # noqa: E402
+from arforecast.cli import main as cli_main  # noqa: E402
+
+CONFIGS = {  # name: (kind, hidden, variates, overlap L)
+    "linear": ("linear", 0, 1, 0),
+    "mlp": ("mlp", 32, 1, 0),
+    "attention": ("inverted_attention", 16, 4, 0),
+    "attention_overlap": ("inverted_attention", 8, 3, 3),
+}
+
+INI = """[dataset]
+source = sinusoid
+length = 1600
+variates = {V}
+periods = 144
+noise_std = 0.1
+seed = 0
+
+[model]
+kind = {kind}
+hidden = {hidden}
+
+[rollout]
+s = 48
+t = 12
+l = {L}
+n = 4
+gamma = 0.5
+beta = 0.1
+
+[train]
+lr = 0.01
+batch_size = 32
+max_epochs = 10
+patience = 5
+seed = 1
+objective = ar
+
+[output]
+dir = {out}
+"""
+
+
+def run(*argv: str) -> str:
+    """Run one CLI command in-process; its stdout, or exit with its code on failure."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli_main(list(argv))
+    if code != 0:
+        sys.exit(f"{argv[0]} failed with exit code {code}:\n{stdout.getvalue()}")
+    return stdout.getvalue()
+
+
+def produce(root: Path, name: str, kind: str, hidden: int, V: int, L: int) -> None:
+    out = root / name
+    out.mkdir(parents=True, exist_ok=True)
+    config = out / "run.ini"
+    config.write_text(INI.format(kind=kind, hidden=hidden, V=V, L=L, out=out))
+    history = out / "history_input.csv"
+    rows = gen_sinusoid(200, V=V, periods=144.0, noise_std=0.1, seed=7).values
+    np.savetxt(history, rows, fmt="%.17g", delimiter=",",
+               header=",".join(f"x{j}" for j in range(V)), comments="")
+    checkpoint = str(out / "checkpoint.arpt")
+    run("train", "--config", str(config))
+    run("eval", "--config", str(config), "--checkpoint", checkpoint, "--horizon", "168",
+        "--out", str(out / "eval"))
+    run("eval", "--config", str(config), "--checkpoint", checkpoint, "--horizon", "168",
+        "--out", str(out / "eval_raw"), "--raw-scale")
+    run("predict", str(history), "--checkpoint", checkpoint, "--horizon", "168",
+        "--out", str(out / "predict"))
+    (out / "gradcheck.txt").write_text(run("gradcheck", "--config", str(config),
+                                           "--out", str(out / "gradcheck")))
+
+
+def main() -> None:
+    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    p.add_argument("out", type=Path, help="directory for the artifacts (created if missing)")
+    root = p.parse_args().out.resolve()
+    for name, spec in CONFIGS.items():
+        produce(root, name, *spec)
+    for path in sorted(root.rglob("*")):
+        if path.is_file() and path.name not in ("run.ini", "config_resolved.ini"):
+            print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(root)}")
+
+
+if __name__ == "__main__":
+    main()

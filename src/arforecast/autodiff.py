@@ -5,7 +5,8 @@ the rollout objective need: elementwise arithmetic, column-broadcast
 addition, matrix multiply, ``w @ x + b``, relu/abs, full reductions,
 slicing and concatenation, softmax and layer normalization along an axis,
 two per-window products for windows side by side as groups of V columns,
-the objective's block error and discounted sum, and a stop-gradient
+the attention model's attention and feed-forward sublayers as one record
+each, the objective's block error and discounted sum, and a stop-gradient
 operator: the identity forward, and no gradient flow backward.
 
 A ``Tape`` is built fresh for every loss evaluation (define-by-run) and
@@ -142,8 +143,8 @@ class Tape:
 
     @property
     def min_kink_gap(self) -> float:
-        """Smallest |x| at any recorded kink: relu/abs inputs and discounted_loss's saved gaps."""
-        kinks = (_relu_rule, _abs_rule, _discounted_loss_rule)  # looked up now: swaps count
+        """Smallest |x| at any recorded kink: relu/abs/ffn_sublayer inputs, discounted_loss gaps."""
+        kinks = (_relu_rule, _abs_rule, _ffn_sublayer_rule, _discounted_loss_rule)  # late-bound
         return min((float(np.min(np.abs(ctx[0]), initial=np.inf))
                     for _, _, rule, ctx in self.records if rule in kinks), default=float("inf"))
 
@@ -261,13 +262,14 @@ def _slice_rule(ctx, g):
 
 def _softmax_rule(ctx, g):
     y, axis = ctx
-    return (y * (g - np.sum(g * y, axis=axis, keepdims=True)),)
+    return (y * (g - np.add.reduce(g * y, axis, keepdims=True)),)
 
 
 def _layer_norm_rule(ctx, g):
     y, inv, axis = ctx
-    g_mean = np.mean(g, axis=axis, keepdims=True)
-    gy_mean = np.mean(g * y, axis=axis, keepdims=True)
+    n = y.shape[axis]
+    g_mean = np.add.reduce(g, axis, keepdims=True) / n
+    gy_mean = np.add.reduce(g * y, axis, keepdims=True) / n
     return (inv * (g - g_mean - y * gy_mean),)
 
 
@@ -281,6 +283,28 @@ def _window_mix_rule(ctx, g):
     v3, a3 = ctx  # (B, h, V) and (B, V, V)
     g3 = _windows(g, a3.shape[2])
     return _unwindow(g3 @ a3), (g3.transpose(0, 2, 1) @ v3).reshape(-1, a3.shape[2])
+
+
+def _attention_sublayer_rule(ctx, g):
+    # the composite's rules in reverse record order; tokens sums its four uses in that order too
+    x, wq, wk, wv, wo, qk, c, attn, va, mix, y, inv = ctx
+    (g,) = _layer_norm_rule((y, inv, 0), g)
+    g_wo, g_mix, g_bo = _affine_rule((wo, mix), g)
+    g_val, g_attn = _window_mix_rule(va, g_mix)
+    (g_scores,) = _scale_rule((c,), *_softmax_rule((attn, 1), g_attn))
+    g_q, g_k = _window_scores_rule(qk, g_scores)
+    g_wv, g_xv, g_bv = _affine_rule((wv, x), g_val)
+    g_wk, g_xk, g_bk = _affine_rule((wk, x), g_k)
+    g_wq, g_xq, g_bq = _affine_rule((wq, x), g_q)
+    return ((g + g_xv) + g_xk) + g_xq, g_wq, g_bq, g_wk, g_bk, g_wv, g_bv, g_wo, g_bo
+
+
+def _ffn_sublayer_rule(ctx, g):
+    pre, x, w1, w2, r, y, inv = ctx  # pre, the relu input, first: min_kink_gap reads it
+    (g,) = _layer_norm_rule((y, inv, 0), g)
+    g_w2, g_r, g_b2 = _affine_rule((w2, r), g)
+    g_w1, g_x, g_b1 = _affine_rule((w1, x), *_relu_rule((pre,), g_r))
+    return g + g_x, g_w1, g_b1, g_w2, g_b2
 
 
 def _block_error_rule(ctx, g):
@@ -418,6 +442,12 @@ def _check_windows(op: str, a: Tensor, V: int) -> None:
         raise ValueError(f"{op}: expects a 2-d operand of whole {V}-column windows, got {a.shape}")
 
 
+def _window_scores_values(q: np.ndarray, k: np.ndarray, V: int):
+    """(per-window q_b.T @ k_b stacked as (B*V, V), the saved (q3, k3))."""
+    q3, k3 = _windows(q, V), _windows(k, V)
+    return (q3.transpose(0, 2, 1) @ k3).reshape(-1, V), (q3, k3)
+
+
 def window_scores(q: Tensor, k: Tensor, V: int) -> Tensor:
     """Per-window ``q_b.T @ k_b``, stacked as a (B*V, V) tensor.
 
@@ -426,9 +456,16 @@ def window_scores(q: Tensor, k: Tensor, V: int) -> Tensor:
     """
     _check_windows("window_scores", q, V)
     _same_shape(q, k, "window_scores")
-    q3, k3 = _windows(q.values, V), _windows(k.values, V)
-    out = (q3.transpose(0, 2, 1) @ k3).reshape(-1, V)
-    return _emit(out, (q, k), _window_scores_rule, (q3, k3))
+    out, saved = _window_scores_values(q.values, k.values, V)
+    return _emit(out, (q, k), _window_scores_rule, saved)
+
+
+def _window_mix_values(val: np.ndarray, attn: np.ndarray, V: int):
+    """(per-window val_b @ attn_b.T stacked back as C-ordered (h, B*V), the saved (v3, a3))."""
+    h, width = val.shape
+    v3, a3 = _windows(val, V), attn.reshape(-1, V, V)
+    # (attn_b @ val_b.T).T is val_b @ attn_b.T; the (B, V, h) product flattens without a copy
+    return np.ascontiguousarray((a3 @ v3.transpose(0, 2, 1)).reshape(width, h).T), (v3, a3)
 
 
 def window_mix(val: Tensor, attn: Tensor, V: int) -> Tensor:
@@ -438,14 +475,37 @@ def window_mix(val: Tensor, attn: Tensor, V: int) -> Tensor:
     of per-window V-by-V matrices that ``window_scores`` produces.
     """
     _check_windows("window_mix", val, V)
-    h, width = val.values.shape
+    width = val.values.shape[1]
     if attn.values.shape != (width, V):
         raise ValueError(f"window_mix: attn must be ({width}, {V}), got {attn.shape}")
-    v3, a3 = _windows(val.values, V), attn.values.reshape(-1, V, V)
-    # (attn_b @ val_b.T).T is val_b @ attn_b.T; the (B, V, h) product
-    # flattens to (B*V, h) without a copy
-    out = (a3 @ v3.transpose(0, 2, 1)).reshape(width, h).T
-    return _emit(out, (val, attn), _window_mix_rule, (v3, a3))
+    out, saved = _window_mix_values(val.values, attn.values, V)
+    return _emit(out, (val, attn), _window_mix_rule, saved)
+
+
+def attention_sublayer(tokens: Tensor, q_w: Tensor, q_b: Tensor, k_w: Tensor, k_b: Tensor,
+                       v_w: Tensor, v_b: Tensor, o_w: Tensor, o_b: Tensor, V: int) -> Tensor:
+    """``layer_norm(tokens + affine(o, window_mix(val, softmax(scale(window_scores(q, k, V),
+    1/sqrt(h)), 1), V)), 0)`` for q, k, val = affine(q|k|v, tokens): one record, same floats."""
+    _check_windows("attention_sublayer", tokens, V)
+    x = tokens.values
+    q, k, val = (w.values @ x + b.values for w, b in ((q_w, q_b), (k_w, k_b), (v_w, v_b)))
+    scores, qk = _window_scores_values(q, k, V)
+    c = float(1.0 / np.sqrt(x.shape[0]))
+    attn = _softmax_values(scores * c, 1)
+    mix, va = _window_mix_values(val, attn, V)
+    y, inv = _layer_norm_values(x + (o_w.values @ mix + o_b.values), 0, _LN_EPS)
+    return _emit(y, (tokens, q_w, q_b, k_w, k_b, v_w, v_b, o_w, o_b), _attention_sublayer_rule,
+                 (x, q_w.values, k_w.values, v_w.values, o_w.values, qk, c, attn, va, mix, y, inv))
+
+
+def ffn_sublayer(x1: Tensor, ff1_w: Tensor, ff1_b: Tensor, ff2_w: Tensor, ff2_b: Tensor) -> Tensor:
+    """``layer_norm(x1 + affine(ff2, relu(affine(ff1, x1))), 0)``: one record, same floats."""
+    x = x1.values
+    pre = ff1_w.values @ x + ff1_b.values
+    r = np.maximum(pre, 0.0)
+    y, inv = _layer_norm_values(x + (ff2_w.values @ r + ff2_b.values), 0, _LN_EPS)
+    return _emit(y, (x1, ff1_w, ff1_b, ff2_w, ff2_b), _ffn_sublayer_rule,
+                 (pre, x, ff1_w.values, ff2_w.values, r, y, inv))
 
 
 def relu(a: Tensor) -> Tensor:
@@ -493,23 +553,30 @@ def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     return _emit(a.values[tuple(index)], (a,), _slice_rule, (a.values.shape, axis, start, stop))
 
 
+def _softmax_values(x: np.ndarray, axis: int) -> np.ndarray:
+    e = np.exp(x - np.maximum.reduce(x, axis, keepdims=True))
+    return e / np.add.reduce(e, axis, keepdims=True)
+
+
 def softmax(a: Tensor, axis: int) -> Tensor:
     if not 0 <= axis < a.values.ndim:
         raise ValueError(f"softmax: axis {axis} out of range for shape {a.shape}")
-    shifted = a.values - np.max(a.values, axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / np.sum(e, axis=axis, keepdims=True)
+    y = _softmax_values(a.values, axis)
     return _emit(y, (a,), _softmax_rule, (y, axis))
+
+
+def _layer_norm_values(x: np.ndarray, axis: int, eps: float):
+    """(normalized x, saved 1/sqrt(var + eps)); np.add.reduce(..) / n is np.mean, unwrapped."""
+    n = x.shape[axis]
+    centered = x - np.add.reduce(x, axis, keepdims=True) / n
+    inv = 1.0 / np.sqrt(np.add.reduce(centered * centered, axis, keepdims=True) / n + eps)
+    return centered * inv, inv
 
 
 def layer_norm(a: Tensor, axis: int, eps: float = _LN_EPS) -> Tensor:
     if not 0 <= axis < a.values.ndim:
         raise ValueError(f"layer_norm: axis {axis} out of range for shape {a.shape}")
-    mu = np.mean(a.values, axis=axis, keepdims=True)
-    centered = a.values - mu
-    var = np.mean(centered * centered, axis=axis, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = centered * inv
+    y, inv = _layer_norm_values(a.values, axis, eps)
     return _emit(y, (a,), _layer_norm_rule, (y, inv, axis))
 
 

@@ -151,7 +151,11 @@ def load_csv(path, has_header=True, time_column=None, ratios=DEFAULT_SPLIT) -> S
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+        reader = csv.reader(fh)
+        try:
+            rows = list(reader)
+        except csv.Error as exc:  # e.g. a cell over csv's field size limit
+            raise ValueError(f"{path}: {exc} at line {reader.line_num}") from None
     rows = [r for r in rows if r]  # tolerate trailing blank lines
     if not rows:
         raise ValueError(f"{path}: empty file")

@@ -16,16 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import (
-    Tensor,
-    affine,
-    layer_norm,
-    relu,
-    scale,
-    softmax,
-    window_mix,
-    window_scores,
-)
+from .autodiff import Tensor, affine, attention_sublayer, ffn_sublayer, relu
 
 KINDS = ("linear", "mlp", "inverted_attention")
 
@@ -61,28 +52,28 @@ class Dims:
         return self.L + self.T
 
 
-@dataclass
+@dataclass(eq=False)  # a model is itself, not its parameter values
 class Forecaster:
+    """A model whose ``params`` tensors are views of one contiguous vector, ``flat``."""
+
     kind: str
     dims: Dims
     params: dict[str, Tensor]
+    flat: np.ndarray
 
     def param_vector(self) -> np.ndarray:
-        return np.concatenate([t.values.ravel() for t in self.params.values()])
+        return self.flat.copy()
 
     def set_param_vector(self, vec: np.ndarray) -> None:
         vec = np.asarray(vec, dtype=np.float64).ravel()
-        offset = 0
-        for t in self.params.values():
-            n = t.values.size
-            t.values[...] = vec[offset:offset + n].reshape(t.values.shape)
-            offset += n
-        if offset != vec.size:
-            raise ValueError(f"parameter vector has {vec.size} entries, model needs {offset}")
+        if vec.size != self.flat.size:
+            raise ValueError(f"parameter vector has {vec.size} entries, "
+                             f"model needs {self.flat.size}")
+        self.flat[...] = vec
 
     @property
     def param_count(self) -> int:
-        return sum(t.values.size for t in self.params.values())
+        return self.flat.size
 
 
 def _param_shapes(kind: str, dims: Dims) -> list[tuple[str, tuple[int, int], int]]:
@@ -116,6 +107,20 @@ def param_count(kind: str, dims: Dims) -> int:
     return sum(int(np.prod(shape)) for _, shape, _ in _param_shapes(kind, dims))
 
 
+def build_forecaster(kind: str, dims: Dims, arrays) -> Forecaster:
+    """A model over one flat copy of ``arrays`` (name -> array), in _param_shapes order."""
+    shapes = _param_shapes(kind, dims)
+    flat = np.concatenate([np.asarray(arrays[name], dtype=np.float64).ravel()
+                           for name, _, _ in shapes])
+    params, offset = {}, 0
+    for name, shape, _ in shapes:
+        size = int(np.prod(shape))
+        params[name] = tensor = Tensor(0.0, requires_grad=True)
+        tensor.values = flat[offset:offset + size].reshape(shape)
+        offset += size
+    return Forecaster(kind=kind, dims=dims, params=params, flat=flat)
+
+
 def init_forecaster(kind: str, dims: Dims, seed: int) -> Forecaster:
     """Seeded uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) initialization.
 
@@ -125,11 +130,9 @@ def init_forecaster(kind: str, dims: Dims, seed: int) -> Forecaster:
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     rng = np.random.Generator(np.random.Philox(seed))
-    params: dict[str, Tensor] = {}
-    for name, shape, fan_in in _param_shapes(kind, dims):
-        bound = 1.0 / np.sqrt(fan_in)
-        params[name] = Tensor(rng.uniform(-bound, bound, size=shape), requires_grad=True)
-    return Forecaster(kind=kind, dims=dims, params=params)
+    return build_forecaster(kind, dims, {
+        name: rng.uniform(-1.0 / np.sqrt(fan_in), 1.0 / np.sqrt(fan_in), size=shape)
+        for name, shape, fan_in in _param_shapes(kind, dims)})
 
 
 def forecast(model: Forecaster, context: Tensor) -> Tensor:
@@ -146,16 +149,8 @@ def forecast(model: Forecaster, context: Tensor) -> Tensor:
         return affine(p["w2"], relu(affine(p["w1"], context, p["b1"])), p["b2"])
     if model.kind == "inverted_attention":
         tokens = affine(p["embed_w"], context, p["embed_b"])
-        q = affine(p["q_w"], tokens, p["q_b"])
-        k = affine(p["k_w"], tokens, p["k_b"])
-        val = affine(p["v_w"], tokens, p["v_b"])
-        scores = scale(window_scores(q, k, dims.V), 1.0 / np.sqrt(dims.hidden))
-        attn = softmax(scores, axis=1)
-        mixed = affine(p["o_w"], window_mix(val, attn, dims.V), p["o_b"])
-        x1 = layer_norm(tokens + mixed, axis=0)
-        ff = relu(affine(p["ff1_w"], x1, p["ff1_b"]))
-        ff = affine(p["ff2_w"], ff, p["ff2_b"])
-        x2 = layer_norm(x1 + ff, axis=0)
+        x1 = attention_sublayer(tokens, *(p[f"{n}_{wb}"] for n in "qkvo" for wb in "wb"), dims.V)
+        x2 = ffn_sublayer(x1, p["ff1_w"], p["ff1_b"], p["ff2_w"], p["ff2_b"])
         return affine(p["proj_w"], x2, p["proj_b"])
     raise ValueError(f"unknown forecaster kind {model.kind!r}")
 
@@ -172,9 +167,12 @@ class NormState:
         context = np.asarray(context, dtype=np.float64)
         if context.ndim != 2:
             raise ValueError(f"context must be 2-d, got shape {context.shape}")
-        mean = context.mean(axis=0)
-        std = np.maximum(context.std(axis=0), STD_FLOOR)
-        return cls(mean=mean, std=std)
+        # np.mean and np.std's float operations, without their Python wrappers
+        n = context.shape[0]
+        mean = np.add.reduce(context, 0) / n
+        centered = context - mean
+        std = np.sqrt(np.add.reduce(centered * centered, 0) / n)
+        return cls(mean=mean, std=np.maximum(std, STD_FLOOR))
 
 
 def apply_norm(x: np.ndarray, state: NormState) -> np.ndarray:

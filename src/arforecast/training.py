@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import Tape, Tensor
+from .autodiff import Tape
 from .data import SeriesDataset, window_iter, write_fresh
-from .models import Dims, Forecaster, _param_shapes
+from .models import Dims, Forecaster, _param_shapes, build_forecaster
 from .rollout import RolloutConfig, ar_loss, mse_loss
 
 CHECKPOINT_MAGIC = b"ARPT"
@@ -69,35 +69,27 @@ class TrainConfig:
 
 @dataclass
 class AdamState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
 
     @classmethod
-    def zeros_like(cls, params: dict[str, np.ndarray]) -> "AdamState":
-        return cls(
-            m={k: np.zeros_like(p) for k, p in params.items()},
-            v={k: np.zeros_like(p) for k, p in params.items()},
-        )
+    def zeros_like(cls, params: np.ndarray) -> "AdamState":
+        return cls(m=np.zeros_like(params), v=np.zeros_like(params))
 
 
-def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-              state: AdamState, t: int, cfg: TrainConfig):
-    """One bias-corrected Adam update, in place. ``t`` is 1-based."""
+def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState, t: int, cfg: TrainConfig):
+    """One bias-corrected Adam update of a parameter vector, elementwise, in place; ``t`` >= 1."""
     if t < 1:
         raise ValueError(f"step index must be >= 1, got {t}")
-    if set(params) != set(grads):
-        raise ValueError("params and grads must share the same keys")
+    if grad.shape != params.shape:
+        raise ValueError(f"gradient shape {grad.shape} != parameter shape {params.shape}")
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.shape:
-            raise ValueError(f"gradient shape {g.shape} != param shape {p.shape} for {name!r}")
-        m, v = state.m[name], state.v[name]
-        m[...] = b1 * m + (1.0 - b1) * g
-        v[...] = b2 * v + (1.0 - b2) * g * g
-        m_hat = m / (1.0 - b1 ** t)
-        v_hat = v / (1.0 - b2 ** t)
-        p[...] = p - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+    m, v = state.m, state.v
+    m[...] = b1 * m + (1.0 - b1) * grad
+    v[...] = b2 * v + (1.0 - b2) * grad * grad
+    m_hat = m / (1.0 - b1 ** t)
+    v_hat = v / (1.0 - b2 ** t)
+    params[...] = params - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
     return params, state
 
 
@@ -114,9 +106,7 @@ class Checkpoint:
 
     def to_forecaster(self) -> Forecaster:
         """A model holding copies of the checkpoint's parameters, in initialization order."""
-        params = {name: Tensor(self.params[name], requires_grad=True)
-                  for name, _, _ in _param_shapes(self.kind, self.dims)}
-        return Forecaster(kind=self.kind, dims=self.dims, params=params)
+        return build_forecaster(self.kind, self.dims, self.params)
 
     @classmethod
     def from_forecaster(cls, model: Forecaster, rollout: RolloutConfig,
@@ -174,8 +164,7 @@ def train(model: Forecaster, dataset: SeriesDataset, rollout_cfg: RolloutConfig,
 
     loss_fn = _objective_fn(train_cfg.objective)
     param_tensors = list(model.params.values())
-    param_arrays = {k: t.values for k, t in model.params.items()}
-    state = AdamState.zeros_like(param_arrays)
+    state = AdamState.zeros_like(model.flat)
     rng = np.random.Generator(np.random.Philox(train_cfg.seed))
 
     best = Checkpoint.from_forecaster(model, rollout_cfg, epoch=0,
@@ -194,11 +183,11 @@ def train(model: Forecaster, dataset: SeriesDataset, rollout_cfg: RolloutConfig,
             try:
                 with Tape() as tape:
                     loss = loss_fn(model, batch, rollout_cfg)
-                    grads = tape.gradient(loss, param_tensors)
+                    grad = np.concatenate([g.ravel() for g in tape.gradient(loss, param_tensors)])
                 value = loss.item()
-                if not (math.isfinite(value) and all(np.isfinite(g).all() for g in grads)):
+                if not (math.isfinite(value) and np.isfinite(grad).all()):
                     raise FloatingPointError(f"loss {value:.6g}")
-                adam_step(param_arrays, dict(zip(param_arrays, grads)), state, step, train_cfg)
+                adam_step(model.flat, grad, state, step, train_cfg)
             except FloatingPointError as exc:
                 raise TrainingDivergedError(f"training diverged at epoch {epoch}, step {step}: "
                                             f"non-finite loss or gradient ({exc})") from None
@@ -264,6 +253,8 @@ def load_checkpoint(path) -> Checkpoint:
     try:
         header = json.loads(blob[12:header_end].decode("utf-8"))
         dims = Dims(**header["dims"])
+        if not all(type(size) is int for size in vars(dims).values()):
+            raise TypeError(f"dims must be integers, got {header['dims']}")
         rollout = RolloutConfig(**header["rollout"])
         shapes = {name: tuple(shape) for name, shape in header["params"]}
         expected = {name: shape for name, shape, _ in _param_shapes(header["kind"], dims)}
@@ -275,18 +266,18 @@ def load_checkpoint(path) -> Checkpoint:
             val_loss=math.nan if val_loss is None else float(val_loss),
             seed=int(meta["seed"]),
         )
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise CheckpointFormatError(f"{path}: corrupt header ({exc})") from exc
     if shapes != expected or len(header["params"]) != len(expected):
         raise CheckpointFormatError(
             f"{path}: parameter names or shapes do not match a {header['kind']} model of {dims}"
         )
-    total = sum(int(np.prod(shape)) for shape in expected.values())
-    payload = np.frombuffer(blob[header_end:], dtype="<f8")
-    if payload.size != total:
+    total = 8 * sum(int(np.prod(shape)) for shape in expected.values())
+    if len(blob) - header_end != total:
         raise CheckpointFormatError(
-            f"{path}: payload holds {payload.size} doubles, header expects {total}"
+            f"{path}: payload holds {len(blob) - header_end} bytes, header expects {total}"
         )
+    payload = np.frombuffer(blob[header_end:], dtype="<f8")
     if not np.all(np.isfinite(payload)):
         raise CheckpointFormatError(f"{path}: payload holds non-finite values")
     params = {}

@@ -40,8 +40,7 @@ def test_every_trace_target_resolves():
 
 @pytest.mark.parametrize("kind,V,extra", [
     ("linear", 1, ()), ("mlp", 1, ("relu",)),
-    ("inverted_attention", 4, ("relu", "window_scores", "scale", "softmax", "window_mix", "add",
-                               "layer_norm")),
+    ("inverted_attention", 4, ("attention_sublayer", "ffn_sublayer")),
 ])
 def test_counted_rule_names_match_the_tape(kind, V, extra):
     spans = _load_spans()
@@ -54,8 +53,9 @@ def test_counted_rule_names_match_the_tape(kind, V, extra):
     # the note spans.py takes on Tape.gradient, stripped to names as its metrics do
     counted = spans._rules((tape,), None)
     names = {rule.__name__.strip("_").removesuffix("_rule") for rule in counted}
-    # layers are affine records, each block's error is one block_error record and the
-    # objective one discounted_loss; at L = 0 no block is sliced
+    # layers are affine records (attention's two sublayers one record each), each block's
+    # error is one block_error record and the objective one discounted_loss; at L = 0 no
+    # block is sliced
     assert names == {"affine", "concat", "block_error", "discounted_loss", "mean", *extra}
     assert {"concat", "softmax", "layer_norm"} <= set(spans.RULES)
 

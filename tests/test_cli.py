@@ -258,9 +258,16 @@ def _corrupt_predict_checkpoint(tmp_path, how):
     if how == "nan":
         path.write_bytes(blob[:-8] + struct.pack("<d", float("nan")))
         return path
+    if how == "cut":  # inside the last double
+        path.write_bytes(blob[:-3])
+        return path
     (size,) = struct.unpack_from("<I", blob, 8)
     header = json.loads(blob[12:12 + size])
-    if how == "kind":
+    if how == "float-dims":
+        header["dims"]["S"] = 48.0
+    elif how == "epoch-overflow":
+        header["meta"]["epoch"] = float("inf")  # what json reads for 1e400
+    elif how == "kind":
         header["kind"] = "mlp"  # a linear payload labelled as another kind
     else:
         header["meta"]["epoch"] = "x"
@@ -269,7 +276,7 @@ def _corrupt_predict_checkpoint(tmp_path, how):
     return path
 
 
-@pytest.mark.parametrize("how", ["nan", "kind", "meta"])
+@pytest.mark.parametrize("how", ["nan", "kind", "meta", "cut", "float-dims", "epoch-overflow"])
 def test_predict_rejects_invalid_checkpoint(tmp_path, capsys, how):
     ck = _corrupt_predict_checkpoint(tmp_path, how)
     inp = _write_rows(tmp_path / "input.csv", 48)
@@ -278,6 +285,17 @@ def test_predict_rejects_invalid_checkpoint(tmp_path, capsys, how):
                  "--horizon", "12", "--out", str(out)]) == 2
     assert "predict.arpt" in capsys.readouterr().err
     assert not (out / "predictions.csv").exists()
+
+
+def test_predict_rejects_a_cell_over_the_csv_field_limit(tmp_path, capsys):
+    ck = _predict_checkpoint(tmp_path)
+    inp = _write_rows(tmp_path / "input.csv", 48)
+    inp.write_text(inp.read_text() + "9" * 131_073 + "\n")
+    out = tmp_path / "pred"
+    assert main(["predict", str(inp), "--checkpoint", str(ck),
+                 "--horizon", "12", "--out", str(out)]) == 2
+    assert "input.csv" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # config_resolved.ini is how runs are compared and reproduced, so its text

@@ -163,6 +163,46 @@ def test_load_csv_unknown_time_column(tmp_path):
         load_csv(p, has_header=True, time_column="date")
 
 
+def test_load_csv_cell_over_the_field_limit_names_file_and_line(tmp_path):
+    p = tmp_path / "long.csv"
+    p.write_text("load\n1.0\n" + "1" * 131_073 + "\n2.0\n")
+    with pytest.raises(ValueError, match=r"long\.csv: .*field limit.* at line 3"):
+        load_csv(p, has_header=None)
+
+
+_CSV = b"date,load,temp\n2020-01-01,1.5,-2\n2020-01-02,3.25,4e-3\n2020-01-03,-0.5,7\n"
+_CSV_BYTES = st.sampled_from([b",", b"\n", b"\r", b'"', b"\x00", b" ", b"e", b"-", b".", b"nan",
+                              b"inf", b"1e999", b"\xff", b"\xc3", "\ufeff".encode("utf-8"),
+                              b"x" * 131_073, b"1" * 140_000, b'"a\nb"'])
+
+
+@settings(max_examples=150, deadline=None)
+@given(edits=st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 3), _CSV_BYTES),
+                      max_size=4),
+       cut=st.integers(0, len(_CSV)), has_header=st.sampled_from([None, True, False]),
+       time_column=st.sampled_from([None, "date", "load"]))
+def test_mutated_csv_raises_only_value_errors(tmp_path_factory, edits, cut, has_header,
+                                              time_column):
+    blob = bytearray(_CSV[:len(_CSV) - cut])
+    for where, how, chunk in edits:
+        at = where % (len(blob) + 1)
+        if how == 0:  # insert
+            blob[at:at] = chunk
+        elif how == 1:  # overwrite
+            blob[at:at + len(chunk)] = chunk
+        elif how == 2:  # delete
+            del blob[at:at + len(chunk)]
+        elif at < len(blob):  # flip bits
+            blob[at] ^= chunk[0] or 1
+    path = tmp_path_factory.mktemp("csv") / "fuzz.csv"
+    path.write_bytes(bytes(blob))
+    try:
+        ds = load_csv(path, has_header=has_header, time_column=time_column)
+    except ValueError:
+        return
+    assert np.isfinite(ds.values).all() and ds.values.shape[1] == len(ds.columns)
+
+
 def _toy_dataset(n):
     values = np.arange(n, dtype=np.float64)[:, None]
     return SeriesDataset.from_values("toy", values, ratios=(1.0, 0.0, 0.0))

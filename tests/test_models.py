@@ -1,11 +1,29 @@
 """Forecaster shapes, parameter counts, channel independence, normalization."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arforecast.autodiff import Tape, Tensor, finite_diff_oracle, max_relative_error
+import arforecast.rollout as rollout
+from arforecast.autodiff import (
+    Tape,
+    Tensor,
+    affine,
+    block_error,
+    discounted_loss,
+    finite_diff_oracle,
+    layer_norm,
+    max_relative_error,
+    mean_all,
+    relu,
+    scale,
+    softmax,
+    window_mix,
+    window_scores,
+)
 from arforecast.models import (
     Dims,
     NormState,
@@ -171,3 +189,67 @@ def test_norm_round_trip(seed):
     x = rng.normal(0, rng.uniform(0.1, 10), size=(8, 3)) + rng.uniform(-5, 5)
     state = NormState.from_context(x)
     np.testing.assert_allclose(invert_norm(apply_norm(x, state), state), x, atol=1e-12)
+
+
+def _composite_attention_forecast(model, context):
+    """The attention forecast as 17 single-op records: the reference for the fused sublayers."""
+    p, dims = model.params, model.dims
+    tokens = affine(p["embed_w"], context, p["embed_b"])
+    q = affine(p["q_w"], tokens, p["q_b"])
+    k = affine(p["k_w"], tokens, p["k_b"])
+    val = affine(p["v_w"], tokens, p["v_b"])
+    scores = scale(window_scores(q, k, dims.V), 1.0 / np.sqrt(dims.hidden))
+    attn = softmax(scores, axis=1)
+    mixed = affine(p["o_w"], window_mix(val, attn, dims.V), p["o_b"])
+    x1 = layer_norm(tokens + mixed, axis=0)
+    ff = relu(affine(p["ff1_w"], x1, p["ff1_b"]))
+    ff = affine(p["ff2_w"], ff, p["ff2_b"])
+    x2 = layer_norm(x1 + ff, axis=0)
+    return affine(p["proj_w"], x2, p["proj_b"])
+
+
+def _taped_rollout_objective(model, context, future, cfg):
+    """(forecast bytes, loss bytes, per-parameter gradient bytes, min_kink_gap, rule names)."""
+    with Tape() as tape:
+        prediction = rollout.rollout_predict(model, Tensor(context), cfg)
+        errors = [block_error(block, future[k * cfg.T:(k + 1) * cfg.T], model.dims.V)
+                  for k, block in enumerate(prediction.blocks)]
+        loss = mean_all(discounted_loss(errors, cfg.gamma, cfg.beta))
+        grads = tape.gradient(loss, list(model.params.values()))
+        return (prediction.values.values.tobytes(), loss.values.tobytes(),
+                [g.tobytes() for g in grads], tape.min_kink_gap,
+                [rule.__name__ for _, _, rule, _ in tape.records])
+
+
+@st.composite
+def _attention_draws(draw):
+    S = draw(st.integers(2, 7))
+    cfg = rollout.RolloutConfig(S=S, T=draw(st.integers(1, 4)), L=draw(st.integers(0, S - 1)),
+                                n=draw(st.integers(1, 4)))
+    return cfg, draw(st.integers(1, 4)), draw(st.integers(1, 8)), draw(st.integers(1, 5)), \
+        draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=80, deadline=None)
+@given(_attention_draws())
+@example((rollout.RolloutConfig(S=6, T=2, L=2, n=4), 4, 8, 5, 0))
+@example((rollout.RolloutConfig(S=3, T=1, n=1), 1, 1, 1, 1))
+def test_fused_sublayers_match_the_composite_forecast(draw):
+    cfg, V, hidden, B, seed = draw
+    rng = np.random.default_rng(seed)
+    model = init_forecaster("inverted_attention",
+                            Dims(S=cfg.S, T=cfg.T, L=cfg.L, V=V, hidden=hidden), seed=seed)
+    context = rng.normal(size=(cfg.S, B * V))
+    future = rng.normal(size=(cfg.horizon, B * V))
+    fused = _taped_rollout_objective(model, context, future, cfg)
+    with mock.patch.object(rollout, "forecast", _composite_attention_forecast):
+        composite = _taped_rollout_objective(model, context, future, cfg)
+    assert fused[:4] == composite[:4]  # forecast, loss, every gradient and the kink gap, bitwise
+    # each forecast is embed, the two sublayers and proj: 4 records in place of 17
+    rules = fused[4]
+    assert len(composite[4]) - len(rules) == 13 * cfg.n
+    assert rules.count("_attention_sublayer_rule") == rules.count("_ffn_sublayer_rule") == cfg.n
+    assert rules.count("_affine_rule") == 2 * cfg.n
+    untaped = forecast(model, Tensor(context[-cfg.S:])).values
+    assert untaped.tobytes() == \
+        _composite_attention_forecast(model, Tensor(context[-cfg.S:])).values.tobytes()

@@ -1,11 +1,14 @@
 """Adam updates, the training loop, and checkpoint serialization."""
 
+import contextlib
 import json
 import math
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arforecast.data import gen_sinusoid
 from arforecast.models import Dims, forecast, init_forecaster
@@ -14,6 +17,7 @@ from arforecast.rollout import RolloutConfig
 from arforecast.training import (
     AdamState,
     Checkpoint,
+    CheckpointError,
     CheckpointFormatError,
     CheckpointVersionError,
     TrainConfig,
@@ -36,44 +40,72 @@ def test_train_config_validation():
 
 
 def test_adam_zero_gradient_is_a_no_op():
-    params = {"w": np.array([1.0, -2.0, 3.0])}
-    grads = {"w": np.zeros(3)}
+    params = np.array([1.0, -2.0, 3.0])
     state = AdamState.zeros_like(params)
-    adam_step(params, grads, state, t=1, cfg=TrainConfig())
-    np.testing.assert_array_equal(params["w"], [1.0, -2.0, 3.0])
-    np.testing.assert_array_equal(state.m["w"], np.zeros(3))
-    np.testing.assert_array_equal(state.v["w"], np.zeros(3))
+    adam_step(params, np.zeros(3), state, t=1, cfg=TrainConfig())
+    np.testing.assert_array_equal(params, [1.0, -2.0, 3.0])
+    np.testing.assert_array_equal(state.m, np.zeros(3))
+    np.testing.assert_array_equal(state.v, np.zeros(3))
 
 
 def test_adam_first_step_is_signed_lr():
     # bias correction makes the first update -lr * g / (|g| + eps-ish)
     cfg = TrainConfig(lr=1e-3)
     for g0 in (0.5, -3.0, 12.0):
-        params = {"w": np.array([1.0])}
+        params = np.array([1.0])
         state = AdamState.zeros_like(params)
-        adam_step(params, {"w": np.array([g0])}, state, t=1, cfg=cfg)
-        update = params["w"][0] - 1.0
+        adam_step(params, np.array([g0]), state, t=1, cfg=cfg)
+        update = params[0] - 1.0
         assert update == pytest.approx(-cfg.lr * np.sign(g0), rel=1e-4)
 
 
 def test_adam_is_deterministic():
     def run():
-        params = {"w": np.array([0.3, -0.7])}
+        params = np.array([0.3, -0.7])
         state = AdamState.zeros_like(params)
         for t in (1, 2):
-            adam_step(params, {"w": np.array([0.1, -0.2])}, state, t, TrainConfig())
-        return params["w"].tobytes()
+            adam_step(params, np.array([0.1, -0.2]), state, t, TrainConfig())
+        return params.tobytes()
 
     assert run() == run()
 
 
 def test_adam_shape_mismatch():
-    params = {"w": np.zeros(3)}
+    params = np.zeros(3)
     state = AdamState.zeros_like(params)
     with pytest.raises(ValueError):
-        adam_step(params, {"w": np.zeros(2)}, state, 1, TrainConfig())
+        adam_step(params, np.zeros(2), state, 1, TrainConfig())
     with pytest.raises(ValueError):
-        adam_step(params, {"v": np.zeros(3)}, state, 1, TrainConfig())
+        adam_step(params, np.zeros((3, 1)), state, 1, TrainConfig())
+
+
+def _dict_adam_step(params, grads, state, t, cfg):
+    """Adam one parameter array at a time, as the trainer stepped it before the flat vector."""
+    b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+    for name, p in params.items():
+        g, m, v = grads[name], state["m"][name], state["v"][name]
+        m[...] = b1 * m + (1.0 - b1) * g
+        v[...] = b2 * v + (1.0 - b2) * g * g
+        m_hat = m / (1.0 - b1 ** t)
+        v_hat = v / (1.0 - b2 ** t)
+        p[...] = p - cfg.lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+
+
+def test_flat_adam_is_bitwise_the_per_parameter_adam():
+    rng = np.random.default_rng(11)
+    shapes = {"w": (5, 7), "b": (5, 1), "w2": (3, 5), "b2": (3, 1)}
+    params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    flat = np.concatenate([p.ravel() for p in params.values()])
+    moments = {k: {name: np.zeros(shape) for name, shape in shapes.items()} for k in "mv"}
+    state = AdamState.zeros_like(flat)
+    cfg = TrainConfig(lr=3e-2)
+    for t in range(1, 7):
+        grads = {name: rng.normal(scale=10.0 ** rng.integers(-6, 3), size=shape)
+                 for name, shape in shapes.items()}
+        _dict_adam_step(params, grads, moments, t, cfg)
+        adam_step(flat, np.concatenate([g.ravel() for g in grads.values()]), state, t, cfg)
+        for got, want in ((flat, params), (state.m, moments["m"]), (state.v, moments["v"])):
+            assert got.tobytes() == np.concatenate([a.ravel() for a in want.values()]).tobytes()
 
 
 def _quick_setup(objective="ar", n=2, seed=5):
@@ -83,6 +115,33 @@ def _quick_setup(objective="ar", n=2, seed=5):
     cfg = TrainConfig(lr=1e-2, batch_size=16, max_epochs=4, patience=10,
                       seed=seed, objective=objective)
     return model, ds, roll, cfg
+
+
+@pytest.mark.parametrize("kind,V,hidden", [("linear", 1, 0), ("inverted_attention", 2, 3)])
+def test_parameters_are_views_of_one_vector_that_train_updates_in_place(kind, V, hidden):
+    dims = Dims(S=12, T=4, V=V, hidden=hidden)
+    model = init_forecaster(kind, dims, seed=5)
+    copy = Checkpoint.from_forecaster(model, RolloutConfig(S=12, T=4), 0, 0.5, 5).to_forecaster()
+    for m in (model, copy):
+        assert m.flat.flags.c_contiguous and m.flat.size == m.param_count
+        for tensor in m.params.values():
+            assert tensor.values.base is m.flat
+        assert np.concatenate([t.values.ravel() for t in m.params.values()]).tobytes() \
+            == m.flat.tobytes()
+    assert not np.shares_memory(copy.flat, model.flat)
+    vector = model.param_vector()
+    vector[0] += 1.0
+    assert model.flat[0] != vector[0]
+
+    arrays = {name: t.values for name, t in model.params.items()}
+    before = model.param_vector()
+    ds = gen_sinusoid(260, V=V, periods=[24.0, 17.0][:V], noise_std=0.1, seed=2)
+    train(model, ds, RolloutConfig(S=12, T=4, n=2),
+          TrainConfig(lr=1e-2, batch_size=16, max_epochs=2, seed=5))
+    assert all(model.params[name].values is array for name, array in arrays.items())
+    after = np.concatenate([a.ravel() for a in arrays.values()])
+    assert after.tobytes() == model.flat.tobytes()
+    assert not np.array_equal(after, before)
 
 
 def test_train_zero_epochs_returns_initial_params():
@@ -122,7 +181,7 @@ def test_divergence_stops_before_a_non_finite_update(monkeypatch):
 
     def recorded(params, *args):
         out = step(params, *args)
-        updated.append(np.concatenate([p.ravel() for p in params.values()]))
+        updated.append(params.copy())
         return out
 
     monkeypatch.setattr(training, "adam_step", recorded)
@@ -269,7 +328,9 @@ def _linear_checkpoint(path):
     lambda h: h.update(kind="transformer"),
     lambda h: h.update(params=[["w", [2, 6]], ["bias", [2, 1]]]),
     lambda h: h.update(params=[["w", [6, 2]], ["b", [2, 1]]]),
-], ids=["kind", "kind-and-hidden", "unknown-kind", "name", "shape"])
+    lambda h: h["dims"].update(S=6.0),  # shapes compare equal to (2, 6), but cannot reshape
+    lambda h: h["dims"].update(T=2.0),
+], ids=["kind", "kind-and-hidden", "unknown-kind", "name", "shape", "float-S", "float-T"])
 def test_checkpoint_params_must_match_kind_and_dims(tmp_path, edit):
     path = _linear_checkpoint(tmp_path / "model.arpt")
     _rewrite_header(path, edit)
@@ -293,12 +354,86 @@ def test_checkpoint_non_finite_payload_rejected(tmp_path, bad):
     lambda h: h["meta"].pop("epoch"),
     lambda h: h.pop("meta"),
     lambda h: h.pop("norm_policy"),
-], ids=["epoch", "val-loss", "seed", "no-epoch", "no-meta", "no-norm-policy"])
+    lambda h: h["meta"].update(epoch=math.inf),  # what json reads for 1e400
+    lambda h: h["meta"].update(seed=-math.inf),
+], ids=["epoch", "val-loss", "seed", "no-epoch", "no-meta", "no-norm-policy", "epoch-overflow",
+        "seed-overflow"])
 def test_checkpoint_bad_meta_is_a_format_error(tmp_path, edit):
     path = _linear_checkpoint(tmp_path / "model.arpt")
     _rewrite_header(path, edit)
     with pytest.raises(CheckpointFormatError):
         load_checkpoint(path)
+
+
+@pytest.mark.parametrize("cut", range(1, 8))
+def test_checkpoint_cut_inside_a_double_is_a_format_error(tmp_path, cut):
+    path = _linear_checkpoint(tmp_path / "model.arpt")
+    path.write_bytes(path.read_bytes()[:-cut])
+    with pytest.raises(CheckpointFormatError, match="payload"):
+        load_checkpoint(path)
+
+
+def _load_allowing_checkpoint_errors(path):
+    with contextlib.suppress(CheckpointError):
+        load_checkpoint(path)
+
+
+def test_every_truncation_of_a_checkpoint_is_a_checkpoint_error(tmp_path):
+    path = tmp_path / "model.arpt"
+    save_checkpoint(_small_checkpoint(), path)
+    blob = path.read_bytes()
+    for size in range(len(blob)):
+        path.write_bytes(blob[:size])
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path)
+
+
+_AS_FLOAT, _DELETE = object(), object()  # header edits: the field as a float, the field gone
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-10 ** 30, 10 ** 30) | st.floats()
+    | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6)
+_HEADER_FIELDS = [((), key) for key in ("kind", "dims", "rollout", "params", "meta",
+                                        "norm_policy")] \
+    + [(("dims",), key) for key in ("S", "T", "L", "V", "hidden")] \
+    + [(("rollout",), key) for key in ("S", "T", "L", "n", "gamma", "beta")] \
+    + [(("meta",), key) for key in ("epoch", "val_loss", "seed")] \
+    + [(("params",), 0), (("params", 0), 0), (("params", 0), 1), (("params", 0, 1), 0)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(field=st.sampled_from(_HEADER_FIELDS),
+       value=st.just(_AS_FLOAT) | st.just(_DELETE) | st.sampled_from([1e400, -1e400]) | _JSON,
+       cut=st.integers(0, 9),
+       flips=st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(1, 255)), max_size=3))
+def test_mutated_checkpoints_raise_only_checkpoint_errors(tmp_path_factory, field, value, cut,
+                                                           flips):
+    path = tmp_path_factory.mktemp("ck") / "model.arpt"
+    save_checkpoint(_small_checkpoint(), path)
+
+    def mutate(header):
+        steps, key = field
+        for step in steps:
+            header = header[step]
+        if value is _DELETE:
+            del header[key]
+        elif value is not _AS_FLOAT:
+            header[key] = value
+        elif isinstance(header[key], int):
+            header[key] = float(header[key])
+
+    _rewrite_header(path, mutate)
+    blob = path.read_bytes()
+    _load_allowing_checkpoint_errors(path)
+    path.write_bytes(blob[:len(blob) - cut])
+    _load_allowing_checkpoint_errors(path)
+    blob = bytearray(blob)
+    for where, bits in flips:
+        blob[where % len(blob)] ^= bits
+    path.write_bytes(bytes(blob))
+    _load_allowing_checkpoint_errors(path)
 
 
 def test_to_forecaster_copies_params_and_rejects_unknown_kind():
