@@ -6,8 +6,9 @@ script in two checkouts and comparing the outputs with ``diff``. It imports
 arforecast from the checkout it lives in. Four configs, each trained for 10
 epochs: the README demo for linear, mlp (hidden 32) and inverted_attention
 (hidden 16, V = 4), and inverted_attention with an overlap (hidden 8, V = 3,
-L = 3). For each it hashes the checkpoint and history, the
-``eval --horizon 168`` report and curve (normalized and ``--raw-scale``),
+L = 3). For each it hashes the checkpoint and history, ``resaved.arpt``
+(the checkpoint loaded and saved again, which must equal it byte for byte),
+the ``eval --horizon 168`` report and curve (normalized and ``--raw-scale``),
 ``predict --horizon 168`` predictions, and ``gradcheck`` stdout. ``run.ini``
 and ``config_resolved.ini`` name the output directory, so they are not hashed.
 
@@ -28,6 +29,7 @@ import numpy as np  # noqa: E402
 
 from arforecast import gen_sinusoid  # noqa: E402
 from arforecast.cli import main as cli_main  # noqa: E402
+from arforecast.training import load_checkpoint, save_checkpoint  # noqa: E402
 
 CONFIGS = {  # name: (kind, hidden, variates, overlap L)
     "linear": ("linear", 0, 1, 0),
@@ -90,6 +92,9 @@ def produce(root: Path, name: str, kind: str, hidden: int, V: int, L: int) -> No
                header=",".join(f"x{j}" for j in range(V)), comments="")
     checkpoint = str(out / "checkpoint.arpt")
     run("train", "--config", str(config))
+    save_checkpoint(load_checkpoint(checkpoint), out / "resaved.arpt")
+    if (out / "resaved.arpt").read_bytes() != Path(checkpoint).read_bytes():
+        sys.exit(f"{name}: a loaded and resaved checkpoint differs from {checkpoint}")
     run("eval", "--config", str(config), "--checkpoint", checkpoint, "--horizon", "168",
         "--out", str(out / "eval"))
     run("eval", "--config", str(config), "--checkpoint", checkpoint, "--horizon", "168",

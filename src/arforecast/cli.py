@@ -13,7 +13,7 @@ import argparse
 import configparser
 import functools
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -255,8 +255,7 @@ def _rollout_for(ck, horizon: int) -> RolloutConfig:
             f"T={block}; rollouts extend the forecast in whole blocks (k x T), "
             f"so the nearest valid horizons are {pretty}"
         )
-    return RolloutConfig(S=ck.dims.S, T=block, L=ck.dims.L, n=horizon // block,
-                         gamma=ck.rollout.gamma, beta=ck.rollout.beta)
+    return replace(ck.rollout, n=horizon // block)
 
 
 def cmd_train(args) -> int:

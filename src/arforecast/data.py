@@ -64,6 +64,8 @@ class SeriesDataset:
             values = values[:, None]
         if values.ndim != 2 or values.shape[0] < 1:
             raise ValueError(f"series values must be (N, V) with N >= 1, got {values.shape}")
+        if not np.isfinite(values).all():
+            raise ValueError(f"{name}: series values must be finite")
         n, v = values.shape
         if columns is None:
             columns = [f"var{i}" for i in range(v)]
@@ -96,8 +98,10 @@ def gen_sinusoid(length, V=1, periods=24.0, amplitude=1.0, noise_std=0.0, seed=0
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     periods = np.broadcast_to(np.asarray(periods, dtype=np.float64), (V,))
-    if np.any(periods <= 0):
-        raise ValueError("periods must be positive")
+    if not np.all((0 < periods) & (periods < np.inf)):
+        raise ValueError(f"periods must be positive and finite, got {periods.tolist()}")
+    if not 0 <= noise_std < np.inf:
+        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
     t = np.arange(length, dtype=np.float64)[:, None]
     values = amplitude * np.sin(2.0 * np.pi * t / periods[None, :])
     if noise_std > 0:

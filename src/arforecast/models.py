@@ -12,6 +12,7 @@ each window's group of V columns.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,17 +105,18 @@ def _param_shapes(kind: str, dims: Dims) -> list[tuple[str, tuple[int, int], int
 
 
 def param_count(kind: str, dims: Dims) -> int:
-    return sum(int(np.prod(shape)) for _, shape, _ in _param_shapes(kind, dims))
+    return sum(math.prod(shape) for _, shape, _ in _param_shapes(kind, dims))
 
 
-def build_forecaster(kind: str, dims: Dims, arrays) -> Forecaster:
-    """A model over one flat copy of ``arrays`` (name -> array), in _param_shapes order."""
-    shapes = _param_shapes(kind, dims)
-    flat = np.concatenate([np.asarray(arrays[name], dtype=np.float64).ravel()
-                           for name, _, _ in shapes])
+def build_forecaster(kind: str, dims: Dims, flat) -> Forecaster:
+    """A model over a float64 copy of the parameter vector ``flat``, in _param_shapes order."""
+    flat, count = np.array(flat, dtype=np.float64), param_count(kind, dims)
+    if flat.shape != (count,):
+        raise ValueError(f"a {kind} model of {dims} takes a vector of {count} parameters, "
+                         f"got shape {flat.shape}")
     params, offset = {}, 0
-    for name, shape, _ in shapes:
-        size = int(np.prod(shape))
+    for name, shape, _ in _param_shapes(kind, dims):
+        size = math.prod(shape)
         params[name] = tensor = Tensor(0.0, requires_grad=True)
         tensor.values = flat[offset:offset + size].reshape(shape)
         offset += size
@@ -130,9 +132,9 @@ def init_forecaster(kind: str, dims: Dims, seed: int) -> Forecaster:
     if kind not in KINDS:
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
     rng = np.random.Generator(np.random.Philox(seed))
-    return build_forecaster(kind, dims, {
-        name: rng.uniform(-1.0 / np.sqrt(fan_in), 1.0 / np.sqrt(fan_in), size=shape)
-        for name, shape, fan_in in _param_shapes(kind, dims)})
+    return build_forecaster(kind, dims, np.concatenate([
+        rng.uniform(-1.0 / np.sqrt(fan_in), 1.0 / np.sqrt(fan_in), size=shape).ravel()
+        for _, shape, fan_in in _param_shapes(kind, dims)]))
 
 
 def forecast(model: Forecaster, context: Tensor) -> Tensor:

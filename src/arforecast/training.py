@@ -17,11 +17,12 @@ import numpy as np
 
 from .autodiff import Tape
 from .data import SeriesDataset, window_iter, write_fresh
-from .models import Dims, Forecaster, _param_shapes, build_forecaster
+from .models import Dims, Forecaster, _param_shapes, build_forecaster, param_count
 from .rollout import RolloutConfig, ar_loss, mse_loss
 
 CHECKPOINT_MAGIC = b"ARPT"
 CHECKPOINT_VERSION = 1
+NORM_POLICY = "context_zscore"  # eval and predict z-score each context (models.NormState)
 
 OBJECTIVES = ("ar", "mse")
 
@@ -55,8 +56,14 @@ class TrainConfig:
     objective: str = "ar"
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
+        for name in ("lr", "adam_eps"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        for name in ("adam_beta1", "adam_beta2"):
+            if not 0.0 <= getattr(self, name) < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.patience < 1:
@@ -95,31 +102,25 @@ def adam_step(params: np.ndarray, grad: np.ndarray, state: AdamState, t: int, cf
 
 @dataclass
 class Checkpoint:
+    """A model's parameter vector ``flat`` (in ``_param_shapes`` order) and how it was trained."""
+
     kind: str
     dims: Dims
-    params: dict[str, np.ndarray]
+    flat: np.ndarray
     rollout: RolloutConfig
-    norm_policy: str = "context_zscore"
     epoch: int = 0
     val_loss: float = math.nan
     seed: int = 0
 
     def to_forecaster(self) -> Forecaster:
-        """A model holding copies of the checkpoint's parameters, in initialization order."""
-        return build_forecaster(self.kind, self.dims, self.params)
+        """A model holding a copy of the checkpoint's parameter vector."""
+        return build_forecaster(self.kind, self.dims, self.flat)
 
     @classmethod
     def from_forecaster(cls, model: Forecaster, rollout: RolloutConfig,
                         epoch: int, val_loss: float, seed: int) -> "Checkpoint":
-        return cls(
-            kind=model.kind,
-            dims=model.dims,
-            params={k: t.values.copy() for k, t in model.params.items()},
-            rollout=rollout,
-            epoch=epoch,
-            val_loss=val_loss,
-            seed=seed,
-        )
+        return cls(kind=model.kind, dims=model.dims, flat=model.flat.copy(), rollout=rollout,
+                   epoch=epoch, val_loss=val_loss, seed=seed)
 
 
 @dataclass(frozen=True)
@@ -214,15 +215,18 @@ def train(model: Forecaster, dataset: SeriesDataset, rollout_cfg: RolloutConfig,
     return best, history
 
 
+def _param_list(kind: str, dims: Dims) -> list:
+    """The header's ``params`` entry: [name, shape] pairs in payload order."""
+    return [[name, list(shape)] for name, shape, _ in _param_shapes(kind, dims)]
+
+
 def save_checkpoint(ck: Checkpoint, path) -> None:
-    d = ck.dims
     header = {
         "kind": ck.kind,
-        "dims": {"S": d.S, "T": d.T, "L": d.L, "V": d.V, "hidden": d.hidden},
-        "rollout": {"S": ck.rollout.S, "T": ck.rollout.T, "L": ck.rollout.L,
-                    "n": ck.rollout.n, "gamma": ck.rollout.gamma, "beta": ck.rollout.beta},
-        "norm_policy": ck.norm_policy,
-        "params": [[name, list(arr.shape)] for name, arr in ck.params.items()],
+        "dims": vars(ck.dims),
+        "rollout": vars(ck.rollout),
+        "norm_policy": NORM_POLICY,
+        "params": _param_list(ck.kind, ck.dims),
         "meta": {
             "epoch": ck.epoch,
             "val_loss": None if math.isnan(ck.val_loss) else ck.val_loss,
@@ -230,13 +234,13 @@ def save_checkpoint(ck: Checkpoint, path) -> None:
         },
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    payload = np.concatenate([arr.ravel() for arr in ck.params.values()])
     write_fresh(path, b"".join((CHECKPOINT_MAGIC,
                                 struct.pack("<II", CHECKPOINT_VERSION, len(header_bytes)),
-                                header_bytes, payload.astype("<f8").tobytes())))
+                                header_bytes, ck.flat.astype("<f8").tobytes())))
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Read a checkpoint whose header is the one ``save_checkpoint`` writes for its model."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 12 or blob[:4] != CHECKPOINT_MAGIC:
@@ -252,42 +256,31 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointFormatError(f"{path}: truncated header")
     try:
         header = json.loads(blob[12:header_end].decode("utf-8"))
-        dims = Dims(**header["dims"])
-        if not all(type(size) is int for size in vars(dims).values()):
-            raise TypeError(f"dims must be integers, got {header['dims']}")
-        rollout = RolloutConfig(**header["rollout"])
-        shapes = {name: tuple(shape) for name, shape in header["params"]}
-        expected = {name: shape for name, shape, _ in _param_shapes(header["kind"], dims)}
-        meta = header["meta"]
-        val_loss = meta["val_loss"]
-        meta_fields = dict(
-            norm_policy=header["norm_policy"],
-            epoch=int(meta["epoch"]),
-            val_loss=math.nan if val_loss is None else float(val_loss),
-            seed=int(meta["seed"]),
-        )
+        kind, meta = header["kind"], header["meta"]
+        dims, rollout = Dims(**header["dims"]), RolloutConfig(**header["rollout"])
+        epoch, val_loss, seed = meta["epoch"], meta["val_loss"], meta["seed"]
+        integers = [*vars(dims).values(), rollout.S, rollout.T, rollout.L, rollout.n, epoch, seed]
+        if not all(type(value) is int for value in integers):
+            raise TypeError("dims, rollout geometry, epoch and seed must be integers")
+        if (rollout.S, rollout.T, rollout.L) != (dims.S, dims.T, dims.L):
+            raise ValueError(f"rollout geometry {rollout} does not match {dims}")
+        if header["norm_policy"] != NORM_POLICY:
+            raise ValueError(f"norm_policy must be {NORM_POLICY!r}, got {header['norm_policy']!r}")
+        if header["params"] != _param_list(kind, dims):
+            raise ValueError(f"parameter names or shapes do not match a {kind} model of {dims}")
+        val_loss = math.nan if val_loss is None else float(val_loss)
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise CheckpointFormatError(f"{path}: corrupt header ({exc})") from exc
-    if shapes != expected or len(header["params"]) != len(expected):
-        raise CheckpointFormatError(
-            f"{path}: parameter names or shapes do not match a {header['kind']} model of {dims}"
-        )
-    total = 8 * sum(int(np.prod(shape)) for shape in expected.values())
+    total = 8 * param_count(kind, dims)
     if len(blob) - header_end != total:
         raise CheckpointFormatError(
             f"{path}: payload holds {len(blob) - header_end} bytes, header expects {total}"
         )
-    payload = np.frombuffer(blob[header_end:], dtype="<f8")
-    if not np.all(np.isfinite(payload)):
+    flat = np.frombuffer(blob, dtype="<f8", offset=header_end).astype(np.float64)
+    if not np.all(np.isfinite(flat)):
         raise CheckpointFormatError(f"{path}: payload holds non-finite values")
-    params = {}
-    offset = 0
-    for name, _ in header["params"]:
-        shape = expected[name]
-        size = int(np.prod(shape))
-        params[name] = payload[offset:offset + size].reshape(shape).astype(np.float64)
-        offset += size
-    return Checkpoint(kind=header["kind"], dims=dims, params=params, rollout=rollout, **meta_fields)
+    return Checkpoint(kind=kind, dims=dims, flat=flat, rollout=rollout, epoch=epoch,
+                      val_loss=val_loss, seed=seed)
 
 
 def write_history_csv(history: list[EpochStats], path) -> None:

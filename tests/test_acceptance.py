@@ -116,7 +116,7 @@ def test_criterion_2_n1_equivalence():
         m = af.init_forecaster("linear", af.Dims(S=12, T=4), seed=3)
         ck, history = af.train(m, ds, cfg, af.TrainConfig(
             lr=1e-2, batch_size=16, max_epochs=4, seed=3, objective=objective))
-        return np.concatenate([p.ravel() for p in ck.params.values()]).tobytes(), history
+        return ck.flat.tobytes(), history
 
     params_ar, hist_ar = trajectory("ar")
     params_mse, hist_mse = trajectory("mse")

@@ -269,6 +269,12 @@ def _corrupt_predict_checkpoint(tmp_path, how):
         header["meta"]["epoch"] = float("inf")  # what json reads for 1e400
     elif how == "kind":
         header["kind"] = "mlp"  # a linear payload labelled as another kind
+    elif how == "rollout":
+        header["rollout"]["S"] = 40  # a rollout geometry that is not the model's
+    elif how == "norm-policy":
+        header["norm_policy"] = "minmax"
+    elif how == "params-order":
+        header["params"].reverse()
     else:
         header["meta"]["epoch"] = "x"
     encoded = json.dumps(header, sort_keys=True).encode("utf-8")
@@ -276,7 +282,8 @@ def _corrupt_predict_checkpoint(tmp_path, how):
     return path
 
 
-@pytest.mark.parametrize("how", ["nan", "kind", "meta", "cut", "float-dims", "epoch-overflow"])
+@pytest.mark.parametrize("how", ["nan", "kind", "meta", "cut", "float-dims", "epoch-overflow",
+                                 "rollout", "norm-policy", "params-order"])
 def test_predict_rejects_invalid_checkpoint(tmp_path, capsys, how):
     ck = _corrupt_predict_checkpoint(tmp_path, how)
     inp = _write_rows(tmp_path / "input.csv", 48)
@@ -486,6 +493,29 @@ def test_double_percent_is_not_an_escape(tmp_path, capsys):
     cfg = _percent_csv_config(tmp_path, str(tmp_path / "d%%1.csv"))
     assert main(["train", "--config", str(cfg)]) == 2
     assert "d%%1.csv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section,key,value", [
+    ("train", "lr", "nan"),
+    ("train", "lr", "inf"),
+    ("train", "adam_beta1", "1.0"),
+    ("train", "adam_beta1", "1.5"),
+    ("train", "adam_eps", "nan"),
+    ("train", "adam_eps", "-0.5"),
+    ("train", "seed", "-1"),
+    ("dataset", "noise_std", "nan"),
+    ("dataset", "noise_std", "-1"),
+    ("dataset", "periods", "nan"),
+    ("dataset", "amplitude", "nan"),
+])
+def test_config_values_training_cannot_use_exit_2_naming_their_section(tmp_path, capsys,
+                                                                       section, key, value):
+    cfg = write_config(tmp_path / "run.ini", tmp_path / "out", {section: {key: value}})
+    assert main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith(f"error: [{section}] ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_predict_missing_checkpoint_exits_2(tmp_path, capsys):

@@ -65,6 +65,31 @@ def test_nonstationary_coeffs_rejected():
         gen_ar_process(100, coeffs=[1.1])
 
 
+@pytest.mark.parametrize("kwargs,match", [
+    ({"noise_std": np.nan}, "noise_std"),
+    ({"noise_std": -1.0}, "noise_std"),
+    ({"periods": np.nan}, "periods"),
+    ({"periods": np.inf}, "periods"),
+    ({"amplitude": np.nan}, "finite"),
+])
+def test_sinusoid_rejects_parameters_that_give_no_finite_noisy_series(kwargs, match):
+    with pytest.raises(ValueError, match=match):
+        gen_sinusoid(100, **kwargs)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_series_values_must_be_finite(bad):
+    values = np.ones((10, 2))
+    values[4, 1] = bad
+    with pytest.raises(ValueError, match="finite"):
+        SeriesDataset.from_values("toy", values)
+
+
+def test_ar_process_with_nan_noise_is_rejected():
+    with pytest.raises(ValueError, match="ar_process: series values must be finite"):
+        gen_ar_process(100, noise_std=np.nan)
+
+
 def test_split_bounds_disjoint_and_ordered():
     ds = gen_sinusoid(1000, noise_std=0.1)
     tr, va, te = ds.splits["train"], ds.splits["val"], ds.splits["test"]

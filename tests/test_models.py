@@ -28,6 +28,7 @@ from arforecast.models import (
     Dims,
     NormState,
     apply_norm,
+    build_forecaster,
     forecast,
     init_forecaster,
     invert_norm,
@@ -50,6 +51,15 @@ def test_param_count_independent_of_variates():
         a = param_count(kind, Dims(S=5, T=3, V=1, hidden=hidden))
         b = param_count(kind, Dims(S=5, T=3, V=7, hidden=hidden))
         assert a == b
+
+
+def test_build_forecaster_rejects_a_vector_of_the_wrong_size():
+    for bad in (np.zeros(0), np.zeros(9), np.zeros(11), np.zeros((10, 1))):
+        with pytest.raises(ValueError, match="vector of 10 parameters"):
+            build_forecaster("linear", Dims(S=4, T=2), bad)
+    model = build_forecaster("linear", Dims(S=4, T=2), np.arange(10.0))
+    assert model.flat.tobytes() == np.arange(10.0).tobytes()
+    assert model.params["b"].values.ravel().tolist() == [8.0, 9.0]
 
 
 def test_init_determinism():

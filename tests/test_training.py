@@ -39,6 +39,16 @@ def test_train_config_validation():
         TrainConfig(objective="huber")
 
 
+@pytest.mark.parametrize("field,value", [
+    ("lr", math.nan), ("lr", math.inf), ("adam_eps", math.nan), ("adam_eps", -0.5),
+    ("adam_eps", 0.0), ("adam_beta1", 1.0), ("adam_beta1", 1.5), ("adam_beta2", -0.1),
+    ("adam_beta2", math.nan), ("seed", -1),
+])
+def test_train_config_rejects_values_adam_cannot_use(field, value):
+    with pytest.raises(ValueError, match=field):
+        TrainConfig(**{field: value})
+
+
 def test_adam_zero_gradient_is_a_no_op():
     params = np.array([1.0, -2.0, 3.0])
     state = AdamState.zeros_like(params)
@@ -150,8 +160,7 @@ def test_train_zero_epochs_returns_initial_params():
     ck, history = train(model, ds, roll, TrainConfig(max_epochs=0, seed=1))
     assert history == []
     assert ck.epoch == 0 and math.isnan(ck.val_loss)
-    np.testing.assert_array_equal(np.concatenate([p.ravel() for p in ck.params.values()]),
-                                  before)
+    np.testing.assert_array_equal(ck.flat, before)
 
 
 def test_train_empty_split_is_an_error():
@@ -166,7 +175,7 @@ def test_train_determinism_bitwise():
     def run():
         model, ds, roll, cfg = _quick_setup()
         ck, history = train(model, ds, roll, cfg)
-        return (np.concatenate([p.ravel() for p in ck.params.values()]).tobytes(),
+        return (ck.flat.tobytes(),
                 tuple((h.epoch, h.train_loss, h.val_loss) for h in history))
 
     assert run() == run()
@@ -210,9 +219,7 @@ def test_mse_and_ar_trajectories_identical_at_n1():
     ck_b, hist_b = train(model_b, ds, roll1, cfg_b)
 
     assert hist_a == hist_b
-    a = np.concatenate([p.ravel() for p in ck_a.params.values()])
-    b = np.concatenate([p.ravel() for p in ck_b.params.values()])
-    assert a.tobytes() == b.tobytes()
+    assert ck_a.flat.tobytes() == ck_b.flat.tobytes()
 
 
 def test_noiseless_sinusoid_is_learned_quickly():
@@ -248,8 +255,7 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert loaded.kind == ck.kind and loaded.dims == ck.dims
     assert loaded.rollout == ck.rollout
     assert loaded.epoch == 5 and loaded.val_loss == 0.123 and loaded.seed == 4
-    for name in ck.params:
-        assert loaded.params[name].tobytes() == ck.params[name].tobytes()
+    assert loaded.flat.dtype == np.float64 and loaded.flat.tobytes() == ck.flat.tobytes()
 
     ctx = Tensor(np.random.default_rng(0).normal(size=(6, 1)))
     out_a = forecast(ck.to_forecaster(), ctx).values
@@ -258,11 +264,17 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
 
 
 def test_checkpoint_save_is_byte_stable(tmp_path):
-    ck = _small_checkpoint()
-    p1, p2 = tmp_path / "a.arpt", tmp_path / "b.arpt"
-    save_checkpoint(ck, p1)
-    save_checkpoint(ck, p2)
-    assert p1.read_bytes() == p2.read_bytes()
+    for kind, dims in [("linear", Dims(S=6, T=2)), ("mlp", Dims(S=6, T=2, hidden=3)),
+                       ("inverted_attention", Dims(S=6, T=2, L=2, V=3, hidden=4))]:
+        model = init_forecaster(kind, dims, seed=4)
+        ck = Checkpoint.from_forecaster(model, RolloutConfig(S=6, T=2, L=dims.L, n=3),
+                                        epoch=5, val_loss=0.123, seed=4)
+        p1, p2, p3 = (tmp_path / f"{kind}_{i}.arpt" for i in range(3))
+        save_checkpoint(ck, p1)
+        save_checkpoint(ck, p2)
+        assert p1.read_bytes() == p2.read_bytes()
+        save_checkpoint(load_checkpoint(p1), p3)  # a loaded checkpoint saves as the same bytes
+        assert p3.read_bytes() == p1.read_bytes()
 
 
 def test_checkpoint_wrong_magic(tmp_path):
@@ -330,7 +342,13 @@ def _linear_checkpoint(path):
     lambda h: h.update(params=[["w", [6, 2]], ["b", [2, 1]]]),
     lambda h: h["dims"].update(S=6.0),  # shapes compare equal to (2, 6), but cannot reshape
     lambda h: h["dims"].update(T=2.0),
-], ids=["kind", "kind-and-hidden", "unknown-kind", "name", "shape", "float-S", "float-T"])
+    lambda h: h["params"].reverse(),
+    lambda h: h["rollout"].update(S=40),  # the rollout's geometry is the model's
+    lambda h: h["rollout"].update(T=3),
+    lambda h: h["rollout"].update(L=3),
+    lambda h: h["rollout"].update(S=6.0),
+], ids=["kind", "kind-and-hidden", "unknown-kind", "name", "shape", "float-S", "float-T",
+        "reordered", "rollout-S", "rollout-T", "rollout-L", "float-rollout-S"])
 def test_checkpoint_params_must_match_kind_and_dims(tmp_path, edit):
     path = _linear_checkpoint(tmp_path / "model.arpt")
     _rewrite_header(path, edit)
@@ -356,8 +374,15 @@ def test_checkpoint_non_finite_payload_rejected(tmp_path, bad):
     lambda h: h.pop("norm_policy"),
     lambda h: h["meta"].update(epoch=math.inf),  # what json reads for 1e400
     lambda h: h["meta"].update(seed=-math.inf),
+    lambda h: h["meta"].update(epoch=2.7),
+    lambda h: h["meta"].update(epoch=True),
+    lambda h: h["meta"].update(epoch="3"),
+    lambda h: h["meta"].update(seed=4.0),
+    lambda h: h["meta"].update(seed=True),
+    lambda h: h.update(norm_policy="minmax"),  # eval and predict z-score the context regardless
 ], ids=["epoch", "val-loss", "seed", "no-epoch", "no-meta", "no-norm-policy", "epoch-overflow",
-        "seed-overflow"])
+        "seed-overflow", "fractional-epoch", "bool-epoch", "string-epoch", "float-seed",
+        "bool-seed", "norm-policy"])
 def test_checkpoint_bad_meta_is_a_format_error(tmp_path, edit):
     path = _linear_checkpoint(tmp_path / "model.arpt")
     _rewrite_header(path, edit)
@@ -439,11 +464,10 @@ def test_mutated_checkpoints_raise_only_checkpoint_errors(tmp_path_factory, fiel
 def test_to_forecaster_copies_params_and_rejects_unknown_kind():
     ck = _small_checkpoint()
     model = ck.to_forecaster()
-    assert list(model.params) == list(ck.params)
-    for name, tensor in model.params.items():
-        assert tensor.requires_grad
-        assert tensor.values.tobytes() == ck.params[name].tobytes()
-        assert tensor.values is not ck.params[name]
+    assert list(model.params) == ["w1", "b1", "w2", "b2"]
+    assert all(tensor.requires_grad for tensor in model.params.values())
+    assert model.flat.tobytes() == ck.flat.tobytes()
+    assert not np.shares_memory(model.flat, ck.flat)
     ck.kind = "transformer"
     with pytest.raises(ValueError, match="transformer"):
         ck.to_forecaster()
