@@ -7,20 +7,13 @@ from .autodiff import (
     add,
     concat,
     finite_diff_oracle,
-    layer_norm,
-    matmul,
     max_relative_error,
     mean_all,
-    mul,
     relu,
     scale,
     slice_axis,
-    softmax,
     stop_gradient,
     sub,
-    sum_all,
-    window_mix,
-    window_scores,
 )
 from .data import SeriesDataset, SeriesWindow, gen_ar_process, gen_sinusoid, load_csv, window_iter
 from .evaluation import EvalReport, compare, evaluate, export_curve, write_report_json

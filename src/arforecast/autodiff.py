@@ -1,13 +1,12 @@
 """Reverse-mode automatic differentiation on a per-evaluation tape.
 
 Dense float64 tensors plus the operation set the forecasting models and
-the rollout objective need: elementwise arithmetic, column-broadcast
-addition, matrix multiply, ``w @ x + b``, relu/abs, full reductions,
-slicing and concatenation, softmax and layer normalization along an axis,
-two per-window products for windows side by side as groups of V columns,
-the attention model's attention and feed-forward sublayers as one record
-each, the objective's block error and discounted sum, and a stop-gradient
-operator: the identity forward, and no gradient flow backward.
+the rollout objective record: ``w @ x + b``, relu, the attention model's
+attention and feed-forward sublayers as one record each, slicing and
+concatenation, the objective's block error and discounted sum, and the
+mean. Same-shape add and sub, scaling, abs and a stop-gradient operator
+(the identity forward, and no gradient flow backward) spell the
+objective's monotonicity penalty term by term.
 
 A ``Tape`` is built fresh for every loss evaluation (define-by-run) and
 is a single-threaded unit of work; separate tapes share no mutable state
@@ -72,9 +71,6 @@ class Tensor:
     def mean(self) -> "Tensor":
         return mean_all(self)
 
-    def sum(self) -> "Tensor":
-        return sum_all(self)
-
     def __add__(self, other):
         if not isinstance(other, Tensor):
             return NotImplemented
@@ -84,18 +80,6 @@ class Tensor:
         if not isinstance(other, Tensor):
             return NotImplemented
         return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return NotImplemented
-
-    def __matmul__(self, other):
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        return matmul(self, other)
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -195,20 +179,11 @@ def _emit(values, inputs: tuple[Tensor, ...], rule, ctx: tuple) -> Tensor:
 # op time, so a test harness can swap one out as a negative control.
 
 def _add_rule(ctx, g):
-    # Reduce a broadcast column's gradient as g @ ones.T, not np.sum(g, axis=1):
-    # the two round differently in the last bit, and the BLAS product keeps
-    # trained checkpoints byte-identical to those of the ones-matrix bias
-    # broadcast the models used before.
-    return tuple(g if width is None else g @ np.ones((1, width)).T for width in ctx)
+    return g, g
 
 
 def _sub_rule(ctx, g):
     return g, -g
-
-
-def _mul_rule(ctx, g):
-    a, b = ctx
-    return g * b, g * a
 
 
 def _scale_rule(ctx, g):
@@ -216,13 +191,10 @@ def _scale_rule(ctx, g):
     return (g * c,)
 
 
-def _matmul_rule(ctx, g):
-    a, b = ctx
-    return g @ b.T, a.T @ g
-
-
 def _affine_rule(ctx, g):
-    w, x = ctx  # _matmul_rule's products, then _add_rule's column reduction
+    # the bias gradient is g @ ones.T, not np.sum(g, axis=1): the two round differently in the
+    # last bit, and the product keeps checkpoints byte-identical to a ones-matrix bias broadcast
+    w, x = ctx
     return g @ x.T, w.T @ g, g @ np.ones((1, g.shape[1])).T
 
 
@@ -239,11 +211,6 @@ def _abs_rule(ctx, g):
 def _mean_rule(ctx, g):
     shape, size = ctx
     return (np.full(shape, float(g) / size),)
-
-
-def _sum_rule(ctx, g):
-    (shape,) = ctx
-    return (np.full(shape, float(g)),)
 
 
 def _concat_rule(ctx, g):
@@ -331,21 +298,9 @@ def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
         raise ValueError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
 
 
-def _is_column_of(col: Tensor, other: Tensor) -> bool:
-    return other.values.ndim == 2 and col.shape == (other.shape[0], 1)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; an (n, 1) operand may also be added to each column of an (n, V) one."""
-    if a.shape == b.shape:
-        widths = (None, None)
-    elif _is_column_of(a, b):
-        widths = (b.shape[1], None)
-    elif _is_column_of(b, a):
-        widths = (None, a.shape[1])
-    else:
-        raise ValueError(f"add: shape mismatch {a.shape} vs {b.shape}")
-    return _emit(a.values + b.values, (a, b), _add_rule, widths)
+    _same_shape(a, b, "add")
+    return _emit(a.values + b.values, (a, b), _add_rule, ())
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -353,24 +308,11 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return _emit(a.values - b.values, (a, b), _sub_rule, ())
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "mul")
-    return _emit(a.values * b.values, (a, b), _mul_rule, (a.values, b.values))
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     if not np.isfinite(c):
         raise ValueError("scale factor must be finite")
     return _emit(a.values * c, (a,), _scale_rule, (c,))
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.values.ndim != 2 or b.values.ndim != 2:
-        raise ValueError(f"matmul: expects 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
-    return _emit(a.values @ b.values, (a, b), _matmul_rule, (a.values, b.values))
 
 
 def affine(w: Tensor, x: Tensor, b: Tensor) -> Tensor:
@@ -448,38 +390,12 @@ def _window_scores_values(q: np.ndarray, k: np.ndarray, V: int):
     return (q3.transpose(0, 2, 1) @ k3).reshape(-1, V), (q3, k3)
 
 
-def window_scores(q: Tensor, k: Tensor, V: int) -> Tensor:
-    """Per-window ``q_b.T @ k_b``, stacked as a (B*V, V) tensor.
-
-    ``q`` and ``k`` are (h, B*V): B windows of V columns each, side by side.
-    Row block b of the result holds window b's V-by-V products.
-    """
-    _check_windows("window_scores", q, V)
-    _same_shape(q, k, "window_scores")
-    out, saved = _window_scores_values(q.values, k.values, V)
-    return _emit(out, (q, k), _window_scores_rule, saved)
-
-
 def _window_mix_values(val: np.ndarray, attn: np.ndarray, V: int):
     """(per-window val_b @ attn_b.T stacked back as C-ordered (h, B*V), the saved (v3, a3))."""
     h, width = val.shape
     v3, a3 = _windows(val, V), attn.reshape(-1, V, V)
     # (attn_b @ val_b.T).T is val_b @ attn_b.T; the (B, V, h) product flattens without a copy
     return np.ascontiguousarray((a3 @ v3.transpose(0, 2, 1)).reshape(width, h).T), (v3, a3)
-
-
-def window_mix(val: Tensor, attn: Tensor, V: int) -> Tensor:
-    """Per-window ``val_b @ attn_b.T``, stacked back as an (h, B*V) tensor.
-
-    ``val`` is (h, B*V) in V-column windows; ``attn`` is the (B*V, V) stack
-    of per-window V-by-V matrices that ``window_scores`` produces.
-    """
-    _check_windows("window_mix", val, V)
-    width = val.values.shape[1]
-    if attn.values.shape != (width, V):
-        raise ValueError(f"window_mix: attn must be ({width}, {V}), got {attn.shape}")
-    out, saved = _window_mix_values(val.values, attn.values, V)
-    return _emit(out, (val, attn), _window_mix_rule, saved)
 
 
 def attention_sublayer(tokens: Tensor, q_w: Tensor, q_b: Tensor, k_w: Tensor, k_b: Tensor,
@@ -493,7 +409,7 @@ def attention_sublayer(tokens: Tensor, q_w: Tensor, q_b: Tensor, k_w: Tensor, k_
     c = float(1.0 / np.sqrt(x.shape[0]))
     attn = _softmax_values(scores * c, 1)
     mix, va = _window_mix_values(val, attn, V)
-    y, inv = _layer_norm_values(x + (o_w.values @ mix + o_b.values), 0, _LN_EPS)
+    y, inv = _layer_norm_values(x + (o_w.values @ mix + o_b.values), 0)
     return _emit(y, (tokens, q_w, q_b, k_w, k_b, v_w, v_b, o_w, o_b), _attention_sublayer_rule,
                  (x, q_w.values, k_w.values, v_w.values, o_w.values, qk, c, attn, va, mix, y, inv))
 
@@ -503,7 +419,7 @@ def ffn_sublayer(x1: Tensor, ff1_w: Tensor, ff1_b: Tensor, ff2_w: Tensor, ff2_b:
     x = x1.values
     pre = ff1_w.values @ x + ff1_b.values
     r = np.maximum(pre, 0.0)
-    y, inv = _layer_norm_values(x + (ff2_w.values @ r + ff2_b.values), 0, _LN_EPS)
+    y, inv = _layer_norm_values(x + (ff2_w.values @ r + ff2_b.values), 0)
     return _emit(y, (x1, ff1_w, ff1_b, ff2_w, ff2_b), _ffn_sublayer_rule,
                  (pre, x, ff1_w.values, ff2_w.values, r, y, inv))
 
@@ -518,10 +434,6 @@ def absolute(a: Tensor) -> Tensor:
 
 def mean_all(a: Tensor) -> Tensor:
     return _emit(np.mean(a.values), (a,), _mean_rule, (a.values.shape, a.values.size))
-
-
-def sum_all(a: Tensor) -> Tensor:
-    return _emit(np.sum(a.values), (a,), _sum_rule, (a.values.shape,))
 
 
 def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
@@ -558,26 +470,12 @@ def _softmax_values(x: np.ndarray, axis: int) -> np.ndarray:
     return e / np.add.reduce(e, axis, keepdims=True)
 
 
-def softmax(a: Tensor, axis: int) -> Tensor:
-    if not 0 <= axis < a.values.ndim:
-        raise ValueError(f"softmax: axis {axis} out of range for shape {a.shape}")
-    y = _softmax_values(a.values, axis)
-    return _emit(y, (a,), _softmax_rule, (y, axis))
-
-
-def _layer_norm_values(x: np.ndarray, axis: int, eps: float):
+def _layer_norm_values(x: np.ndarray, axis: int):
     """(normalized x, saved 1/sqrt(var + eps)); np.add.reduce(..) / n is np.mean, unwrapped."""
     n = x.shape[axis]
     centered = x - np.add.reduce(x, axis, keepdims=True) / n
-    inv = 1.0 / np.sqrt(np.add.reduce(centered * centered, axis, keepdims=True) / n + eps)
+    inv = 1.0 / np.sqrt(np.add.reduce(centered * centered, axis, keepdims=True) / n + _LN_EPS)
     return centered * inv, inv
-
-
-def layer_norm(a: Tensor, axis: int, eps: float = _LN_EPS) -> Tensor:
-    if not 0 <= axis < a.values.ndim:
-        raise ValueError(f"layer_norm: axis {axis} out of range for shape {a.shape}")
-    y, inv = _layer_norm_values(a.values, axis, eps)
-    return _emit(y, (a,), _layer_norm_rule, (y, inv, axis))
 
 
 def stop_gradient(a: Tensor) -> Tensor:

@@ -211,9 +211,9 @@ class RunConfig:
             raise ConfigError(f"[dataset] {exc}") from None
 
     def build_model(self, n_variates: int):
-        dims = Dims(S=self.rollout.S, T=self.rollout.T, L=self.rollout.L,
-                    V=n_variates, hidden=self.values["model"]["hidden"])
         try:
+            dims = Dims(S=self.rollout.S, T=self.rollout.T, L=self.rollout.L,
+                        V=n_variates, hidden=self.values["model"]["hidden"])
             return init_forecaster(self.kind, dims, seed=self.train.seed)
         except ValueError as exc:
             raise ConfigError(f"[model] {exc}") from None

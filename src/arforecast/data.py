@@ -102,6 +102,8 @@ def gen_sinusoid(length, V=1, periods=24.0, amplitude=1.0, noise_std=0.0, seed=0
         raise ValueError(f"periods must be positive and finite, got {periods.tolist()}")
     if not 0 <= noise_std < np.inf:
         raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
+    if not np.isfinite(amplitude):
+        raise ValueError(f"amplitude must be finite, got {amplitude}")
     t = np.arange(length, dtype=np.float64)[:, None]
     values = amplitude * np.sin(2.0 * np.pi * t / periods[None, :])
     if noise_std > 0:

@@ -220,7 +220,14 @@ def _param_list(kind: str, dims: Dims) -> list:
     return [[name, list(shape)] for name, shape, _ in _param_shapes(kind, dims)]
 
 
+def _check_geometry(rollout: RolloutConfig, dims: Dims) -> None:
+    """The rollout's S/T/L must be the model's, for the writer and the loader alike."""
+    if (rollout.S, rollout.T, rollout.L) != (dims.S, dims.T, dims.L):
+        raise ValueError(f"rollout geometry {rollout} does not match {dims}")
+
+
 def save_checkpoint(ck: Checkpoint, path) -> None:
+    _check_geometry(ck.rollout, ck.dims)
     header = {
         "kind": ck.kind,
         "dims": vars(ck.dims),
@@ -262,12 +269,13 @@ def load_checkpoint(path) -> Checkpoint:
         integers = [*vars(dims).values(), rollout.S, rollout.T, rollout.L, rollout.n, epoch, seed]
         if not all(type(value) is int for value in integers):
             raise TypeError("dims, rollout geometry, epoch and seed must be integers")
-        if (rollout.S, rollout.T, rollout.L) != (dims.S, dims.T, dims.L):
-            raise ValueError(f"rollout geometry {rollout} does not match {dims}")
+        _check_geometry(rollout, dims)
         if header["norm_policy"] != NORM_POLICY:
             raise ValueError(f"norm_policy must be {NORM_POLICY!r}, got {header['norm_policy']!r}")
         if header["params"] != _param_list(kind, dims):
             raise ValueError(f"parameter names or shapes do not match a {kind} model of {dims}")
+        if val_loss is not None and type(val_loss) not in (int, float):
+            raise TypeError("val_loss must be a JSON number or null")
         val_loss = math.nan if val_loss is None else float(val_loss)
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise CheckpointFormatError(f"{path}: corrupt header ({exc})") from exc

@@ -507,6 +507,7 @@ def test_double_percent_is_not_an_escape(tmp_path, capsys):
     ("dataset", "noise_std", "-1"),
     ("dataset", "periods", "nan"),
     ("dataset", "amplitude", "nan"),
+    ("model", "hidden", "-1"),
 ])
 def test_config_values_training_cannot_use_exit_2_naming_their_section(tmp_path, capsys,
                                                                        section, key, value):
@@ -515,6 +516,17 @@ def test_config_values_training_cannot_use_exit_2_naming_their_section(tmp_path,
     err = capsys.readouterr().err
     assert err.splitlines() == [err.strip()]
     assert err.startswith(f"error: [{section}] ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("amplitude", ["inf", "-inf"])
+def test_infinite_amplitude_prints_one_stderr_line(tmp_path, amplitude):
+    cfg = write_config(tmp_path / "run.ini", tmp_path / "out",
+                       {"dataset": {"amplitude": amplitude}})
+    proc = _cli("train", "--config", cfg)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [proc.stderr.strip()]
+    assert proc.stderr.startswith("error: [dataset] amplitude must be finite")
     assert not (tmp_path / "out").exists()
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from arforecast.autodiff import Tape, Tensor, absolute, matmul, mean_all, scale, stop_gradient
+from arforecast.autodiff import Tape, Tensor, absolute, mean_all, scale, stop_gradient
 from arforecast.data import SeriesWindow, gen_sinusoid, window_iter
 from arforecast.models import Dims, forecast, init_forecaster
 from arforecast.rollout import (
@@ -18,6 +18,7 @@ from arforecast.rollout import (
     mse_loss,
     rollout_predict,
 )
+from composite_ops import matmul, mul
 
 
 def test_config_validation():
@@ -471,7 +472,7 @@ def _composite_block_error(pred_block, truth_block, V):
     """block_error as sub, mul and constant-matrix matmul records: the fused op's reference."""
     rows, width = pred_block.shape
     diff = pred_block - Tensor(truth_block)
-    per_column = matmul(Tensor(np.full((1, rows), 1.0 / (rows * V))), diff * diff)
+    per_column = matmul(Tensor(np.full((1, rows), 1.0 / (rows * V))), mul(diff, diff))
     if V == 1:
         return per_column
     return matmul(per_column, Tensor(np.kron(np.eye(width // V), np.ones((V, 1)))))

@@ -380,14 +380,34 @@ def test_checkpoint_non_finite_payload_rejected(tmp_path, bad):
     lambda h: h["meta"].update(seed=4.0),
     lambda h: h["meta"].update(seed=True),
     lambda h: h.update(norm_policy="minmax"),  # eval and predict z-score the context regardless
+    lambda h: h["meta"].update(val_loss="0.25"),  # a JSON number or null, nothing float() takes
+    lambda h: h["meta"].update(val_loss=True),
+    lambda h: h["meta"].update(val_loss=[0.25]),
 ], ids=["epoch", "val-loss", "seed", "no-epoch", "no-meta", "no-norm-policy", "epoch-overflow",
         "seed-overflow", "fractional-epoch", "bool-epoch", "string-epoch", "float-seed",
-        "bool-seed", "norm-policy"])
+        "bool-seed", "norm-policy", "string-val-loss", "bool-val-loss", "list-val-loss"])
 def test_checkpoint_bad_meta_is_a_format_error(tmp_path, edit):
     path = _linear_checkpoint(tmp_path / "model.arpt")
     _rewrite_header(path, edit)
     with pytest.raises(CheckpointFormatError):
         load_checkpoint(path)
+
+
+def test_epoch_0_checkpoint_writes_val_loss_null_and_loads_it_as_nan(tmp_path):
+    model = init_forecaster("linear", Dims(S=6, T=2), seed=4)
+    path = tmp_path / "model.arpt"
+    ck = Checkpoint.from_forecaster(model, RolloutConfig(S=6, T=2), 0, math.nan, 4)
+    save_checkpoint(ck, path)
+    assert b'"val_loss": null' in path.read_bytes()
+    assert math.isnan(load_checkpoint(path).val_loss)
+
+
+def test_save_refuses_a_rollout_geometry_the_loader_would_refuse(tmp_path):
+    model = init_forecaster("linear", Dims(S=6, T=2), seed=4)
+    path = tmp_path / "model.arpt"
+    with pytest.raises(ValueError, match="rollout geometry"):
+        save_checkpoint(Checkpoint.from_forecaster(model, RolloutConfig(S=8, T=2), 0, 0.5, 4), path)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("cut", range(1, 8))
