@@ -3,12 +3,14 @@
 
 A change meant to keep the numerics bit for bit is checked by running this
 script in two checkouts and comparing the outputs with ``diff``. It imports
-arforecast from the checkout it lives in. Four configs, each trained for 10
+arforecast from the checkout it lives in. Five configs, each trained for 10
 epochs: the README demo for linear, mlp (hidden 32) and inverted_attention
-(hidden 16, V = 4), and inverted_attention with an overlap (hidden 8, V = 3,
-L = 3). For each it hashes the checkpoint and history, ``resaved.arpt``
-(the checkpoint loaded and saved again, which must equal it byte for byte),
-the ``eval --horizon 168`` report and curve (normalized and ``--raw-scale``),
+(hidden 16, V = 4), inverted_attention with an overlap (hidden 8, V = 3,
+L = 3), and mlp (hidden 8, V = 2) on the demo series read from a CSV with a
+header and a time column, so the CSV loader feeds train, eval and gradcheck.
+For each it hashes the checkpoint and history, ``resaved.arpt`` (the
+checkpoint loaded and saved again, which must equal it byte for byte), the
+``eval --horizon 168`` report and curve (normalized and ``--raw-scale``),
 ``predict --horizon 168`` predictions, and ``gradcheck`` stdout. ``run.ini``
 and ``config_resolved.ini`` name the output directory, so they are not hashed.
 
@@ -31,20 +33,30 @@ from arforecast import gen_sinusoid  # noqa: E402
 from arforecast.cli import main as cli_main  # noqa: E402
 from arforecast.training import load_checkpoint, save_checkpoint  # noqa: E402
 
-CONFIGS = {  # name: (kind, hidden, variates, overlap L)
-    "linear": ("linear", 0, 1, 0),
-    "mlp": ("mlp", 32, 1, 0),
-    "attention": ("inverted_attention", 16, 4, 0),
-    "attention_overlap": ("inverted_attention", 8, 3, 3),
+CONFIGS = {  # name: (kind, hidden, variates, overlap L, dataset source)
+    "linear": ("linear", 0, 1, 0, "sinusoid"),
+    "mlp": ("mlp", 32, 1, 0, "sinusoid"),
+    "attention": ("inverted_attention", 16, 4, 0, "sinusoid"),
+    "attention_overlap": ("inverted_attention", 8, 3, 3, "sinusoid"),
+    "mlp_csv": ("mlp", 8, 2, 0, "csv"),
 }
 
-INI = """[dataset]
-source = sinusoid
+DATASETS = {
+    "sinusoid": """source = sinusoid
 length = 1600
 variates = {V}
 periods = 144
 noise_std = 0.1
-seed = 0
+seed = 0""",
+    # the same series as the sinusoid source, written by write_series_csv
+    "csv": """source = csv
+path = {out}/series.csv
+has_header = true
+time_column = time""",
+}
+
+INI = """[dataset]
+{dataset}
 
 [model]
 kind = {kind}
@@ -81,11 +93,22 @@ def run(*argv: str) -> str:
     return stdout.getvalue()
 
 
-def produce(root: Path, name: str, kind: str, hidden: int, V: int, L: int) -> None:
+def write_series_csv(path: Path, V: int) -> None:
+    """The 1600-row sinusoid source as a CSV: a header, then an integer time column first."""
+    rows = gen_sinusoid(1600, V=V, periods=144.0, noise_std=0.1, seed=0).values
+    np.savetxt(path, np.column_stack([np.arange(len(rows)), rows]),
+               fmt=["%d"] + ["%.17g"] * V, delimiter=",",
+               header=",".join(["time", *(f"x{j}" for j in range(V))]), comments="")
+
+
+def produce(root: Path, name: str, kind: str, hidden: int, V: int, L: int, source: str) -> None:
     out = root / name
     out.mkdir(parents=True, exist_ok=True)
+    if source == "csv":
+        write_series_csv(out / "series.csv", V)
     config = out / "run.ini"
-    config.write_text(INI.format(kind=kind, hidden=hidden, V=V, L=L, out=out))
+    dataset = DATASETS[source].format(V=V, out=out)
+    config.write_text(INI.format(dataset=dataset, kind=kind, hidden=hidden, L=L, out=out))
     history = out / "history_input.csv"
     rows = gen_sinusoid(200, V=V, periods=144.0, noise_std=0.1, seed=7).values
     np.savetxt(history, rows, fmt="%.17g", delimiter=",",

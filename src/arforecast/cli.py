@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import functools
+import math
 import sys
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
@@ -34,6 +35,7 @@ from .training import (
     CheckpointError,
     TrainConfig,
     load_checkpoint,
+    objective_horizon,
     save_checkpoint,
     train,
     write_history_csv,
@@ -100,6 +102,39 @@ SCHEMA = (
 )
 
 
+_SECTION_KEYS = {section: {row[1] for row in SCHEMA if row[0] == section}
+                 for section in dict.fromkeys(row[0] for row in SCHEMA)}
+_REQUIRED_SECTIONS = tuple(dict.fromkeys(row[0] for row in SCHEMA if row[3] is MISSING))
+
+
+def _read_plain_ini(text: str) -> dict[str, dict[str, str]] | None:
+    """``{section: {key: value}}`` as ``ConfigParser(interpolation=None)`` reads ``text``, when
+    each line is blank, a comment, an unindented ``[section]`` header (not DEFAULT, not
+    repeated) or an unindented ``key = value`` line in a section (no ':' before the '=', the
+    key not repeated); None for any other text."""
+    sections: dict[str, dict[str, str]] = {}
+    items = None
+    for line in text.split("\n"):
+        stripped = line.strip()
+        if not stripped or stripped[0] in "#;":
+            continue
+        if line[0].isspace():  # configparser may continue the last value with it
+            return None
+        if stripped[0] == "[":
+            name = stripped[1:-1]
+            if stripped[-1] != "]" or not name or "[" in name or "]" in name \
+                    or name == "DEFAULT" or name in sections:
+                return None
+            items = sections[name] = {}
+            continue
+        eq = stripped.find("=")
+        key = stripped[:eq].rstrip().lower()
+        if items is None or eq < 1 or ":" in key or key in items:
+            return None
+        items[key] = stripped[eq + 1:].strip()
+    return sections
+
+
 def _one_of(section: str, key: str, value, choices: tuple[str, ...]) -> None:
     if value not in choices:
         allowed = ", ".join(choices[:-1]) + f", or {choices[-1]}"
@@ -126,26 +161,27 @@ class RunConfig:
     """
 
     def __init__(self, path, out_override=None, seed_override=None):
-        parser = configparser.ConfigParser(interpolation=None)  # a '%' is taken literally
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"config file not found: {path}")
         try:
-            parser.read(path, encoding="utf-8")
-        except configparser.Error as exc:
-            raise ConfigError(f"{path}: {exc}") from exc
-
-        keys: dict[str, set[str]] = {}
-        for section, key, *_ in SCHEMA:
-            keys.setdefault(section, set()).add(key)
-        raw = {name: dict(parser.items(name)) for name in parser.sections()}
+            raw = _read_plain_ini(path.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError):
+            raw = None
+        if raw is None:  # configparser reads the rest, and reports what it refuses
+            parser = configparser.ConfigParser(interpolation=None)  # a '%' is taken literally
+            try:
+                parser.read(path, encoding="utf-8")
+            except configparser.Error as exc:
+                raise ConfigError(f"{path}: {exc}") from exc
+            raw = {name: dict(parser.items(name)) for name in parser.sections()}
         for name, items in raw.items():
-            if name not in keys:
+            if name not in _SECTION_KEYS:
                 raise ConfigError(f"unknown config section [{name}]")
             for key in items:
-                if key not in keys[name]:
+                if key not in _SECTION_KEYS[name]:
                     raise ConfigError(f"[{name}] unknown key {key!r}")
-        for name in dict.fromkeys(row[0] for row in SCHEMA if row[3] is MISSING):
+        for name in _REQUIRED_SECTIONS:
             if name not in raw:
                 raise ConfigError(f"missing config section [{name}]")
 
@@ -193,22 +229,33 @@ class RunConfig:
         ds = self.values["dataset"]
         try:
             if self.source == "csv":
-                return load_csv(ds["path"], has_header=ds["has_header"],
-                                time_column=ds["time_column"], ratios=ds["split"])
-            if self.source == "sinusoid":
+                dataset = load_csv(ds["path"], has_header=ds["has_header"],
+                                   time_column=ds["time_column"], ratios=ds["split"])
+            elif self.source == "sinusoid":
                 periods = ds["periods"]
                 if len(periods) == 1:
                     periods = periods * ds["variates"]
                 if len(periods) != ds["variates"]:
                     raise ValueError(f"{len(periods)} periods for {ds['variates']} variates")
-                return gen_sinusoid(ds["length"], V=ds["variates"], periods=periods,
-                                    amplitude=ds["amplitude"], noise_std=ds["noise_std"],
-                                    seed=ds["seed"], ratios=ds["split"])
-            return gen_ar_process(ds["length"], V=ds["variates"], coeffs=ds["coeffs"],
-                                  noise_std=ds["noise_std"], seed=ds["seed"],
-                                  ratios=ds["split"])
+                dataset = gen_sinusoid(ds["length"], V=ds["variates"], periods=periods,
+                                       amplitude=ds["amplitude"], noise_std=ds["noise_std"],
+                                       seed=ds["seed"], ratios=ds["split"])
+            else:
+                dataset = gen_ar_process(ds["length"], V=ds["variates"], coeffs=ds["coeffs"],
+                                         noise_std=ds["noise_std"], seed=ds["seed"],
+                                         ratios=ds["split"])
         except (ValueError, FileNotFoundError) as exc:
             raise ConfigError(f"[dataset] {exc}") from None
+        # A window's z-score sums at most N values of size <= peak, and at most N squared
+        # deviations of size <= spread**2; keeping both sums finite keeps every one finite.
+        top, bottom = dataset.values.max(0).tolist(), dataset.values.min(0).tolist()
+        limit = sys.float_info.max / len(dataset.values)
+        peak = max(max(top), -min(bottom))
+        spread = max(t - b for t, b in zip(top, bottom))  # float subtraction overflows to inf
+        if peak > limit or spread > math.sqrt(limit):
+            raise ConfigError(f"[dataset] {dataset.name}: values up to {peak:.3g} (spread "
+                              f"{spread:.3g}) overflow a z-score over {len(dataset.values)} rows")
+        return dataset
 
     def build_model(self, n_variates: int):
         try:
@@ -218,6 +265,14 @@ class RunConfig:
         except ValueError as exc:
             raise ConfigError(f"[model] {exc}") from None
 
+    def check_train_split(self, dataset: SeriesDataset, objective: str) -> None:
+        """Refuse a train split too short for one window of the ``objective``."""
+        lo, hi = dataset.split_range("train")
+        S, horizon = self.rollout.S, objective_horizon(self.rollout, objective)
+        if hi - lo < S + horizon:
+            raise ConfigError(f"[rollout] S={S} plus horizon {horizon} needs {S + horizon} "
+                              f"rows, but the train split has {hi - lo}")
+
     def write_resolved(self) -> None:
         """Write the keys that apply, defaults filled in, in ``ConfigParser.write``'s layout."""
         sections: dict[str, list[str]] = {}
@@ -226,10 +281,17 @@ class RunConfig:
             if self.source in sources and value is not None:
                 text = _FORMATS.get(parse, str)(value).replace("\n", "\n\t")
                 sections.setdefault(section, []).append(f"{key} = {text}\n")
-        if not self.out_dir.is_dir():
-            self.out_dir.mkdir(parents=True, exist_ok=True)
-        write_fresh(self.out_dir / "config_resolved.ini", "".join(
+        _write_out(self.out_dir / "config_resolved.ini", "".join(
             f"[{section}]\n{''.join(lines)}\n" for section, lines in sections.items()))
+
+
+def _write_out(path: Path, content) -> None:
+    """``write_fresh``, creating the output directory if the first write finds it missing."""
+    try:
+        write_fresh(path, content)
+    except FileNotFoundError:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        write_fresh(path, content)
 
 
 def _load_checkpoint_or_fail(path):
@@ -262,6 +324,7 @@ def cmd_train(args) -> int:
     cfg = RunConfig(args.config, out_override=args.out, seed_override=args.seed)
     dataset = cfg.build_dataset()
     model = cfg.build_model(dataset.n_variates)
+    cfg.check_train_split(dataset, cfg.train.objective)
     cfg.write_resolved()
 
     checkpoint, history = train(model, dataset, cfg.rollout, cfg.train)
@@ -322,11 +385,9 @@ def cmd_predict(args) -> int:
                           f"no predictions written") from None
 
     out_path = Path(args.out, "predictions.csv")
-    if not out_path.parent.is_dir():
-        out_path.parent.mkdir(parents=True, exist_ok=True)
     row_format = ",".join(["%.17g"] * values.shape[1]) + "\n"
-    write_fresh(out_path, ",".join(dataset.columns) + "\n"
-                + row_format * values.shape[0] % tuple(values.ravel().tolist()))
+    _write_out(out_path, ",".join(dataset.columns) + "\n"
+               + row_format * values.shape[0] % tuple(values.ravel().tolist()))
     print(f"wrote {values.shape[0]} forecast rows to {out_path}")
     return 0
 
@@ -339,9 +400,8 @@ def cmd_gradcheck(args) -> int:
         raise ConfigError(f"model has {model.param_count} parameters; gradcheck is "
                           f"limited to {GRADCHECK_MAX_PARAMS} to keep the "
                           f"finite-difference oracle tractable")
+    cfg.check_train_split(dataset, "ar")
     windows = window_iter(dataset, "train", cfg.rollout.S, cfg.rollout.horizon)
-    if not windows:
-        raise ConfigError("train split supports no windows for this config")
     cfg.write_resolved()
 
     # prefer a window whose relu/abs inputs sit safely away from the kinks
@@ -395,13 +455,62 @@ def build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
     return parser, sub.choices
 
 
+@functools.cache
+def _plain_table(sub: argparse.ArgumentParser):
+    """``sub``'s store and store_true options by option string, its positionals in order, and
+    the defaults ``parse_known_args`` starts its namespace from (none is a str, which argparse
+    would pass through the action's type)."""
+    actions, plain = sub._actions, (argparse._StoreAction, argparse._StoreTrueAction)
+    options = {name: a for a in actions if isinstance(a, plain) for name in a.option_strings}
+    positionals = [a for a in actions if not a.option_strings]
+    defaults = {a.dest: a.default for a in actions
+                if argparse.SUPPRESS not in (a.dest, a.default)}
+    return options, positionals, {**defaults, **sub._defaults}
+
+
+def _parse_plain(sub: argparse.ArgumentParser, argv: list[str]):
+    """The namespace ``sub.parse_known_args(argv)`` returns with no extras, for an ``argv`` of
+    whole option strings (each followed by its value unless it is a flag) and positionals, where
+    no value starts with '-', every value converts and every required argument is given.
+
+    Any other ``argv`` gives None and is left to argparse: help, abbreviated options,
+    ``--opt=value``, values that start with '-', and every usage error.
+    """
+    options, positionals, defaults = _plain_table(sub)
+    values, given, tokens, pending = dict(defaults), set(), iter(argv), iter(positionals)
+    for token in tokens:
+        if token.startswith("-"):
+            action = options.get(token)
+            value = None if action is None or action.nargs == 0 else next(tokens, "-")
+        else:
+            action, value = next(pending, None), token
+        if action is None:
+            return None
+        if action.nargs == 0:
+            value = action.const
+        elif value.startswith("-"):
+            return None
+        elif action.type is not None:
+            try:
+                value = action.type(value)
+            except ValueError:
+                return None
+        values[action.dest] = value
+        given.add(action)
+    if any(a.required and a not in given for a in sub._actions):
+        return None
+    return argparse.Namespace(**values)
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser, commands = build_parsers()
     if argv and argv[0] in commands:  # what the subparser walk would do, without the walk
-        args, extras = commands[argv[0]].parse_known_args(argv[1:])
-        if extras:
-            parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        args = _parse_plain(commands[argv[0]], argv[1:])
+        if args is None:
+            args, extras = commands[argv[0]].parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
     else:  # help, usage errors and unknown commands
         args = parser.parse_args(argv)
     try:

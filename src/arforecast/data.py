@@ -8,6 +8,8 @@ chronological and windows never straddle a split boundary.
 from __future__ import annotations
 
 import csv
+import math
+import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -146,9 +148,17 @@ def gen_ar_process(length, V=1, coeffs=(0.9,), noise_std=1.0, seed=0,
 
 def write_fresh(path, content) -> None:
     """Unlink ``path``, then write ``content`` (text as UTF-8, or bytes) there as a new file."""
-    path = Path(path)
-    path.unlink(missing_ok=True)
-    path.write_bytes(content.encode("utf-8") if isinstance(content, str) else content)
+    data = memoryview(content.encode("utf-8") if isinstance(content, str) else content)
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        while data:
+            data = data[os.write(fd, data):]
+    finally:
+        os.close(fd)
 
 
 def load_csv(path, has_header=True, time_column=None, ratios=DEFAULT_SPLIT) -> SeriesDataset:
@@ -207,7 +217,7 @@ def load_csv(path, has_header=True, time_column=None, ratios=DEFAULT_SPLIT) -> S
             except ValueError:
                 raise ValueError(f"{path}: cannot parse {cell!r} at line {line0 + i}, "
                                  f"column {j + 1} ({names[out_j]!r})") from None
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"{path}: non-finite value at line {line0 + i}, "
                                  f"column {j + 1} ({names[out_j]!r})")
             parsed[i, out_j] = value

@@ -144,6 +144,11 @@ def _mean_objective(model, windows, cfg, loss_fn, batch_size: int) -> float:
     return total / len(windows)
 
 
+def objective_horizon(rollout_cfg: RolloutConfig, objective: str) -> int:
+    """Rows a training window forecasts: one block for mse, the full n*T rollout for ar."""
+    return rollout_cfg.T if objective == "mse" else rollout_cfg.horizon
+
+
 @np.errstate(over="raise", invalid="raise")  # an overflow or NaN raises where it happens
 def train(model: Forecaster, dataset: SeriesDataset, rollout_cfg: RolloutConfig,
           train_cfg: TrainConfig) -> tuple[Checkpoint, list[EpochStats]]:
@@ -157,7 +162,7 @@ def train(model: Forecaster, dataset: SeriesDataset, rollout_cfg: RolloutConfig,
     non-finite loss or gradient raises ``TrainingDivergedError`` before that
     batch's update, and so does one in validation.
     """
-    horizon = rollout_cfg.T if train_cfg.objective == "mse" else rollout_cfg.horizon
+    horizon = objective_horizon(rollout_cfg, train_cfg.objective)
     train_windows = window_iter(dataset, "train", rollout_cfg.S, horizon)
     if not train_windows:
         raise ValueError("train split supports no windows for this config")

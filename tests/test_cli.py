@@ -1,5 +1,6 @@
 """Command-line workflows: exit codes, output files, config echo."""
 
+import configparser
 import json
 import struct
 import subprocess
@@ -8,9 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import arforecast.autodiff as autodiff
-from arforecast.cli import RunConfig, main
+from arforecast.cli import RunConfig, _parse_plain, _read_plain_ini, build_parsers, main
 from arforecast.models import Dims, init_forecaster
 from arforecast.rollout import RolloutConfig
 from arforecast.training import Checkpoint, save_checkpoint
@@ -536,3 +539,163 @@ def test_predict_missing_checkpoint_exits_2(tmp_path, capsys):
                  "--horizon", "12", "--out", str(tmp_path / "pred")]) == 2
     assert f"checkpoint not found: {tmp_path / 'absent.arpt'}" in capsys.readouterr().err
     assert not (tmp_path / "pred").exists()
+
+
+@pytest.mark.parametrize("command,objective,horizon", [
+    ("train", "ar", 8), ("train", "mse", 4), ("gradcheck", "ar", 8),
+])
+def test_context_too_long_for_the_train_split_prints_one_stderr_line(tmp_path, command,
+                                                                     objective, horizon):
+    # 300 rows split 70/10/20 leave 210 train rows; S=299 fits no window
+    cfg = write_config(tmp_path / "run.ini", tmp_path / "out",
+                       {"dataset": {"length": "300"}, "rollout": {"s": "299"},
+                        "train": {"objective": objective}})
+    proc = _cli(command, "--config", cfg)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [proc.stderr.strip()]
+    assert proc.stderr.startswith(f"error: [rollout] S=299 plus horizon {horizon} needs "
+                                  f"{299 + horizon} rows, but the train split has 210")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("amplitude", ["1e308", "-1e200"])
+def test_amplitude_whose_z_score_overflows_prints_one_stderr_line(tmp_path, amplitude):
+    cfg = write_config(tmp_path / "run.ini", tmp_path / "out",
+                       {"dataset": {"amplitude": amplitude}})
+    proc = _cli("train", "--config", cfg)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [proc.stderr.strip()]
+    assert proc.stderr.startswith("error: [dataset] sinusoid: ")
+    assert "z-score" in proc.stderr
+    assert not (tmp_path / "out").exists()
+
+
+def test_csv_whose_z_score_overflows_exits_2_for_eval(tmp_path, capsys):
+    cfg, ck = _train_checkpoint(tmp_path)
+    data = tmp_path / "huge.csv"
+    data.write_text("a\n" + "".join(f"{(-1) ** i * 1e200!r}\n" for i in range(400)))
+    cfg = write_config(tmp_path / "huge.ini", tmp_path / "eval",
+                       {"dataset": {"source": "csv", "path": str(data)}})
+    assert main(["eval", "--config", str(cfg), "--checkpoint", str(ck),
+                 "--horizon", "8"]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("error: [dataset] huge: ") and "z-score" in err
+    assert not (tmp_path / "eval").exists()
+
+
+def test_large_but_z_scorable_amplitude_still_trains(tmp_path):
+    cfg = write_config(tmp_path / "run.ini", tmp_path / "out",
+                       {"dataset": {"amplitude": "1e150"}})
+    assert main(["train", "--config", str(cfg)]) == 0
+
+
+def test_predict_and_eval_create_a_missing_nested_out_dir(tmp_path):
+    cfg, ck = _train_checkpoint(tmp_path)
+    out = tmp_path / "a" / "b" / "eval"
+    assert main(["eval", "--config", str(cfg), "--checkpoint", str(ck),
+                 "--horizon", "8", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == \
+        ["config_resolved.ini", "curve.csv", "report.json"]
+    inp = _write_rows(tmp_path / "input.csv", 48)
+    out = tmp_path / "c" / "d" / "pred"
+    assert main(["predict", str(inp), "--checkpoint", str(_predict_checkpoint(tmp_path)),
+                 "--horizon", "12", "--out", str(out)]) == 0
+    assert len((out / "predictions.csv").read_text().splitlines()) == 13
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_out_naming_a_regular_file_exits_1_and_writes_nothing(tmp_path, capsys, command):
+    cfg, ck = _train_checkpoint(tmp_path)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("keep\n")
+    if command == "eval":
+        argv = ["eval", "--config", str(cfg), "--checkpoint", str(ck), "--horizon", "8"]
+    else:
+        ck = _predict_checkpoint(tmp_path)
+        argv = ["predict", str(_write_rows(tmp_path / "input.csv", 48)),
+                "--checkpoint", str(ck), "--horizon", "12"]
+    before = sorted(tmp_path.rglob("*"))
+    assert main([*argv, "--out", str(blocker)]) == 1
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()] and err.startswith("runtime error: ")
+    assert blocker.read_text() == "keep\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+_ARGV_GROUPS = {  # each command's arguments as option-value groups, the required ones first
+    "train": [["--config", "run.ini"], ["--out", "o"], ["--seed", "3"]],
+    "eval": [["--config", "run.ini"], ["--checkpoint", "c.arpt"], ["--horizon", "12"],
+             ["--out", "o"], ["--seed", "1"], ["--raw-scale"]],
+    "predict": [["in.csv"], ["--checkpoint", "c.arpt"], ["--horizon", "12"], ["--out", "o"]],
+    "gradcheck": [["--config", "run.ini"], ["--out", "o"], ["--seed", "2"]],
+}
+_ARGV_TOKENS = st.sampled_from([
+    "--config", "--checkpoint", "--horizon", "--out", "--seed", "--raw-scale", "--hor", "--out=o",
+    "-h", "--", "-", "-3", "12", "0", "1_000", "x", "", "a b", "in.csv", "--Seed", " 7", "1.5"])
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), command=st.sampled_from(sorted(_ARGV_GROUPS)),
+       edits=st.lists(st.tuples(st.integers(0, 20), st.integers(0, 2), _ARGV_TOKENS),
+                      max_size=3))
+def test_plain_parse_matches_argparse(data, command, edits):
+    groups = data.draw(st.permutations(_ARGV_GROUPS[command]))
+    argv = [token for group in groups for token in group]
+    for where, how, token in edits:  # insert, overwrite or delete one token
+        at = where % (len(argv) + 1)
+        argv[at:at + (how > 0)] = [token] if how < 2 else []
+    sub = build_parsers()[1][command]
+    args = _parse_plain(sub, argv)
+    if args is not None:
+        assert sub.parse_known_args(argv) == (args, [])
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--config", "run.ini"],
+    ["train", "--out", "o", "--seed", "3", "--config", "run.ini"],
+    ["eval", "--config", "run.ini", "--checkpoint", "c.arpt", "--horizon", "168", "--raw-scale"],
+    ["predict", "in.csv", "--checkpoint", "c.arpt", "--horizon", "168", "--out", "o"],
+    ["predict", "--checkpoint", "c.arpt", "in.csv", "--horizon", "12", "--out", "o"],
+    ["gradcheck", "--config", "run.ini", "--seed", "0"],
+])
+def test_plain_parse_takes_the_documented_argv_forms(argv):
+    sub = build_parsers()[1][argv[0]]
+    args = _parse_plain(sub, argv[1:])
+    assert args is not None and sub.parse_known_args(argv[1:]) == (args, [])
+
+
+_INI_OPTIONS = st.sampled_from(["source = sinusoid", "Length=400", "K = 2", "k = v ; note",
+                                "path = d%1.csv", "k =", "x = a = b", "a:b = c", "# c", "; c", "",
+                                "   "])
+_INI_ODD_LINES = st.sampled_from([
+    "[DEFAULT]", "[ a ]", "[]", "[a]b]", "[[a]]", "[a] x", " [model]", "kind : linear",
+    "a:b = c", "= x", "x", "\tcontinued", "  indented = 1", "  # indented comment", "\x0c",
+    "\ufeff[dataset]", "k\u3000= v", "\u3000k = v", "[dataset]", "k = 1"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(sections=st.lists(st.tuples(st.sampled_from(["dataset", "model", "train"]),
+                                   st.lists(_INI_OPTIONS, max_size=4)), max_size=3),
+       edits=st.lists(st.tuples(st.integers(0, 30), st.integers(0, 2), _INI_ODD_LINES),
+                      max_size=2),
+       end=st.sampled_from(["", "\n"]))
+def test_plain_ini_matches_configparser(sections, edits, end):
+    lines = [line for name, options in sections for line in [f"[{name}]", *options]]
+    for where, how, odd in edits:  # insert, overwrite or delete one line
+        at = where % (len(lines) + 1)
+        lines[at:at + (how > 0)] = [odd] if how < 2 else []
+    text = "\n".join(lines) + end
+    plain = _read_plain_ini(text)
+    if plain is not None:
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(text)
+        assert [(name, list(items.items())) for name, items in plain.items()] == \
+            [(name, parser.items(name)) for name in parser.sections()]
+
+
+def test_plain_ini_reads_the_configs_the_cli_writes(tmp_path):
+    cfg = write_config(tmp_path / "run.ini", tmp_path / "out", {"dataset": {"path": "d%1.csv"}})
+    assert _read_plain_ini(cfg.read_text()) is not None
+    RunConfig(cfg).write_resolved()
+    assert _read_plain_ini((tmp_path / "out" / "config_resolved.ini").read_text()) is not None

@@ -1,5 +1,6 @@
 """Generators, CSV ingestion, splits, and sliding windows."""
 
+import os
 import warnings
 
 import numpy as np
@@ -142,6 +143,22 @@ def test_load_csv_non_finite_rejected(tmp_path):
         load_csv(p, has_header=False)
 
 
+@pytest.mark.parametrize("cell", ["nan", "NaN", "-inf", "Infinity", "1e400", "-1e999"])
+@pytest.mark.parametrize("text,has_header,time_column,line,column,name", [
+    ("1,2\n3,{}\n", False, None, 2, 2, "var1"),
+    ("a,b\n1,2\n3,{}\n", True, None, 3, 2, "b"),
+    ("t,a,b\n0,1,2\n1,3,{}\n", True, "t", 3, 3, "b"),
+    ("a,t,b\n1,0,2\n{},1,3\n", True, "t", 3, 1, "a"),
+])
+def test_load_csv_names_each_non_finite_spelling(tmp_path, cell, text, has_header,
+                                                 time_column, line, column, name):
+    p = tmp_path / "bad.csv"
+    p.write_text(text.format(cell))
+    with pytest.raises(ValueError) as err:
+        load_csv(p, has_header=has_header, time_column=time_column)
+    assert str(err.value) == f"{p}: non-finite value at line {line}, column {column} ({name!r})"
+
+
 def test_load_csv_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_csv(tmp_path / "absent.csv")
@@ -179,6 +196,21 @@ def test_write_fresh_replaces_rather_than_truncates(tmp_path):
     assert link.read_text() == "old\n"  # the old file lives on under its other name
     write_fresh(path, b"\x00\x01")
     assert path.read_bytes() == b"\x00\x01"
+
+
+def test_write_fresh_finishes_after_short_writes(tmp_path, monkeypatch):
+    real_write, sizes = os.write, []
+
+    def short_write(fd, data):  # at most 3 bytes per call, as a pipe or a full disk may
+        sizes.append(real_write(fd, bytes(data[:3])))
+        return sizes[-1]
+
+    monkeypatch.setattr(os, "write", short_write)
+    content = "epoch,train_loss\n" + "1,0.25\n" * 5
+    write_fresh(tmp_path / "out.csv", content)
+    monkeypatch.undo()
+    assert (tmp_path / "out.csv").read_text() == content
+    assert len(sizes) == -(-len(content) // 3) and set(sizes[:-1]) == {3}
 
 
 def test_load_csv_unknown_time_column(tmp_path):
