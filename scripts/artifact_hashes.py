@@ -11,8 +11,9 @@ header and a time column, so the CSV loader feeds train, eval and gradcheck.
 For each it hashes the checkpoint and history, ``resaved.arpt`` (the
 checkpoint loaded and saved again, which must equal it byte for byte), the
 ``eval --horizon 168`` report and curve (normalized and ``--raw-scale``),
-``predict --horizon 168`` predictions, and ``gradcheck`` stdout. ``run.ini``
-and ``config_resolved.ini`` name the output directory, so they are not hashed.
+``predict --horizon 168`` predictions (which must hold exactly 168 rows), and
+``gradcheck`` stdout. ``run.ini`` and ``config_resolved.ini`` name the output
+directory, so they are not hashed.
 
 Usage:
     python scripts/artifact_hashes.py OUT > hashes.txt
@@ -124,6 +125,9 @@ def produce(root: Path, name: str, kind: str, hidden: int, V: int, L: int, sourc
         "--out", str(out / "eval_raw"), "--raw-scale")
     run("predict", str(history), "--checkpoint", checkpoint, "--horizon", "168",
         "--out", str(out / "predict"))
+    rows = len((out / "predict" / "predictions.csv").read_text().splitlines()) - 1  # the header
+    if rows != 168:
+        sys.exit(f"{name}: predict wrote {rows} forecast rows for horizon 168")
     (out / "gradcheck.txt").write_text(run("gradcheck", "--config", str(config),
                                            "--out", str(out / "gradcheck")))
 

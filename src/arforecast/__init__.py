@@ -15,7 +15,7 @@ from .autodiff import (
     stop_gradient,
     sub,
 )
-from .data import SeriesDataset, SeriesWindow, gen_ar_process, gen_sinusoid, load_csv, window_iter
+from .data import SeriesDataset, Windows, gen_ar_process, gen_sinusoid, load_csv, window_iter
 from .evaluation import EvalReport, compare, evaluate, export_curve, write_report_json
 from .models import (
     Dims,
@@ -31,7 +31,6 @@ from .rollout import (
     BlockErrors,
     GradCheckReport,
     RolloutConfig,
-    RolloutPrediction,
     ar_loss,
     block_error,
     check_gradients,

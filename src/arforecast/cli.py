@@ -18,6 +18,7 @@ from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import (
     DEFAULT_SPLIT,
@@ -29,7 +30,7 @@ from .data import (
     write_fresh,
 )
 from .evaluation import evaluate, export_curve, write_report_json
-from .models import KINDS, Dims, NormState, apply_norm, init_forecaster, invert_norm
+from .models import KINDS, STD_FLOOR, Dims, NormState, apply_norm, init_forecaster, invert_norm
 from .rollout import RolloutConfig, check_gradients, loss_kink_gap, rollout_predict
 from .training import (
     CheckpointError,
@@ -225,7 +226,8 @@ class RunConfig:
         if self.out_dir is None:
             raise ConfigError("[output] missing key 'dir' (or pass --out)")
 
-    def build_dataset(self) -> SeriesDataset:
+    def build_dataset(self, S: int) -> SeriesDataset:
+        """The configured series, refused if z-scoring its S-row contexts could overflow."""
         ds = self.values["dataset"]
         try:
             if self.source == "csv":
@@ -247,14 +249,25 @@ class RunConfig:
         except (ValueError, FileNotFoundError) as exc:
             raise ConfigError(f"[dataset] {exc}") from None
         # A window's z-score sums at most N values of size <= peak, and at most N squared
-        # deviations of size <= spread**2; keeping both sums finite keeps every one finite.
-        top, bottom = dataset.values.max(0).tolist(), dataset.values.min(0).tolist()
-        limit = sys.float_info.max / len(dataset.values)
+        # deviations of size <= spread**2; the values it gives are at most spread / std in
+        # size, std being an S-row context's floored at STD_FLOOR, and a loss sums at most N
+        # of their squares. Keeping these sums finite keeps every one finite. The smallest
+        # context std is worked out only when the floor alone would let them overflow.
+        values = dataset.values
+        top, bottom = values.max(0).tolist(), values.min(0).tolist()
+        limit = sys.float_info.max / len(values)
         peak = max(max(top), -min(bottom))
         spread = max(t - b for t, b in zip(top, bottom))  # float subtraction overflows to inf
         if peak > limit or spread > math.sqrt(limit):
             raise ConfigError(f"[dataset] {dataset.name}: values up to {peak:.3g} (spread "
-                              f"{spread:.3g}) overflow a z-score over {len(dataset.values)} rows")
+                              f"{spread:.3g}) overflow a z-score over {len(values)} rows")
+        if spread / STD_FLOOR > math.sqrt(limit):
+            contexts = sliding_window_view(values, min(S, len(values)), 0)
+            std = max(float(contexts.std(axis=2).min()), STD_FLOOR)
+            if spread / std > math.sqrt(limit):
+                raise ConfigError(f"[dataset] {dataset.name}: values spread {spread:.3g} apart "
+                                  f"overflow the z-score of an S={S} context with std "
+                                  f"{std:.3g} over {len(values)} rows")
         return dataset
 
     def build_model(self, n_variates: int):
@@ -264,14 +277,6 @@ class RunConfig:
             return init_forecaster(self.kind, dims, seed=self.train.seed)
         except ValueError as exc:
             raise ConfigError(f"[model] {exc}") from None
-
-    def check_train_split(self, dataset: SeriesDataset, objective: str) -> None:
-        """Refuse a train split too short for one window of the ``objective``."""
-        lo, hi = dataset.split_range("train")
-        S, horizon = self.rollout.S, objective_horizon(self.rollout, objective)
-        if hi - lo < S + horizon:
-            raise ConfigError(f"[rollout] S={S} plus horizon {horizon} needs {S + horizon} "
-                              f"rows, but the train split has {hi - lo}")
 
     def write_resolved(self) -> None:
         """Write the keys that apply, defaults filled in, in ``ConfigParser.write``'s layout."""
@@ -283,6 +288,14 @@ class RunConfig:
                 sections.setdefault(section, []).append(f"{key} = {text}\n")
         _write_out(self.out_dir / "config_resolved.ini", "".join(
             f"[{section}]\n{''.join(lines)}\n" for section, lines in sections.items()))
+
+
+def check_split(dataset: SeriesDataset, split: str, S: int, horizon: int) -> None:
+    """Refuse a split too short for one window of S context and ``horizon`` future rows."""
+    lo, hi = dataset.split_range(split)
+    if hi - lo < S + horizon:
+        raise ConfigError(f"[rollout] S={S} plus horizon {horizon} needs {S + horizon} "
+                          f"rows, but the {split} split has {hi - lo}")
 
 
 def _write_out(path: Path, content) -> None:
@@ -322,9 +335,10 @@ def _rollout_for(ck, horizon: int) -> RolloutConfig:
 
 def cmd_train(args) -> int:
     cfg = RunConfig(args.config, out_override=args.out, seed_override=args.seed)
-    dataset = cfg.build_dataset()
+    dataset = cfg.build_dataset(cfg.rollout.S)
     model = cfg.build_model(dataset.n_variates)
-    cfg.check_train_split(dataset, cfg.train.objective)
+    horizon = objective_horizon(cfg.rollout, cfg.train.objective)
+    check_split(dataset, "train", cfg.rollout.S, horizon)
     cfg.write_resolved()
 
     checkpoint, history = train(model, dataset, cfg.rollout, cfg.train)
@@ -340,10 +354,11 @@ def cmd_eval(args) -> int:
     cfg = RunConfig(args.config, out_override=args.out, seed_override=args.seed)
     ck = _load_checkpoint_or_fail(args.checkpoint)
     roll = _rollout_for(ck, args.horizon)
-    dataset = cfg.build_dataset()
+    dataset = cfg.build_dataset(roll.S)
     if dataset.n_variates != ck.dims.V:
         raise ConfigError(f"checkpoint was built for {ck.dims.V} variates, "
                           f"dataset has {dataset.n_variates}")
+    check_split(dataset, "test", roll.S, roll.horizon)
     cfg.write_resolved()
 
     model = ck.to_forecaster()
@@ -376,8 +391,8 @@ def cmd_predict(args) -> int:
     context = dataset.values[-ck.dims.S:]
     try:
         state = NormState.from_context(context)
-        prediction = rollout_predict(model, apply_norm(context, state), roll)
-        values = invert_norm(prediction.values.values, state)
+        blocks = rollout_predict(model, apply_norm(context, state), roll)
+        values = invert_norm(np.concatenate([block.values for block in blocks]), state)
         if not np.isfinite(values).all():
             raise FloatingPointError
     except FloatingPointError:
@@ -394,13 +409,13 @@ def cmd_predict(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     cfg = RunConfig(args.config, out_override=args.out, seed_override=args.seed)
-    dataset = cfg.build_dataset()
+    dataset = cfg.build_dataset(cfg.rollout.S)
     model = cfg.build_model(dataset.n_variates)
     if model.param_count > GRADCHECK_MAX_PARAMS:
         raise ConfigError(f"model has {model.param_count} parameters; gradcheck is "
                           f"limited to {GRADCHECK_MAX_PARAMS} to keep the "
                           f"finite-difference oracle tractable")
-    cfg.check_train_split(dataset, "ar")
+    check_split(dataset, "train", cfg.rollout.S, cfg.rollout.horizon)
     windows = window_iter(dataset, "train", cfg.rollout.S, cfg.rollout.horizon)
     cfg.write_resolved()
 

@@ -22,18 +22,10 @@ DEFAULT_SPLIT = (0.7, 0.1, 0.2)
 SPLITS = ("train", "val", "test")
 
 
-@dataclass(frozen=True)
-class SeriesWindow:
-    """One sample: S context rows plus the horizon rows that follow them."""
-
-    context: np.ndarray
-    future: np.ndarray
-    origin_index: int
-
-
 class Windows:
-    """N windows as (N, S, V) ``contexts``, (N, H, V) ``futures`` and N ``origins``: an integer
-    index (so iteration) gives a ``SeriesWindow``, a slice or an index array a ``Windows``."""
+    """N windows as (N, S, V) ``contexts``, (N, H, V) ``futures`` and N ``origins``. An integer
+    index (negative as in a sequence) gives a one-window ``Windows``, as iteration does; a slice
+    or an index array gives the windows it picks."""
 
     def __init__(self, contexts: np.ndarray, futures: np.ndarray, origins: np.ndarray):
         self.contexts, self.futures, self.origins = contexts, futures, origins
@@ -43,8 +35,12 @@ class Windows:
 
     def __getitem__(self, index):
         if isinstance(index, (int, np.integer)):
-            return SeriesWindow(self.contexts[index], self.futures[index], int(self.origins[index]))
+            i = range(len(self))[index]  # IndexError when out of range
+            index = slice(i, i + 1)
         return Windows(self.contexts[index], self.futures[index], self.origins[index])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
 
     def columns(self) -> tuple[np.ndarray, np.ndarray]:
         """C-ordered (S, N*V) contexts and (H, N*V) futures; column n*V + v is window n's v."""

@@ -67,17 +67,17 @@ def evaluate(model: Forecaster, dataset: SeriesDataset, split: str,
         B = len(chunk)
         context, future = chunk.columns()
         state = NormState.from_context(context)
-        prediction = rollout_predict(model, apply_norm(context, state), cfg)
-        pred = prediction.values.values[cfg.L:]
+        blocks = rollout_predict(model, apply_norm(context, state), cfg)
+        pred = np.concatenate([block.values for block in blocks])
         if raw_scale:
             pred = invert_norm(pred, state)
         else:
             future = apply_norm(future, state)
         # each window's (horizon, V) errors contiguous, so a block's mean sums its T*V in order
         err = np.ascontiguousarray((pred - future).reshape(cfg.horizon, B, V).transpose(1, 0, 2))
-        blocks = err.reshape(B, n, T * V)
-        block_mse[start:start + B] = np.mean(blocks * blocks, axis=2)
-        block_mae[start:start + B] = np.mean(np.abs(blocks), axis=2)
+        block_err = err.reshape(B, n, T * V)
+        block_mse[start:start + B] = np.mean(block_err * block_err, axis=2)
+        block_mae[start:start + B] = np.mean(np.abs(block_err), axis=2)
         step_mae += np.abs(err).mean(axis=2).sum(axis=0)
 
     per_block = [(float(block_mse[:, k].mean()), float(block_mae[:, k].mean()))

@@ -29,8 +29,8 @@ from .autodiff import (
     mean_all,
     slice_axis,
 )
-from .data import SeriesWindow, Windows
-from .models import Forecaster, NormState, apply_norm, forecast
+from .data import Windows
+from .models import Dims, Forecaster, NormState, apply_norm, forecast
 
 
 @dataclass(frozen=True)
@@ -64,14 +64,6 @@ class RolloutConfig:
 
 
 @dataclass
-class RolloutPrediction:
-    """Model output over L + n*T steps: the stitched values plus the per-step blocks."""
-
-    values: Tensor
-    blocks: list[Tensor]
-
-
-@dataclass
 class BlockErrors:
     """Per-block errors e_1..e_n as (1, B) rows over a batch of B windows (still on tape),
     the batch objective, and how many (window, block) errors fell below the previous block's."""
@@ -102,37 +94,29 @@ class GradCheckReport:
         return out
 
 
-def _check_model_cfg(model: Forecaster, cfg: RolloutConfig) -> None:
-    d = model.dims
-    if (d.S, d.T, d.L) != (cfg.S, cfg.T, cfg.L):
-        raise ValueError(
-            f"model dims (S={d.S}, T={d.T}, L={d.L}) do not match "
-            f"rollout config (S={cfg.S}, T={cfg.T}, L={cfg.L})"
-        )
+def check_geometry(cfg: RolloutConfig, dims: Dims) -> None:
+    """The rollout's S, T and L must be the model's."""
+    if (cfg.S, cfg.T, cfg.L) != (dims.S, dims.T, dims.L):
+        raise ValueError(f"rollout geometry {cfg} does not match {dims}")
 
 
-def rollout_predict(model: Forecaster, context: Tensor, cfg: RolloutConfig) -> RolloutPrediction:
-    """Autoregressive n-block rollout; consumes no ground-truth future.
+def rollout_predict(model: Forecaster, context: Tensor, cfg: RolloutConfig) -> list[Tensor]:
+    """Autoregressive n-block rollout; the n (T, width) blocks. Consumes no ground-truth future.
 
-    Block 1 comes from the raw context. Every later block's input is the
-    last S entries of the running sequence whose first S entries are the
-    context and whose tail is prior predictions, entered un-detached so
-    gradients flow through the whole chain.
+    Each block's input is the last S rows of the context followed by the
+    blocks before it, entered un-detached so gradients flow through the
+    whole chain; of each forecast, the rows after its first L are the block.
     """
-    _check_model_cfg(model, cfg)
+    check_geometry(cfg, model.dims)
     if not isinstance(context, Tensor):
         context = Tensor(context)
     if context.values.ndim != 2 or context.shape[0] != cfg.S:
         raise ValueError(f"context must be ({cfg.S}, V), got {context.shape}")
-    S, T, L, n = cfg.S, cfg.T, cfg.L, cfg.n
-
-    first = forecast(model, context)
-    head = [slice_axis(first, 0, 0, L)] if L > 0 else []
-    blocks = [slice_axis(first, 0, L, L + T)]  # at L = 0 the whole forecast, with no record
-    for _ in range(1, n):
-        out = forecast(model, _tail([context] + blocks, S))
-        blocks.append(slice_axis(out, 0, L, L + T))
-    return RolloutPrediction(values=_tail(head + blocks, L + n * T), blocks=blocks)
+    blocks = []
+    for _ in range(cfg.n):  # at L = 0 the slice is the whole forecast, with no record
+        out = forecast(model, _tail([context] + blocks, cfg.S))
+        blocks.append(slice_axis(out, 0, cfg.L, cfg.L + cfg.T))
+    return blocks
 
 
 def _tail(pieces: list[Tensor], rows: int) -> Tensor:
@@ -157,45 +141,31 @@ def loss_magnitude_factor(cfg: RolloutConfig) -> float:
     return (1.0 - cfg.gamma ** cfg.n) / (1.0 - cfg.gamma)
 
 
-def _as_windows(windows) -> Windows:
-    """A ``Windows`` batch as it is; a ``SeriesWindow`` is a batch of one, a list is stacked."""
-    if not isinstance(windows, Windows):
-        batch = [windows] if isinstance(windows, SeriesWindow) else list(windows)
-        windows = Windows(np.array([w.context for w in batch], dtype=np.float64),
-                          np.array([w.future for w in batch], dtype=np.float64),
-                          np.array([w.origin_index for w in batch]))
-    if not len(windows):
-        raise ValueError("empty batch of windows")
-    return windows
-
-
-def ar_loss(model: Forecaster, windows, cfg: RolloutConfig) -> BlockErrors:
+def ar_loss(model: Forecaster, windows: Windows, cfg: RolloutConfig) -> BlockErrors:
     """Rollout objective averaged over a batch of windows, each on its own normalized scale.
 
-    ``windows`` is a ``Windows`` batch, one window, or a list of windows.
     Each window's context fixes its normalization state. The B contexts
     are normalized and stacked side by side as the S-by-(B*V) columns of
     one rollout, so e_k is the (1, B) row of per-window block errors, the
     penalty applies to it elementwise, and the loss is the mean of the
     per-window objectives (a batch of one is its own mean).
     """
-    _check_model_cfg(model, cfg)
-    batch = _as_windows(windows)
-    contexts, futures = batch.contexts, batch.futures
+    if not len(windows):
+        raise ValueError("empty batch of windows")
+    contexts, futures = windows.contexts, windows.futures
     if contexts.ndim != 3 or contexts.shape[1] != cfg.S:
         raise ValueError(f"window context must be ({cfg.S}, V), got {contexts.shape[1:]}")
     B, _, V = contexts.shape
     if futures.shape != (B, cfg.horizon, V):
         raise ValueError(f"window future must be ({cfg.horizon}, {V}), got {futures.shape[1:]}")
-    context, future = batch.columns()
+    context, future = windows.columns()
     state = NormState.from_context(context)
     ctx_n = apply_norm(context, state)
     fut_n = apply_norm(future, state)
 
-    prediction = rollout_predict(model, Tensor(ctx_n), cfg)
     errors = [
         block_error(block, fut_n[k * cfg.T:(k + 1) * cfg.T], V)
-        for k, block in enumerate(prediction.blocks)
+        for k, block in enumerate(rollout_predict(model, Tensor(ctx_n), cfg))
     ]
     objective = discounted_loss(errors, cfg.gamma, cfg.beta)
     loss = objective if B == 1 else mean_all(objective)
@@ -204,21 +174,21 @@ def ar_loss(model: Forecaster, windows, cfg: RolloutConfig) -> BlockErrors:
     return BlockErrors(e=errors, loss=loss, violations=violations)
 
 
-def mse_loss(model: Forecaster, windows) -> Tensor:
+def mse_loss(model: Forecaster, windows: Windows) -> Tensor:
     """Vanilla single-block objective: ar_loss at n=1 on each window's first T future steps."""
-    d, w = model.dims, _as_windows(windows)
-    return ar_loss(model, Windows(w.contexts, w.futures[:, :d.T], w.origins),
+    d = model.dims
+    return ar_loss(model, Windows(windows.contexts, windows.futures[:, :d.T], windows.origins),
                    RolloutConfig(S=d.S, T=d.T, L=d.L, n=1)).loss
 
 
-def loss_kink_gap(model: Forecaster, window, cfg: RolloutConfig) -> float:
+def loss_kink_gap(model: Forecaster, window: Windows, cfg: RolloutConfig) -> float:
     """Smallest |input| seen at any relu/abs kink while evaluating ar_loss."""
     with Tape() as tape:
         ar_loss(model, window, cfg)
         return tape.min_kink_gap
 
 
-def _pinned_loss_value(model: Forecaster, window, cfg: RolloutConfig,
+def _pinned_loss_value(model: Forecaster, window: Windows, cfg: RolloutConfig,
                        anchors: list[float]) -> float:
     """ar_loss value with every stop-gradient operand frozen to ``anchors``.
 
@@ -236,7 +206,7 @@ def _pinned_loss_value(model: Forecaster, window, cfg: RolloutConfig,
 
 def check_gradients(
     model: Forecaster,
-    window,
+    window: Windows,
     cfg: RolloutConfig,
     h: float = 1e-4,
     scale_floor: float = 1e-6,

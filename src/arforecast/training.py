@@ -18,7 +18,7 @@ import numpy as np
 from .autodiff import Tape
 from .data import SeriesDataset, window_iter, write_fresh
 from .models import Dims, Forecaster, _param_shapes, build_forecaster, param_count
-from .rollout import RolloutConfig, ar_loss, mse_loss
+from .rollout import RolloutConfig, ar_loss, check_geometry, mse_loss
 
 CHECKPOINT_MAGIC = b"ARPT"
 CHECKPOINT_VERSION = 1
@@ -225,14 +225,8 @@ def _param_list(kind: str, dims: Dims) -> list:
     return [[name, list(shape)] for name, shape, _ in _param_shapes(kind, dims)]
 
 
-def _check_geometry(rollout: RolloutConfig, dims: Dims) -> None:
-    """The rollout's S/T/L must be the model's, for the writer and the loader alike."""
-    if (rollout.S, rollout.T, rollout.L) != (dims.S, dims.T, dims.L):
-        raise ValueError(f"rollout geometry {rollout} does not match {dims}")
-
-
 def save_checkpoint(ck: Checkpoint, path) -> None:
-    _check_geometry(ck.rollout, ck.dims)
+    check_geometry(ck.rollout, ck.dims)  # as the loader checks it
     header = {
         "kind": ck.kind,
         "dims": vars(ck.dims),
@@ -274,7 +268,7 @@ def load_checkpoint(path) -> Checkpoint:
         integers = [*vars(dims).values(), rollout.S, rollout.T, rollout.L, rollout.n, epoch, seed]
         if not all(type(value) is int for value in integers):
             raise TypeError("dims, rollout geometry, epoch and seed must be integers")
-        _check_geometry(rollout, dims)
+        check_geometry(rollout, dims)
         if header["norm_policy"] != NORM_POLICY:
             raise ValueError(f"norm_policy must be {NORM_POLICY!r}, got {header['norm_policy']!r}")
         if header["params"] != _param_list(kind, dims):

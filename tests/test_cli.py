@@ -163,6 +163,28 @@ def test_predict_row_counts(tmp_path, horizon, rows):
     assert np.isfinite([float(line) for line in lines[1:]]).all()
 
 
+def test_predict_with_an_overlap_writes_horizon_rows(tmp_path):
+    # the first L rows of a forecast reconstruct its input; they are not forecast rows
+    S, T, L = 8, 4, 2
+    model = init_forecaster("linear", Dims(S=S, T=T, L=L), seed=5)
+    ck = tmp_path / "overlap.arpt"
+    save_checkpoint(Checkpoint.from_forecaster(model, RolloutConfig(S=S, T=T, L=L), 0, 0.1, 5), ck)
+    inp = _write_rows(tmp_path / "input.csv", 20)
+    out = tmp_path / "pred"
+    assert main(["predict", str(inp), "--checkpoint", str(ck),
+                 "--horizon", "8", "--out", str(out)]) == 0
+    lines = (out / "predictions.csv").read_text().splitlines()
+    assert lines[0] == "load" and len(lines) == 1 + 8
+    context = np.loadtxt(inp, skiprows=1)[-S:, None]
+    mean, std = context.mean(), max(context.std(), 1e-5)
+    w, b = model.params["w"].values, model.params["b"].values
+    seq = (context - mean) / std
+    for _ in range(2):
+        seq = np.vstack([seq, (w @ seq[-S:] + b)[L:]])
+    np.testing.assert_allclose([float(x) for x in lines[1:]], seq[S:, 0] * std + mean,
+                               rtol=1e-12, atol=1e-12)
+
+
 def test_predict_headerless_input(tmp_path):
     ck = _predict_checkpoint(tmp_path)
     inp = _write_rows(tmp_path / "input.csv", 50, header=False)
@@ -558,6 +580,18 @@ def test_context_too_long_for_the_train_split_prints_one_stderr_line(tmp_path, c
     assert not (tmp_path / "out").exists()
 
 
+def test_test_split_too_short_for_eval_prints_one_stderr_line(tmp_path):
+    # 60 rows split 70/10/20 leave 12 test rows; S=12 plus horizon 8 needs 20
+    _, ck = _train_checkpoint(tmp_path)
+    cfg = write_config(tmp_path / "short.ini", tmp_path / "eval", {"dataset": {"length": "60"}})
+    proc = _cli("eval", "--config", cfg, "--checkpoint", ck, "--horizon", "8")
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [proc.stderr.strip()]
+    assert proc.stderr.startswith("error: [rollout] S=12 plus horizon 8 needs 20 rows, "
+                                  "but the test split has 12")
+    assert not (tmp_path / "eval").exists()
+
+
 @pytest.mark.parametrize("amplitude", ["1e308", "-1e200"])
 def test_amplitude_whose_z_score_overflows_prints_one_stderr_line(tmp_path, amplitude):
     cfg = write_config(tmp_path / "run.ini", tmp_path / "out",
@@ -582,6 +616,20 @@ def test_csv_whose_z_score_overflows_exits_2_for_eval(tmp_path, capsys):
     assert err.splitlines() == [err.strip()]
     assert err.startswith("error: [dataset] huge: ") and "z-score" in err
     assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "gradcheck"])
+def test_csv_whose_normalized_values_overflow_prints_one_stderr_line(tmp_path, command):
+    # a constant context's std is floored at 1e-5, so a 1e150 spike after it z-scores to 1e155
+    data = tmp_path / "spiky.csv"
+    data.write_text("a\n" + "".join("1e150\n" if i % 40 == 0 else "0\n" for i in range(400)))
+    cfg = write_config(tmp_path / "run.ini", tmp_path / "out",
+                       {"dataset": {"source": "csv", "path": str(data)}})
+    proc = _cli(command, "--config", cfg)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [proc.stderr.strip()]
+    assert proc.stderr.startswith("error: [dataset] spiky: ") and "z-score" in proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_large_but_z_scorable_amplitude_still_trains(tmp_path):

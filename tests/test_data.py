@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from arforecast.data import (
     SPLITS,
     SeriesDataset,
-    SeriesWindow,
     Windows,
     gen_ar_process,
     gen_sinusoid,
@@ -275,12 +274,9 @@ def test_window_counts_small_cases():
 def test_window_contiguity_and_origin():
     ds = _toy_dataset(12)
     for w in window_iter(ds, "train", 3, 4, stride=2):
-        np.testing.assert_array_equal(
-            w.context[:, 0], np.arange(w.origin_index, w.origin_index + 3)
-        )
-        np.testing.assert_array_equal(
-            w.future[:, 0], np.arange(w.origin_index + 3, w.origin_index + 7)
-        )
+        (origin,) = w.origins
+        np.testing.assert_array_equal(w.contexts[0, :, 0], np.arange(origin, origin + 3))
+        np.testing.assert_array_equal(w.futures[0, :, 0], np.arange(origin + 3, origin + 7))
 
 
 @settings(max_examples=40, deadline=None)
@@ -306,8 +302,9 @@ def test_windows_never_cross_split_boundaries():
     for split in ("train", "val", "test"):
         lo, hi = ds.split_range(split)
         for w in window_iter(ds, split, 3, 2):
-            assert w.origin_index >= lo
-            assert w.origin_index + 5 <= hi
+            (origin,) = w.origins
+            assert origin >= lo
+            assert origin + 5 <= hi
 
 
 def test_window_iter_validates_arguments():
@@ -319,9 +316,9 @@ def test_window_iter_validates_arguments():
 
 
 def _listed_windows(ds, split, S, horizon, stride=1):
-    """window_iter as it was, one SeriesWindow per origin built in a loop: Windows' reference."""
+    """(context, future, origin) per origin, built in a loop: the reference for ``Windows``."""
     lo, hi = ds.split_range(split)
-    return [SeriesWindow(ds.values[o:o + S], ds.values[o + S:o + S + horizon], o)
+    return [(ds.values[o:o + S], ds.values[o + S:o + S + horizon], o)
             for o in range(lo, hi - S - horizon + 1, stride)]
 
 
@@ -339,22 +336,25 @@ def test_windows_match_the_listed_windows(length, V, S, horizon, stride, split):
     assert isinstance(got, Windows) and len(got) == len(want)
     assert got.contexts.shape == (len(want), S, V)
     assert got.futures.shape == (len(want), horizon, V)
-    np.testing.assert_array_equal(got.origins, [w.origin_index for w in want])
-    for i, (one, ref) in enumerate(zip(got, want, strict=True)):
-        for w in (one, got[i]):
-            assert isinstance(w, SeriesWindow) and w.origin_index == ref.origin_index
-            np.testing.assert_array_equal(w.context, ref.context)
-            np.testing.assert_array_equal(w.future, ref.future)
+    np.testing.assert_array_equal(got.origins, [origin for _, _, origin in want])
+    for i, (one, (context, future, origin)) in enumerate(zip(got, want, strict=True)):
+        for w in (one, got[i], got[i - len(want)]):
+            assert isinstance(w, Windows) and w.origins.tolist() == [origin]
+            np.testing.assert_array_equal(w.contexts, [context])
+            np.testing.assert_array_equal(w.futures, [future])
+    for index in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            got[index]
     picks = np.arange(len(want))[::-2]
     for part, ref in ((got[1:4], want[1:4]), (got[picks], [want[i] for i in picks])):
         assert isinstance(part, Windows) and len(part) == len(ref)
-        want_contexts = np.array([w.context for w in ref]).reshape(-1, V)
+        want_contexts = np.array([context for context, _, _ in ref]).reshape(-1, V)
         np.testing.assert_array_equal(part.contexts.reshape(-1, V), want_contexts)
     if want:
         with pytest.raises(ValueError, match="read-only"):
             got.contexts[0, 0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
-            got[0].future[0, 0] = 1.0
+            got[0].futures[0, 0, 0] = 1.0
         assert ds.values.flags.writeable
 
 

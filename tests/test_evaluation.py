@@ -112,14 +112,15 @@ def _per_window_reference(model, dataset, split, cfg, raw_scale):
     block_mae = np.empty((len(windows), n))
     step_mae = np.zeros(cfg.horizon)
     for i, w in enumerate(windows):
-        state = NormState.from_context(w.context)
-        prediction = rollout_predict(model, apply_norm(w.context, state), cfg)
-        pred = prediction.values.values[cfg.L:]
+        (context,), (future,) = w.contexts, w.futures
+        state = NormState.from_context(context)
+        blocks = rollout_predict(model, apply_norm(context, state), cfg)
+        pred = np.vstack([block.values for block in blocks])
         if raw_scale:
             pred = invert_norm(pred, state)
-            truth = w.future
+            truth = future
         else:
-            truth = apply_norm(w.future, state)
+            truth = apply_norm(future, state)
         err = pred - truth
         for k in range(n):
             block = err[k * T:(k + 1) * T]

@@ -218,12 +218,12 @@ def _composite_attention_forecast(model, context):
 def _taped_rollout_objective(model, context, future, cfg):
     """(forecast bytes, loss bytes, per-parameter gradient bytes, min_kink_gap, rule names)."""
     with Tape() as tape:
-        prediction = rollout.rollout_predict(model, Tensor(context), cfg)
+        blocks = rollout.rollout_predict(model, Tensor(context), cfg)
         errors = [block_error(block, future[k * cfg.T:(k + 1) * cfg.T], model.dims.V)
-                  for k, block in enumerate(prediction.blocks)]
+                  for k, block in enumerate(blocks)]
         loss = mean_all(discounted_loss(errors, cfg.gamma, cfg.beta))
         grads = tape.gradient(loss, list(model.params.values()))
-        return (prediction.values.values.tobytes(), loss.values.tobytes(),
+        return ([block.values.tobytes() for block in blocks], loss.values.tobytes(),
                 [g.tobytes() for g in grads], tape.min_kink_gap,
                 [rule.__name__ for _, _, rule, _ in tape.records])
 

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arforecast.autodiff import Tape, Tensor, absolute, mean_all, scale, stop_gradient
-from arforecast.data import SeriesWindow, gen_sinusoid, window_iter
+from arforecast.data import Windows, gen_sinusoid, window_iter
 from arforecast.models import Dims, forecast, init_forecaster
 from arforecast.rollout import (
     RolloutConfig,
@@ -34,27 +34,33 @@ def test_config_validation():
         RolloutConfig(S=8, T=2, L=8)
 
 
+def _one_window(context, future):
+    return Windows(np.asarray(context)[None], np.asarray(future)[None], np.arange(1))
+
+
 def _numpy_linear_rollout(w, b, context, cfg):
     """Independent rollout oracle for the linear model, in plain numpy.
 
-    Returns (values, blocks, step_inputs); the running sequence starts as
-    the context and grows by one predicted block per step.
+    Returns (blocks, step_inputs); the running sequence starts as the
+    context and grows by one predicted block per step.
     """
     S, T, L, n = cfg.S, cfg.T, cfg.L, cfg.n
     padded = np.array(context, dtype=np.float64)
     blocks, inputs = [], []
-    overlap = None
     for k in range(n):
         x = padded[k * T:S + k * T]
         inputs.append(x.copy())
-        out = w @ x + b
-        if k == 0 and L > 0:
-            overlap = out[:L]
-        block = out[L:]
+        block = (w @ x + b)[L:]
         blocks.append(block)
         padded = np.vstack([padded, block])
-    pieces = ([overlap] if L > 0 else []) + blocks
-    return np.vstack(pieces), blocks, inputs
+    return blocks, inputs
+
+
+def _assert_blocks_match(got, want):
+    assert len(got) == len(want)
+    for have, block in zip(got, want):
+        assert have.shape == block.shape
+        np.testing.assert_allclose(have.values, block, rtol=1e-12, atol=1e-14)
 
 
 @pytest.mark.parametrize("L", [0, 2])
@@ -66,11 +72,8 @@ def test_rollout_matches_numpy_oracle(L, n):
     got = rollout_predict(model, Tensor(ctx), cfg)
     w = model.params["w"].values
     b = model.params["b"].values
-    values, blocks, _ = _numpy_linear_rollout(w, b, ctx, cfg)
-    assert got.values.shape == (L + n * 3, 2)
-    np.testing.assert_allclose(got.values.values, values, rtol=1e-12, atol=1e-14)
-    for have, want in zip(got.blocks, blocks):
-        np.testing.assert_allclose(have.values, want, rtol=1e-12, atol=1e-14)
+    blocks, _ = _numpy_linear_rollout(w, b, ctx, cfg)
+    _assert_blocks_match(got, blocks)
 
 
 @st.composite
@@ -92,13 +95,9 @@ def test_rollout_matches_numpy_oracle_over_geometries(geometry, seed):
     ctx = np.random.default_rng(seed).normal(size=(cfg.S, V))
     with Tape():
         got = rollout_predict(model, Tensor(ctx), cfg)
-    values, blocks, _ = _numpy_linear_rollout(
+    blocks, _ = _numpy_linear_rollout(
         model.params["w"].values, model.params["b"].values, ctx, cfg)
-    assert got.values.shape == (cfg.L + cfg.n * cfg.T, V)
-    np.testing.assert_allclose(got.values.values, values, rtol=1e-12, atol=1e-14)
-    assert len(got.blocks) == cfg.n
-    for have, want in zip(got.blocks, blocks):
-        np.testing.assert_allclose(have.values, want, rtol=1e-12, atol=1e-14)
+    _assert_blocks_match(got, blocks)
 
 
 def test_third_step_input_is_fully_predicted():
@@ -107,19 +106,18 @@ def test_third_step_input_is_fully_predicted():
     model = init_forecaster("linear", Dims(S=4, T=2), seed=3)
     ctx = np.random.default_rng(7).normal(size=(4, 1))
     w, b = model.params["w"].values, model.params["b"].values
-    values, blocks, inputs = _numpy_linear_rollout(w, b, ctx, cfg)
+    blocks, inputs = _numpy_linear_rollout(w, b, ctx, cfg)
     np.testing.assert_array_equal(inputs[2], np.vstack(blocks[:2]))
-    got = rollout_predict(model, Tensor(ctx), cfg)
-    np.testing.assert_allclose(got.values.values, values, rtol=1e-12, atol=1e-14)
+    _assert_blocks_match(rollout_predict(model, Tensor(ctx), cfg), blocks)
 
 
 def test_n1_rollout_equals_forecast():
     cfg = RolloutConfig(S=6, T=3, L=2, n=1)
     model = init_forecaster("mlp", Dims(S=6, T=3, L=2, hidden=4), seed=2)
     ctx = np.random.default_rng(1).normal(size=(6, 1))
-    got = rollout_predict(model, Tensor(ctx), cfg)
+    (got,) = rollout_predict(model, Tensor(ctx), cfg)
     direct = forecast(model, Tensor(ctx))
-    np.testing.assert_array_equal(got.values.values, direct.values)
+    np.testing.assert_array_equal(got.values, direct.values[2:])
 
 
 def test_copy_last_model_is_a_fixed_point():
@@ -133,16 +131,7 @@ def test_copy_last_model_is_a_fixed_point():
     for n in (1, 2, 5):
         cfg = RolloutConfig(S=5, T=2, L=1, n=n)
         got = rollout_predict(model, Tensor(ctx), cfg)
-        np.testing.assert_array_equal(got.values.values, np.full((1 + 2 * n, 1), 4.0))
-
-
-def test_rollout_reconstruction_invariant():
-    cfg = RolloutConfig(S=6, T=2, L=2, n=3)
-    model = init_forecaster("linear", Dims(S=6, T=2, L=2), seed=21)
-    ctx = np.random.default_rng(2).normal(size=(6, 1))
-    got = rollout_predict(model, Tensor(ctx), cfg)
-    stitched = np.vstack([got.values.values[:2]] + [b.values for b in got.blocks])
-    np.testing.assert_array_equal(stitched, got.values.values)
+        np.testing.assert_array_equal(np.vstack([b.values for b in got]), np.full((2 * n, 1), 4.0))
 
 
 def test_rollout_shape_errors():
@@ -159,11 +148,10 @@ def test_rollout_never_reads_the_future():
     cfg = RolloutConfig(S=8, T=4, n=3)
     model = init_forecaster("linear", Dims(S=8, T=4), seed=5)
     w = window_iter(ds, "train", 8, 12)[0]
-    a = rollout_predict(model, Tensor(w.context), cfg).values.values
-    zeroed = SeriesWindow(context=w.context, future=np.zeros_like(w.future),
-                          origin_index=w.origin_index)
-    b = rollout_predict(model, Tensor(zeroed.context), cfg).values.values
-    assert a.tobytes() == b.tobytes()
+    zeroed = Windows(w.contexts, np.zeros_like(w.futures), w.origins)
+    a, b = ([block.values.tobytes() for block in rollout_predict(model, Tensor(x.contexts[0]), cfg)]
+            for x in (w, zeroed))
+    assert a == b
 
 
 def test_block_error_zero_and_hand_value():
@@ -223,12 +211,10 @@ def test_penalty_gradient_norm_ratio_through_model():
     model = init_forecaster("linear", Dims(S=6, T=2), seed=17)
     ctx = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])[:, None]  # mean 0, pop std 1
 
-    preview = rollout_predict(model, Tensor(ctx), cfg)
-    b1 = preview.blocks[0].values
-    b2 = preview.blocks[1].values
+    b1, b2 = (block.values for block in rollout_predict(model, Tensor(ctx), cfg))
 
     def grad_norm_of_penalized_term(future):
-        window = SeriesWindow(context=ctx, future=future, origin_index=0)
+        window = _one_window(ctx, future)
         with Tape() as tape:
             blocks = ar_loss(model, window, cfg)
             e1, e2 = blocks.e
@@ -271,8 +257,8 @@ def test_ar_loss_violation_count():
     ctx = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])[:, None]
     preview = rollout_predict(model, Tensor(ctx), cfg)
     offsets = [1.0, 2.0, 0.5]  # e: 1.0, 4.0, 0.25 -> one increase, one violation
-    future = np.vstack([b.values + o for b, o in zip(preview.blocks, offsets)])
-    blocks = ar_loss(model, SeriesWindow(ctx, future, 0), cfg)
+    future = np.vstack([b.values + o for b, o in zip(preview, offsets)])
+    blocks = ar_loss(model, _one_window(ctx, future), cfg)
     assert blocks.violations == 1
     np.testing.assert_allclose([e.item() for e in blocks.e], [1.0, 4.0, 0.25])
 
@@ -282,9 +268,10 @@ def test_ar_loss_window_shape_errors():
     model = init_forecaster("linear", Dims(S=6, T=2), seed=0)
     good_ctx = np.zeros((6, 1))
     with pytest.raises(ValueError):
-        ar_loss(model, SeriesWindow(np.zeros((5, 1)), np.zeros((4, 1)), 0), cfg)
+        ar_loss(model, _one_window(np.zeros((5, 1)), np.zeros((4, 1))), cfg)
     with pytest.raises(ValueError):
-        ar_loss(model, SeriesWindow(good_ctx, np.zeros((3, 1)), 0), cfg)
+        ar_loss(model, _one_window(good_ctx, np.zeros((3, 1))), cfg)
+
 
 
 def test_loss_magnitude_factor_values():
@@ -383,8 +370,10 @@ def test_batched_ar_loss_is_mean_of_per_window(draw):
     rng = np.random.default_rng(seed)
     model = init_forecaster(kind, Dims(S=cfg.S, T=cfg.T, L=cfg.L, V=V, hidden=hidden), seed=seed)
     params = list(model.params.values())
-    windows = [SeriesWindow(rng.normal(size=(cfg.S, V)) * rng.uniform(0.5, 3.0),
-                            rng.normal(size=(cfg.horizon, V)), i) for i in range(n_windows)]
+    drawn = [(rng.normal(size=(cfg.S, V)) * rng.uniform(0.5, 3.0),
+              rng.normal(size=(cfg.horizon, V))) for _ in range(n_windows)]
+    windows = Windows(np.array([c for c, _ in drawn]), np.array([f for _, f in drawn]),
+                      np.arange(n_windows))
 
     def loss_and_grad(batch):
         with Tape() as tape:
@@ -416,7 +405,7 @@ def test_mse_loss_takes_a_batch():
     singles = [mse_loss(model, w).item() for w in windows]
     assert mse_loss(model, windows).item() == pytest.approx(np.mean(singles), rel=1e-12)
     with pytest.raises(ValueError, match="empty"):
-        ar_loss(model, [], RolloutConfig(S=8, T=4))
+        ar_loss(model, windows[:0], RolloutConfig(S=8, T=4))
 
 
 def _numpy_kink_inputs(model, window, cfg):
@@ -442,8 +431,9 @@ def _numpy_kink_inputs(model, window, cfg):
         x2 = layer_norm(x1 + p["ff2_w"] @ np.maximum(pre, 0.0) + p["ff2_b"])
         return p["proj_w"] @ x2 + p["proj_b"]
 
-    mean, std = window.context.mean(axis=0), np.maximum(window.context.std(axis=0), 1e-5)
-    seq, future = (window.context - mean) / std, (window.future - mean) / std
+    (context,), (future,) = window.contexts, window.futures
+    mean, std = context.mean(axis=0), np.maximum(context.std(axis=0), 1e-5)
+    seq, future = (context - mean) / std, (future - mean) / std
     inputs, errors = [], []
     for k in range(cfg.n):
         block = forward(seq[-cfg.S:], inputs)[cfg.L:]
@@ -492,9 +482,8 @@ def _composite_discounted_loss(errors, gamma, beta):
 def _batch_objective(model, context, future, cfg, beta, V, block_error_fn, discounted_fn):
     """(loss, e rows, parameter gradient, min_kink_gap, rule names) of one taped batch."""
     with Tape() as tape:
-        prediction = rollout_predict(model, Tensor(context), cfg)
         errors = [block_error_fn(block, future[k * cfg.T:(k + 1) * cfg.T], V)
-                  for k, block in enumerate(prediction.blocks)]
+                  for k, block in enumerate(rollout_predict(model, Tensor(context), cfg))]
         loss = mean_all(discounted_fn(errors, cfg.gamma, beta))
         grad = np.concatenate([g.ravel() for g in tape.gradient(loss, list(model.params.values()))])
         rules = [rule.__name__ for _, _, rule, _ in tape.records]
@@ -553,6 +542,7 @@ def test_discounted_loss_saves_the_penalty_gaps():
 
 @pytest.mark.parametrize("kind,V", [("linear", 1), ("inverted_attention", 3)])
 def test_ar_loss_on_windows_equals_ar_loss_on_listed_windows(kind, V):
+    """A batch picked by an index array (views) scores as the same windows stacked one by one."""
     cfg = RolloutConfig(S=12, T=3, L=1, n=3)
     ds = gen_sinusoid(300, V=V, periods=[24.0, 17.0, 9.0][:V], noise_std=0.2, seed=6)
     windows = window_iter(ds, "train", cfg.S, cfg.horizon)
@@ -560,7 +550,10 @@ def test_ar_loss_on_windows_equals_ar_loss_on_listed_windows(kind, V):
     picks = [17, 3, 40, 9, 3]
     params = list(model.params.values())
     results = []
-    for batch in (windows[np.array(picks)], [windows[i] for i in picks]):
+    listed = [windows[i] for i in picks]
+    stacked = Windows(*(np.concatenate([getattr(w, name) for w in listed])
+                        for name in ("contexts", "futures", "origins")))
+    for batch in (windows[np.array(picks)], stacked):
         with Tape() as tape:
             blocks = ar_loss(model, batch, cfg)
             grads = tape.gradient(blocks.loss, params)
