@@ -14,7 +14,7 @@ import configparser
 import functools
 import math
 import sys
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -163,10 +163,10 @@ class RunConfig:
 
     def __init__(self, path, out_override=None, seed_override=None):
         path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file not found: {path}")
         try:
             raw = _read_plain_ini(path.read_text(encoding="utf-8"))
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {path}") from None
         except (OSError, UnicodeDecodeError):
             raw = None
         if raw is None:  # configparser reads the rest, and reports what it refuses
@@ -330,7 +330,8 @@ def _rollout_for(ck, horizon: int) -> RolloutConfig:
             f"T={block}; rollouts extend the forecast in whole blocks (k x T), "
             f"so the nearest valid horizons are {pretty}"
         )
-    return replace(ck.rollout, n=horizon // block)
+    ro = ck.rollout
+    return RolloutConfig(ro.S, ro.T, ro.L, horizon // block, ro.gamma, ro.beta)
 
 
 def cmd_train(args) -> int:
@@ -354,6 +355,10 @@ def cmd_eval(args) -> int:
     cfg = RunConfig(args.config, out_override=args.out, seed_override=args.seed)
     ck = _load_checkpoint_or_fail(args.checkpoint)
     roll = _rollout_for(ck, args.horizon)
+    mine, theirs = (cfg.rollout.S, cfg.rollout.T, cfg.rollout.L), (roll.S, roll.T, roll.L)
+    if mine != theirs:  # n comes from --horizon; gamma and beta weigh only training
+        raise ConfigError("[rollout] s = {}, t = {}, l = {} do not match the checkpoint's "
+                          "s = {}, t = {}, l = {}".format(*mine, *theirs))
     dataset = cfg.build_dataset(roll.S)
     if dataset.n_variates != ck.dims.V:
         raise ConfigError(f"checkpoint was built for {ck.dims.V} variates, "

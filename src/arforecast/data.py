@@ -12,6 +12,7 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -158,17 +159,22 @@ def write_fresh(path, content) -> None:
 
 
 def load_csv(path, has_header=True, time_column=None, ratios=DEFAULT_SPLIT) -> SeriesDataset:
-    """Comma-separated, '.' decimal, optional header row, optional time column to drop."""
+    """Comma-separated, '.' decimal, optional header row, optional time column to drop.
+
+    A leading byte order mark is skipped and blank lines are ignored. Every cell goes through
+    ``float`` in one pass; a ragged row, an unparsable cell or a non-finite value raises the
+    error that ``_bad_cell_error`` builds by reading the file again cell by cell.
+    """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             rows = list(reader)
         except csv.Error as exc:  # e.g. a cell over csv's field size limit
             raise ValueError(f"{path}: {exc} at line {reader.line_num}") from None
-    rows = [r for r in rows if r]  # tolerate trailing blank lines
+    rows = [r for r in rows if r]  # tolerate blank lines
     if not rows:
         raise ValueError(f"{path}: empty file")
     if has_header is None:  # a first row with any non-numeric cell is a header
@@ -178,11 +184,9 @@ def load_csv(path, has_header=True, time_column=None, ratios=DEFAULT_SPLIT) -> S
         except ValueError:
             has_header = True
 
-    line0 = 1
     if has_header:
         names = [c.strip() for c in rows[0]]
         data_rows = rows[1:]
-        line0 = 2
     else:
         if time_column is not None:
             raise ValueError("time_column requires has_header=True")
@@ -199,26 +203,46 @@ def load_csv(path, has_header=True, time_column=None, ratios=DEFAULT_SPLIT) -> S
         names = names[:drop] + names[drop + 1:]
 
     width = len(rows[0])  # header row (or first data row) fixes the width
-    parsed = np.empty((len(data_rows), len(names)))
-    for i, row in enumerate(data_rows):
-        if len(row) != width:
-            raise ValueError(f"{path}: ragged row at line {line0 + i} "
-                             f"({len(row)} cells, expected {width})")
-        out_j = 0
-        for j, cell in enumerate(row):
-            if j == drop:
-                continue
-            try:
-                value = float(cell)
-            except ValueError:
-                raise ValueError(f"{path}: cannot parse {cell!r} at line {line0 + i}, "
-                                 f"column {j + 1} ({names[out_j]!r})") from None
-            if not math.isfinite(value):
-                raise ValueError(f"{path}: non-finite value at line {line0 + i}, "
-                                 f"column {j + 1} ({names[out_j]!r})")
-            parsed[i, out_j] = value
-            out_j += 1
-    return SeriesDataset.from_values(path.stem, parsed, columns=names, ratios=ratios)
+    if set(map(len, rows)) == {width}:
+        if drop is not None:
+            data_rows = [row[:drop] + row[drop + 1:] for row in data_rows]
+        try:
+            values = np.fromiter(map(float, chain.from_iterable(data_rows)), np.float64,
+                                 len(data_rows) * len(names))
+        except ValueError:
+            pass
+        else:
+            if np.isfinite(values).all():
+                values = values.reshape(len(data_rows), len(names))
+                return SeriesDataset.from_values(path.stem, values, columns=names, ratios=ratios)
+    raise _bad_cell_error(path, has_header, width, drop, names)
+
+
+def _bad_cell_error(path: Path, has_header: bool, width: int, drop: int | None,
+                    names: list[str]) -> ValueError:
+    """The error naming the first ragged row, unparsable cell or non-finite value of ``path``,
+    at the physical line the csv reader has reached."""
+    columns = [j for j in range(width) if j != drop]
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        rows = filter(None, reader)
+        if has_header:
+            next(rows, None)
+        for row in rows:
+            line = reader.line_num
+            if len(row) != width:
+                return ValueError(f"{path}: ragged row at line {line} "
+                                  f"({len(row)} cells, expected {width})")
+            for j, name in zip(columns, names):
+                try:
+                    value = float(row[j])
+                except ValueError:
+                    return ValueError(f"{path}: cannot parse {row[j]!r} at line {line}, "
+                                      f"column {j + 1} ({name!r})")
+                if not math.isfinite(value):
+                    return ValueError(f"{path}: non-finite value at line {line}, "
+                                      f"column {j + 1} ({name!r})")
+    return ValueError(f"{path}: changed while it was read")
 
 
 def window_iter(ds: SeriesDataset, split: str, S: int, horizon: int,

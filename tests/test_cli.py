@@ -126,6 +126,29 @@ def test_eval_suggests_next_block_multiple(tmp_path, capsys):
     assert "768" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,value,geometry", [
+    ("s", "24", "s = 24, t = 4, l = 0"),
+    ("t", "2", "s = 12, t = 2, l = 0"),
+    ("l", "1", "s = 12, t = 4, l = 1"),
+])
+def test_eval_with_another_rollout_geometry_exits_2(tmp_path, capsys, key, value, geometry):
+    _, ck = _train_checkpoint(tmp_path)
+    cfg = write_config(tmp_path / "other.ini", tmp_path / "eval", {"rollout": {key: value}})
+    assert main(["eval", "--config", str(cfg), "--checkpoint", str(ck), "--horizon", "8"]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: [rollout] {geometry} do not match the checkpoint's "
+                   f"s = 12, t = 4, l = 0\n")
+    assert not (tmp_path / "eval").exists()
+
+
+def test_eval_ignores_the_config_objective_weights_and_block_count(tmp_path):
+    _, ck = _train_checkpoint(tmp_path)
+    cfg = write_config(tmp_path / "other.ini", tmp_path / "eval",
+                       {"rollout": {"n": "5", "gamma": "0.9", "beta": "0.3"}})
+    assert main(["eval", "--config", str(cfg), "--checkpoint", str(ck), "--horizon", "8"]) == 0
+    assert (tmp_path / "eval" / "report.json").exists()
+
+
 def test_eval_rejects_bad_checkpoint(tmp_path, capsys):
     bogus = tmp_path / "bogus.arpt"
     bogus.write_bytes(b"JUNKJUNKJUNKJUNK")

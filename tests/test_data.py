@@ -18,6 +18,7 @@ from arforecast.data import (
     window_iter,
     write_fresh,
 )
+from csv_oracle import load_csv as per_cell_load_csv
 
 
 def test_sinusoid_known_points():
@@ -158,6 +159,36 @@ def test_load_csv_names_each_non_finite_spelling(tmp_path, cell, text, has_heade
     assert str(err.value) == f"{p}: non-finite value at line {line}, column {column} ({name!r})"
 
 
+def test_load_csv_skips_a_byte_order_mark_before_data(tmp_path):
+    p = tmp_path / "series.csv"
+    p.write_bytes("\ufeff1.5,2.5\n3.5,4.5\n5.5,6.5".encode("utf-8"))
+    ds = load_csv(p, has_header=None)
+    assert ds.columns == ["var0", "var1"]
+    np.testing.assert_array_equal(ds.values, [[1.5, 2.5], [3.5, 4.5], [5.5, 6.5]])
+
+
+def test_load_csv_skips_a_byte_order_mark_before_a_header(tmp_path):
+    p = tmp_path / "ot.csv"
+    p.write_bytes("\ufeffdate,a\n2020-01-01,1.0\n2020-01-02,2.0\n".encode("utf-8"))
+    ds = load_csv(p, has_header=True, time_column="date")
+    assert ds.columns == ["a"]
+    np.testing.assert_array_equal(ds.values[:, 0], [1.0, 2.0])
+
+
+@pytest.mark.parametrize("text,message", [
+    ("a,b\n1,2\n\n3,x", "cannot parse 'x' at line 4, column 2 ('b')"),
+    ("a,b\n1,2\n\n\n3\n", "ragged row at line 5 (1 cells, expected 2)"),
+    ("a,b\n\"1\n\",2\n3,inf\n", "non-finite value at line 4, column 2 ('b')"),
+    ("\n1,2\n3,4\n5,nan\n", "non-finite value at line 4, column 2 ('var1')"),
+])
+def test_load_csv_names_the_physical_line(tmp_path, text, message):
+    p = tmp_path / "bad.csv"
+    p.write_text(text)
+    with pytest.raises(ValueError) as err:
+        load_csv(p, has_header=None)
+    assert str(err.value) == f"{p}: {message}"
+
+
 def test_load_csv_missing_file(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_csv(tmp_path / "absent.csv")
@@ -257,6 +288,77 @@ def test_mutated_csv_raises_only_value_errors(tmp_path_factory, edits, cut, has_
     except ValueError:
         return
     assert np.isfinite(ds.values).all() and ds.values.shape[1] == len(ds.columns)
+
+
+# Cells float() reads, including spellings a stricter parser would refuse, and quoted cells
+# (one spanning two lines); then cells it refuses and the values it reads as non-finite.
+_GOOD_CELLS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.sampled_from([" 1.5", "1_0", "+.5", "5.", "1e-400", "-0", "2 ", "7E+2", '"3.5"',
+                     '" -4e2 "', '"6\n"']))
+_BAD_CELLS = st.one_of(
+    st.sampled_from(["x", "", "1.2.3", "1__0", "_1", "0x1", "1e", '"1,5"', '"a\nb"']),
+    st.sampled_from(["nan", "-NaN", "inf", "-Infinity", "1e400", "-1e999"]))
+
+
+@st.composite
+def _csv_files(draw):
+    """(text, has_header, time_column, same_lines): a CSV with a header row or none, a date
+    or number time column t, a few bad cells, ragged rows and blank lines; same_lines is
+    False when a blank line or a quoted line break puts rows off their physical lines."""
+    width = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(_GOOD_CELLS, min_size=width, max_size=width),
+                         min_size=1, max_size=8))
+    time_column = draw(st.sampled_from([None, None, "t", "b"]))
+    if time_column == "t" and draw(st.booleans()):
+        for i, row in enumerate(rows):
+            row[0] = f"2020-01-{i + 1:02d}"
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, width - 1))] = draw(_BAD_CELLS)
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2]))):  # a row a cell short or a cell long
+        row = draw(st.sampled_from(rows))
+        if draw(st.booleans()):
+            del row[-1:]
+        else:
+            row.append(draw(_GOOD_CELLS))
+    lines = [",".join(row) for row in rows]
+    has_header = draw(st.sampled_from([None, True, False]))
+    if draw(st.booleans()):
+        lines.insert(0, ",".join(["t", "a", "b", "c"][:width]))
+    blanks = draw(st.lists(st.integers(0, len(lines)), max_size=2))
+    for at in sorted(blanks, reverse=True):
+        lines.insert(at, "")
+    text = "\n".join(lines) + draw(st.sampled_from(["", "\n", "\n\n"]))
+    same_lines = all(lines) and "\n" not in "".join(lines)
+    return text, has_header, time_column, same_lines
+
+
+def _load_or_message(loader, path, has_header, time_column):
+    try:
+        return loader(path, has_header=has_header, time_column=time_column)
+    except ValueError as exc:
+        return str(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(csv_file=_csv_files(), bom=st.booleans())
+def test_load_csv_matches_the_per_cell_loader(tmp_path_factory, csv_file, bom):
+    text, has_header, time_column, same_lines = csv_file
+    path = tmp_path_factory.mktemp("csv") / "series.csv"
+    path.write_text(text, encoding="utf-8")
+    want = _load_or_message(per_cell_load_csv, path, has_header, time_column)
+    if bom:  # the oracle reads the same file without its byte order mark
+        path.write_text("\ufeff" + text, encoding="utf-8")
+    got = _load_or_message(load_csv, path, has_header, time_column)
+    if isinstance(want, str) or isinstance(got, str):
+        assert isinstance(want, str) and isinstance(got, str), (want, got)
+        if same_lines:
+            assert got == want
+        return
+    assert got.values.dtype == want.values.dtype and got.values.shape == want.values.shape
+    assert got.values.tobytes() == want.values.tobytes()
+    assert (got.name, got.columns, got.splits) == (want.name, want.columns, want.splits)
 
 
 def _toy_dataset(n):
