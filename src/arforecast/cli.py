@@ -246,7 +246,7 @@ class RunConfig:
                 dataset = gen_ar_process(ds["length"], V=ds["variates"], coeffs=ds["coeffs"],
                                          noise_std=ds["noise_std"], seed=ds["seed"],
                                          ratios=ds["split"])
-        except (ValueError, FileNotFoundError) as exc:
+        except (ValueError, OSError) as exc:  # OSError: a path that is a directory, unreadable
             raise ConfigError(f"[dataset] {exc}") from None
         # A window's z-score sums at most N values of size <= peak, and at most N squared
         # deviations of size <= spread**2; the values it gives are at most spread / std in
@@ -312,7 +312,7 @@ def _load_checkpoint_or_fail(path):
         return load_checkpoint(path)
     except FileNotFoundError:
         raise ConfigError(f"checkpoint not found: {Path(path)}") from None
-    except CheckpointError as exc:
+    except (OSError, CheckpointError) as exc:  # e.g. a directory, or a malformed file
         raise ConfigError(str(exc)) from exc
 
 
@@ -355,10 +355,12 @@ def cmd_eval(args) -> int:
     cfg = RunConfig(args.config, out_override=args.out, seed_override=args.seed)
     ck = _load_checkpoint_or_fail(args.checkpoint)
     roll = _rollout_for(ck, args.horizon)
-    mine, theirs = (cfg.rollout.S, cfg.rollout.T, cfg.rollout.L), (roll.S, roll.T, roll.L)
-    if mine != theirs:  # n comes from --horizon; gamma and beta weigh only training
-        raise ConfigError("[rollout] s = {}, t = {}, l = {} do not match the checkpoint's "
-                          "s = {}, t = {}, l = {}".format(*mine, *theirs))
+    for section, theirs in (("rollout", {"s": roll.S, "t": roll.T, "l": roll.L}),
+                            ("model", {"kind": ck.kind, "hidden": ck.dims.hidden})):
+        mine = {key: cfg.values[section][key] for key in theirs}
+        if mine != theirs:  # n comes from --horizon; gamma and beta weigh only training
+            mine, theirs = (", ".join(f"{k} = {v}" for k, v in d.items()) for d in (mine, theirs))
+            raise ConfigError(f"[{section}] {mine} do not match the checkpoint's {theirs}")
     dataset = cfg.build_dataset(roll.S)
     if dataset.n_variates != ck.dims.V:
         raise ConfigError(f"checkpoint was built for {ck.dims.V} variates, "
@@ -383,7 +385,7 @@ def cmd_predict(args) -> int:
     roll = _rollout_for(ck, args.horizon)
     try:
         dataset = load_csv(args.input_csv, has_header=None, ratios=(0.0, 0.0, 1.0))
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:  # OSError: missing, a directory, unreadable
         raise ConfigError(str(exc)) from None
     if dataset.values.shape[0] < ck.dims.S:
         raise ConfigError(f"input provides {dataset.values.shape[0]} rows, "
@@ -434,105 +436,102 @@ def cmd_gradcheck(args) -> int:
     return 0 if ok else 1
 
 
+# Each command's help, handler and arguments, as (name, argparse keywords) in the order its
+# usage lists them. build_parsers and _parse_plain both read this table; an argument's keywords
+# are "required", "type", "help" and ``action="store_true"``.
+COMMANDS = {
+    "train": ("train a model from a config file", cmd_train, (
+        ("--config", {"required": True}),
+        ("--out", {"help": "output directory (overrides [output] dir)"}),
+        ("--seed", {"type": int, "help": "override [train] seed"}))),
+    "eval": ("evaluate a checkpoint on the test split", cmd_eval, (
+        ("--config", {"required": True}),
+        ("--checkpoint", {"required": True}),
+        ("--horizon", {"type": int, "required": True, "help": "total prediction length; "
+                       "must be a multiple of the block length"}),
+        ("--out", {}),
+        ("--seed", {"type": int}),
+        ("--raw-scale", {"action": "store_true", "help": "report errors on the raw data "
+                         "scale instead of normalized"}))),
+    "predict": ("roll out a forecast from the tail of a CSV", cmd_predict, (
+        ("input_csv", {}),
+        ("--checkpoint", {"required": True}),
+        ("--horizon", {"type": int, "required": True}),
+        ("--out", {"required": True}))),
+    "gradcheck": ("verify rollout-loss gradients against the oracle", cmd_gradcheck, (
+        ("--config", {"required": True}),
+        ("--out", {}),
+        ("--seed", {"type": int}))),
+}
+
+
 @functools.cache
 def build_parsers() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
     """The top-level parser and each command's subparser, built once; parsing changes neither."""
-    parser = argparse.ArgumentParser(
-        prog="arforecast",
-        description="Train, evaluate, and run rollout forecasts for small time-series models.",
-    )
+    parser = argparse.ArgumentParser(prog="arforecast", description="Train, evaluate, and run "
+                                     "rollout forecasts for small time-series models.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_train = sub.add_parser("train", help="train a model from a config file")
-    p_train.add_argument("--config", required=True)
-    p_train.add_argument("--out", default=None, help="output directory (overrides [output] dir)")
-    p_train.add_argument("--seed", type=int, default=None, help="override [train] seed")
-    p_train.set_defaults(handler=cmd_train)
-
-    p_eval = sub.add_parser("eval", help="evaluate a checkpoint on the test split")
-    p_eval.add_argument("--config", required=True)
-    p_eval.add_argument("--checkpoint", required=True)
-    p_eval.add_argument("--horizon", type=int, required=True,
-                        help="total prediction length; must be a multiple of the block length")
-    p_eval.add_argument("--out", default=None)
-    p_eval.add_argument("--seed", type=int, default=None)
-    p_eval.add_argument("--raw-scale", action="store_true",
-                        help="report errors on the raw data scale instead of normalized")
-    p_eval.set_defaults(handler=cmd_eval)
-
-    p_pred = sub.add_parser("predict", help="roll out a forecast from the tail of a CSV")
-    p_pred.add_argument("input_csv")
-    p_pred.add_argument("--checkpoint", required=True)
-    p_pred.add_argument("--horizon", type=int, required=True)
-    p_pred.add_argument("--out", required=True)
-    p_pred.set_defaults(handler=cmd_predict)
-
-    p_gc = sub.add_parser("gradcheck", help="verify rollout-loss gradients against the oracle")
-    p_gc.add_argument("--config", required=True)
-    p_gc.add_argument("--out", default=None)
-    p_gc.add_argument("--seed", type=int, default=None)
-    p_gc.set_defaults(handler=cmd_gradcheck)
+    for command, (help_text, handler, arguments) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for name, keywords in arguments:
+            p.add_argument(name, **keywords)
+        p.set_defaults(handler=handler)
     return parser, sub.choices
 
 
 @functools.cache
-def _plain_table(sub: argparse.ArgumentParser):
-    """``sub``'s store and store_true options by option string, its positionals in order, and
-    the defaults ``parse_known_args`` starts its namespace from (none is a str, which argparse
-    would pass through the action's type)."""
-    actions, plain = sub._actions, (argparse._StoreAction, argparse._StoreTrueAction)
-    options = {name: a for a in actions if isinstance(a, plain) for name in a.option_strings}
-    positionals = [a for a in actions if not a.option_strings]
-    defaults = {a.dest: a.default for a in actions
-                if argparse.SUPPRESS not in (a.dest, a.default)}
-    return options, positionals, {**defaults, **sub._defaults}
+def _plain_lookups(command: str):
+    """``command``'s arguments by name and its positionals in order, each as (dest, type, is a
+    flag); the namespace ``parse_known_args`` starts from; and the dests it requires."""
+    _, handler, arguments = COMMANDS[command]
+    specs = {name: (name.lstrip("-").replace("-", "_"), keywords.get("type"), "action" in keywords)
+             for name, keywords in arguments}
+    start = {dest: False if flag else None for dest, _, flag in specs.values()}
+    required = {specs[name][0] for name, keywords in arguments
+                if keywords.get("required", not name.startswith("-"))}
+    positionals = [spec for name, spec in specs.items() if not name.startswith("-")]
+    return specs, positionals, {**start, "handler": handler}, required
 
 
-def _parse_plain(sub: argparse.ArgumentParser, argv: list[str]):
-    """The namespace ``sub.parse_known_args(argv)`` returns with no extras, for an ``argv`` of
-    whole option strings (each followed by its value unless it is a flag) and positionals, where
-    no value starts with '-', every value converts and every required argument is given.
+def _parse_plain(command: str, argv: list[str]):
+    """The namespace ``parse_known_args(argv)`` of ``command``'s subparser returns with no
+    extras, for an ``argv`` of whole option strings (each followed by its value unless it is a
+    flag) and positionals, where no value starts with '-', every value converts and every
+    required argument is given.
 
     Any other ``argv`` gives None and is left to argparse: help, abbreviated options,
     ``--opt=value``, values that start with '-', and every usage error.
     """
-    options, positionals, defaults = _plain_table(sub)
-    values, given, tokens, pending = dict(defaults), set(), iter(argv), iter(positionals)
+    options, positionals, start, required = _plain_lookups(command)
+    values, given, tokens, pending = dict(start), set(), iter(argv), iter(positionals)
     for token in tokens:
         if token.startswith("-"):
-            action = options.get(token)
-            value = None if action is None or action.nargs == 0 else next(tokens, "-")
+            spec = options.get(token)
+            value = None if spec is None or spec[2] else next(tokens, "-")
         else:
-            action, value = next(pending, None), token
-        if action is None:
+            spec, value = next(pending, None), token
+        if spec is None:
             return None
-        if action.nargs == 0:
-            value = action.const
+        dest, convert, flag = spec
+        if flag:
+            value = True
         elif value.startswith("-"):
             return None
-        elif action.type is not None:
+        elif convert is not None:
             try:
-                value = action.type(value)
+                value = convert(value)
             except ValueError:
                 return None
-        values[action.dest] = value
-        given.add(action)
-    if any(a.required and a not in given for a in sub._actions):
-        return None
-    return argparse.Namespace(**values)
+        values[dest] = value
+        given.add(dest)
+    return argparse.Namespace(**values) if required <= given else None
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser, commands = build_parsers()
-    if argv and argv[0] in commands:  # what the subparser walk would do, without the walk
-        args = _parse_plain(commands[argv[0]], argv[1:])
-        if args is None:
-            args, extras = commands[argv[0]].parse_known_args(argv[1:])
-            if extras:
-                parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    else:  # help, usage errors and unknown commands
-        args = parser.parse_args(argv)
+    args = _parse_plain(argv[0], argv[1:]) if argv and argv[0] in COMMANDS else None
+    if args is None:  # help, usage errors, unknown commands and the argv forms left to argparse
+        args = build_parsers()[0].parse_args(argv)
     try:
         return args.handler(args)
     except ConfigError as exc:

@@ -13,9 +13,7 @@ normalization before scoring.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
 
@@ -150,24 +148,8 @@ def report_to_dict(report: EvalReport) -> dict:
     }
 
 
-def indented_json(value, pad: str = "\n") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)`` for dicts with string keys: containers
-    are laid out and finite floats and strings encoded here, the rest by ``json.dumps``."""
-    if type(value) is float and math.isfinite(value):
-        return float.__repr__(value)
-    if type(value) is str:
-        return _json_string(value)
-    inner = pad + "  "
-    if type(value) is dict and value:
-        return "{" + ",".join([f"{inner}{_json_string(key)}: {indented_json(item, inner)}"
-                               for key, item in sorted(value.items())]) + pad + "}"
-    if type(value) in (list, tuple) and value:
-        return "[" + ",".join([inner + indented_json(item, inner) for item in value]) + pad + "]"
-    return json.dumps(value)  # ints, booleans, None, non-finite floats, empty containers
-
-
 def write_report_json(report: EvalReport, path) -> None:
-    write_fresh(path, indented_json(report_to_dict(report)) + "\n")
+    write_fresh(path, json.dumps(report_to_dict(report), indent=2, sort_keys=True) + "\n")
 
 
 def export_curve(report: EvalReport, path) -> None:

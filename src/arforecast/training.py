@@ -283,7 +283,7 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointFormatError(
             f"{path}: payload holds {len(blob) - header_end} bytes, header expects {total}"
         )
-    flat = np.frombuffer(blob, dtype="<f8", offset=header_end).astype(np.float64)
+    flat = np.frombuffer(blob, dtype="<f8", offset=header_end)  # read-only; to_forecaster copies
     if not np.all(np.isfinite(flat)):
         raise CheckpointFormatError(f"{path}: payload holds non-finite values")
     return Checkpoint(kind=kind, dims=dims, flat=flat, rollout=rollout, epoch=epoch,

@@ -1,15 +1,18 @@
 """Command-line workflows: exit codes, output files, config echo."""
 
 import configparser
+import contextlib
+import io
 import json
 import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import arforecast.autodiff as autodiff
@@ -141,6 +144,19 @@ def test_eval_with_another_rollout_geometry_exits_2(tmp_path, capsys, key, value
     assert not (tmp_path / "eval").exists()
 
 
+@pytest.mark.parametrize("model,shown", [
+    ({"kind": "mlp", "hidden": "7"}, "kind = mlp, hidden = 7"),
+    ({"hidden": "3"}, "kind = linear, hidden = 3"),
+])
+def test_eval_with_another_model_exits_2(tmp_path, capsys, model, shown):
+    _, ck = _train_checkpoint(tmp_path)
+    cfg = write_config(tmp_path / "other.ini", tmp_path / "eval", {"model": model})
+    assert main(["eval", "--config", str(cfg), "--checkpoint", str(ck), "--horizon", "8"]) == 2
+    assert capsys.readouterr().err == (f"error: [model] {shown} do not match the checkpoint's "
+                                       f"kind = linear, hidden = 0\n")
+    assert not (tmp_path / "eval").exists()
+
+
 def test_eval_ignores_the_config_objective_weights_and_block_count(tmp_path):
     _, ck = _train_checkpoint(tmp_path)
     cfg = write_config(tmp_path / "other.ini", tmp_path / "eval",
@@ -224,6 +240,25 @@ def test_predict_missing_input_exits_2(tmp_path, capsys):
     assert main(["predict", str(tmp_path / "absent.csv"), "--checkpoint", str(ck),
                  "--horizon", "12", "--out", str(out)]) == 2
     assert "no such file" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("which", ["checkpoint", "input_csv", "dataset_path"])
+def test_a_directory_given_as_input_exits_2_naming_it(tmp_path, capsys, which):
+    adir = tmp_path / "adir"
+    adir.mkdir()
+    out = tmp_path / "out"
+    if which == "dataset_path":
+        cfg = write_config(tmp_path / "run.ini", out,
+                           {"dataset": {"source": "csv", "path": str(adir)}})
+        argv = ["train", "--config", str(cfg)]
+    else:
+        inp, ck = _write_rows(tmp_path / "input.csv", 48), _predict_checkpoint(tmp_path)
+        inp, ck = (inp, adir) if which == "checkpoint" else (adir, ck)
+        argv = ["predict", str(inp), "--checkpoint", str(ck), "--horizon", "12", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()] and str(adir) in err
     assert not out.exists()
 
 
@@ -717,7 +752,7 @@ def test_plain_parse_matches_argparse(data, command, edits):
         at = where % (len(argv) + 1)
         argv[at:at + (how > 0)] = [token] if how < 2 else []
     sub = build_parsers()[1][command]
-    args = _parse_plain(sub, argv)
+    args = _parse_plain(command, argv)
     if args is not None:
         assert sub.parse_known_args(argv) == (args, [])
 
@@ -732,8 +767,75 @@ def test_plain_parse_matches_argparse(data, command, edits):
 ])
 def test_plain_parse_takes_the_documented_argv_forms(argv):
     sub = build_parsers()[1][argv[0]]
-    args = _parse_plain(sub, argv[1:])
+    args = _parse_plain(argv[0], argv[1:])
     assert args is not None and sub.parse_known_args(argv[1:]) == (args, [])
+
+
+_TINY = {"dataset": {"length": "200"}, "train": {"max_epochs": "1"}}
+
+
+@pytest.fixture(scope="module")
+def argv_home(tmp_path_factory):
+    """A tiny trained checkpoint (s = 12, t = 4) and a 20-row predict input."""
+    home = tmp_path_factory.mktemp("argv")
+    cfg = write_config(home / "run.ini", home / "train", _TINY)
+    assert main(["train", "--config", str(cfg)]) == 0
+    _write_rows(home / "input.csv", 20)
+    return home
+
+
+_VALID_ARGV = {  # (name, value) pairs; a positional is named by its dest, a flag has no value
+    "train": [("--config", "{cfg}"), ("--out", "{out}"), ("--seed", "1")],
+    "eval": [("--config", "{cfg}"), ("--checkpoint", "{ck}"), ("--horizon", "8"),
+             ("--out", "{out}"), ("--seed", "1"), ("--raw-scale", None)],
+    "predict": [("input_csv", "{csv}"), ("--checkpoint", "{ck}"), ("--horizon", "8"),
+                ("--out", "{out}")],
+    "gradcheck": [("--config", "{cfg}"), ("--out", "{out}"), ("--seed", "1")],
+}
+_PATHS = ["input_csv", "--config", "--checkpoint", "--out"]
+_ARGV_EDITS = st.one_of(  # a new value for one argument (added if the command lacks it)
+    st.tuples(st.just("--horizon"),  # -2..4T+1 at the checkpoint's T = 4
+              st.integers(-2, 17).map(str) | st.sampled_from(["x", "1.5"])),
+    st.tuples(st.just("--seed"), st.integers(-3, 3).map(str) | st.just("1_0")),
+    st.tuples(st.sampled_from(_PATHS), st.sampled_from(["{missing}", "{dir}"])),
+    st.just(("--bogus", None)),
+    st.tuples(st.sampled_from(["drop", "repeat"]),
+              st.sampled_from([*_PATHS, "--horizon", "--seed", "--raw-scale"])),
+)
+
+
+@pytest.mark.parametrize("command", sorted(_VALID_ARGV))
+@settings(max_examples=100, deadline=None)
+@given(edit=_ARGV_EDITS)
+@example(edit=("input_csv", "{dir}"))
+@example(edit=("--checkpoint", "{dir}"))
+def test_one_argv_edit_exits_0_or_2_writing_nothing_on_2(argv_home, command, edit):
+    home = Path(tempfile.mkdtemp(dir=argv_home))
+    (home / "adir").mkdir()
+    write_config(home / "run.ini", home / "cfg_out", _TINY)
+    pairs = list(_VALID_ARGV[command])
+    name, value = edit
+    if name == "drop":
+        pairs = [pair for pair in pairs if pair[0] != value]
+    elif name == "repeat":
+        pairs += [pair for pair in pairs if pair[0] == value]
+    else:
+        pairs = [pair for pair in pairs if pair[0] != name] + [edit]
+    places = {"{cfg}": home / "run.ini", "{ck}": argv_home / "train" / "checkpoint.arpt",
+              "{csv}": argv_home / "input.csv", "{out}": home / "out",
+              "{missing}": home / "missing", "{dir}": home / "adir"}
+    argv = [command] + [str(places.get(token, token)) for name, value in pairs
+                        for token in ([value] if name == "input_csv" else [name, value])
+                        if token is not None]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 2), argv
+    assert code == 0 or pairs != _VALID_ARGV[command], argv  # an edit that changes nothing
+    if code == 2:  # nothing written: only the config and the empty directory remain
+        assert sorted(home.rglob("*")) == [home / "adir", home / "run.ini"], argv
 
 
 _INI_OPTIONS = st.sampled_from(["source = sinusoid", "Length=400", "K = 2", "k = v ; note",

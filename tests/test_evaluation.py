@@ -16,7 +16,6 @@ from arforecast.evaluation import (
     evaluate,
     export_curve,
     format_comparison,
-    indented_json,
     report_to_dict,
     violation_rate,
     write_report_json,
@@ -263,20 +262,6 @@ def test_export_curve_rows_and_header(tmp_path):
     assert lengths == [12, 24, 36, 48]
     # 17 significant digits survive a parse round-trip
     assert float(lines[4].split(",")[1]) == 1.0 / 3.0
-
-
-_JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
-    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
-                   | st.dictionaries(st.text(max_size=4), inner, max_size=4)),
-    max_leaves=20)
-
-
-@settings(max_examples=300, deadline=None)
-@given(value=_JSON_VALUES)
-@example(value=[{"mse": 1 / 3, "mae": float("nan")}, {"b": [float("-inf"), -0.0, True]}, {}])
-def test_indented_json_matches_the_json_module(value):
-    assert indented_json(value) == json.dumps(value, indent=2, sort_keys=True)
 
 
 def test_report_json_bytes_match_the_json_module(tmp_path):
