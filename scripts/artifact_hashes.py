@@ -15,12 +15,19 @@ checkpoint loaded and saved again, which must equal it byte for byte), the
 ``gradcheck`` stdout. ``run.ini`` and ``config_resolved.ini`` name the output
 directory, so they are not hashed.
 
+The first line printed names the NumPy version and its BLAS, which the
+float results depend on. ``scripts/artifact_hashes.txt`` holds the list for
+the current numerics; ``--check`` compares against it, and only when its
+first line is this machine's (another NumPy or BLAS may round differently).
+
 Usage:
     python scripts/artifact_hashes.py OUT > hashes.txt
+    python scripts/artifact_hashes.py OUT --check scripts/artifact_hashes.txt
 """
 
 import argparse
 import contextlib
+import difflib
 import hashlib
 import io
 import sys
@@ -132,15 +139,32 @@ def produce(root: Path, name: str, kind: str, hidden: int, V: int, L: int, sourc
                                            "--out", str(out / "gradcheck")))
 
 
+def machine_line() -> str:
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"numpy {np.__version__}, blas {blas['name']} {blas.get('version', '')}".rstrip()
+
+
 def main() -> None:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("out", type=Path, help="directory for the artifacts (created if missing)")
-    root = p.parse_args().out.resolve()
+    p.add_argument("--check", type=Path, help="hash list to compare with; exit 1 on a "
+                   "difference, unless its first line names another NumPy or BLAS")
+    args = p.parse_args()
+    root = args.out.resolve()
     for name, spec in CONFIGS.items():
         produce(root, name, *spec)
-    for path in sorted(root.rglob("*")):
-        if path.is_file() and path.name not in ("run.ini", "config_resolved.ini"):
-            print(f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(root)}")
+    lines = [machine_line()] + [
+        f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(root)}"
+        for path in sorted(root.rglob("*"))
+        if path.is_file() and path.name not in ("run.ini", "config_resolved.ini")]
+    print("\n".join(lines))
+    if args.check is not None:
+        expected = args.check.read_text().splitlines() or [""]
+        if expected[0] != lines[0]:
+            print(f"not compared: {args.check} was made with {expected[0]!r}", file=sys.stderr)
+        elif expected != lines:
+            sys.exit(f"hashes differ from {args.check}:\n" + "\n".join(
+                difflib.unified_diff(expected, lines, str(args.check), "this run", lineterm="")))
 
 
 if __name__ == "__main__":

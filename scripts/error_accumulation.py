@@ -48,7 +48,7 @@ def main():
     args.out.mkdir(parents=True, exist_ok=True)
     ds = gen_sinusoid(args.length, V=1, periods=args.period,
                       noise_std=args.noise_std, seed=0)
-    roll = RolloutConfig(S=args.context, T=args.block, n=args.steps)
+    roll = RolloutConfig(n=args.steps)
 
     reports = []
     for objective in ("mse", "ar"):

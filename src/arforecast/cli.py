@@ -14,7 +14,7 @@ import configparser
 import functools
 import math
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -75,8 +75,7 @@ _PARSERS = {"int": int, "float": float, "str": str}
 
 
 def _dataclass_keys(section, cls):
-    return tuple((section, f.name.lower(), _PARSERS[f.type], f.default, SOURCES)
-                 for f in fields(cls))
+    return tuple((section, f.name, _PARSERS[f.type], f.default, SOURCES) for f in fields(cls))
 
 
 # (section, key, parser, default, sources the key applies to), in the order
@@ -97,6 +96,9 @@ SCHEMA = (
     ("dataset", "coeffs", _float_list, MISSING, ("ar",)),
     ("model", "kind", str, MISSING, SOURCES),
     ("model", "hidden", int, 0, SOURCES),
+    ("rollout", "s", int, MISSING, SOURCES),
+    ("rollout", "t", int, MISSING, SOURCES),
+    ("rollout", "l", int, 0, SOURCES),
     *_dataclass_keys("rollout", RolloutConfig),
     *_dataclass_keys("train", TrainConfig),
     ("output", "dir", Path, None, SOURCES),
@@ -158,21 +160,24 @@ class RunConfig:
     """Parsed, validated, fully defaulted run configuration.
 
     ``values[section][key]`` holds every SCHEMA key that applies to the
-    dataset source; ``rollout``, ``train`` and ``out_dir`` are built from it.
+    dataset source; ``geometry`` (the ``Dims`` of ``[rollout]`` s, t and l),
+    ``rollout``, ``train`` and ``out_dir`` are built from it.
     """
 
     def __init__(self, path, out_override=None, seed_override=None):
         path = Path(path)
         try:
-            raw = _read_plain_ini(path.read_text(encoding="utf-8"))
+            text = path.read_text(encoding="utf-8")
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
-        except (OSError, UnicodeDecodeError):
-            raw = None
+        except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable, not UTF-8
+            reason = exc.strerror if isinstance(exc, OSError) else exc
+            raise ConfigError(f"cannot read config file {path}: {reason}") from None
+        raw = _read_plain_ini(text)
         if raw is None:  # configparser reads the rest, and reports what it refuses
             parser = configparser.ConfigParser(interpolation=None)  # a '%' is taken literally
             try:
-                parser.read(path, encoding="utf-8")
+                parser.read_string(text, source=path)
             except configparser.Error as exc:
                 raise ConfigError(f"{path}: {exc}") from exc
             raw = {name: dict(parser.items(name)) for name in parser.sections()}
@@ -214,8 +219,8 @@ class RunConfig:
         _one_of("model", "kind", self.kind, KINDS)
         ro = self.values["rollout"]
         try:
-            self.rollout = RolloutConfig(**{f.name: ro[f.name.lower()]
-                                            for f in fields(RolloutConfig)})
+            self.geometry = Dims(S=ro["s"], T=ro["t"], L=ro["l"])
+            self.rollout = RolloutConfig(**{f.name: ro[f.name] for f in fields(RolloutConfig)})
         except ValueError as exc:
             raise ConfigError(f"[rollout] {exc}") from None
         try:
@@ -272,8 +277,7 @@ class RunConfig:
 
     def build_model(self, n_variates: int):
         try:
-            dims = Dims(S=self.rollout.S, T=self.rollout.T, L=self.rollout.L,
-                        V=n_variates, hidden=self.values["model"]["hidden"])
+            dims = replace(self.geometry, V=n_variates, hidden=self.values["model"]["hidden"])
             return init_forecaster(self.kind, dims, seed=self.train.seed)
         except ValueError as exc:
             raise ConfigError(f"[model] {exc}") from None
@@ -317,7 +321,7 @@ def _load_checkpoint_or_fail(path):
 
 
 def _rollout_for(ck, horizon: int) -> RolloutConfig:
-    """The checkpoint's rollout geometry, extended to ``horizon`` in whole blocks."""
+    """A rollout of the checkpoint's model over ``horizon`` steps, in whole blocks."""
     block = ck.dims.T
     if horizon < 1:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
@@ -330,16 +334,15 @@ def _rollout_for(ck, horizon: int) -> RolloutConfig:
             f"T={block}; rollouts extend the forecast in whole blocks (k x T), "
             f"so the nearest valid horizons are {pretty}"
         )
-    ro = ck.rollout
-    return RolloutConfig(ro.S, ro.T, ro.L, horizon // block, ro.gamma, ro.beta)
+    return RolloutConfig(n=horizon // block)
 
 
 def cmd_train(args) -> int:
     cfg = RunConfig(args.config, out_override=args.out, seed_override=args.seed)
-    dataset = cfg.build_dataset(cfg.rollout.S)
+    dataset = cfg.build_dataset(cfg.geometry.S)
     model = cfg.build_model(dataset.n_variates)
-    horizon = objective_horizon(cfg.rollout, cfg.train.objective)
-    check_split(dataset, "train", cfg.rollout.S, horizon)
+    horizon = objective_horizon(cfg.rollout, model.dims.T, cfg.train.objective)
+    check_split(dataset, "train", model.dims.S, horizon)
     cfg.write_resolved()
 
     checkpoint, history = train(model, dataset, cfg.rollout, cfg.train)
@@ -355,17 +358,18 @@ def cmd_eval(args) -> int:
     cfg = RunConfig(args.config, out_override=args.out, seed_override=args.seed)
     ck = _load_checkpoint_or_fail(args.checkpoint)
     roll = _rollout_for(ck, args.horizon)
-    for section, theirs in (("rollout", {"s": roll.S, "t": roll.T, "l": roll.L}),
-                            ("model", {"kind": ck.kind, "hidden": ck.dims.hidden})):
+    dims = ck.dims
+    for section, theirs in (("rollout", {"s": dims.S, "t": dims.T, "l": dims.L}),
+                            ("model", {"kind": ck.kind, "hidden": dims.hidden})):
         mine = {key: cfg.values[section][key] for key in theirs}
         if mine != theirs:  # n comes from --horizon; gamma and beta weigh only training
             mine, theirs = (", ".join(f"{k} = {v}" for k, v in d.items()) for d in (mine, theirs))
             raise ConfigError(f"[{section}] {mine} do not match the checkpoint's {theirs}")
-    dataset = cfg.build_dataset(roll.S)
-    if dataset.n_variates != ck.dims.V:
-        raise ConfigError(f"checkpoint was built for {ck.dims.V} variates, "
+    dataset = cfg.build_dataset(dims.S)
+    if dataset.n_variates != dims.V:
+        raise ConfigError(f"checkpoint was built for {dims.V} variates, "
                           f"dataset has {dataset.n_variates}")
-    check_split(dataset, "test", roll.S, roll.horizon)
+    check_split(dataset, "test", dims.S, roll.n * dims.T)
     cfg.write_resolved()
 
     model = ck.to_forecaster()
@@ -416,14 +420,15 @@ def cmd_predict(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     cfg = RunConfig(args.config, out_override=args.out, seed_override=args.seed)
-    dataset = cfg.build_dataset(cfg.rollout.S)
+    dataset = cfg.build_dataset(cfg.geometry.S)
     model = cfg.build_model(dataset.n_variates)
     if model.param_count > GRADCHECK_MAX_PARAMS:
         raise ConfigError(f"model has {model.param_count} parameters; gradcheck is "
                           f"limited to {GRADCHECK_MAX_PARAMS} to keep the "
                           f"finite-difference oracle tractable")
-    check_split(dataset, "train", cfg.rollout.S, cfg.rollout.horizon)
-    windows = window_iter(dataset, "train", cfg.rollout.S, cfg.rollout.horizon)
+    S, horizon = model.dims.S, cfg.rollout.n * model.dims.T
+    check_split(dataset, "train", S, horizon)
+    windows = window_iter(dataset, "train", S, horizon)
     cfg.write_resolved()
 
     # prefer a window whose relu/abs inputs sit safely away from the kinks

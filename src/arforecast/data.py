@@ -96,6 +96,8 @@ def gen_sinusoid(length, V=1, periods=24.0, amplitude=1.0, noise_std=0.0, seed=0
     """amplitude * sin(2*pi*t / period_v) plus seeded Gaussian noise."""
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     periods = np.broadcast_to(np.asarray(periods, dtype=np.float64), (V,))
     if not np.all((0 < periods) & (periods < np.inf)):
         raise ValueError(f"periods must be positive and finite, got {periods.tolist()}")
@@ -125,6 +127,10 @@ def gen_ar_process(length, V=1, coeffs=(0.9,), noise_std=1.0, seed=0,
     """AR(p) process from zero initial state, first 10*p samples discarded as burn-in."""
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if noise_std < 0 or noise_std == np.inf:  # a NaN noise gives a NaN series, refused below
+        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.ndim != 1 or coeffs.size < 1:
         raise ValueError("coeffs must be a nonempty 1-d sequence")
@@ -136,11 +142,14 @@ def gen_ar_process(length, V=1, coeffs=(0.9,), noise_std=1.0, seed=0,
     rng = np.random.Generator(np.random.Philox(seed))
     eps = rng.normal(0.0, noise_std, size=(length + burn, V))
     x = np.zeros((length + burn + p, V))
-    for t in range(length + burn):
-        lags = x[t:t + p][::-1]  # row 0 is lag 1
-        x[t + p] = coeffs @ lags + eps[t]
-    values = x[p + burn:]
-    return SeriesDataset.from_values("ar_process", values, ratios=ratios)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for t in range(length + burn):
+                lags = x[t:t + p][::-1]  # row 0 is lag 1
+                x[t + p] = coeffs @ lags + eps[t]
+    except FloatingPointError:  # the error from_values gives a series that overflowed to inf
+        raise ValueError("ar_process: series values must be finite") from None
+    return SeriesDataset.from_values("ar_process", x[p + burn:], ratios=ratios)
 
 
 def write_fresh(path, content) -> None:

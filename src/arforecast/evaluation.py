@@ -51,17 +51,16 @@ def evaluate(model: Forecaster, dataset: SeriesDataset, split: str,
     A chunk of B windows, each normalized by its own context, runs as the
     S-by-(B*V) columns of one rollout, as a training batch does.
     """
-    windows = window_iter(dataset, split, cfg.S, cfg.horizon)
+    n, S, T, V = cfg.n, model.dims.S, model.dims.T, dataset.n_variates
+    horizon = n * T
+    windows = window_iter(dataset, split, S, horizon)
     if not windows:
-        raise ValueError(
-            f"split {split!r} supports no windows of extent {cfg.S}+{cfg.horizon}"
-        )
-    n, T, V = cfg.n, cfg.T, dataset.n_variates
+        raise ValueError(f"split {split!r} supports no windows of extent {S}+{horizon}")
     n_windows = len(windows)
     per_chunk = max(1, _CHUNK_COLUMNS // V)
     block_mse = np.empty((n_windows, n))
     block_mae = np.empty((n_windows, n))
-    step_mae = np.zeros(cfg.horizon)
+    step_mae = np.zeros(horizon)
     for start in range(0, n_windows, per_chunk):
         chunk = windows[start:start + per_chunk]
         B = len(chunk)
@@ -74,7 +73,7 @@ def evaluate(model: Forecaster, dataset: SeriesDataset, split: str,
         else:
             future = apply_norm(future, state)
         # each window's (horizon, V) errors contiguous, so a block's mean sums its T*V in order
-        err = np.ascontiguousarray((pred - future).reshape(cfg.horizon, B, V).transpose(1, 0, 2))
+        err = np.ascontiguousarray((pred - future).reshape(horizon, B, V).transpose(1, 0, 2))
         block_err = err.reshape(B, n, T * V)
         block_mse[start:start + B] = np.mean(block_err * block_err, axis=2)
         block_mae[start:start + B] = np.mean(np.abs(block_err), axis=2)

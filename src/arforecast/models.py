@@ -39,10 +39,8 @@ class Dims:
             raise ValueError(f"S must be >= 1, got {self.S}")
         if self.T < 1:
             raise ValueError(f"T must be >= 1, got {self.T}")
-        if self.L < 0:
-            raise ValueError(f"L must be >= 0, got {self.L}")
-        if self.L >= self.S:
-            raise ValueError(f"L must be < S, got L={self.L}, S={self.S}")
+        if self.L < 0 or self.L >= self.S:
+            raise ValueError(f"L must satisfy 0 <= L < S, got L={self.L}, S={self.S}")
         if self.V < 1:
             raise ValueError(f"V must be >= 1, got {self.V}")
         if self.hidden < 0:

@@ -30,37 +30,25 @@ from .autodiff import (
     slice_axis,
 )
 from .data import Windows
-from .models import Dims, Forecaster, NormState, apply_norm, forecast
+from .models import Forecaster, NormState, apply_norm, forecast
 
 
 @dataclass(frozen=True)
 class RolloutConfig:
-    """Rollout geometry and objective weights: (S, T, L, n, gamma, beta)."""
+    """How many of the model's T-step blocks a rollout chains (n), and the objective's
+    discount (gamma) and penalty weight (beta); S, T and L are the model's ``Dims``."""
 
-    S: int
-    T: int
-    L: int = 0
     n: int = 1
     gamma: float = 0.5
     beta: float = 0.1
 
     def __post_init__(self):
-        if self.S < 1:
-            raise ValueError(f"S must be >= 1, got {self.S}")
-        if self.T < 1:
-            raise ValueError(f"T must be >= 1, got {self.T}")
-        if self.L < 0 or self.L >= self.S:
-            raise ValueError(f"L must satisfy 0 <= L < S, got L={self.L}, S={self.S}")
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
         if not 0.0 < self.beta < 0.5:
             raise ValueError(f"beta must be in (0, 0.5), got {self.beta}")
-
-    @property
-    def horizon(self) -> int:
-        return self.n * self.T
 
 
 @dataclass
@@ -94,12 +82,6 @@ class GradCheckReport:
         return out
 
 
-def check_geometry(cfg: RolloutConfig, dims: Dims) -> None:
-    """The rollout's S, T and L must be the model's."""
-    if (cfg.S, cfg.T, cfg.L) != (dims.S, dims.T, dims.L):
-        raise ValueError(f"rollout geometry {cfg} does not match {dims}")
-
-
 def rollout_predict(model: Forecaster, context: Tensor, cfg: RolloutConfig) -> list[Tensor]:
     """Autoregressive n-block rollout; the n (T, width) blocks. Consumes no ground-truth future.
 
@@ -107,15 +89,15 @@ def rollout_predict(model: Forecaster, context: Tensor, cfg: RolloutConfig) -> l
     blocks before it, entered un-detached so gradients flow through the
     whole chain; of each forecast, the rows after its first L are the block.
     """
-    check_geometry(cfg, model.dims)
+    S, T, L = model.dims.S, model.dims.T, model.dims.L
     if not isinstance(context, Tensor):
         context = Tensor(context)
-    if context.values.ndim != 2 or context.shape[0] != cfg.S:
-        raise ValueError(f"context must be ({cfg.S}, V), got {context.shape}")
+    if context.values.ndim != 2 or context.shape[0] != S:
+        raise ValueError(f"context must be ({S}, V), got {context.shape}")
     blocks = []
     for _ in range(cfg.n):  # at L = 0 the slice is the whole forecast, with no record
-        out = forecast(model, _tail([context] + blocks, cfg.S))
-        blocks.append(slice_axis(out, 0, cfg.L, cfg.L + cfg.T))
+        out = forecast(model, _tail([context] + blocks, S))
+        blocks.append(slice_axis(out, 0, L, L + T))
     return blocks
 
 
@@ -152,19 +134,20 @@ def ar_loss(model: Forecaster, windows: Windows, cfg: RolloutConfig) -> BlockErr
     """
     if not len(windows):
         raise ValueError("empty batch of windows")
+    S, T = model.dims.S, model.dims.T
     contexts, futures = windows.contexts, windows.futures
-    if contexts.ndim != 3 or contexts.shape[1] != cfg.S:
-        raise ValueError(f"window context must be ({cfg.S}, V), got {contexts.shape[1:]}")
+    if contexts.ndim != 3 or contexts.shape[1] != S:
+        raise ValueError(f"window context must be ({S}, V), got {contexts.shape[1:]}")
     B, _, V = contexts.shape
-    if futures.shape != (B, cfg.horizon, V):
-        raise ValueError(f"window future must be ({cfg.horizon}, {V}), got {futures.shape[1:]}")
+    if futures.shape != (B, cfg.n * T, V):
+        raise ValueError(f"window future must be ({cfg.n * T}, {V}), got {futures.shape[1:]}")
     context, future = windows.columns()
     state = NormState.from_context(context)
     ctx_n = apply_norm(context, state)
     fut_n = apply_norm(future, state)
 
     errors = [
-        block_error(block, fut_n[k * cfg.T:(k + 1) * cfg.T], V)
+        block_error(block, fut_n[k * T:(k + 1) * T], V)
         for k, block in enumerate(rollout_predict(model, Tensor(ctx_n), cfg))
     ]
     objective = discounted_loss(errors, cfg.gamma, cfg.beta)
@@ -176,9 +159,8 @@ def ar_loss(model: Forecaster, windows: Windows, cfg: RolloutConfig) -> BlockErr
 
 def mse_loss(model: Forecaster, windows: Windows) -> Tensor:
     """Vanilla single-block objective: ar_loss at n=1 on each window's first T future steps."""
-    d = model.dims
-    return ar_loss(model, Windows(windows.contexts, windows.futures[:, :d.T], windows.origins),
-                   RolloutConfig(S=d.S, T=d.T, L=d.L, n=1)).loss
+    return ar_loss(model, Windows(windows.contexts, windows.futures[:, :model.dims.T],
+                                  windows.origins), RolloutConfig(n=1)).loss
 
 
 def loss_kink_gap(model: Forecaster, window: Windows, cfg: RolloutConfig) -> float:

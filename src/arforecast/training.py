@@ -18,7 +18,7 @@ import numpy as np
 from .autodiff import Tape
 from .data import SeriesDataset, window_iter, write_fresh
 from .models import Dims, Forecaster, _param_shapes, build_forecaster, param_count
-from .rollout import RolloutConfig, ar_loss, check_geometry, mse_loss
+from .rollout import RolloutConfig, ar_loss, mse_loss
 
 CHECKPOINT_MAGIC = b"ARPT"
 CHECKPOINT_VERSION = 1
@@ -144,9 +144,9 @@ def _mean_objective(model, windows, cfg, loss_fn, batch_size: int) -> float:
     return total / len(windows)
 
 
-def objective_horizon(rollout_cfg: RolloutConfig, objective: str) -> int:
-    """Rows a training window forecasts: one block for mse, the full n*T rollout for ar."""
-    return rollout_cfg.T if objective == "mse" else rollout_cfg.horizon
+def objective_horizon(rollout_cfg: RolloutConfig, T: int, objective: str) -> int:
+    """Rows a training window forecasts: one T-step block for mse, the n*T rollout for ar."""
+    return T if objective == "mse" else rollout_cfg.n * T
 
 
 @np.errstate(over="raise", invalid="raise")  # an overflow or NaN raises where it happens
@@ -162,11 +162,12 @@ def train(model: Forecaster, dataset: SeriesDataset, rollout_cfg: RolloutConfig,
     non-finite loss or gradient raises ``TrainingDivergedError`` before that
     batch's update, and so does one in validation.
     """
-    horizon = objective_horizon(rollout_cfg, train_cfg.objective)
-    train_windows = window_iter(dataset, "train", rollout_cfg.S, horizon)
+    S = model.dims.S
+    horizon = objective_horizon(rollout_cfg, model.dims.T, train_cfg.objective)
+    train_windows = window_iter(dataset, "train", S, horizon)
     if not train_windows:
         raise ValueError("train split supports no windows for this config")
-    val_windows = window_iter(dataset, "val", rollout_cfg.S, horizon)
+    val_windows = window_iter(dataset, "val", S, horizon)
 
     loss_fn = _objective_fn(train_cfg.objective)
     param_tensors = list(model.params.values())
@@ -226,11 +227,11 @@ def _param_list(kind: str, dims: Dims) -> list:
 
 
 def save_checkpoint(ck: Checkpoint, path) -> None:
-    check_geometry(ck.rollout, ck.dims)  # as the loader checks it
+    d = ck.dims
     header = {
         "kind": ck.kind,
-        "dims": vars(ck.dims),
-        "rollout": vars(ck.rollout),
+        "dims": vars(d),
+        "rollout": {"S": d.S, "T": d.T, "L": d.L, **vars(ck.rollout)},
         "norm_policy": NORM_POLICY,
         "params": _param_list(ck.kind, ck.dims),
         "meta": {
@@ -262,13 +263,15 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointFormatError(f"{path}: truncated header")
     try:
         header = json.loads(blob[12:header_end].decode("utf-8"))
-        kind, meta = header["kind"], header["meta"]
-        dims, rollout = Dims(**header["dims"]), RolloutConfig(**header["rollout"])
+        kind, meta, rollout = header["kind"], header["meta"], {**header["rollout"]}
+        geometry = rollout.pop("S"), rollout.pop("T"), rollout.pop("L")
+        dims, rollout = Dims(**header["dims"]), RolloutConfig(**rollout)
         epoch, val_loss, seed = meta["epoch"], meta["val_loss"], meta["seed"]
-        integers = [*vars(dims).values(), rollout.S, rollout.T, rollout.L, rollout.n, epoch, seed]
+        integers = [*vars(dims).values(), *geometry, rollout.n, epoch, seed]
         if not all(type(value) is int for value in integers):
             raise TypeError("dims, rollout geometry, epoch and seed must be integers")
-        check_geometry(rollout, dims)
+        if geometry != (dims.S, dims.T, dims.L):
+            raise ValueError(f"rollout S, T, L = {geometry} do not match {dims}")
         if header["norm_policy"] != NORM_POLICY:
             raise ValueError(f"norm_policy must be {NORM_POLICY!r}, got {header['norm_policy']!r}")
         if header["params"] != _param_list(kind, dims):

@@ -64,8 +64,8 @@ def test_criterion_1_gradient_correctness():
         V = ds.n_variates
         hidden = 0 if kind == "linear" else int(rng.integers(3, 5))
         dims = af.Dims(S=S, T=T, L=L, V=V, hidden=hidden)
-        cfg = af.RolloutConfig(S=S, T=T, L=L, n=n, gamma=gamma, beta=beta)
-        windows = af.window_iter(ds, "train", S, cfg.horizon)
+        cfg = af.RolloutConfig(n=n, gamma=gamma, beta=beta)
+        windows = af.window_iter(ds, "train", S, cfg.n * T)
 
         # resample until relu/abs inputs sit clear of their kinks
         for attempt in range(25):
@@ -99,7 +99,7 @@ def test_criterion_1_gradient_correctness():
 @_criterion(2, "n=1 equivalence with plain MSE")
 def test_criterion_2_n1_equivalence():
     ds = af.gen_sinusoid(300, noise_std=0.2, seed=1)
-    cfg = af.RolloutConfig(S=12, T=4, n=1)
+    cfg = af.RolloutConfig(n=1)
     model = af.init_forecaster("mlp", af.Dims(S=12, T=4, hidden=5), seed=6)
     params = list(model.params.values())
     for window in af.window_iter(ds, "train", 12, 4)[:10]:
@@ -160,10 +160,10 @@ def test_criterion_4_norm_bound():
         n = int(rng.integers(2, 5))
         gamma = float(rng.choice([0.3, 0.5, 0.9]))
         beta = float(rng.choice([0.05, 0.1, 0.3]))
-        cfg = af.RolloutConfig(S=8, T=3, n=n, gamma=gamma, beta=beta)
+        cfg = af.RolloutConfig(n=n, gamma=gamma, beta=beta)
         model = af.init_forecaster(kind, af.Dims(S=8, T=3, V=2, hidden=hidden),
                                    seed=int(rng.integers(1 << 30)))
-        windows = af.window_iter(ds, "train", 8, cfg.horizon)
+        windows = af.window_iter(ds, "train", 8, cfg.n * 3)
         window = windows[int(rng.integers(len(windows)))]
         with af.Tape() as tape:
             blocks = af.ar_loss(model, window, cfg)
@@ -191,10 +191,10 @@ def test_criterion_5_magnitude_factor():
             errors = [af.Tensor(e, requires_grad=True) for _ in range(n)]
             with af.Tape():
                 value = af.discounted_loss(errors, gamma, 0.0).item() if n > 1 else errors[0].item()
-            factor = af.loss_magnitude_factor(af.RolloutConfig(S=4, T=1, n=n, gamma=gamma))
+            factor = af.loss_magnitude_factor(af.RolloutConfig(n=n, gamma=gamma))
             assert abs(value / e - factor) <= 1e-12
     # gamma = 0.5 approaches a doubled single-block magnitude as n grows
-    f = lambda n: af.loss_magnitude_factor(af.RolloutConfig(S=4, T=1, n=n))
+    f = lambda n: af.loss_magnitude_factor(af.RolloutConfig(n=n))
     assert f(4) == pytest.approx(1.875)
     assert f(10) < f(20) < f(30) < 2.0
     assert abs(f(30) - 2.0) < 1e-8
@@ -214,7 +214,7 @@ def _trend_runs():
     p = TREND
     ds = af.gen_sinusoid(p["length"], V=1, periods=p["periods"],
                          amplitude=p["amplitude"], noise_std=p["noise_std"], seed=0)
-    roll = af.RolloutConfig(S=p["S"], T=p["T"], n=p["n"])
+    roll = af.RolloutConfig(n=p["n"])
     runs = []
     for seed in p["seeds"]:
         out = {"seed": seed}
@@ -224,7 +224,7 @@ def _trend_runs():
             if objective == "ar":
                 entry["val0"] = np.mean([
                     af.ar_loss(model, w, roll).loss.item()
-                    for w in af.window_iter(ds, "val", p["S"], roll.horizon)
+                    for w in af.window_iter(ds, "val", p["S"], roll.n * p["T"])
                 ])
             ck, _ = af.train(model, ds, roll, af.TrainConfig(
                 lr=p["lr"], batch_size=p["batch_size"], max_epochs=p["epochs"],

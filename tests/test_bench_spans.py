@@ -44,9 +44,9 @@ def test_every_trace_target_resolves():
 ])
 def test_counted_rule_names_match_the_tape(kind, V, extra):
     spans = _load_spans()
-    cfg = RolloutConfig(S=48, T=12, n=4)
+    cfg = RolloutConfig(n=4)
     ds = gen_sinusoid(400, V=V, periods=144.0, noise_std=0.1, seed=0)
-    batch = window_iter(ds, "train", cfg.S, cfg.horizon)[:4]
+    batch = window_iter(ds, "train", 48, cfg.n * 12)[:4]
     model = init_forecaster(kind, Dims(S=48, T=12, V=V, hidden=8), seed=1)
     with Tape() as tape:
         ar_loss(model, batch, cfg)
@@ -68,7 +68,7 @@ def test_traced_eval_records_the_spans_the_benchmark_checks(tmp_path, monkeypatc
         monkeypatch.setattr(evaluation, "_CHUNK_COLUMNS", chunk_windows * V)
     model = init_forecaster("linear", Dims(S=12, T=4, V=V), seed=0)
     ckpt = tmp_path / "model.arpt"
-    save_checkpoint(Checkpoint.from_forecaster(model, RolloutConfig(S=12, T=4), 0, 0.1, 0), ckpt)
+    save_checkpoint(Checkpoint.from_forecaster(model, RolloutConfig(), 0, 0.1, 0), ckpt)
     cfg = tmp_path / "run.ini"
     cfg.write_text("[dataset]\nsource = sinusoid\nlength = 300\nvariates = 2\n"
                    "[model]\nkind = linear\n[rollout]\ns = 12\nt = 4\n")

@@ -120,7 +120,7 @@ def test_eval_horizon_not_multiple(tmp_path, capsys):
 def test_eval_suggests_next_block_multiple(tmp_path, capsys):
     # a 96-step model cannot produce 720 = 7.5 blocks; 768 is the valid choice above
     model = init_forecaster("linear", Dims(S=96, T=96), seed=0)
-    ck = Checkpoint.from_forecaster(model, RolloutConfig(S=96, T=96), 0, 0.1, 0)
+    ck = Checkpoint.from_forecaster(model, RolloutConfig(), 0, 0.1, 0)
     ck_path = tmp_path / "big.arpt"
     save_checkpoint(ck, ck_path)
     cfg = write_config(tmp_path / "run.ini", tmp_path / "out")
@@ -176,7 +176,7 @@ def test_eval_rejects_bad_checkpoint(tmp_path, capsys):
 
 def _predict_checkpoint(tmp_path, S=48, T=12):
     model = init_forecaster("linear", Dims(S=S, T=T), seed=3)
-    ck = Checkpoint.from_forecaster(model, RolloutConfig(S=S, T=T), 0, 0.1, 3)
+    ck = Checkpoint.from_forecaster(model, RolloutConfig(), 0, 0.1, 3)
     path = tmp_path / "predict.arpt"
     save_checkpoint(ck, path)
     return path
@@ -207,7 +207,7 @@ def test_predict_with_an_overlap_writes_horizon_rows(tmp_path):
     S, T, L = 8, 4, 2
     model = init_forecaster("linear", Dims(S=S, T=T, L=L), seed=5)
     ck = tmp_path / "overlap.arpt"
-    save_checkpoint(Checkpoint.from_forecaster(model, RolloutConfig(S=S, T=T, L=L), 0, 0.1, 5), ck)
+    save_checkpoint(Checkpoint.from_forecaster(model, RolloutConfig(), 0, 0.1, 5), ck)
     inp = _write_rows(tmp_path / "input.csv", 20)
     out = tmp_path / "pred"
     assert main(["predict", str(inp), "--checkpoint", str(ck),
@@ -260,6 +260,23 @@ def test_a_directory_given_as_input_exits_2_naming_it(tmp_path, capsys, which):
     err = capsys.readouterr().err
     assert err.splitlines() == [err.strip()] and str(adir) in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("which", ["directory", "not_utf8"])
+def test_an_unreadable_config_exits_2_naming_it(tmp_path, capsys, which):
+    # a directory once reached configparser.read, which skips what it cannot open
+    config = tmp_path / "adir"
+    if which == "directory":
+        config.mkdir()
+    else:
+        write_config(config, tmp_path / "out")
+        config.write_bytes(config.read_bytes().replace(b"sinusoid", b"sinus\xffoid"))
+    for command in ("train", "gradcheck"):
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.splitlines() == [err.strip()]
+        assert err.startswith(f"error: cannot read config file {config}: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_predict_refuses_non_finite_forecast(tmp_path, capsys):
@@ -648,6 +665,29 @@ def test_test_split_too_short_for_eval_prints_one_stderr_line(tmp_path):
     assert proc.stderr.startswith("error: [rollout] S=12 plus horizon 8 needs 20 rows, "
                                   "but the test split has 12")
     assert not (tmp_path / "eval").exists()
+
+
+@pytest.mark.parametrize("noise_std,message", [
+    ("inf", "noise_std must be finite and >= 0, got inf"),
+    ("1e308", "ar_process: series values must be finite"),
+])
+def test_ar_noise_that_overflows_prints_one_stderr_line(tmp_path, noise_std, message):
+    cfg = write_config(tmp_path / "run.ini", tmp_path / "out", {"dataset": {
+        "source": "ar", "coeffs": "0.5", "noise_std": noise_std}})
+    proc = _cli("train", "--config", cfg)
+    assert (proc.returncode, proc.stderr) == (2, f"error: [dataset] {message}\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("dataset", [
+    {"noise_std": "0"}, {"noise_std": "0.1"}, {"source": "ar", "coeffs": "0.5"},
+])
+def test_a_negative_dataset_seed_exits_2_naming_the_key(tmp_path, capsys, dataset):
+    cfg = write_config(tmp_path / "run.ini", tmp_path / "out",
+                       {"dataset": {**dataset, "seed": "-1"}})
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: [dataset] seed must be >= 0, got -1\n"
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("amplitude", ["1e308", "-1e200"])

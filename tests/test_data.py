@@ -91,6 +91,29 @@ def test_ar_process_with_nan_noise_is_rejected():
         gen_ar_process(100, noise_std=np.nan)
 
 
+@pytest.mark.parametrize("noise_std", [np.inf, -1.0])
+def test_ar_process_refuses_noise_that_is_infinite_or_negative(noise_std):
+    with pytest.raises(ValueError, match=f"noise_std must be finite and >= 0, got {noise_std}"):
+        gen_ar_process(100, noise_std=noise_std)
+
+
+def test_ar_process_that_overflows_is_a_value_error_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="ar_process: series values must be finite"):
+            gen_ar_process(100, coeffs=[0.9], noise_std=1e308)
+
+
+@pytest.mark.parametrize("generate", [
+    lambda seed: gen_sinusoid(50, noise_std=0.0, seed=seed),
+    lambda seed: gen_sinusoid(50, noise_std=0.1, seed=seed),
+    lambda seed: gen_ar_process(50, seed=seed),
+], ids=["sinusoid-noiseless", "sinusoid", "ar"])
+def test_generators_refuse_a_negative_seed(generate):
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        generate(-1)
+
+
 def test_split_bounds_disjoint_and_ordered():
     ds = gen_sinusoid(1000, noise_std=0.1)
     tr, va, te = ds.splits["train"], ds.splits["val"], ds.splits["test"]

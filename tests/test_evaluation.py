@@ -44,7 +44,7 @@ def test_violation_rate_counts_decreasing_pairs():
 def test_perfect_model_on_constant_series():
     ds = SeriesDataset.from_values("flat", np.full((100, 1), 5.0))
     model = _copy_last_model(8, 4)
-    cfg = RolloutConfig(S=8, T=4, n=3)
+    cfg = RolloutConfig(n=3)
     for raw in (False, True):
         report = evaluate(model, ds, "test", cfg, raw_scale=raw)
         assert report.cumulative == (0.0, 0.0)
@@ -56,7 +56,7 @@ def test_perfect_model_on_constant_series():
 def test_n1_per_block_equals_cumulative():
     ds = gen_sinusoid(200, noise_std=0.2, seed=1)
     model = init_forecaster("linear", Dims(S=8, T=4), seed=2)
-    report = evaluate(model, ds, "test", RolloutConfig(S=8, T=4, n=1))
+    report = evaluate(model, ds, "test", RolloutConfig(n=1))
     assert len(report.per_block) == 1
     assert report.per_block[0] == report.cumulative
     assert report.block_violation_rate == 0.0
@@ -65,7 +65,7 @@ def test_n1_per_block_equals_cumulative():
 def test_cumulative_is_mean_of_blocks():
     ds = gen_sinusoid(300, noise_std=0.3, seed=5)
     model = init_forecaster("mlp", Dims(S=10, T=5, hidden=4), seed=3)
-    report = evaluate(model, ds, "test", RolloutConfig(S=10, T=5, n=3))
+    report = evaluate(model, ds, "test", RolloutConfig(n=3))
     assert report.cumulative[0] == pytest.approx(
         np.mean([mse for mse, _ in report.per_block]), abs=1e-12)
     assert report.cumulative[1] == pytest.approx(
@@ -74,7 +74,7 @@ def test_cumulative_is_mean_of_blocks():
 
 def test_white_noise_blocks_are_flat_at_noise_variance():
     ds = gen_ar_process(4000, coeffs=[0.0], noise_std=1.0, seed=9)
-    roll = RolloutConfig(S=16, T=8, n=6)
+    roll = RolloutConfig(n=6)
     model = init_forecaster("linear", Dims(S=16, T=8), seed=4)
     train(model, ds, roll, TrainConfig(lr=1e-2, batch_size=64, max_epochs=3,
                                        seed=4, objective="mse"))
@@ -86,7 +86,7 @@ def test_white_noise_blocks_are_flat_at_noise_variance():
 def test_evaluate_is_side_effect_free_and_deterministic():
     ds = gen_sinusoid(250, noise_std=0.2, seed=8)
     model = init_forecaster("linear", Dims(S=8, T=4), seed=6)
-    cfg = RolloutConfig(S=8, T=4, n=2)
+    cfg = RolloutConfig(n=2)
     before = model.param_vector().copy()
     a = evaluate(model, ds, "test", cfg)
     b = evaluate(model, ds, "test", cfg)
@@ -99,7 +99,7 @@ def test_evaluate_empty_split_is_error():
     model = init_forecaster("linear", Dims(S=16, T=8), seed=0)
     with pytest.warns(UserWarning):
         with pytest.raises(ValueError, match="no windows"):
-            evaluate(model, ds, "test", RolloutConfig(S=16, T=8, n=2))
+            evaluate(model, ds, "test", RolloutConfig(n=2))
 
 
 def _per_window_reference(model, dataset, split, cfg, raw_scale):
@@ -107,11 +107,11 @@ def _per_window_reference(model, dataset, split, cfg, raw_scale):
 
     Returns the (windows, n) block MSE and MAE and the step MAE curve.
     """
-    windows = window_iter(dataset, split, cfg.S, cfg.horizon)
-    n, T = cfg.n, cfg.T
+    n, T = cfg.n, model.dims.T
+    windows = window_iter(dataset, split, model.dims.S, n * T)
     block_mse = np.empty((len(windows), n))
     block_mae = np.empty((len(windows), n))
-    step_mae = np.zeros(cfg.horizon)
+    step_mae = np.zeros(n * T)
     for i, w in enumerate(windows):
         (context,), (future,) = w.contexts, w.futures
         state = NormState.from_context(context)
@@ -141,25 +141,25 @@ def _clear_of_ties(curve):
 def _eval_draws(draw):
     kind, hidden = draw(st.sampled_from([("linear", 0), ("mlp", 3), ("inverted_attention", 3)]))
     S = draw(st.integers(2, 8))
-    cfg = RolloutConfig(S=S, T=draw(st.integers(1, 4)), L=draw(st.integers(0, S - 1)),
-                        n=draw(st.integers(1, 4)))
+    geometry = (S, draw(st.integers(1, 4)), draw(st.integers(0, S - 1)))  # S, T, L < S
+    cfg = RolloutConfig(n=draw(st.integers(1, 4)))
     V = draw(st.integers(1, 4))
     windows = draw(st.integers(1, 9))
     chunk_columns = draw(st.integers(1, 12))  # below V still takes one window per rollout
-    return (kind, hidden, cfg, V, windows, chunk_columns, draw(st.booleans()),
+    return (kind, hidden, geometry, cfg, V, windows, chunk_columns, draw(st.booleans()),
             draw(st.integers(0, 2 ** 32 - 1)))
 
 
 @settings(max_examples=60, deadline=None)
 @given(_eval_draws())
-@example(("inverted_attention", 3, RolloutConfig(S=5, T=2, L=1, n=3), 3, 7, 6, True, 0))
-@example(("mlp", 3, RolloutConfig(S=4, T=3, L=2, n=2), 1, 9, 4, False, 1))
+@example(("inverted_attention", 3, (5, 2, 1), RolloutConfig(n=3), 3, 7, 6, True, 0))
+@example(("mlp", 3, (4, 3, 2), RolloutConfig(n=2), 1, 9, 4, False, 1))
 def test_chunked_evaluate_matches_per_window_scoring(draw):
-    kind, hidden, cfg, V, n_windows, chunk_columns, raw_scale, seed = draw
+    kind, hidden, (S, T, L), cfg, V, n_windows, chunk_columns, raw_scale, seed = draw
     rng = np.random.default_rng(seed)
-    model = init_forecaster(kind, Dims(S=cfg.S, T=cfg.T, L=cfg.L, V=V, hidden=hidden), seed=seed)
+    model = init_forecaster(kind, Dims(S=S, T=T, L=L, V=V, hidden=hidden), seed=seed)
     scale = rng.uniform(0.1, 10.0)
-    values = (rng.normal(size=(cfg.S + cfg.horizon + n_windows - 1, V))
+    values = (rng.normal(size=(S + cfg.n * T + n_windows - 1, V))
               + rng.uniform(-5.0, 5.0)) * scale
     ds = SeriesDataset.from_values("drawn", values, ratios=(0.0, 0.0, 1.0))
 
@@ -194,7 +194,7 @@ def test_chunked_evaluate_matches_per_window_scoring(draw):
 def test_evaluate_rolls_out_once_per_chunk(monkeypatch):
     ds = gen_sinusoid(400, V=3, noise_std=0.2, seed=4)
     model = init_forecaster("inverted_attention", Dims(S=8, T=4, V=3, hidden=4), seed=2)
-    cfg = RolloutConfig(S=8, T=4, n=2)
+    cfg = RolloutConfig(n=2)
     calls = []
 
     def counting_rollout(model, context, cfg):

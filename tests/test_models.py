@@ -219,7 +219,8 @@ def _taped_rollout_objective(model, context, future, cfg):
     """(forecast bytes, loss bytes, per-parameter gradient bytes, min_kink_gap, rule names)."""
     with Tape() as tape:
         blocks = rollout.rollout_predict(model, Tensor(context), cfg)
-        errors = [block_error(block, future[k * cfg.T:(k + 1) * cfg.T], model.dims.V)
+        T = model.dims.T
+        errors = [block_error(block, future[k * T:(k + 1) * T], model.dims.V)
                   for k, block in enumerate(blocks)]
         loss = mean_all(discounted_loss(errors, cfg.gamma, cfg.beta))
         grads = tape.gradient(loss, list(model.params.values()))
@@ -231,23 +232,23 @@ def _taped_rollout_objective(model, context, future, cfg):
 @st.composite
 def _attention_draws(draw):
     S = draw(st.integers(2, 7))
-    cfg = rollout.RolloutConfig(S=S, T=draw(st.integers(1, 4)), L=draw(st.integers(0, S - 1)),
-                                n=draw(st.integers(1, 4)))
-    return cfg, draw(st.integers(1, 4)), draw(st.integers(1, 8)), draw(st.integers(1, 5)), \
-        draw(st.integers(0, 2 ** 32 - 1))
+    geometry = (S, draw(st.integers(1, 4)), draw(st.integers(0, S - 1)))  # S, T, L < S
+    cfg = rollout.RolloutConfig(n=draw(st.integers(1, 4)))
+    return geometry, cfg, draw(st.integers(1, 4)), draw(st.integers(1, 8)), \
+        draw(st.integers(1, 5)), draw(st.integers(0, 2 ** 32 - 1))
 
 
 @settings(max_examples=80, deadline=None)
 @given(_attention_draws())
-@example((rollout.RolloutConfig(S=6, T=2, L=2, n=4), 4, 8, 5, 0))
-@example((rollout.RolloutConfig(S=3, T=1, n=1), 1, 1, 1, 1))
+@example(((6, 2, 2), rollout.RolloutConfig(n=4), 4, 8, 5, 0))
+@example(((3, 1, 0), rollout.RolloutConfig(n=1), 1, 1, 1, 1))
 def test_fused_sublayers_match_the_composite_forecast(draw):
-    cfg, V, hidden, B, seed = draw
+    (S, T, L), cfg, V, hidden, B, seed = draw
     rng = np.random.default_rng(seed)
     model = init_forecaster("inverted_attention",
-                            Dims(S=cfg.S, T=cfg.T, L=cfg.L, V=V, hidden=hidden), seed=seed)
-    context = rng.normal(size=(cfg.S, B * V))
-    future = rng.normal(size=(cfg.horizon, B * V))
+                            Dims(S=S, T=T, L=L, V=V, hidden=hidden), seed=seed)
+    context = rng.normal(size=(S, B * V))
+    future = rng.normal(size=(cfg.n * T, B * V))
     fused = _taped_rollout_objective(model, context, future, cfg)
     with mock.patch.object(rollout, "forecast", _composite_attention_forecast):
         composite = _taped_rollout_objective(model, context, future, cfg)
@@ -257,6 +258,6 @@ def test_fused_sublayers_match_the_composite_forecast(draw):
     assert len(composite[4]) - len(rules) == 13 * cfg.n
     assert rules.count("_attention_sublayer_rule") == rules.count("_ffn_sublayer_rule") == cfg.n
     assert rules.count("_affine_rule") == 2 * cfg.n
-    untaped = forecast(model, Tensor(context[-cfg.S:])).values
+    untaped = forecast(model, Tensor(context[-S:])).values
     assert untaped.tobytes() == \
-        _composite_attention_forecast(model, Tensor(context[-cfg.S:])).values.tobytes()
+        _composite_attention_forecast(model, Tensor(context[-S:])).values.tobytes()

@@ -23,28 +23,28 @@ from composite_ops import matmul, mul
 
 def test_config_validation():
     with pytest.raises(ValueError, match="gamma"):
-        RolloutConfig(S=8, T=2, gamma=1.5)
+        RolloutConfig(gamma=1.5)
     with pytest.raises(ValueError, match="beta"):
-        RolloutConfig(S=8, T=2, beta=0.5)
+        RolloutConfig(beta=0.5)
     with pytest.raises(ValueError, match="beta"):
-        RolloutConfig(S=8, T=2, beta=0.0)
+        RolloutConfig(beta=0.0)
     with pytest.raises(ValueError, match="n"):
-        RolloutConfig(S=8, T=2, n=0)
+        RolloutConfig(n=0)
     with pytest.raises(ValueError, match="L"):
-        RolloutConfig(S=8, T=2, L=8)
+        Dims(S=8, T=2, L=8)
 
 
 def _one_window(context, future):
     return Windows(np.asarray(context)[None], np.asarray(future)[None], np.arange(1))
 
 
-def _numpy_linear_rollout(w, b, context, cfg):
-    """Independent rollout oracle for the linear model, in plain numpy.
+def _numpy_linear_rollout(w, b, context, dims, n):
+    """Independent n-block rollout oracle for the linear model, in plain numpy.
 
     Returns (blocks, step_inputs); the running sequence starts as the
     context and grows by one predicted block per step.
     """
-    S, T, L, n = cfg.S, cfg.T, cfg.L, cfg.n
+    S, T, L = dims.S, dims.T, dims.L
     padded = np.array(context, dtype=np.float64)
     blocks, inputs = [], []
     for k in range(n):
@@ -66,53 +66,52 @@ def _assert_blocks_match(got, want):
 @pytest.mark.parametrize("L", [0, 2])
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_rollout_matches_numpy_oracle(L, n):
-    cfg = RolloutConfig(S=6, T=3, L=L, n=n)
+    cfg = RolloutConfig(n=n)
     model = init_forecaster("linear", Dims(S=6, T=3, L=L, V=2), seed=13)
     ctx = np.random.default_rng(5).normal(size=(6, 2))
     got = rollout_predict(model, Tensor(ctx), cfg)
     w = model.params["w"].values
     b = model.params["b"].values
-    blocks, _ = _numpy_linear_rollout(w, b, ctx, cfg)
+    blocks, _ = _numpy_linear_rollout(w, b, ctx, model.dims, n)
     _assert_blocks_match(got, blocks)
 
 
 @st.composite
 def _linear_geometries(draw):
-    """(RolloutConfig, V) over small S, T, L < S, n, V; T may reach or pass S."""
+    """(Dims, n) over small S, T, L < S, n, V; T may reach or pass S."""
     S = draw(st.integers(1, 8))
-    cfg = RolloutConfig(S=S, T=draw(st.integers(1, 12)), L=draw(st.integers(0, S - 1)),
-                        n=draw(st.integers(1, 5)))
-    return cfg, draw(st.integers(1, 3))
+    T, L, n = draw(st.integers(1, 12)), draw(st.integers(0, S - 1)), draw(st.integers(1, 5))
+    return Dims(S=S, T=T, L=L, V=draw(st.integers(1, 3))), n
 
 
 @settings(max_examples=60, deadline=None)
 @given(_linear_geometries(), st.integers(0, 2 ** 32 - 1))
-@example((RolloutConfig(S=3, T=5, L=1, n=4), 2), 0)  # T > S: inputs past block 1 are all predicted
-@example((RolloutConfig(S=4, T=2, L=0, n=5), 1), 1)  # 2T == S: a step input is whole blocks
+@example((Dims(S=3, T=5, L=1, V=2), 4), 0)  # T > S: inputs past block 1 are all predicted
+@example((Dims(S=4, T=2, L=0, V=1), 5), 1)  # 2T == S: a step input is whole blocks
 def test_rollout_matches_numpy_oracle_over_geometries(geometry, seed):
-    cfg, V = geometry
-    model = init_forecaster("linear", Dims(S=cfg.S, T=cfg.T, L=cfg.L, V=V), seed=seed % 1000)
-    ctx = np.random.default_rng(seed).normal(size=(cfg.S, V))
+    dims, n = geometry
+    model = init_forecaster("linear", dims, seed=seed % 1000)
+    ctx = np.random.default_rng(seed).normal(size=(dims.S, dims.V))
     with Tape():
-        got = rollout_predict(model, Tensor(ctx), cfg)
+        got = rollout_predict(model, Tensor(ctx), RolloutConfig(n=n))
     blocks, _ = _numpy_linear_rollout(
-        model.params["w"].values, model.params["b"].values, ctx, cfg)
+        model.params["w"].values, model.params["b"].values, ctx, dims, n)
     _assert_blocks_match(got, blocks)
 
 
 def test_third_step_input_is_fully_predicted():
     # S=4, T=2, k=2: the step input covers rows 4..7, all beyond the context
-    cfg = RolloutConfig(S=4, T=2, n=3)
+    cfg = RolloutConfig(n=3)
     model = init_forecaster("linear", Dims(S=4, T=2), seed=3)
     ctx = np.random.default_rng(7).normal(size=(4, 1))
     w, b = model.params["w"].values, model.params["b"].values
-    blocks, inputs = _numpy_linear_rollout(w, b, ctx, cfg)
+    blocks, inputs = _numpy_linear_rollout(w, b, ctx, model.dims, cfg.n)
     np.testing.assert_array_equal(inputs[2], np.vstack(blocks[:2]))
     _assert_blocks_match(rollout_predict(model, Tensor(ctx), cfg), blocks)
 
 
 def test_n1_rollout_equals_forecast():
-    cfg = RolloutConfig(S=6, T=3, L=2, n=1)
+    cfg = RolloutConfig(n=1)
     model = init_forecaster("mlp", Dims(S=6, T=3, L=2, hidden=4), seed=2)
     ctx = np.random.default_rng(1).normal(size=(6, 1))
     (got,) = rollout_predict(model, Tensor(ctx), cfg)
@@ -129,23 +128,21 @@ def test_copy_last_model_is_a_fixed_point():
     model.params["b"].values[...] = 0.0
     ctx = np.arange(5.0)[:, None]  # ends in 4.0
     for n in (1, 2, 5):
-        cfg = RolloutConfig(S=5, T=2, L=1, n=n)
+        cfg = RolloutConfig(n=n)
         got = rollout_predict(model, Tensor(ctx), cfg)
         np.testing.assert_array_equal(np.vstack([b.values for b in got]), np.full((2 * n, 1), 4.0))
 
 
 def test_rollout_shape_errors():
-    cfg = RolloutConfig(S=6, T=2)
+    cfg = RolloutConfig()
     model = init_forecaster("linear", Dims(S=6, T=2), seed=0)
     with pytest.raises(ValueError):
         rollout_predict(model, Tensor(np.zeros((5, 1))), cfg)
-    with pytest.raises(ValueError):
-        rollout_predict(model, Tensor(np.zeros((6, 1))), RolloutConfig(S=6, T=3))
 
 
 def test_rollout_never_reads_the_future():
     ds = gen_sinusoid(120, noise_std=0.1, seed=4)
-    cfg = RolloutConfig(S=8, T=4, n=3)
+    cfg = RolloutConfig(n=3)
     model = init_forecaster("linear", Dims(S=8, T=4), seed=5)
     w = window_iter(ds, "train", 8, 12)[0]
     zeroed = Windows(w.contexts, np.zeros_like(w.futures), w.origins)
@@ -207,7 +204,7 @@ def test_penalty_gradient_norm_ratio_through_model():
     # same predictions, block-1 targets relabeled to flip the comparison;
     # the penalized term's gradient shrinks by exactly (1 - 2*beta)
     beta, gamma = 0.1, 0.5
-    cfg = RolloutConfig(S=6, T=2, n=2, gamma=gamma, beta=beta)
+    cfg = RolloutConfig(n=2, gamma=gamma, beta=beta)
     model = init_forecaster("linear", Dims(S=6, T=2), seed=17)
     ctx = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])[:, None]  # mean 0, pop std 1
 
@@ -232,7 +229,7 @@ def test_penalty_gradient_norm_ratio_through_model():
 
 def test_ar_loss_n1_is_exactly_block_mse():
     ds = gen_sinusoid(150, noise_std=0.3, seed=9)
-    cfg = RolloutConfig(S=8, T=4, n=1)
+    cfg = RolloutConfig(n=1)
     model = init_forecaster("mlp", Dims(S=8, T=4, hidden=5), seed=11)
     w = window_iter(ds, "train", 8, 4)[0]
 
@@ -252,7 +249,7 @@ def test_ar_loss_n1_is_exactly_block_mse():
 
 
 def test_ar_loss_violation_count():
-    cfg = RolloutConfig(S=6, T=2, n=3)
+    cfg = RolloutConfig(n=3)
     model = init_forecaster("linear", Dims(S=6, T=2), seed=17)
     ctx = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])[:, None]
     preview = rollout_predict(model, Tensor(ctx), cfg)
@@ -264,7 +261,7 @@ def test_ar_loss_violation_count():
 
 
 def test_ar_loss_window_shape_errors():
-    cfg = RolloutConfig(S=6, T=2, n=2)
+    cfg = RolloutConfig(n=2)
     model = init_forecaster("linear", Dims(S=6, T=2), seed=0)
     good_ctx = np.zeros((6, 1))
     with pytest.raises(ValueError):
@@ -275,9 +272,9 @@ def test_ar_loss_window_shape_errors():
 
 
 def test_loss_magnitude_factor_values():
-    assert loss_magnitude_factor(RolloutConfig(S=4, T=1, n=1)) == 1.0
-    assert loss_magnitude_factor(RolloutConfig(S=4, T=1, n=4)) == pytest.approx(1.875)
-    assert loss_magnitude_factor(RolloutConfig(S=4, T=1, n=40)) == pytest.approx(2.0, abs=1e-10)
+    assert loss_magnitude_factor(RolloutConfig(n=1)) == 1.0
+    assert loss_magnitude_factor(RolloutConfig(n=4)) == pytest.approx(1.875)
+    assert loss_magnitude_factor(RolloutConfig(n=40)) == pytest.approx(2.0, abs=1e-10)
 
 
 def test_discount_telescoping_with_zero_beta():
@@ -285,7 +282,7 @@ def test_discount_telescoping_with_zero_beta():
         errors = [Tensor(0.37, requires_grad=True) for _ in range(n)]
         with Tape():
             value = discounted_loss(errors, 0.5, 0.0).item()
-        factor = loss_magnitude_factor(RolloutConfig(S=4, T=1, n=n))
+        factor = loss_magnitude_factor(RolloutConfig(n=n))
         assert abs(value - factor * 0.37) <= 1e-12
 
 
@@ -298,10 +295,10 @@ def test_gradient_norm_bound_over_random_draws():
         n = int(rng.integers(2, 5))
         gamma = float(rng.choice([0.3, 0.5, 0.9]))
         beta = float(rng.choice([0.05, 0.1, 0.3]))
-        cfg = RolloutConfig(S=8, T=3, n=n, gamma=gamma, beta=beta)
+        cfg = RolloutConfig(n=n, gamma=gamma, beta=beta)
         model = init_forecaster(kind, Dims(S=8, T=3, V=2, hidden=hidden),
                                 seed=int(rng.integers(0, 10000)))
-        windows = window_iter(ds, "train", 8, cfg.horizon)
+        windows = window_iter(ds, "train", 8, cfg.n * 3)
         w = windows[int(rng.integers(0, len(windows)))]
         with Tape() as tape:
             blocks = ar_loss(model, w, cfg)
@@ -320,7 +317,7 @@ def test_gradient_norm_bound_over_random_draws():
 
 def test_check_gradients_report_consistency():
     ds = gen_sinusoid(200, noise_std=0.2, seed=3)
-    cfg = RolloutConfig(S=8, T=2, n=3)
+    cfg = RolloutConfig(n=3)
     model = init_forecaster("mlp", Dims(S=8, T=2, hidden=4), seed=7)
     w = window_iter(ds, "train", 8, 6)[0]
     report = check_gradients(model, w, cfg)
@@ -333,7 +330,7 @@ def test_check_gradients_report_consistency():
 
 def test_check_gradients_n1_bound_degenerates():
     ds = gen_sinusoid(200, noise_std=0.2, seed=3)
-    cfg = RolloutConfig(S=8, T=4, n=1)
+    cfg = RolloutConfig(n=1)
     model = init_forecaster("linear", Dims(S=8, T=4), seed=7)
     w = window_iter(ds, "train", 8, 4)[0]
     with Tape() as tape:
@@ -352,26 +349,26 @@ def test_check_gradients_n1_bound_degenerates():
 def _batch_draws(draw):
     kind, hidden = draw(st.sampled_from([("linear", 0), ("mlp", 3), ("inverted_attention", 3)]))
     S = draw(st.integers(2, 7))
-    cfg = RolloutConfig(S=S, T=draw(st.integers(1, 4)), L=draw(st.integers(0, S - 1)),
-                        n=draw(st.integers(1, 4)), gamma=draw(st.sampled_from([0.3, 0.5, 0.9])),
+    geometry = (S, draw(st.integers(1, 4)), draw(st.integers(0, S - 1)))  # S, T, L < S
+    cfg = RolloutConfig(n=draw(st.integers(1, 4)), gamma=draw(st.sampled_from([0.3, 0.5, 0.9])),
                         beta=draw(st.sampled_from([0.05, 0.1, 0.3])))
     V = draw(st.integers(1, 3))
     windows = draw(st.integers(1, 7))
     batch_size = draw(st.integers(1, windows))  # the last batch is ragged unless it divides
-    return kind, hidden, cfg, V, windows, batch_size, draw(st.integers(0, 2 ** 32 - 1))
+    return kind, hidden, geometry, cfg, V, windows, batch_size, draw(st.integers(0, 2 ** 32 - 1))
 
 
 @settings(max_examples=60, deadline=None)
 @given(_batch_draws())
-@example(("inverted_attention", 3, RolloutConfig(S=5, T=2, L=1, n=3), 3, 7, 3, 0))
-@example(("linear", 0, RolloutConfig(S=4, T=2, n=2), 1, 5, 5, 1))
+@example(("inverted_attention", 3, (5, 2, 1), RolloutConfig(n=3), 3, 7, 3, 0))
+@example(("linear", 0, (4, 2, 0), RolloutConfig(n=2), 1, 5, 5, 1))
 def test_batched_ar_loss_is_mean_of_per_window(draw):
-    kind, hidden, cfg, V, n_windows, batch_size, seed = draw
+    kind, hidden, (S, T, L), cfg, V, n_windows, batch_size, seed = draw
     rng = np.random.default_rng(seed)
-    model = init_forecaster(kind, Dims(S=cfg.S, T=cfg.T, L=cfg.L, V=V, hidden=hidden), seed=seed)
+    model = init_forecaster(kind, Dims(S=S, T=T, L=L, V=V, hidden=hidden), seed=seed)
     params = list(model.params.values())
-    drawn = [(rng.normal(size=(cfg.S, V)) * rng.uniform(0.5, 3.0),
-              rng.normal(size=(cfg.horizon, V))) for _ in range(n_windows)]
+    drawn = [(rng.normal(size=(S, V)) * rng.uniform(0.5, 3.0),
+              rng.normal(size=(cfg.n * T, V))) for _ in range(n_windows)]
     windows = Windows(np.array([c for c, _ in drawn]), np.array([f for _, f in drawn]),
                       np.arange(n_windows))
 
@@ -405,7 +402,7 @@ def test_mse_loss_takes_a_batch():
     singles = [mse_loss(model, w).item() for w in windows]
     assert mse_loss(model, windows).item() == pytest.approx(np.mean(singles), rel=1e-12)
     with pytest.raises(ValueError, match="empty"):
-        ar_loss(model, windows[:0], RolloutConfig(S=8, T=4))
+        ar_loss(model, windows[:0], RolloutConfig())
 
 
 def _numpy_kink_inputs(model, window, cfg):
@@ -431,13 +428,14 @@ def _numpy_kink_inputs(model, window, cfg):
         x2 = layer_norm(x1 + p["ff2_w"] @ np.maximum(pre, 0.0) + p["ff2_b"])
         return p["proj_w"] @ x2 + p["proj_b"]
 
+    S, T, L = model.dims.S, model.dims.T, model.dims.L
     (context,), (future,) = window.contexts, window.futures
     mean, std = context.mean(axis=0), np.maximum(context.std(axis=0), 1e-5)
     seq, future = (context - mean) / std, (future - mean) / std
     inputs, errors = [], []
     for k in range(cfg.n):
-        block = forward(seq[-cfg.S:], inputs)[cfg.L:]
-        errors.append(np.mean((block - future[k * cfg.T:(k + 1) * cfg.T]) ** 2))
+        block = forward(seq[-S:], inputs)[L:]
+        errors.append(np.mean((block - future[k * T:(k + 1) * T]) ** 2))
         seq = np.vstack([seq, block])
     abs_inputs = [np.array(errors[k] - errors[k - 1]) for k in range(1, cfg.n)]
     return inputs + abs_inputs
@@ -445,10 +443,10 @@ def _numpy_kink_inputs(model, window, cfg):
 
 @pytest.mark.parametrize("kind,V", [("mlp", 1), ("inverted_attention", 3)])
 def test_min_kink_gap_is_smallest_relu_or_abs_input(kind, V):
-    cfg = RolloutConfig(S=12, T=3, L=1, n=3)
+    cfg = RolloutConfig(n=3)
     ds = gen_sinusoid(200, V=V, periods=[24.0, 17.0, 9.0][:V], noise_std=0.2, seed=4)
-    window = window_iter(ds, "train", cfg.S, cfg.horizon)[5]
-    model = init_forecaster(kind, Dims(S=cfg.S, T=cfg.T, L=cfg.L, V=V, hidden=6), seed=2)
+    window = window_iter(ds, "train", 12, cfg.n * 3)[5]
+    model = init_forecaster(kind, Dims(S=12, T=3, L=1, V=V, hidden=6), seed=2)
     with Tape() as tape:
         ar_loss(model, window, cfg)
         gap = tape.min_kink_gap
@@ -481,8 +479,9 @@ def _composite_discounted_loss(errors, gamma, beta):
 
 def _batch_objective(model, context, future, cfg, beta, V, block_error_fn, discounted_fn):
     """(loss, e rows, parameter gradient, min_kink_gap, rule names) of one taped batch."""
+    T = model.dims.T
     with Tape() as tape:
-        errors = [block_error_fn(block, future[k * cfg.T:(k + 1) * cfg.T], V)
+        errors = [block_error_fn(block, future[k * T:(k + 1) * T], V)
                   for k, block in enumerate(rollout_predict(model, Tensor(context), cfg))]
         loss = mean_all(discounted_fn(errors, cfg.gamma, beta))
         grad = np.concatenate([g.ravel() for g in tape.gradient(loss, list(model.params.values()))])
@@ -494,23 +493,23 @@ def _batch_objective(model, context, future, cfg, beta, V, block_error_fn, disco
 def _objective_draws(draw):
     kind, hidden = draw(st.sampled_from([("linear", 0), ("mlp", 3), ("inverted_attention", 3)]))
     S = draw(st.integers(2, 7))
-    cfg = RolloutConfig(S=S, T=draw(st.integers(1, 4)), L=draw(st.integers(0, S - 1)),
-                        n=draw(st.integers(1, 5)), gamma=draw(st.sampled_from([0.3, 0.5, 0.9])))
+    geometry = (S, draw(st.integers(1, 4)), draw(st.integers(0, S - 1)))  # S, T, L < S
+    cfg = RolloutConfig(n=draw(st.integers(1, 5)), gamma=draw(st.sampled_from([0.3, 0.5, 0.9])))
     beta = draw(st.sampled_from([0.0, 0.05, 0.1, 0.3, 0.45]))
-    return kind, hidden, cfg, beta, draw(st.integers(1, 4)), draw(st.integers(1, 6)), \
+    return kind, hidden, geometry, cfg, beta, draw(st.integers(1, 4)), draw(st.integers(1, 6)), \
         draw(st.integers(0, 2 ** 32 - 1))
 
 
 @settings(max_examples=80, deadline=None)
 @given(_objective_draws())
-@example(("linear", 0, RolloutConfig(S=6, T=2, n=5), 0.0, 1, 3, 0))
-@example(("inverted_attention", 3, RolloutConfig(S=5, T=2, L=1, n=4), 0.3, 4, 2, 1))
+@example(("linear", 0, (6, 2, 0), RolloutConfig(n=5), 0.0, 1, 3, 0))
+@example(("inverted_attention", 3, (5, 2, 1), RolloutConfig(n=4), 0.3, 4, 2, 1))
 def test_fused_objective_matches_the_composite(draw):
-    kind, hidden, cfg, beta, V, B, seed = draw
+    kind, hidden, (S, T, L), cfg, beta, V, B, seed = draw
     rng = np.random.default_rng(seed)
-    model = init_forecaster(kind, Dims(S=cfg.S, T=cfg.T, L=cfg.L, V=V, hidden=hidden), seed=seed)
-    context = rng.normal(size=(cfg.S, B * V))
-    future = rng.normal(size=(cfg.horizon, B * V))
+    model = init_forecaster(kind, Dims(S=S, T=T, L=L, V=V, hidden=hidden), seed=seed)
+    context = rng.normal(size=(S, B * V))
+    future = rng.normal(size=(cfg.n * T, B * V))
     args = (model, context, future, cfg, beta, V)
     loss, e, grad, gap, rules = _batch_objective(*args, block_error, discounted_loss)
     want_loss, want_e, want_grad, want_gap, _ = _batch_objective(
@@ -543,10 +542,10 @@ def test_discounted_loss_saves_the_penalty_gaps():
 @pytest.mark.parametrize("kind,V", [("linear", 1), ("inverted_attention", 3)])
 def test_ar_loss_on_windows_equals_ar_loss_on_listed_windows(kind, V):
     """A batch picked by an index array (views) scores as the same windows stacked one by one."""
-    cfg = RolloutConfig(S=12, T=3, L=1, n=3)
+    cfg = RolloutConfig(n=3)
     ds = gen_sinusoid(300, V=V, periods=[24.0, 17.0, 9.0][:V], noise_std=0.2, seed=6)
-    windows = window_iter(ds, "train", cfg.S, cfg.horizon)
-    model = init_forecaster(kind, Dims(S=cfg.S, T=cfg.T, L=cfg.L, V=V, hidden=5), seed=8)
+    windows = window_iter(ds, "train", 12, cfg.n * 3)
+    model = init_forecaster(kind, Dims(S=12, T=3, L=1, V=V, hidden=5), seed=8)
     picks = [17, 3, 40, 9, 3]
     params = list(model.params.values())
     results = []

@@ -120,7 +120,7 @@ def test_flat_adam_is_bitwise_the_per_parameter_adam():
 
 def _quick_setup(objective="ar", n=2, seed=5):
     ds = gen_sinusoid(260, noise_std=0.1, seed=2)
-    roll = RolloutConfig(S=12, T=4, n=n)
+    roll = RolloutConfig(n=n)
     model = init_forecaster("linear", Dims(S=12, T=4), seed=seed)
     cfg = TrainConfig(lr=1e-2, batch_size=16, max_epochs=4, patience=10,
                       seed=seed, objective=objective)
@@ -131,7 +131,7 @@ def _quick_setup(objective="ar", n=2, seed=5):
 def test_parameters_are_views_of_one_vector_that_train_updates_in_place(kind, V, hidden):
     dims = Dims(S=12, T=4, V=V, hidden=hidden)
     model = init_forecaster(kind, dims, seed=5)
-    copy = Checkpoint.from_forecaster(model, RolloutConfig(S=12, T=4), 0, 0.5, 5).to_forecaster()
+    copy = Checkpoint.from_forecaster(model, RolloutConfig(), 0, 0.5, 5).to_forecaster()
     for m in (model, copy):
         assert m.flat.flags.c_contiguous and m.flat.size == m.param_count
         for tensor in m.params.values():
@@ -146,7 +146,7 @@ def test_parameters_are_views_of_one_vector_that_train_updates_in_place(kind, V,
     arrays = {name: t.values for name, t in model.params.items()}
     before = model.param_vector()
     ds = gen_sinusoid(260, V=V, periods=[24.0, 17.0][:V], noise_std=0.1, seed=2)
-    train(model, ds, RolloutConfig(S=12, T=4, n=2),
+    train(model, ds, RolloutConfig(n=2),
           TrainConfig(lr=1e-2, batch_size=16, max_epochs=2, seed=5))
     assert all(model.params[name].values is array for name, array in arrays.items())
     after = np.concatenate([a.ravel() for a in arrays.values()])
@@ -168,7 +168,7 @@ def test_train_empty_split_is_an_error():
     model = init_forecaster("linear", Dims(S=20, T=4), seed=0)
     with pytest.warns(UserWarning):
         with pytest.raises(ValueError, match="train split"):
-            train(model, ds, RolloutConfig(S=20, T=4, n=2), TrainConfig(max_epochs=1))
+            train(model, ds, RolloutConfig(n=2), TrainConfig(max_epochs=1))
 
 
 def test_train_determinism_bitwise():
@@ -224,7 +224,7 @@ def test_mse_and_ar_trajectories_identical_at_n1():
 
 def test_noiseless_sinusoid_is_learned_quickly():
     ds = gen_sinusoid(600, periods=24.0, noise_std=0.0, seed=0)
-    roll = RolloutConfig(S=48, T=12, n=1)
+    roll = RolloutConfig(n=1)
     model = init_forecaster("linear", Dims(S=48, T=12), seed=1)
     cfg = TrainConfig(lr=1e-2, batch_size=64, max_epochs=50, patience=50,
                       seed=1, objective="mse")
@@ -243,7 +243,7 @@ def test_early_stopping_returns_best_val_checkpoint():
 
 def _small_checkpoint():
     model = init_forecaster("mlp", Dims(S=6, T=2, hidden=3), seed=4)
-    return Checkpoint.from_forecaster(model, RolloutConfig(S=6, T=2, n=2),
+    return Checkpoint.from_forecaster(model, RolloutConfig(n=2),
                                       epoch=5, val_loss=0.123, seed=4)
 
 
@@ -267,7 +267,7 @@ def test_checkpoint_save_is_byte_stable(tmp_path):
     for kind, dims in [("linear", Dims(S=6, T=2)), ("mlp", Dims(S=6, T=2, hidden=3)),
                        ("inverted_attention", Dims(S=6, T=2, L=2, V=3, hidden=4))]:
         model = init_forecaster(kind, dims, seed=4)
-        ck = Checkpoint.from_forecaster(model, RolloutConfig(S=6, T=2, L=dims.L, n=3),
+        ck = Checkpoint.from_forecaster(model, RolloutConfig(n=3),
                                         epoch=5, val_loss=0.123, seed=4)
         p1, p2, p3 = (tmp_path / f"{kind}_{i}.arpt" for i in range(3))
         save_checkpoint(ck, p1)
@@ -330,7 +330,7 @@ def _rewrite_header(path, edit):
 
 def _linear_checkpoint(path):
     model = init_forecaster("linear", Dims(S=6, T=2), seed=4)
-    save_checkpoint(Checkpoint.from_forecaster(model, RolloutConfig(S=6, T=2), 0, 0.5, 4), path)
+    save_checkpoint(Checkpoint.from_forecaster(model, RolloutConfig(), 0, 0.5, 4), path)
     return path
 
 
@@ -396,18 +396,10 @@ def test_checkpoint_bad_meta_is_a_format_error(tmp_path, edit):
 def test_epoch_0_checkpoint_writes_val_loss_null_and_loads_it_as_nan(tmp_path):
     model = init_forecaster("linear", Dims(S=6, T=2), seed=4)
     path = tmp_path / "model.arpt"
-    ck = Checkpoint.from_forecaster(model, RolloutConfig(S=6, T=2), 0, math.nan, 4)
+    ck = Checkpoint.from_forecaster(model, RolloutConfig(), 0, math.nan, 4)
     save_checkpoint(ck, path)
     assert b'"val_loss": null' in path.read_bytes()
     assert math.isnan(load_checkpoint(path).val_loss)
-
-
-def test_save_refuses_a_rollout_geometry_the_loader_would_refuse(tmp_path):
-    model = init_forecaster("linear", Dims(S=6, T=2), seed=4)
-    path = tmp_path / "model.arpt"
-    with pytest.raises(ValueError, match="rollout geometry"):
-        save_checkpoint(Checkpoint.from_forecaster(model, RolloutConfig(S=8, T=2), 0, 0.5, 4), path)
-    assert not path.exists()
 
 
 @pytest.mark.parametrize("cut", range(1, 8))
@@ -499,8 +491,8 @@ def test_epoch_builds_one_tape_per_mini_batch(monkeypatch, objective, batch_size
     from arforecast.data import window_iter
 
     model, ds, roll, _ = _quick_setup(objective=objective)
-    horizon = roll.horizon if objective == "ar" else roll.T
-    n_windows = len(window_iter(ds, "train", roll.S, horizon))
+    horizon = roll.n * model.dims.T if objective == "ar" else model.dims.T
+    n_windows = len(window_iter(ds, "train", model.dims.S, horizon))
     calls = []
     gradient = Tape.gradient
 
