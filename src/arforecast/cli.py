@@ -10,7 +10,6 @@ check), 2 invalid input or config.
 from __future__ import annotations
 
 import argparse
-import configparser
 import functools
 import math
 import sys
@@ -110,31 +109,43 @@ _SECTION_KEYS = {section: {row[1] for row in SCHEMA if row[0] == section}
 _REQUIRED_SECTIONS = tuple(dict.fromkeys(row[0] for row in SCHEMA if row[3] is MISSING))
 
 
-def _read_plain_ini(text: str) -> dict[str, dict[str, str]] | None:
-    """``{section: {key: value}}`` as ``ConfigParser(interpolation=None)`` reads ``text``, when
-    each line is blank, a comment, an unindented ``[section]`` header (not DEFAULT, not
-    repeated) or an unindented ``key = value`` line in a section (no ':' before the '=', the
-    key not repeated); None for any other text."""
+def _read_plain_ini(text: str, source: str = "<string>") -> dict[str, dict[str, str]]:
+    """``{section: {key: value}}`` from ``text``, each of whose lines must be blank, a comment
+    ('#' or ';' first), an unindented ``[section]`` header (not DEFAULT, not repeated) or an
+    unindented ``key = value`` line in a section (no ':' before the '=', the key lowercased
+    and not repeated). Values are kept as written, stripped. Any other line raises one
+    ``ConfigError`` line naming ``source``, the line's number and what is wrong with it."""
     sections: dict[str, dict[str, str]] = {}
     items = None
-    for line in text.split("\n"):
+    for number, line in enumerate(text.split("\n"), 1):
         stripped = line.strip()
         if not stripped or stripped[0] in "#;":
             continue
-        if line[0].isspace():  # configparser may continue the last value with it
-            return None
-        if stripped[0] == "[":
-            name = stripped[1:-1]
-            if stripped[-1] != "]" or not name or "[" in name or "]" in name \
-                    or name == "DEFAULT" or name in sections:
-                return None
-            items = sections[name] = {}
-            continue
+        name = stripped[1:-1]
         eq = stripped.find("=")
         key = stripped[:eq].rstrip().lower()
-        if items is None or eq < 1 or ":" in key or key in items:
-            return None
-        items[key] = stripped[eq + 1:].strip()
+        if line[0].isspace():
+            problem = "is indented; continuation lines are not read"
+        elif stripped[0] == "[":
+            if stripped[-1] != "]" or not name or "[" in name or "]" in name:
+                problem = "is not a '[section]' header"
+            elif name in sections:
+                problem = "repeats a section"
+            elif name == "DEFAULT":
+                problem = "is not a config section"
+            else:
+                items = sections[name] = {}
+                continue
+        elif items is None:
+            problem = "comes before any '[section]' header"
+        elif eq < 1 or ":" in key:
+            problem = "is not a 'key = value' line"
+        elif key in items:
+            problem = "repeats a key of its section"
+        else:
+            items[key] = stripped[eq + 1:].strip()
+            continue
+        raise ConfigError(f"{source}, line {number}: {stripped!r} {problem}")
     return sections
 
 
@@ -167,20 +178,13 @@ class RunConfig:
     def __init__(self, path, out_override=None, seed_override=None):
         path = Path(path)
         try:
-            text = path.read_text(encoding="utf-8")
+            text = path.read_text(encoding="utf-8-sig")  # a byte order mark is not text
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
         except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable, not UTF-8
             reason = exc.strerror if isinstance(exc, OSError) else exc
             raise ConfigError(f"cannot read config file {path}: {reason}") from None
-        raw = _read_plain_ini(text)
-        if raw is None:  # configparser reads the rest, and reports what it refuses
-            parser = configparser.ConfigParser(interpolation=None)  # a '%' is taken literally
-            try:
-                parser.read_string(text, source=path)
-            except configparser.Error as exc:
-                raise ConfigError(f"{path}: {exc}") from exc
-            raw = {name: dict(parser.items(name)) for name in parser.sections()}
+        raw = _read_plain_ini(text, str(path))
         for name, items in raw.items():
             if name not in _SECTION_KEYS:
                 raise ConfigError(f"unknown config section [{name}]")
@@ -230,6 +234,8 @@ class RunConfig:
         self.out_dir = self.values["output"]["dir"]
         if self.out_dir is None:
             raise ConfigError("[output] missing key 'dir' (or pass --out)")
+        if {"\n", "\r"} & set(str(self.out_dir)):  # config_resolved.ini holds it on one line
+            raise ConfigError(f"[output] dir must be one line, got {str(self.out_dir)!r}")
 
     def build_dataset(self, S: int) -> SeriesDataset:
         """The configured series, refused if z-scoring its S-row contexts could overflow."""
@@ -283,12 +289,12 @@ class RunConfig:
             raise ConfigError(f"[model] {exc}") from None
 
     def write_resolved(self) -> None:
-        """Write the keys that apply, defaults filled in, in ``ConfigParser.write``'s layout."""
+        """Write the keys that apply, defaults filled in, as the plain INI the reader takes."""
         sections: dict[str, list[str]] = {}
         for section, key, parse, _, sources in SCHEMA:
             value = self.values[section].get(key)
             if self.source in sources and value is not None:
-                text = _FORMATS.get(parse, str)(value).replace("\n", "\n\t")
+                text = _FORMATS.get(parse, str)(value)
                 sections.setdefault(section, []).append(f"{key} = {text}\n")
         _write_out(self.out_dir / "config_resolved.ini", "".join(
             f"[{section}]\n{''.join(lines)}\n" for section, lines in sections.items()))

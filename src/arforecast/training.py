@@ -221,33 +221,31 @@ def train(model: Forecaster, dataset: SeriesDataset, rollout_cfg: RolloutConfig,
     return best, history
 
 
-def _param_list(kind: str, dims: Dims) -> list:
-    """The header's ``params`` entry: [name, shape] pairs in payload order."""
-    return [[name, list(shape)] for name, shape, _ in _param_shapes(kind, dims)]
-
-
-def save_checkpoint(ck: Checkpoint, path) -> None:
+def _checkpoint_header(ck: Checkpoint) -> bytes:
+    """The JSON header ``save_checkpoint`` writes for ``ck``, and the only one the loader reads;
+    ``rollout`` holds the model's S, T and L beside n, gamma and beta."""
     d = ck.dims
     header = {
         "kind": ck.kind,
         "dims": vars(d),
         "rollout": {"S": d.S, "T": d.T, "L": d.L, **vars(ck.rollout)},
         "norm_policy": NORM_POLICY,
-        "params": _param_list(ck.kind, ck.dims),
-        "meta": {
-            "epoch": ck.epoch,
-            "val_loss": None if math.isnan(ck.val_loss) else ck.val_loss,
-            "seed": ck.seed,
-        },
+        "params": [[name, list(shape)] for name, shape, _ in _param_shapes(ck.kind, d)],
+        "meta": {"epoch": ck.epoch, "seed": ck.seed,
+                 "val_loss": None if math.isnan(ck.val_loss) else ck.val_loss},
     }
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    return json.dumps(header, sort_keys=True).encode("utf-8")
+
+
+def save_checkpoint(ck: Checkpoint, path) -> None:
+    header_bytes = _checkpoint_header(ck)
     write_fresh(path, b"".join((CHECKPOINT_MAGIC,
                                 struct.pack("<II", CHECKPOINT_VERSION, len(header_bytes)),
                                 header_bytes, ck.flat.astype("<f8").tobytes())))
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint whose header is the one ``save_checkpoint`` writes for its model."""
+    """Read a checkpoint whose header is byte for byte ``_checkpoint_header`` of what it holds."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if len(blob) < 12 or blob[:4] != CHECKPOINT_MAGIC:
@@ -263,34 +261,28 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointFormatError(f"{path}: truncated header")
     try:
         header = json.loads(blob[12:header_end].decode("utf-8"))
-        kind, meta, rollout = header["kind"], header["meta"], {**header["rollout"]}
-        geometry = rollout.pop("S"), rollout.pop("T"), rollout.pop("L")
-        dims, rollout = Dims(**header["dims"]), RolloutConfig(**rollout)
-        epoch, val_loss, seed = meta["epoch"], meta["val_loss"], meta["seed"]
-        integers = [*vars(dims).values(), *geometry, rollout.n, epoch, seed]
+        meta, rollout = header["meta"], header["rollout"]
+        dims, val_loss = Dims(**header["dims"]), meta["val_loss"]
+        ck = Checkpoint(kind=header["kind"], dims=dims, flat=np.empty(0),  # payload: below
+                        rollout=RolloutConfig(rollout["n"], rollout["gamma"], rollout["beta"]),
+                        epoch=meta["epoch"], seed=meta["seed"],
+                        val_loss=math.nan if val_loss is None else float(val_loss))
+        integers = [*vars(dims).values(), ck.rollout.n, ck.epoch, ck.seed]
         if not all(type(value) is int for value in integers):
-            raise TypeError("dims, rollout geometry, epoch and seed must be integers")
-        if geometry != (dims.S, dims.T, dims.L):
-            raise ValueError(f"rollout S, T, L = {geometry} do not match {dims}")
-        if header["norm_policy"] != NORM_POLICY:
-            raise ValueError(f"norm_policy must be {NORM_POLICY!r}, got {header['norm_policy']!r}")
-        if header["params"] != _param_list(kind, dims):
-            raise ValueError(f"parameter names or shapes do not match a {kind} model of {dims}")
-        if val_loss is not None and type(val_loss) not in (int, float):
-            raise TypeError("val_loss must be a JSON number or null")
-        val_loss = math.nan if val_loss is None else float(val_loss)
-    except (ValueError, KeyError, TypeError, OverflowError) as exc:
+            raise TypeError("dims, rollout n, epoch and seed must be integers")
+        if _checkpoint_header(ck) != blob[12:header_end]:
+            raise ValueError("not the header save_checkpoint writes for these fields")
+    except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
         raise CheckpointFormatError(f"{path}: corrupt header ({exc})") from exc
-    total = 8 * param_count(kind, dims)
+    total = 8 * param_count(ck.kind, ck.dims)
     if len(blob) - header_end != total:
         raise CheckpointFormatError(
             f"{path}: payload holds {len(blob) - header_end} bytes, header expects {total}"
         )
-    flat = np.frombuffer(blob, dtype="<f8", offset=header_end)  # read-only; to_forecaster copies
-    if not np.all(np.isfinite(flat)):
+    ck.flat = np.frombuffer(blob, dtype="<f8", offset=header_end)  # read-only; to_forecaster copies
+    if not np.all(np.isfinite(ck.flat)):
         raise CheckpointFormatError(f"{path}: payload holds non-finite values")
-    return Checkpoint(kind=kind, dims=dims, flat=flat, rollout=rollout, epoch=epoch,
-                      val_loss=val_loss, seed=seed)
+    return ck
 
 
 def write_history_csv(history: list[EpochStats], path) -> None:

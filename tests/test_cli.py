@@ -16,7 +16,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import arforecast.autodiff as autodiff
-from arforecast.cli import RunConfig, _parse_plain, _read_plain_ini, build_parsers, main
+from arforecast.cli import (
+    ConfigError,
+    RunConfig,
+    _parse_plain,
+    _read_plain_ini,
+    build_parsers,
+    main,
+)
 from arforecast.models import Dims, init_forecaster
 from arforecast.rollout import RolloutConfig
 from arforecast.training import Checkpoint, save_checkpoint
@@ -264,7 +271,7 @@ def test_a_directory_given_as_input_exits_2_naming_it(tmp_path, capsys, which):
 
 @pytest.mark.parametrize("which", ["directory", "not_utf8"])
 def test_an_unreadable_config_exits_2_naming_it(tmp_path, capsys, which):
-    # a directory once reached configparser.read, which skips what it cannot open
+    # the file is read as UTF-8 text before the INI reader sees it
     config = tmp_path / "adir"
     if which == "directory":
         config.mkdir()
@@ -899,12 +906,61 @@ def test_plain_ini_matches_configparser(sections, edits, end):
         at = where % (len(lines) + 1)
         lines[at:at + (how > 0)] = [odd] if how < 2 else []
     text = "\n".join(lines) + end
-    plain = _read_plain_ini(text)
-    if plain is not None:
+    with contextlib.suppress(ConfigError):  # a refused text exits 2 with one line, tested below
+        plain = _read_plain_ini(text)
         parser = configparser.ConfigParser(interpolation=None)
         parser.read_string(text)
         assert [(name, list(items.items())) for name, items in plain.items()] == \
             [(name, parser.items(name)) for name in parser.sections()]
+
+
+@pytest.mark.parametrize("anchor,how,odd", [
+    ("kind = linear", "replace", "kind: linear"),
+    ("kind = linear", "replace", "kind linear"),
+    ("kind = linear", "after", "\tmlp"),
+    ("kind = linear", "replace", "  kind = linear"),
+    ("[model]", "replace", " [model]"),
+    ("[dataset]", "before", "[DEFAULT]"),
+    ("[model]", "replace", "[model] x"),
+    ("[rollout]", "before", "[model]"),
+    ("kind = linear", "after", "kind = mlp"),
+    ("[dataset]", "before", "kind = linear"),
+], ids=["key-colon-value", "no-equals", "continuation", "indented-key", "indented-header",
+        "default", "text-after-bracket", "repeated-section", "repeated-key", "before-section"])
+def test_refused_ini_line_exits_2_with_one_line_naming_it(tmp_path, capsys, anchor, how, odd):
+    cfg = write_config(tmp_path / "run.ini", tmp_path / "out")
+    lines = cfg.read_text().split("\n")
+    at = lines.index(anchor) + (how == "after")
+    lines[at:at + (how == "replace")] = [odd]
+    cfg.write_text("\n".join(lines))
+    assert main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith(f"error: {cfg}, line {at + 1}: {odd.strip()!r} ")
+    assert sorted(tmp_path.iterdir()) == [cfg]
+
+
+def test_a_config_with_a_byte_order_mark_trains(tmp_path):
+    cfg = write_config(tmp_path / "run.ini", tmp_path / "out")
+    cfg.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert (tmp_path / "out" / "checkpoint.arpt").exists()
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r"])
+def test_an_output_dir_with_a_line_break_exits_2_writing_nothing(tmp_path, capsys, newline):
+    cfg = write_config(tmp_path / "run.ini", tmp_path / "out")
+    out = tmp_path / f"o{newline}x"
+    assert main(["train", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()] and err.startswith("error: [output] dir ")
+    assert sorted(tmp_path.iterdir()) == [cfg]
+
+
+def test_importing_the_cli_does_not_import_configparser():
+    proc = subprocess.run([sys.executable, "-c", "import sys, arforecast.cli; "
+                           "print('configparser' in sys.modules)"], capture_output=True, text=True)
+    assert proc.stdout == "False\n", proc.stderr
 
 
 def test_plain_ini_reads_the_configs_the_cli_writes(tmp_path):

@@ -347,8 +347,18 @@ def _linear_checkpoint(path):
     lambda h: h["rollout"].update(T=3),
     lambda h: h["rollout"].update(L=3),
     lambda h: h["rollout"].update(S=6.0),
+    lambda h: h["dims"].pop("L"),  # a key save_checkpoint writes is never filled by a default
+    lambda h: h["rollout"].pop("n"),
+    lambda h: h["rollout"].pop("gamma"),
+    lambda h: h["rollout"].pop("beta"),
+    lambda h: [h["rollout"].pop(key) for key in ("n", "gamma", "beta")],
+    lambda h: h.update(extra=1),  # nor is a key it does not write ignored
+    lambda h: h["meta"].update(extra=1),
+    lambda h: h["meta"].update(val_loss=1),  # save_checkpoint writes a float: 1.0
 ], ids=["kind", "kind-and-hidden", "unknown-kind", "name", "shape", "float-S", "float-T",
-        "reordered", "rollout-S", "rollout-T", "rollout-L", "float-rollout-S"])
+        "reordered", "rollout-S", "rollout-T", "rollout-L", "float-rollout-S", "no-dims-L",
+        "no-rollout-n", "no-rollout-gamma", "no-rollout-beta", "no-rollout-n-gamma-beta",
+        "extra-key", "extra-meta-key", "integer-val-loss"])
 def test_checkpoint_params_must_match_kind_and_dims(tmp_path, edit):
     path = _linear_checkpoint(tmp_path / "model.arpt")
     _rewrite_header(path, edit)
@@ -410,9 +420,20 @@ def test_checkpoint_cut_inside_a_double_is_a_format_error(tmp_path, cut):
         load_checkpoint(path)
 
 
+def test_a_deeply_nested_header_is_a_format_error(tmp_path):
+    path = tmp_path / "model.arpt"
+    header = b"[" * 100_000  # json.loads raises RecursionError long before the end
+    path.write_bytes(b"ARPT" + struct.pack("<II", 1, len(header)) + header)
+    with pytest.raises(CheckpointFormatError, match="corrupt header"):
+        load_checkpoint(path)
+
+
 def _load_allowing_checkpoint_errors(path):
     with contextlib.suppress(CheckpointError):
-        load_checkpoint(path)
+        resaved = path.with_name("resaved.arpt")
+        save_checkpoint(load_checkpoint(path), resaved)
+        assert resaved.read_bytes() == path.read_bytes()  # a file that loads saves back as itself
+        resaved.unlink()
 
 
 def test_every_truncation_of_a_checkpoint_is_a_checkpoint_error(tmp_path):
