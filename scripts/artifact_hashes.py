@@ -3,11 +3,13 @@
 
 A change meant to keep the numerics bit for bit is checked by running this
 script in two checkouts and comparing the outputs with ``diff``. It imports
-arforecast from the checkout it lives in. Five configs, each trained for 10
+arforecast from the checkout it lives in. Six configs, each trained for 10
 epochs: the README demo for linear, mlp (hidden 32) and inverted_attention
 (hidden 16, V = 4), inverted_attention with an overlap (hidden 8, V = 3,
-L = 3), and mlp (hidden 8, V = 2) on the demo series read from a CSV with a
-header and a time column, so the CSV loader feeds train, eval and gradcheck.
+L = 3), mlp (hidden 8, V = 2) on the demo series read from a CSV with a
+header and a time column, so the CSV loader feeds train, eval and gradcheck,
+and linear with S = 30 and L = 2: S is not a multiple of T = 12, so every
+rollout window from the fourth on (training's last) cuts a block.
 For each it hashes the checkpoint and history, ``resaved.arpt`` (the
 checkpoint loaded and saved again, which must equal it byte for byte), the
 ``eval --horizon 168`` report and curve (normalized and ``--raw-scale``),
@@ -41,12 +43,13 @@ from arforecast import gen_sinusoid  # noqa: E402
 from arforecast.cli import main as cli_main  # noqa: E402
 from arforecast.training import load_checkpoint, save_checkpoint  # noqa: E402
 
-CONFIGS = {  # name: (kind, hidden, variates, overlap L, dataset source)
-    "linear": ("linear", 0, 1, 0, "sinusoid"),
-    "mlp": ("mlp", 32, 1, 0, "sinusoid"),
-    "attention": ("inverted_attention", 16, 4, 0, "sinusoid"),
-    "attention_overlap": ("inverted_attention", 8, 3, 3, "sinusoid"),
-    "mlp_csv": ("mlp", 8, 2, 0, "csv"),
+CONFIGS = {  # name: (kind, hidden, variates, overlap L, dataset source, context S)
+    "linear": ("linear", 0, 1, 0, "sinusoid", 48),
+    "mlp": ("mlp", 32, 1, 0, "sinusoid", 48),
+    "attention": ("inverted_attention", 16, 4, 0, "sinusoid", 48),
+    "attention_overlap": ("inverted_attention", 8, 3, 3, "sinusoid", 48),
+    "mlp_csv": ("mlp", 8, 2, 0, "csv", 48),
+    "linear_partial": ("linear", 0, 1, 2, "sinusoid", 30),
 }
 
 DATASETS = {
@@ -71,7 +74,7 @@ kind = {kind}
 hidden = {hidden}
 
 [rollout]
-s = 48
+s = {S}
 t = 12
 l = {L}
 n = 4
@@ -109,14 +112,15 @@ def write_series_csv(path: Path, V: int) -> None:
                header=",".join(["time", *(f"x{j}" for j in range(V))]), comments="")
 
 
-def produce(root: Path, name: str, kind: str, hidden: int, V: int, L: int, source: str) -> None:
+def produce(root: Path, name: str, kind: str, hidden: int, V: int, L: int, source: str,
+            S: int) -> None:
     out = root / name
     out.mkdir(parents=True, exist_ok=True)
     if source == "csv":
         write_series_csv(out / "series.csv", V)
     config = out / "run.ini"
     dataset = DATASETS[source].format(V=V, out=out)
-    config.write_text(INI.format(dataset=dataset, kind=kind, hidden=hidden, L=L, out=out))
+    config.write_text(INI.format(dataset=dataset, kind=kind, hidden=hidden, S=S, L=L, out=out))
     history = out / "history_input.csv"
     rows = gen_sinusoid(200, V=V, periods=144.0, noise_std=0.1, seed=7).values
     np.savetxt(history, rows, fmt="%.17g", delimiter=",",

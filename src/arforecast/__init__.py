@@ -5,7 +5,6 @@ from .autodiff import (
     Tensor,
     absolute,
     add,
-    concat,
     finite_diff_oracle,
     max_relative_error,
     mean_all,

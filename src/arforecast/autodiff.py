@@ -2,10 +2,10 @@
 
 Dense float64 tensors plus the operation set the forecasting models and
 the rollout objective record: ``w @ x + b``, relu, the attention model's
-attention and feed-forward sublayers as one record each, slicing and
-concatenation, the objective's block error and discounted sum, and the
-mean. Same-shape add and sub, scaling, abs and a stop-gradient operator
-(the identity forward, and no gradient flow backward) spell the
+attention and feed-forward sublayers as one record each, slicing, the
+rollout's input windows, the objective's block error and discounted sum,
+and the mean. Same-shape add and sub, scaling, abs and a stop-gradient
+operator (the identity forward, and no gradient flow backward) spell the
 objective's monotonicity penalty term by term.
 
 A ``Tape`` is built fresh for every loss evaluation (define-by-run) and
@@ -19,6 +19,7 @@ finite-difference oracle.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 
 import numpy as np
@@ -163,7 +164,10 @@ def _emit(values, inputs: tuple[Tensor, ...], rule, ctx: tuple) -> Tensor:
     """Wrap an op's freshly computed values, without the copy ``Tensor()`` makes.
 
     A C-contiguous slice stays a view of its input; no op writes to its
-    inputs or outputs in place, so the view is never changed through.
+    inputs or outputs in place, so the view is never changed through. A
+    ``stitch`` window is a view of its caller's buffer, and records may save
+    it for their backward: a window's rows are never written after the
+    window is taken.
     """
     out = Tensor.__new__(Tensor)
     out.values = np.asarray(values, dtype=np.float64, order="C")
@@ -213,9 +217,16 @@ def _mean_rule(ctx, g):
     return (np.full(shape, float(g) / size),)
 
 
-def _concat_rule(ctx, g):
-    axis, sizes = ctx
-    return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
+def _stitch_rule(ctx, g):
+    # each block its rows of the window's gradient; a block the window cuts at the top gets
+    # zero rows there, as a slice of it would
+    lo, sizes = ctx
+    grads = []
+    for size in sizes:
+        grads.append(g[lo:lo + size] if lo >= 0 else
+                     np.concatenate([np.zeros((-lo,) + g.shape[1:]), g[:lo + size]]))
+        lo += size
+    return tuple(grads)
 
 
 def _slice_rule(ctx, g):
@@ -406,7 +417,7 @@ def attention_sublayer(tokens: Tensor, q_w: Tensor, q_b: Tensor, k_w: Tensor, k_
     x = tokens.values
     q, k, val = (w.values @ x + b.values for w, b in ((q_w, q_b), (k_w, k_b), (v_w, v_b)))
     scores, qk = _window_scores_values(q, k, V)
-    c = float(1.0 / np.sqrt(x.shape[0]))
+    c = 1.0 / math.sqrt(x.shape[0])
     attn = _softmax_values(scores * c, 1)
     mix, va = _window_mix_values(val, attn, V)
     y, inv = _layer_norm_values(x + (o_w.values @ mix + o_b.values), 0)
@@ -436,20 +447,23 @@ def mean_all(a: Tensor) -> Tensor:
     return _emit(np.mean(a.values), (a,), _mean_rule, (a.values.shape, a.values.size))
 
 
-def concat(tensors: list[Tensor], axis: int = 0) -> Tensor:
-    if not tensors:
-        raise ValueError("concat: empty input list")
-    ndim = tensors[0].values.ndim
-    if not 0 <= axis < ndim:
-        raise ValueError(f"concat: axis {axis} out of range for {ndim}-d tensors")
-    base = list(tensors[0].shape)
-    for t in tensors[1:]:
-        other = list(t.shape)
-        if len(other) != ndim or other[:axis] + other[axis + 1:] != base[:axis] + base[axis + 1:]:
-            raise ValueError(f"concat: incompatible shapes {tensors[0].shape} vs {t.shape}")
-    sizes = [t.shape[axis] for t in tensors]
-    values = np.concatenate([t.values for t in tensors], axis=axis)
-    return _emit(values, tuple(tensors), _concat_rule, (axis, sizes))
+def stitch(rows: np.ndarray, start: int, stop: int, blocks) -> Tensor:
+    """The window ``rows[start:stop]`` of a buffer whose rows up to ``stop`` end with copies of
+    ``blocks``, back to back, as one record with the blocks as inputs.
+
+    The value is a view of ``rows``, not a copy; rows before the blocks are constants. The
+    first block may start above the window, and gets zero gradient rows there. A window that
+    is exactly one block is that block, with no record.
+    """
+    sizes = [block.values.shape[0] for block in blocks]
+    lo = stop - start - sum(sizes)  # the first block's row in the window
+    if not 0 <= start < stop <= rows.shape[0] or sizes and lo + sizes[0] <= 0 \
+            or any(block.values.shape[1:] != rows.shape[1:] for block in blocks):
+        raise ValueError(f"stitch: blocks of {sizes} rows ending at row {stop} do not fit "
+                         f"the window [{start}, {stop}) of {rows.shape} rows")
+    if lo == 0 and len(sizes) == 1:
+        return blocks[0]
+    return _emit(rows[start:stop], tuple(blocks), _stitch_rule, (lo, sizes))
 
 
 def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:

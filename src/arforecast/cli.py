@@ -29,7 +29,7 @@ from .data import (
     write_fresh,
 )
 from .evaluation import evaluate, export_curve, write_report_json
-from .models import KINDS, STD_FLOOR, Dims, NormState, apply_norm, init_forecaster, invert_norm
+from .models import KINDS, STD_FLOOR, Dims, init_forecaster, invert_norm
 from .rollout import RolloutConfig, check_gradients, loss_kink_gap, rollout_predict
 from .training import (
     CheckpointError,
@@ -405,10 +405,8 @@ def cmd_predict(args) -> int:
                           f"input has {dataset.n_variates}")
 
     model = ck.to_forecaster()
-    context = dataset.values[-ck.dims.S:]
     try:
-        state = NormState.from_context(context)
-        blocks = rollout_predict(model, apply_norm(context, state), roll)
+        blocks, state = rollout_predict(model, dataset.values[-ck.dims.S:], roll)
         values = invert_norm(np.concatenate([block.values for block in blocks]), state)
         if not np.isfinite(values).all():
             raise FloatingPointError

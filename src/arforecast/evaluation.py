@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import SeriesDataset, window_iter, write_fresh
-from .models import Forecaster, NormState, apply_norm, invert_norm
+from .models import Forecaster, apply_norm, invert_norm
 from .rollout import RolloutConfig, rollout_predict
 
 _CHUNK_COLUMNS = 4096  # windows x variates per rollout, which bounds memory on long splits
@@ -65,8 +65,7 @@ def evaluate(model: Forecaster, dataset: SeriesDataset, split: str,
         chunk = windows[start:start + per_chunk]
         B = len(chunk)
         context, future = chunk.columns()
-        state = NormState.from_context(context)
-        blocks = rollout_predict(model, apply_norm(context, state), cfg)
+        blocks, state = rollout_predict(model, context, cfg)
         pred = np.concatenate([block.values for block in blocks])
         if raw_scale:
             pred = invert_norm(pred, state)

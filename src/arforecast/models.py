@@ -149,7 +149,8 @@ def forecast(model: Forecaster, context: Tensor) -> Tensor:
         return affine(p["w2"], relu(affine(p["w1"], context, p["b1"])), p["b2"])
     if model.kind == "inverted_attention":
         tokens = affine(p["embed_w"], context, p["embed_b"])
-        x1 = attention_sublayer(tokens, *(p[f"{n}_{wb}"] for n in "qkvo" for wb in "wb"), dims.V)
+        x1 = attention_sublayer(tokens, p["q_w"], p["q_b"], p["k_w"], p["k_b"], p["v_w"],
+                                p["v_b"], p["o_w"], p["o_b"], dims.V)
         x2 = ffn_sublayer(x1, p["ff1_w"], p["ff1_b"], p["ff2_w"], p["ff2_b"])
         return affine(p["proj_w"], x2, p["proj_b"])
     raise ValueError(f"unknown forecaster kind {model.kind!r}")

@@ -22,12 +22,12 @@ from .autodiff import (
     Tape,
     Tensor,
     block_error,
-    concat,
     discounted_loss,
     finite_diff_oracle,
     max_relative_error,
     mean_all,
     slice_axis,
+    stitch,
 )
 from .data import Windows
 from .models import Forecaster, NormState, apply_norm, forecast
@@ -82,40 +82,31 @@ class GradCheckReport:
         return out
 
 
-def rollout_predict(model: Forecaster, context: Tensor, cfg: RolloutConfig) -> list[Tensor]:
-    """Autoregressive n-block rollout; the n (T, width) blocks. Consumes no ground-truth future.
+def rollout_predict(model: Forecaster, context: np.ndarray,
+                    cfg: RolloutConfig) -> tuple[list[Tensor], NormState]:
+    """Autoregressive n-block rollout of a raw (S, width) context; the n (T, width) blocks, on
+    the context's z-scored scale, and that scale's ``NormState``. Reads no ground-truth future.
 
-    Each block's input is the last S rows of the context followed by the
-    blocks before it, entered un-detached so gradients flow through the
-    whole chain; of each forecast, the rows after its first L are the block.
+    The z-scored context fills rows [0, S) of one (S + n T, width) buffer and block k is
+    copied to rows [S + kT, S + (k+1)T), so step k's input is the ``stitch`` window
+    [kT, kT + S): the last S rows of the context and the blocks before it, entered
+    un-detached so gradients flow through the whole chain. Of each forecast, the rows after
+    its first L are the block.
     """
     S, T, L = model.dims.S, model.dims.T, model.dims.L
-    if not isinstance(context, Tensor):
-        context = Tensor(context)
-    if context.values.ndim != 2 or context.shape[0] != S:
+    context = np.asarray(context, dtype=np.float64)
+    if context.ndim != 2 or context.shape[0] != S:
         raise ValueError(f"context must be ({S}, V), got {context.shape}")
-    blocks = []
-    for _ in range(cfg.n):  # at L = 0 the slice is the whole forecast, with no record
-        out = forecast(model, _tail([context] + blocks, S))
-        blocks.append(slice_axis(out, 0, L, L + T))
-    return blocks
-
-
-def _tail(pieces: list[Tensor], rows: int) -> Tensor:
-    """The last ``rows`` rows of the pieces stacked in order.
-
-    Pieces wholly inside the tail enter as they are; only the one the cut
-    falls in is sliced, and a single piece is returned without a concat.
-    """
-    taken = []
-    for piece in reversed(pieces):
-        if rows <= 0:
-            break
-        size = piece.shape[0]
-        taken.append(piece if size <= rows else slice_axis(piece, 0, size - rows, size))
-        rows -= size
-    taken.reverse()
-    return taken[0] if len(taken) == 1 else concat(taken, axis=0)
+    state = NormState.from_context(context)
+    rows = np.empty((S + cfg.n * T, context.shape[1]))
+    rows[:S] = apply_norm(context, state)
+    blocks, reach = [], -(-S // T)  # a window holds parts of at most ceil(S / T) blocks
+    for k in range(cfg.n):  # at L = 0 the slice is the whole forecast, with no record
+        window = stitch(rows, k * T, k * T + S, blocks[-reach:])
+        block = slice_axis(forecast(model, window), 0, L, L + T)
+        rows[S + k * T:S + (k + 1) * T] = block.values
+        blocks.append(block)
+    return blocks, state
 
 
 def loss_magnitude_factor(cfg: RolloutConfig) -> float:
@@ -127,10 +118,11 @@ def ar_loss(model: Forecaster, windows: Windows, cfg: RolloutConfig) -> BlockErr
     """Rollout objective averaged over a batch of windows, each on its own normalized scale.
 
     Each window's context fixes its normalization state. The B contexts
-    are normalized and stacked side by side as the S-by-(B*V) columns of
-    one rollout, so e_k is the (1, B) row of per-window block errors, the
-    penalty applies to it elementwise, and the loss is the mean of the
-    per-window objectives (a batch of one is its own mean).
+    are stacked side by side as the S-by-(B*V) columns of one rollout,
+    which z-scores them and whose ``NormState`` scales the futures, so e_k
+    is the (1, B) row of per-window block errors, the penalty applies to
+    it elementwise, and the loss is the mean of the per-window objectives
+    (a batch of one is its own mean).
     """
     if not len(windows):
         raise ValueError("empty batch of windows")
@@ -142,14 +134,9 @@ def ar_loss(model: Forecaster, windows: Windows, cfg: RolloutConfig) -> BlockErr
     if futures.shape != (B, cfg.n * T, V):
         raise ValueError(f"window future must be ({cfg.n * T}, {V}), got {futures.shape[1:]}")
     context, future = windows.columns()
-    state = NormState.from_context(context)
-    ctx_n = apply_norm(context, state)
+    blocks, state = rollout_predict(model, context, cfg)
     fut_n = apply_norm(future, state)
-
-    errors = [
-        block_error(block, fut_n[k * T:(k + 1) * T], V)
-        for k, block in enumerate(rollout_predict(model, Tensor(ctx_n), cfg))
-    ]
+    errors = [block_error(block, fut_n[k * T:(k + 1) * T], V) for k, block in enumerate(blocks)]
     objective = discounted_loss(errors, cfg.gamma, cfg.beta)
     loss = objective if B == 1 else mean_all(objective)
     raw = np.vstack([e.values for e in errors])

@@ -4,14 +4,19 @@ The engine records only the ops the models and the objective use. These
 rebuild, on the engine's ``_emit`` and its private value helpers and
 rules, the single ops that the fused records replace: elementwise product,
 matrix product, full sum, softmax, layer norm, the two per-window products,
-and a bias-column add. Each computes and differentiates with the floats of
-the single-op form, so a test can compare a fused record with them bit for
-bit. They do no input validation: tests give them valid shapes.
+a bias-column add and concatenation. Each computes and differentiates with
+the floats of the single-op form, so a test can compare a fused record with
+them bit for bit. They do no input validation: tests give them valid shapes.
+
+``rollout_predict`` is the rollout as it stitched each step's input from
+pieces (the context and the blocks, cut with ``slice_axis`` and joined with
+``concat``) before the one-buffer ``stitch`` record replaced it.
 """
 
 import numpy as np
 
 import arforecast.autodiff as ad
+from arforecast.models import NormState, apply_norm, forecast
 
 
 def _mul_rule(ctx, g):
@@ -32,6 +37,11 @@ def _sum_rule(ctx, g):
 def _add_column_rule(ctx, g):
     (width,) = ctx
     return g, g @ np.ones((1, width)).T
+
+
+def _concat_rule(ctx, g):
+    axis, sizes = ctx
+    return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
 
 
 def mul(a, b):
@@ -71,3 +81,38 @@ def window_mix(val, attn, V):
     """Per-window ``val_b @ attn_b.T`` for the (B*V, V) stack ``attn``, as (h, B*V)."""
     out, saved = ad._window_mix_values(val.values, attn.values, V)
     return ad._emit(out, (val, attn), ad._window_mix_rule, saved)
+
+
+def concat(tensors, axis=0):
+    sizes = [t.shape[axis] for t in tensors]
+    values = np.concatenate([t.values for t in tensors], axis=axis)
+    return ad._emit(values, tuple(tensors), _concat_rule, (axis, sizes))
+
+
+def _tail(pieces, rows):
+    """The last ``rows`` rows of the pieces stacked in order.
+
+    Pieces wholly inside the tail enter as they are; only the one the cut
+    falls in is sliced, and a single piece is returned without a concat.
+    """
+    taken = []
+    for piece in reversed(pieces):
+        if rows <= 0:
+            break
+        size = piece.shape[0]
+        taken.append(piece if size <= rows else ad.slice_axis(piece, 0, size - rows, size))
+        rows -= size
+    taken.reverse()
+    return taken[0] if len(taken) == 1 else concat(taken, axis=0)
+
+
+def rollout_predict(model, context, cfg):
+    """(blocks, NormState) of the n-block rollout of the raw context, stitched by ``_tail``."""
+    S, T, L = model.dims.S, model.dims.T, model.dims.L
+    state = NormState.from_context(context)
+    context = ad.Tensor(apply_norm(context, state))
+    blocks = []
+    for _ in range(cfg.n):
+        out = forecast(model, _tail([context] + blocks, S))
+        blocks.append(ad.slice_axis(out, 0, L, L + T))
+    return blocks, state

@@ -12,16 +12,17 @@ from arforecast.autodiff import (
     absolute,
     add,
     affine,
-    concat,
     finite_diff_oracle,
     max_relative_error,
     relu,
     scale,
     slice_axis,
+    stitch,
     stop_gradient,
 )
 from composite_ops import (
     add_column,
+    concat,
     layer_norm,
     matmul,
     mul,
@@ -168,6 +169,30 @@ def test_concat_slice_round_trip_gradients():
         ga, gb = tape.gradient(sum_all(piece), [a, b])
         np.testing.assert_array_equal(ga, [[0.0], [1.0]])
         np.testing.assert_array_equal(gb, [[1.0], [1.0], [0.0]])
+
+
+def test_stitch_hands_each_block_its_window_rows():
+    rows = np.arange(14.0).reshape(7, 2)  # 3 constant rows, then blocks a and b of 2 rows
+    with Tape() as tape:
+        a = Tensor(rows[3:5], requires_grad=True)
+        b = Tensor(rows[5:7], requires_grad=True)
+        window = stitch(rows, 4, 7, [a, b])  # cuts a's first row off
+        assert np.shares_memory(window.values, rows)
+        np.testing.assert_array_equal(window.values, rows[4:7])
+        weights = Tensor(np.arange(1.0, 7.0).reshape(3, 2))
+        ga, gb = tape.gradient(sum_all(mul(window, weights)), [a, b])
+        np.testing.assert_array_equal(ga, [[0.0, 0.0], [1.0, 2.0]])
+        np.testing.assert_array_equal(gb, [[3.0, 4.0], [5.0, 6.0]])
+        count = len(tape.records)
+        assert stitch(rows, 5, 7, [b]) is b  # a window that is one block is that block
+        assert np.shares_memory(stitch(rows, 0, 3, []).values, rows)  # constants: no record
+        assert len(tape.records) == count
+    with pytest.raises(ValueError, match="do not fit"):
+        stitch(rows, 5, 8, [b])  # past the buffer
+    with pytest.raises(ValueError, match="do not fit"):
+        stitch(rows, 5, 7, [a, b])  # a ends where the window starts
+    with pytest.raises(ValueError, match="do not fit"):
+        stitch(rows, 5, 7, [Tensor(np.zeros((2, 3)))])  # not the buffer's width
 
 
 @pytest.mark.parametrize("a,b", [((3, 4), (4, 1)), ((3, 4), (1, 4)), ((3, 4), (3, 2)),

@@ -53,10 +53,10 @@ def test_counted_rule_names_match_the_tape(kind, V, extra):
     # the note spans.py takes on Tape.gradient, stripped to names as its metrics do
     counted = spans._rules((tape,), None)
     names = {rule.__name__.strip("_").removesuffix("_rule") for rule in counted}
-    # layers are affine records (attention's two sublayers one record each), each block's
-    # error is one block_error record and the objective one discounted_loss; at L = 0 no
-    # block is sliced
-    assert names == {"affine", "concat", "block_error", "discounted_loss", "mean", *extra}
+    # layers are affine records (attention's two sublayers one record each), each step's
+    # input window is one stitch record, each block's error is one block_error record and
+    # the objective one discounted_loss; at L = 0 no block is sliced
+    assert names == {"affine", "stitch", "block_error", "discounted_loss", "mean", *extra}
     assert {"concat", "softmax", "layer_norm"} <= set(spans.RULES)
 
 

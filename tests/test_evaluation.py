@@ -20,7 +20,7 @@ from arforecast.evaluation import (
     violation_rate,
     write_report_json,
 )
-from arforecast.models import Dims, NormState, apply_norm, init_forecaster, invert_norm
+from arforecast.models import Dims, apply_norm, init_forecaster, invert_norm
 from arforecast.rollout import RolloutConfig, rollout_predict
 from arforecast.training import TrainConfig, train
 
@@ -114,8 +114,7 @@ def _per_window_reference(model, dataset, split, cfg, raw_scale):
     step_mae = np.zeros(n * T)
     for i, w in enumerate(windows):
         (context,), (future,) = w.contexts, w.futures
-        state = NormState.from_context(context)
-        blocks = rollout_predict(model, apply_norm(context, state), cfg)
+        blocks, state = rollout_predict(model, context, cfg)
         pred = np.vstack([block.values for block in blocks])
         if raw_scale:
             pred = invert_norm(pred, state)

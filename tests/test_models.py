@@ -218,7 +218,7 @@ def _composite_attention_forecast(model, context):
 def _taped_rollout_objective(model, context, future, cfg):
     """(forecast bytes, loss bytes, per-parameter gradient bytes, min_kink_gap, rule names)."""
     with Tape() as tape:
-        blocks = rollout.rollout_predict(model, Tensor(context), cfg)
+        blocks, _ = rollout.rollout_predict(model, context, cfg)
         T = model.dims.T
         errors = [block_error(block, future[k * T:(k + 1) * T], model.dims.V)
                   for k, block in enumerate(blocks)]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from arforecast.autodiff import Tape, Tensor, absolute, mean_all, scale, stop_gradient
 from arforecast.data import Windows, gen_sinusoid, window_iter
-from arforecast.models import Dims, forecast, init_forecaster
+from arforecast.models import Dims, NormState, apply_norm, forecast, init_forecaster
 from arforecast.rollout import (
     RolloutConfig,
     ar_loss,
@@ -18,6 +18,7 @@ from arforecast.rollout import (
     mse_loss,
     rollout_predict,
 )
+import composite_ops
 from composite_ops import matmul, mul
 
 
@@ -42,10 +43,10 @@ def _numpy_linear_rollout(w, b, context, dims, n):
     """Independent n-block rollout oracle for the linear model, in plain numpy.
 
     Returns (blocks, step_inputs); the running sequence starts as the
-    context and grows by one predicted block per step.
+    z-scored context and grows by one predicted block per step.
     """
     S, T, L = dims.S, dims.T, dims.L
-    padded = np.array(context, dtype=np.float64)
+    padded = (context - context.mean(axis=0)) / np.maximum(context.std(axis=0), 1e-5)
     blocks, inputs = [], []
     for k in range(n):
         x = padded[k * T:S + k * T]
@@ -69,11 +70,13 @@ def test_rollout_matches_numpy_oracle(L, n):
     cfg = RolloutConfig(n=n)
     model = init_forecaster("linear", Dims(S=6, T=3, L=L, V=2), seed=13)
     ctx = np.random.default_rng(5).normal(size=(6, 2))
-    got = rollout_predict(model, Tensor(ctx), cfg)
+    got, state = rollout_predict(model, ctx, cfg)
     w = model.params["w"].values
     b = model.params["b"].values
     blocks, _ = _numpy_linear_rollout(w, b, ctx, model.dims, n)
     _assert_blocks_match(got, blocks)
+    np.testing.assert_allclose(state.mean, ctx.mean(axis=0), rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(state.std, ctx.std(axis=0), rtol=1e-12)
 
 
 @st.composite
@@ -93,7 +96,7 @@ def test_rollout_matches_numpy_oracle_over_geometries(geometry, seed):
     model = init_forecaster("linear", dims, seed=seed % 1000)
     ctx = np.random.default_rng(seed).normal(size=(dims.S, dims.V))
     with Tape():
-        got = rollout_predict(model, Tensor(ctx), RolloutConfig(n=n))
+        got, _ = rollout_predict(model, ctx, RolloutConfig(n=n))
     blocks, _ = _numpy_linear_rollout(
         model.params["w"].values, model.params["b"].values, ctx, dims, n)
     _assert_blocks_match(got, blocks)
@@ -107,15 +110,15 @@ def test_third_step_input_is_fully_predicted():
     w, b = model.params["w"].values, model.params["b"].values
     blocks, inputs = _numpy_linear_rollout(w, b, ctx, model.dims, cfg.n)
     np.testing.assert_array_equal(inputs[2], np.vstack(blocks[:2]))
-    _assert_blocks_match(rollout_predict(model, Tensor(ctx), cfg), blocks)
+    _assert_blocks_match(rollout_predict(model, ctx, cfg)[0], blocks)
 
 
 def test_n1_rollout_equals_forecast():
     cfg = RolloutConfig(n=1)
     model = init_forecaster("mlp", Dims(S=6, T=3, L=2, hidden=4), seed=2)
     ctx = np.random.default_rng(1).normal(size=(6, 1))
-    (got,) = rollout_predict(model, Tensor(ctx), cfg)
-    direct = forecast(model, Tensor(ctx))
+    (got,), state = rollout_predict(model, ctx, cfg)
+    direct = forecast(model, Tensor(apply_norm(ctx, state)))
     np.testing.assert_array_equal(got.values, direct.values[2:])
 
 
@@ -126,18 +129,19 @@ def test_copy_last_model_is_a_fixed_point():
     model.params["w"].values[...] = 0.0
     model.params["w"].values[:, -1] = 1.0
     model.params["b"].values[...] = 0.0
-    ctx = np.arange(5.0)[:, None]  # ends in 4.0
+    ctx = np.arange(5.0)[:, None]  # ends in 4.0, which z-scores to sqrt(2)
+    last = apply_norm(ctx, NormState.from_context(ctx))[-1, 0]
     for n in (1, 2, 5):
         cfg = RolloutConfig(n=n)
-        got = rollout_predict(model, Tensor(ctx), cfg)
-        np.testing.assert_array_equal(np.vstack([b.values for b in got]), np.full((2 * n, 1), 4.0))
+        got, _ = rollout_predict(model, ctx, cfg)
+        np.testing.assert_array_equal(np.vstack([b.values for b in got]), np.full((2 * n, 1), last))
 
 
 def test_rollout_shape_errors():
     cfg = RolloutConfig()
     model = init_forecaster("linear", Dims(S=6, T=2), seed=0)
     with pytest.raises(ValueError):
-        rollout_predict(model, Tensor(np.zeros((5, 1))), cfg)
+        rollout_predict(model, np.zeros((5, 1)), cfg)
 
 
 def test_rollout_never_reads_the_future():
@@ -146,9 +150,63 @@ def test_rollout_never_reads_the_future():
     model = init_forecaster("linear", Dims(S=8, T=4), seed=5)
     w = window_iter(ds, "train", 8, 12)[0]
     zeroed = Windows(w.contexts, np.zeros_like(w.futures), w.origins)
-    a, b = ([block.values.tobytes() for block in rollout_predict(model, Tensor(x.contexts[0]), cfg)]
+    a, b = ([block.values.tobytes() for block in rollout_predict(model, x.contexts[0], cfg)[0]]
             for x in (w, zeroed))
     assert a == b
+
+
+@st.composite
+def _stitch_draws(draw):
+    """(kind, Dims, RolloutConfig, windows, seed) over small S, T (S % T != 0 included), L < S."""
+    kind, hidden = draw(st.sampled_from([("linear", 0), ("mlp", 3), ("inverted_attention", 3)]))
+    S, T = draw(st.integers(1, 9)), draw(st.integers(1, 5))
+    dims = Dims(S=S, T=T, L=draw(st.integers(0, S - 1)), V=draw(st.integers(1, 3)), hidden=hidden)
+    return kind, dims, RolloutConfig(n=draw(st.integers(1, 6))), draw(st.integers(1, 4)), \
+        draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_stitch_draws())
+@example(("linear", Dims(S=5, T=2, L=1), RolloutConfig(n=6), 2, 0))  # windows cut a block
+@example(("mlp", Dims(S=4, T=2, hidden=3), RolloutConfig(n=5), 1, 1))  # whole blocks only
+@example(("inverted_attention", Dims(S=2, T=5, V=2, hidden=3), RolloutConfig(n=3), 3, 2))
+@example(("linear", Dims(S=3, T=3, V=2), RolloutConfig(n=4), 2, 3))  # each window one block
+def test_rollout_predict_matches_the_piecewise_stitch(draw):
+    """The one-buffer rollout gives the blocks, state and gradients of the _tail + concat one."""
+    kind, dims, cfg, B, seed = draw
+    rng = np.random.default_rng(seed)
+    model = init_forecaster(kind, dims, seed=seed % 1000)
+    context = rng.normal(size=(dims.S, B * dims.V)) * rng.uniform(0.5, 3.0) + rng.normal()
+    future = rng.normal(size=(cfg.n * dims.T, B * dims.V))
+    params = list(model.params.values())
+
+    def run(rollout):
+        blocks, state = rollout(model, context, cfg)
+        with Tape() as tape:
+            taped, _ = rollout(model, context, cfg)
+            T = dims.T
+            errors = [block_error(block, future[k * T:(k + 1) * T], dims.V)
+                      for k, block in enumerate(taped)]
+            total = errors[0]
+            for e in errors[1:]:
+                total = total + e
+            grads = tape.gradient(mean_all(total), params)
+            records = [(rule.__name__, ctx) for _, _, rule, ctx in tape.records]
+        return ([b.values.tobytes() for b in blocks], state.mean.tobytes(), state.std.tobytes(),
+                [b.values.tobytes() for b in taped], [g.tobytes() for g in grads]), records
+
+    (got, records), (want, want_records) = (run(rollout_predict),
+                                            run(composite_ops.rollout_predict))
+    assert got == want
+    # one stitch record where a window took a concat, a cut block's slice, or both
+    rules, cut = [], False
+    for name, ctx in want_records:
+        if name == "_concat_rule" and cut:
+            cut = False
+            continue
+        cut = name == "_slice_rule" and ctx[0][0] == dims.T  # L-slices cut L + T rows
+        rules.append("_stitch_rule" if cut or name == "_concat_rule" else name)
+    assert [name for name, _ in records] == rules
 
 
 def test_block_error_zero_and_hand_value():
@@ -208,7 +266,7 @@ def test_penalty_gradient_norm_ratio_through_model():
     model = init_forecaster("linear", Dims(S=6, T=2), seed=17)
     ctx = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])[:, None]  # mean 0, pop std 1
 
-    b1, b2 = (block.values for block in rollout_predict(model, Tensor(ctx), cfg))
+    b1, b2 = (block.values for block in rollout_predict(model, ctx, cfg)[0])
 
     def grad_norm_of_penalized_term(future):
         window = _one_window(ctx, future)
@@ -252,7 +310,7 @@ def test_ar_loss_violation_count():
     cfg = RolloutConfig(n=3)
     model = init_forecaster("linear", Dims(S=6, T=2), seed=17)
     ctx = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])[:, None]
-    preview = rollout_predict(model, Tensor(ctx), cfg)
+    preview, _ = rollout_predict(model, ctx, cfg)
     offsets = [1.0, 2.0, 0.5]  # e: 1.0, 4.0, 0.25 -> one increase, one violation
     future = np.vstack([b.values + o for b, o in zip(preview, offsets)])
     blocks = ar_loss(model, _one_window(ctx, future), cfg)
@@ -482,7 +540,7 @@ def _batch_objective(model, context, future, cfg, beta, V, block_error_fn, disco
     T = model.dims.T
     with Tape() as tape:
         errors = [block_error_fn(block, future[k * T:(k + 1) * T], V)
-                  for k, block in enumerate(rollout_predict(model, Tensor(context), cfg))]
+                  for k, block in enumerate(rollout_predict(model, context, cfg)[0])]
         loss = mean_all(discounted_fn(errors, cfg.gamma, beta))
         grad = np.concatenate([g.ravel() for g in tape.gradient(loss, list(model.params.values()))])
         rules = [rule.__name__ for _, _, rule, _ in tape.records]
