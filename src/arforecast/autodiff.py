@@ -47,9 +47,9 @@ def active_tape() -> "Tape | None":
 class Tensor:
     """Dense float64 array, optionally tracked on the active tape.
 
-    Construction copies ``values``. A tensor with ``requires_grad`` becomes
-    a leaf of whichever tape first consumes it, so persistent parameters
-    can be reused across the per-evaluation tapes.
+    Construction copies ``values``; ``Tensor.view`` does not. A tensor with
+    ``requires_grad`` becomes a leaf of whichever tape first consumes it, so
+    persistent parameters can be reused across the per-evaluation tapes.
     """
 
     __slots__ = ("values", "requires_grad", "tape_serial", "node_id")
@@ -59,6 +59,15 @@ class Tensor:
         self.requires_grad = bool(requires_grad)
         self.tape_serial: int | None = None
         self.node_id: int | None = None
+
+    @classmethod
+    def view(cls, values: np.ndarray, requires_grad: bool = False) -> "Tensor":
+        """A tensor over ``values`` itself, without the copy; ``values`` is C-ordered float64."""
+        out = cls.__new__(cls)
+        out.values = values
+        out.requires_grad = requires_grad
+        out.tape_serial = out.node_id = None
+        return out
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -461,9 +470,15 @@ def stitch(rows: np.ndarray, start: int, stop: int, blocks) -> Tensor:
             or any(block.values.shape[1:] != rows.shape[1:] for block in blocks):
         raise ValueError(f"stitch: blocks of {sizes} rows ending at row {stop} do not fit "
                          f"the window [{start}, {stop}) of {rows.shape} rows")
+    return _stitch(rows[start:stop], tuple(blocks), lo, sizes)
+
+
+def _stitch(window: np.ndarray, blocks: tuple[Tensor, ...], lo: int, sizes: list[int]) -> Tensor:
+    """``stitch``'s record, unchecked: ``window`` is the rows, ``lo`` the first block's row in
+    it and ``sizes`` the blocks' row counts, which the caller has made fit."""
     if lo == 0 and len(sizes) == 1:
         return blocks[0]
-    return _emit(rows[start:stop], tuple(blocks), _stitch_rule, (lo, sizes))
+    return _emit(window, blocks, _stitch_rule, (lo, sizes))
 
 
 def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:

@@ -106,6 +106,9 @@ SCHEMA = (
 
 _SECTION_KEYS = {section: {row[1] for row in SCHEMA if row[0] == section}
                  for section in dict.fromkeys(row[0] for row in SCHEMA)}
+# each source's (section, key, parser, default) rows, in SCHEMA order
+_SOURCE_SCHEMA = {source: tuple(row[:4] for row in SCHEMA if source in row[4])
+                  for source in SOURCES}
 _REQUIRED_SECTIONS = tuple(dict.fromkeys(row[0] for row in SCHEMA if row[3] is MISSING))
 
 
@@ -121,12 +124,10 @@ def _read_plain_ini(text: str, source: str = "<string>") -> dict[str, dict[str, 
         stripped = line.strip()
         if not stripped or stripped[0] in "#;":
             continue
-        name = stripped[1:-1]
-        eq = stripped.find("=")
-        key = stripped[:eq].rstrip().lower()
         if line[0].isspace():
             problem = "is indented; continuation lines are not read"
         elif stripped[0] == "[":
+            name = stripped[1:-1]
             if stripped[-1] != "]" or not name or "[" in name or "]" in name:
                 problem = "is not a '[section]' header"
             elif name in sections:
@@ -138,13 +139,16 @@ def _read_plain_ini(text: str, source: str = "<string>") -> dict[str, dict[str, 
                 continue
         elif items is None:
             problem = "comes before any '[section]' header"
-        elif eq < 1 or ":" in key:
-            problem = "is not a 'key = value' line"
-        elif key in items:
-            problem = "repeats a key of its section"
         else:
-            items[key] = stripped[eq + 1:].strip()
-            continue
+            eq = stripped.find("=")
+            key = stripped[:eq].rstrip().lower()
+            if eq < 1 or ":" in key:
+                problem = "is not a 'key = value' line"
+            elif key in items:
+                problem = "repeats a key of its section"
+            else:
+                items[key] = stripped[eq + 1:].strip()
+                continue
         raise ConfigError(f"{source}, line {number}: {stripped!r} {problem}")
     return sections
 
@@ -197,11 +201,10 @@ class RunConfig:
 
         self.source = _parse("dataset", "source", str, MISSING, raw["dataset"].get("source"))
         _one_of("dataset", "source", self.source, SOURCES)
-        self.values: dict[str, dict] = {}
-        for section, key, parse, default, sources in SCHEMA:
-            if self.source in sources:
-                self.values.setdefault(section, {})[key] = \
-                    _parse(section, key, parse, default, raw.get(section, {}).get(key))
+        self.values: dict[str, dict] = {section: {} for section in _SECTION_KEYS}
+        for section, key, parse, default in _SOURCE_SCHEMA[self.source]:
+            self.values[section][key] = \
+                _parse(section, key, parse, default, raw.get(section, {}).get(key))
         if seed_override is not None:
             self.values["train"]["seed"] = seed_override
         if out_override:
@@ -234,8 +237,9 @@ class RunConfig:
         self.out_dir = self.values["output"]["dir"]
         if self.out_dir is None:
             raise ConfigError("[output] missing key 'dir' (or pass --out)")
-        if {"\n", "\r"} & set(str(self.out_dir)):  # config_resolved.ini holds it on one line
-            raise ConfigError(f"[output] dir must be one line, got {str(self.out_dir)!r}")
+        out = str(self.out_dir)
+        if "\n" in out or "\r" in out:  # config_resolved.ini holds it on one line
+            raise ConfigError(f"[output] dir must be one line, got {out!r}")
 
     def build_dataset(self, S: int) -> SeriesDataset:
         """The configured series, refused if z-scoring its S-row contexts could overflow."""
@@ -291,9 +295,9 @@ class RunConfig:
     def write_resolved(self) -> None:
         """Write the keys that apply, defaults filled in, as the plain INI the reader takes."""
         sections: dict[str, list[str]] = {}
-        for section, key, parse, _, sources in SCHEMA:
-            value = self.values[section].get(key)
-            if self.source in sources and value is not None:
+        for section, key, parse, _ in _SOURCE_SCHEMA[self.source]:
+            value = self.values[section][key]
+            if value is not None:
                 text = _FORMATS.get(parse, str)(value)
                 sections.setdefault(section, []).append(f"{key} = {text}\n")
         _write_out(self.out_dir / "config_resolved.ini", "".join(

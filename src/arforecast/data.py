@@ -70,7 +70,9 @@ class SeriesDataset:
             columns = [f"var{i}" for i in range(v)]
         if len(columns) != v:
             raise ValueError(f"{len(columns)} column names for {v} variates")
-        if len(ratios) != 3 or any(r < 0 for r in ratios) or not np.isclose(sum(ratios), 1.0):
+        # np.isclose(sum, 1.0)'s test |sum - 1| <= atol + rtol * 1, without its array wrapping
+        if len(ratios) != 3 or any(r < 0 for r in ratios) \
+                or not abs(sum(ratios) - 1.0) <= 1e-08 + 1e-05:
             raise ValueError(f"split ratios must be 3 nonnegative values summing to 1, got {ratios}")
         n_train = int(n * ratios[0])
         n_val = int(n * ratios[1])

@@ -12,6 +12,7 @@ each window's group of V columns.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -75,30 +76,25 @@ class Forecaster:
         return self.flat.size
 
 
-def _param_shapes(kind: str, dims: Dims) -> list[tuple[str, tuple[int, int], int]]:
-    """(name, shape, fan_in) triples, in initialization/serialization order."""
-    if kind in ("mlp", "inverted_attention") and dims.hidden < 1:
-        raise ValueError(f"{kind} requires hidden >= 1, got {dims.hidden}")
-    out = dims.out_len
+def _param_shapes(kind: str, dims: Dims) -> tuple[tuple[str, tuple[int, int], int], ...]:
+    """(name, shape, fan_in) triples, in initialization/serialization order; one immutable
+    tuple per (kind, S, L + T, hidden), worked out once."""
+    return _shapes(kind, dims.S, dims.out_len, dims.hidden)
+
+
+@functools.lru_cache(maxsize=64, typed=True)  # typed: an int dim never gets another type's shapes
+def _shapes(kind: str, S: int, out: int, h: int) -> tuple[tuple[str, tuple[int, int], int], ...]:
+    if kind in ("mlp", "inverted_attention") and h < 1:
+        raise ValueError(f"{kind} requires hidden >= 1, got {h}")
     if kind == "linear":
-        return [("w", (out, dims.S), dims.S), ("b", (out, 1), dims.S)]
+        return ("w", (out, S), S), ("b", (out, 1), S)
     if kind == "mlp":
-        h = dims.hidden
-        return [
-            ("w1", (h, dims.S), dims.S),
-            ("b1", (h, 1), dims.S),
-            ("w2", (out, h), h),
-            ("b2", (out, 1), h),
-        ]
+        return ("w1", (h, S), S), ("b1", (h, 1), S), ("w2", (out, h), h), ("b2", (out, 1), h)
     if kind == "inverted_attention":
-        h = dims.hidden
-        shapes = [("embed_w", (h, dims.S), dims.S), ("embed_b", (h, 1), dims.S)]
+        shapes = [("embed_w", (h, S), S), ("embed_b", (h, 1), S)]
         for name in ("q", "k", "v", "o", "ff1", "ff2"):
-            shapes.append((f"{name}_w", (h, h), h))
-            shapes.append((f"{name}_b", (h, 1), h))
-        shapes.append(("proj_w", (out, h), h))
-        shapes.append(("proj_b", (out, 1), h))
-        return shapes
+            shapes += [(f"{name}_w", (h, h), h), (f"{name}_b", (h, 1), h)]
+        return (*shapes, ("proj_w", (out, h), h), ("proj_b", (out, 1), h))
     raise ValueError(f"unknown forecaster kind {kind!r}")
 
 
@@ -107,7 +103,8 @@ def param_count(kind: str, dims: Dims) -> int:
 
 
 def build_forecaster(kind: str, dims: Dims, flat) -> Forecaster:
-    """A model over a float64 copy of the parameter vector ``flat``, in _param_shapes order."""
+    """A model over a float64 copy of the parameter vector ``flat``, in _param_shapes order;
+    each parameter tensor is a view of that copy."""
     flat, count = np.array(flat, dtype=np.float64), param_count(kind, dims)
     if flat.shape != (count,):
         raise ValueError(f"a {kind} model of {dims} takes a vector of {count} parameters, "
@@ -115,8 +112,7 @@ def build_forecaster(kind: str, dims: Dims, flat) -> Forecaster:
     params, offset = {}, 0
     for name, shape, _ in _param_shapes(kind, dims):
         size = math.prod(shape)
-        params[name] = tensor = Tensor(0.0, requires_grad=True)
-        tensor.values = flat[offset:offset + size].reshape(shape)
+        params[name] = Tensor.view(flat[offset:offset + size].reshape(shape), requires_grad=True)
         offset += size
     return Forecaster(kind=kind, dims=dims, params=params, flat=flat)
 

@@ -21,13 +21,13 @@ import numpy as np
 from .autodiff import (
     Tape,
     Tensor,
+    _stitch,
     block_error,
     discounted_loss,
     finite_diff_oracle,
     max_relative_error,
     mean_all,
     slice_axis,
-    stitch,
 )
 from .data import Windows
 from .models import Forecaster, NormState, apply_norm, forecast
@@ -91,7 +91,9 @@ def rollout_predict(model: Forecaster, context: np.ndarray,
     copied to rows [S + kT, S + (k+1)T), so step k's input is the ``stitch`` window
     [kT, kT + S): the last S rows of the context and the blocks before it, entered
     un-detached so gradients flow through the whole chain. Of each forecast, the rows after
-    its first L are the block.
+    its first L are the block. The context is checked once, here; ``Dims`` and
+    ``RolloutConfig`` have checked S, T, L and n, so every window fits by construction and
+    skips ``stitch``'s checks.
     """
     S, T, L = model.dims.S, model.dims.T, model.dims.L
     context = np.asarray(context, dtype=np.float64)
@@ -101,9 +103,11 @@ def rollout_predict(model: Forecaster, context: np.ndarray,
     rows = np.empty((S + cfg.n * T, context.shape[1]))
     rows[:S] = apply_norm(context, state)
     blocks, reach = [], -(-S // T)  # a window holds parts of at most ceil(S / T) blocks
-    for k in range(cfg.n):  # at L = 0 the slice is the whole forecast, with no record
-        window = stitch(rows, k * T, k * T + S, blocks[-reach:])
-        block = slice_axis(forecast(model, window), 0, L, L + T)
+    for k in range(cfg.n):
+        used = tuple(blocks[-reach:])
+        out = forecast(model, _stitch(rows[k * T:k * T + S], used, S - len(used) * T,
+                                      [T] * len(used)))
+        block = out if L == 0 else slice_axis(out, 0, L, L + T)
         rows[S + k * T:S + (k + 1) * T] = block.values
         blocks.append(block)
     return blocks, state

@@ -11,6 +11,9 @@ them bit for bit. They do no input validation: tests give them valid shapes.
 ``rollout_predict`` is the rollout as it stitched each step's input from
 pieces (the context and the blocks, cut with ``slice_axis`` and joined with
 ``concat``) before the one-buffer ``stitch`` record replaced it.
+``checked_rollout_predict`` is the one-buffer rollout with every step's
+window taken through the public, checked ``stitch`` and every block through
+``slice_axis``, as it was before its steps skipped those checks.
 """
 
 import numpy as np
@@ -115,4 +118,19 @@ def rollout_predict(model, context, cfg):
     for _ in range(cfg.n):
         out = forecast(model, _tail([context] + blocks, S))
         blocks.append(ad.slice_axis(out, 0, L, L + T))
+    return blocks, state
+
+
+def checked_rollout_predict(model, context, cfg):
+    """(blocks, NormState) of the one-buffer rollout, each window a checked ``stitch``."""
+    S, T, L = model.dims.S, model.dims.T, model.dims.L
+    state = NormState.from_context(context)
+    rows = np.empty((S + cfg.n * T, context.shape[1]))
+    rows[:S] = apply_norm(context, state)
+    blocks, reach = [], -(-S // T)
+    for k in range(cfg.n):
+        window = ad.stitch(rows, k * T, k * T + S, blocks[-reach:])
+        block = ad.slice_axis(forecast(model, window), 0, L, L + T)
+        rows[S + k * T:S + (k + 1) * T] = block.values
+        blocks.append(block)
     return blocks, state

@@ -100,14 +100,22 @@ def test_resolved_config_echoes_defaults_and_overrides(tmp_path):
     assert "patience = 5" in resolved
 
 
-def _train_checkpoint(tmp_path):
-    cfg = write_config(tmp_path / "run.ini", tmp_path / "out")
-    assert main(["train", "--config", str(cfg)]) == 0
-    return cfg, tmp_path / "out" / "checkpoint.arpt"
+@pytest.fixture(scope="module")
+def trained_checkpoint(tmp_path_factory):
+    """A checkpoint trained once on BASE, shared by the tests that only read it."""
+    home = tmp_path_factory.mktemp("trained")
+    assert main(["train", "--config", str(write_config(home / "run.ini", home / "out"))]) == 0
+    return home / "out" / "checkpoint.arpt"
 
 
-def test_eval_horizon_multiple(tmp_path):
-    cfg, ck = _train_checkpoint(tmp_path)
+@pytest.fixture
+def trained(tmp_path, trained_checkpoint):
+    """BASE's config, with its outputs under this test's tmp_path, and the shared checkpoint."""
+    return write_config(tmp_path / "run.ini", tmp_path / "out"), trained_checkpoint
+
+
+def test_eval_horizon_multiple(tmp_path, trained):
+    cfg, ck = trained
     out = tmp_path / "eval"
     assert main(["eval", "--config", str(cfg), "--checkpoint", str(ck),
                  "--horizon", "16", "--out", str(out)]) == 0
@@ -117,8 +125,8 @@ def test_eval_horizon_multiple(tmp_path):
     assert (out / "config_resolved.ini").exists()
 
 
-def test_eval_horizon_not_multiple(tmp_path, capsys):
-    cfg, ck = _train_checkpoint(tmp_path)
+def test_eval_horizon_not_multiple(tmp_path, capsys, trained):
+    cfg, ck = trained
     assert main(["eval", "--config", str(cfg), "--checkpoint", str(ck),
                  "--horizon", "10", "--out", str(tmp_path / "eval")]) == 2
     assert "multiple" in capsys.readouterr().err
@@ -141,8 +149,9 @@ def test_eval_suggests_next_block_multiple(tmp_path, capsys):
     ("t", "2", "s = 12, t = 2, l = 0"),
     ("l", "1", "s = 12, t = 4, l = 1"),
 ])
-def test_eval_with_another_rollout_geometry_exits_2(tmp_path, capsys, key, value, geometry):
-    _, ck = _train_checkpoint(tmp_path)
+def test_eval_with_another_rollout_geometry_exits_2(tmp_path, capsys, key, value, geometry,
+                                                    trained):
+    _, ck = trained
     cfg = write_config(tmp_path / "other.ini", tmp_path / "eval", {"rollout": {key: value}})
     assert main(["eval", "--config", str(cfg), "--checkpoint", str(ck), "--horizon", "8"]) == 2
     err = capsys.readouterr().err
@@ -155,8 +164,8 @@ def test_eval_with_another_rollout_geometry_exits_2(tmp_path, capsys, key, value
     ({"kind": "mlp", "hidden": "7"}, "kind = mlp, hidden = 7"),
     ({"hidden": "3"}, "kind = linear, hidden = 3"),
 ])
-def test_eval_with_another_model_exits_2(tmp_path, capsys, model, shown):
-    _, ck = _train_checkpoint(tmp_path)
+def test_eval_with_another_model_exits_2(tmp_path, capsys, model, shown, trained):
+    _, ck = trained
     cfg = write_config(tmp_path / "other.ini", tmp_path / "eval", {"model": model})
     assert main(["eval", "--config", str(cfg), "--checkpoint", str(ck), "--horizon", "8"]) == 2
     assert capsys.readouterr().err == (f"error: [model] {shown} do not match the checkpoint's "
@@ -164,8 +173,8 @@ def test_eval_with_another_model_exits_2(tmp_path, capsys, model, shown):
     assert not (tmp_path / "eval").exists()
 
 
-def test_eval_ignores_the_config_objective_weights_and_block_count(tmp_path):
-    _, ck = _train_checkpoint(tmp_path)
+def test_eval_ignores_the_config_objective_weights_and_block_count(tmp_path, trained):
+    _, ck = trained
     cfg = write_config(tmp_path / "other.ini", tmp_path / "eval",
                        {"rollout": {"n": "5", "gamma": "0.9", "beta": "0.3"}})
     assert main(["eval", "--config", str(cfg), "--checkpoint", str(ck), "--horizon", "8"]) == 0
@@ -662,9 +671,9 @@ def test_context_too_long_for_the_train_split_prints_one_stderr_line(tmp_path, c
     assert not (tmp_path / "out").exists()
 
 
-def test_test_split_too_short_for_eval_prints_one_stderr_line(tmp_path):
+def test_test_split_too_short_for_eval_prints_one_stderr_line(tmp_path, trained):
     # 60 rows split 70/10/20 leave 12 test rows; S=12 plus horizon 8 needs 20
-    _, ck = _train_checkpoint(tmp_path)
+    _, ck = trained
     cfg = write_config(tmp_path / "short.ini", tmp_path / "eval", {"dataset": {"length": "60"}})
     proc = _cli("eval", "--config", cfg, "--checkpoint", ck, "--horizon", "8")
     assert proc.returncode == 2
@@ -709,8 +718,8 @@ def test_amplitude_whose_z_score_overflows_prints_one_stderr_line(tmp_path, ampl
     assert not (tmp_path / "out").exists()
 
 
-def test_csv_whose_z_score_overflows_exits_2_for_eval(tmp_path, capsys):
-    cfg, ck = _train_checkpoint(tmp_path)
+def test_csv_whose_z_score_overflows_exits_2_for_eval(tmp_path, capsys, trained):
+    cfg, ck = trained
     data = tmp_path / "huge.csv"
     data.write_text("a\n" + "".join(f"{(-1) ** i * 1e200!r}\n" for i in range(400)))
     cfg = write_config(tmp_path / "huge.ini", tmp_path / "eval",
@@ -743,8 +752,8 @@ def test_large_but_z_scorable_amplitude_still_trains(tmp_path):
     assert main(["train", "--config", str(cfg)]) == 0
 
 
-def test_predict_and_eval_create_a_missing_nested_out_dir(tmp_path):
-    cfg, ck = _train_checkpoint(tmp_path)
+def test_predict_and_eval_create_a_missing_nested_out_dir(tmp_path, trained):
+    cfg, ck = trained
     out = tmp_path / "a" / "b" / "eval"
     assert main(["eval", "--config", str(cfg), "--checkpoint", str(ck),
                  "--horizon", "8", "--out", str(out)]) == 0
@@ -758,8 +767,9 @@ def test_predict_and_eval_create_a_missing_nested_out_dir(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["eval", "predict"])
-def test_out_naming_a_regular_file_exits_1_and_writes_nothing(tmp_path, capsys, command):
-    cfg, ck = _train_checkpoint(tmp_path)
+def test_out_naming_a_regular_file_exits_1_and_writes_nothing(tmp_path, capsys, command,
+                                                              trained):
+    cfg, ck = trained
     blocker = tmp_path / "blocker"
     blocker.write_text("keep\n")
     if command == "eval":

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arforecast.data import (
@@ -118,6 +118,30 @@ def test_split_bounds_disjoint_and_ordered():
     ds = gen_sinusoid(1000, noise_std=0.1)
     tr, va, te = ds.splits["train"], ds.splits["val"], ds.splits["test"]
     assert tr == (0, 700) and va == (700, 800) and te == (800, 1000)
+
+
+_NEAR_ONE_RATIOS = st.tuples(  # two ratios, and a third that takes their sum to 1 +- 3e-5
+    st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(-3e-5, 3e-5),
+).map(lambda t: [t[0], t[1], 1.0 - t[0] - t[1] + t[2]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(ratios=_NEAR_ONE_RATIOS, where=st.integers(0, 2),
+       odd=st.sampled_from([None, None, float("nan"), float("inf"), -float("inf")]))
+@example(ratios=[0.5, 0.25, 0.25 + 1.0005e-5], where=0, odd=None)  # inside atol + rtol only
+@example(ratios=[0.5, 0.25, 0.25 - 1.0005e-5], where=0, odd=None)
+@example(ratios=[0.5, 0.25, 0.25 + 1.0015e-5], where=0, odd=None)  # just outside
+def test_split_ratios_pass_exactly_when_np_isclose_sums_them_to_1(ratios, where, odd):
+    if odd is not None:
+        ratios[where] = odd
+    ratios = tuple(ratios)
+    message = f"split ratios must be 3 nonnegative values summing to 1, got {ratios}"
+    if all(r >= 0 for r in ratios if r == r) and np.isclose(sum(ratios), 1.0):
+        assert SeriesDataset.from_values("r", np.zeros(10), ratios=ratios).values.shape == (10, 1)
+    else:
+        with pytest.raises(ValueError) as exc:
+            SeriesDataset.from_values("r", np.zeros(10), ratios=ratios)
+        assert str(exc.value) == message
 
 
 def test_load_csv_plain(tmp_path):

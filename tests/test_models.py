@@ -23,6 +23,7 @@ from arforecast.autodiff import (
 from arforecast.models import (
     Dims,
     NormState,
+    _param_shapes,
     apply_norm,
     build_forecaster,
     forecast,
@@ -57,6 +58,39 @@ def test_build_forecaster_rejects_a_vector_of_the_wrong_size():
     model = build_forecaster("linear", Dims(S=4, T=2), np.arange(10.0))
     assert model.flat.tobytes() == np.arange(10.0).tobytes()
     assert model.params["b"].values.ravel().tolist() == [8.0, 9.0]
+
+
+@pytest.mark.parametrize("kind,dims", [
+    ("linear", Dims(S=4, T=2, L=1)),
+    ("mlp", Dims(S=5, T=3, V=2, hidden=4)),
+    ("inverted_attention", Dims(S=6, T=2, L=2, V=3, hidden=3)),
+])
+def test_built_parameters_are_untracked_views_of_flat(kind, dims):
+    model = build_forecaster(kind, dims, np.arange(param_count(kind, dims), dtype=np.float64))
+    shapes = _param_shapes(kind, dims)
+    assert [name for name, _, _ in shapes] == list(model.params)
+    for (_, shape, _), tensor in zip(shapes, model.params.values()):
+        assert tensor.shape == shape and np.shares_memory(tensor.values, model.flat)
+        assert tensor.values.dtype == np.float64 and tensor.values.flags.c_contiguous
+        assert tensor.requires_grad is True
+        assert tensor.tape_serial is None and tensor.node_id is None
+    fresh = np.linspace(-1.0, 1.0, model.param_count)
+    model.set_param_vector(fresh)
+    assert np.concatenate([t.values.ravel() for t in model.params.values()]).tobytes() \
+        == fresh.tobytes()
+
+
+def test_param_shapes_hands_out_only_tuples():
+    for kind, hidden in [("linear", 0), ("mlp", 3), ("inverted_attention", 3)]:
+        shapes = _param_shapes(kind, Dims(S=5, T=2, V=1, hidden=hidden))
+        assert type(shapes) is tuple
+        assert all(type(entry) is tuple and type(entry[1]) is tuple for entry in shapes)
+        # the same cached tuple for any V, which no caller can change for another model
+        assert _param_shapes(kind, Dims(S=5, T=2, V=4, hidden=hidden)) is shapes
+    with pytest.raises(ValueError, match="hidden >= 1"):
+        _param_shapes("mlp", Dims(S=5, T=2))
+    with pytest.raises(ValueError, match="unknown forecaster kind"):
+        _param_shapes("nope", Dims(S=5, T=2))
 
 
 def test_init_determinism():

@@ -209,6 +209,40 @@ def test_rollout_predict_matches_the_piecewise_stitch(draw):
     assert [name for name, _ in records] == rules
 
 
+def _same_saved(a, b) -> bool:
+    """Two records' saved contexts hold equal values of the same types, arrays compared whole."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return type(a) is type(b) and a.shape == b.shape and np.array_equal(a, b)
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same_saved, a, b))
+    return type(a) is type(b) and a == b
+
+
+@settings(max_examples=100, deadline=None)
+@given(_stitch_draws())
+@example(("linear", Dims(S=5, T=2, L=1), RolloutConfig(n=6), 2, 0))  # windows cut a block
+@example(("mlp", Dims(S=7, T=3, L=2, hidden=3), RolloutConfig(n=5), 1, 1))
+@example(("inverted_attention", Dims(S=5, T=2, L=3, V=2, hidden=3), RolloutConfig(n=4), 2, 2))
+def test_rollout_predict_records_what_the_checked_stitch_records(draw):
+    """Taking each step's window through stitch's unchecked core, and at L = 0 each forecast as
+    its block, leaves the tape as the checked per-step stitch writes it, record for record."""
+    kind, dims, cfg, B, seed = draw
+    rng = np.random.default_rng(seed)
+    model = init_forecaster(kind, dims, seed=seed % 1000)
+    context = rng.normal(size=(dims.S, B * dims.V))
+    tapes = []
+    for rollout in (rollout_predict, composite_ops.checked_rollout_predict):
+        with Tape() as tape:
+            blocks, _ = rollout(model, context, cfg)
+        tapes.append((tape.records, [(b.node_id, b.values.tobytes()) for b in blocks]))
+    (got, got_blocks), (want, want_blocks) = tapes
+    assert got_blocks == want_blocks
+    assert len(got) == len(want)
+    for (out, ids, rule, ctx), (want_out, want_ids, want_rule, want_ctx) in zip(got, want):
+        assert (out, ids, rule) == (want_out, want_ids, want_rule)
+        assert _same_saved(ctx, want_ctx), rule.__name__
+
+
 def test_block_error_zero_and_hand_value():
     pred = Tensor([[1.0], [2.0]])
     assert block_error(pred, pred).item() == 0.0
