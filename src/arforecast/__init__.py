@@ -15,7 +15,7 @@ from .autodiff import (
     sub,
 )
 from .data import SeriesDataset, Windows, gen_ar_process, gen_sinusoid, load_csv, window_iter
-from .evaluation import EvalReport, compare, evaluate, export_curve, write_report_json
+from .evaluation import EvalReport, evaluate, export_curve, write_report_json
 from .models import (
     Dims,
     Forecaster,

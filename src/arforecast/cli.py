@@ -210,18 +210,6 @@ class RunConfig:
         if out_override:
             self.values["output"]["dir"] = Path(out_override)
 
-        ds = self.values["dataset"]
-        split = ds["split"]
-        if len(split) != 3 or any(r < 0 for r in split) or abs(sum(split) - 1.0) > 1e-9:
-            raise ConfigError(f"[dataset] split must be 3 nonnegative ratios summing to 1, "
-                              f"got {split}")
-        if self.source == "csv":
-            if not ds["path"].exists():
-                raise ConfigError(f"[dataset] path: no such file {ds['path']}")
-        else:
-            for key in ("length", "variates"):
-                if ds[key] < 1:
-                    raise ConfigError(f"[dataset] {key} must be >= 1, got {ds[key]}")
         self.kind = self.values["model"]["kind"]
         _one_of("model", "kind", self.kind, KINDS)
         ro = self.values["rollout"]
@@ -249,12 +237,7 @@ class RunConfig:
                 dataset = load_csv(ds["path"], has_header=ds["has_header"],
                                    time_column=ds["time_column"], ratios=ds["split"])
             elif self.source == "sinusoid":
-                periods = ds["periods"]
-                if len(periods) == 1:
-                    periods = periods * ds["variates"]
-                if len(periods) != ds["variates"]:
-                    raise ValueError(f"{len(periods)} periods for {ds['variates']} variates")
-                dataset = gen_sinusoid(ds["length"], V=ds["variates"], periods=periods,
+                dataset = gen_sinusoid(ds["length"], V=ds["variates"], periods=ds["periods"],
                                        amplitude=ds["amplitude"], noise_std=ds["noise_std"],
                                        seed=ds["seed"], ratios=ds["split"])
             else:

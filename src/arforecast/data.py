@@ -61,8 +61,8 @@ class SeriesDataset:
         values = np.asarray(values, dtype=np.float64)
         if values.ndim == 1:
             values = values[:, None]
-        if values.ndim != 2 or values.shape[0] < 1:
-            raise ValueError(f"series values must be (N, V) with N >= 1, got {values.shape}")
+        if values.ndim != 2 or 0 in values.shape:
+            raise ValueError(f"series values must be (N, V) with N, V >= 1, got {values.shape}")
         if not np.isfinite(values).all():
             raise ValueError(f"{name}: series values must be finite")
         n, v = values.shape
@@ -98,8 +98,12 @@ def gen_sinusoid(length, V=1, periods=24.0, amplitude=1.0, noise_std=0.0, seed=0
     """amplitude * sin(2*pi*t / period_v) plus seeded Gaussian noise."""
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
+    if V < 1:
+        raise ValueError(f"variates must be >= 1, got {V}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    if np.size(periods) not in (1, V):
+        raise ValueError(f"{np.size(periods)} periods for {V} variates")
     periods = np.broadcast_to(np.asarray(periods, dtype=np.float64), (V,))
     if not np.all((0 < periods) & (periods < np.inf)):
         raise ValueError(f"periods must be positive and finite, got {periods.tolist()}")
@@ -108,7 +112,8 @@ def gen_sinusoid(length, V=1, periods=24.0, amplitude=1.0, noise_std=0.0, seed=0
     if not np.isfinite(amplitude):
         raise ValueError(f"amplitude must be finite, got {amplitude}")
     t = np.arange(length, dtype=np.float64)[:, None]
-    values = amplitude * np.sin(2.0 * np.pi * t / periods[None, :])
+    with np.errstate(over="ignore", invalid="ignore"):  # a tiny period's inf is refused below
+        values = amplitude * np.sin(2.0 * np.pi * t / periods[None, :])
     if noise_std > 0:
         rng = np.random.Generator(np.random.Philox(seed))
         values = values + rng.normal(0.0, noise_std, size=values.shape)
@@ -129,6 +134,8 @@ def gen_ar_process(length, V=1, coeffs=(0.9,), noise_std=1.0, seed=0,
     """AR(p) process from zero initial state, first 10*p samples discarded as burn-in."""
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
+    if V < 1:
+        raise ValueError(f"variates must be >= 1, got {V}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if noise_std < 0 or noise_std == np.inf:  # a NaN noise gives a NaN series, refused below

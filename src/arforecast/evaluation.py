@@ -95,44 +95,6 @@ def evaluate(model: Forecaster, dataset: SeriesDataset, split: str,
     )
 
 
-def compare(reports: list[tuple[str, EvalReport]]) -> list[dict]:
-    """Align named reports block by block against the first (baseline) entry."""
-    if not reports:
-        raise ValueError("compare: empty report list")
-    base_name, base = reports[0]
-    for name, rep in reports[1:]:
-        if len(rep.per_block) != len(base.per_block) or rep.block_length != base.block_length:
-            raise ValueError(
-                f"compare: horizon mismatch between {base_name!r} and {name!r}"
-            )
-    rows = []
-    labels = [f"block_{k + 1}" for k in range(len(base.per_block))] + ["cumulative"]
-    for idx, label in enumerate(labels):
-        pick = (lambda r: r.cumulative) if label == "cumulative" else (lambda r: r.per_block[idx])
-        base_mse, _ = pick(base)
-        row = {"label": label, "mse": {}, "mae": {}, "mse_delta": {}, "mse_rel_reduction": {}}
-        for name, rep in reports:
-            mse, mae = pick(rep)
-            row["mse"][name] = mse
-            row["mae"][name] = mae
-            row["mse_delta"][name] = mse - base_mse
-            row["mse_rel_reduction"][name] = (base_mse - mse) / base_mse if base_mse else 0.0
-        rows.append(row)
-    return rows
-
-
-def format_comparison(rows: list[dict]) -> str:
-    names = list(rows[0]["mse"].keys())
-    header = ["label"] + [f"mse[{n}]" for n in names] + [f"rel_red[{n}]" for n in names[1:]]
-    lines = ["  ".join(f"{h:>16}" for h in header)]
-    for row in rows:
-        cells = [row["label"]]
-        cells += [f"{row['mse'][n]:.6f}" for n in names]
-        cells += [f"{100 * row['mse_rel_reduction'][n]:+.1f}%" for n in names[1:]]
-        lines.append("  ".join(f"{c:>16}" for c in cells))
-    return "\n".join(lines)
-
-
 def report_to_dict(report: EvalReport) -> dict:
     return {
         "per_block": [{"mse": mse, "mae": mae} for mse, mae in report.per_block],

@@ -4,10 +4,13 @@ import configparser
 import contextlib
 import io
 import json
+import os
+import re
 import struct
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -17,8 +20,10 @@ from hypothesis import strategies as st
 
 import arforecast.autodiff as autodiff
 from arforecast.cli import (
+    SCHEMA,
     ConfigError,
     RunConfig,
+    _float_list,
     _parse_plain,
     _read_plain_ini,
     build_parsers,
@@ -81,7 +86,26 @@ def test_train_missing_csv_path(tmp_path, capsys):
     cfg = write_config(tmp_path / "run.ini", tmp_path / "out",
                        {"dataset": {"source": "csv", "path": str(tmp_path / "nope.csv")}})
     assert main(["train", "--config", str(cfg)]) == 2
-    assert "path" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: [dataset] no such file: {tmp_path / 'nope.csv'}\n"
+
+
+def test_csv_holding_only_its_time_column_exits_2(tmp_path, capsys):
+    csv = tmp_path / "dates.csv"
+    csv.write_text("date\n" + "".join(f"{i}\n" for i in range(200)))
+    cfg = write_config(tmp_path / "run.ini", tmp_path / "out", {"dataset": {
+        "source": "csv", "path": str(csv), "time_column": "date"}})
+    assert main(["train", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: [dataset] series values must be (N, V) with N, V >= 1, got (200, 0)\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_split_within_np_isclose_of_1_trains(tmp_path):
+    # from_values takes a split whose sum np.isclose calls 1; 1 + 1e-6 is inside it
+    cfg = write_config(tmp_path / "run.ini", tmp_path / "out",
+                       {"dataset": {"split": "0.7,0.1,0.200001"}})
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert "split = 0.7,0.1,0.200001\n" in (tmp_path / "out" / "config_resolved.ini").read_text()
 
 
 def test_train_unknown_key_rejected(tmp_path, capsys):
@@ -978,3 +1002,71 @@ def test_plain_ini_reads_the_configs_the_cli_writes(tmp_path):
     assert _read_plain_ini(cfg.read_text()) is not None
     RunConfig(cfg).write_resolved()
     assert _read_plain_ini((tmp_path / "out" / "config_resolved.ini").read_text()) is not None
+
+
+def _demo_config():
+    """The README's demo config as {section: {key: value}}, cut to 200 rows and one epoch."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    (block,) = re.findall(r"^```ini\n(.*?)^```", readme.read_text(), re.M | re.S)
+    sections = _read_plain_ini(block)
+    sections["dataset"]["length"] = "200"
+    sections["train"]["max_epochs"] = "1"
+    return sections
+
+
+# each size key's largest fuzzed value, which bounds what a mutation can allocate
+_SIZE_BOUNDS = {"length": 400, "variates": 4, "hidden": 8, "s": 64, "t": 64, "l": 64, "n": 8,
+                "batch_size": 64, "max_epochs": 2, "patience": 2}
+# (section, key, value) for every key a sinusoid config reads; None deletes the key
+_FUZZ_MUTATIONS = tuple(
+    (section, key, value)
+    for section, key, parse, _, sources in SCHEMA if "sinusoid" in sources
+    for value in (None, "", "abc", "-1", "0", "nan", "inf", "-inf")
+    + (("1e308", "5e-324") if parse in (float, _float_list) else ()))
+_SIZE_MUTATIONS = st.sampled_from([(section, key) for section, key, *_ in SCHEMA
+                                   if key in _SIZE_BOUNDS]).flatmap(
+    lambda sk: st.integers(1, _SIZE_BOUNDS[sk[1]]).map(lambda v: (*sk, str(v))))
+
+
+def _run_mutated(root, section, key, value):
+    """Run ``train`` in a fresh directory under ``root`` on the demo config with one key set
+    to ``value`` (None deletes it). Gives the exit code, the stderr lines, the messages of the
+    warnings recorded, and the files the run left in its directory."""
+    sections = _demo_config()
+    if value is None:
+        sections.get(section, {}).pop(key, None)
+    else:
+        sections.setdefault(section, {})[key] = value
+    run = Path(tempfile.mkdtemp(dir=root))
+    (run / "run.ini").write_text("".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
+        for name, items in sections.items()))
+    home, err = os.getcwd(), io.StringIO()
+    os.chdir(run)  # a relative [output] dir lands in the run's directory
+    try:
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            code = main(["train", "--config", "run.ini"])
+    finally:
+        os.chdir(home)
+    written = sorted(p.relative_to(run).as_posix() for p in run.rglob("*") if p.is_file())
+    return code, err.getvalue().splitlines(), [str(w.message) for w in caught], written
+
+
+@settings(max_examples=100, deadline=None)
+@given(mutation=_SIZE_MUTATIONS)
+def test_one_key_config_fuzz_exits_0_or_2_with_one_line_and_nothing_written(mutation):
+    with tempfile.TemporaryDirectory() as root:
+        code, lines, warned, written = _run_mutated(root, *mutation)
+    if code == 1:  # a diverging lr: the documented runtime failure, no checkpoint or history
+        assert lines[0].startswith("runtime error: training diverged at epoch "), lines
+        assert len(lines) == 1 and not {"checkpoint.arpt", "history.csv"} & \
+            {Path(name).name for name in written}
+    elif code != 0:  # each recorded warning would be one more stderr line
+        assert (code, len(lines + warned), written) == (2, 1, ["run.ini"]), lines + warned
+
+
+for _mutation in _FUZZ_MUTATIONS:  # every fixed mutation runs, besides the drawn sizes
+    test_one_key_config_fuzz_exits_0_or_2_with_one_line_and_nothing_written = example(
+        mutation=_mutation)(test_one_key_config_fuzz_exits_0_or_2_with_one_line_and_nothing_written)

@@ -78,6 +78,13 @@ def test_sinusoid_rejects_parameters_that_give_no_finite_noisy_series(kwargs, ma
         gen_sinusoid(100, **kwargs)
 
 
+def test_sinusoid_whose_phase_overflows_is_a_value_error_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="sinusoid: series values must be finite"):
+            gen_sinusoid(100, periods=5e-324)
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_series_values_must_be_finite(bad):
     values = np.ones((10, 2))
@@ -112,6 +119,24 @@ def test_ar_process_that_overflows_is_a_value_error_without_warnings():
 def test_generators_refuse_a_negative_seed(generate):
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         generate(-1)
+
+
+@pytest.mark.parametrize("generate", [gen_sinusoid, gen_ar_process])
+@pytest.mark.parametrize("V", [0, -1])
+def test_generators_refuse_fewer_than_one_variate(generate, V):
+    with pytest.raises(ValueError, match=f"^variates must be >= 1, got {V}$"):
+        generate(50, V=V)
+
+
+@pytest.mark.parametrize("periods,V", [([24.0, 12.0], 3), ([24.0, 12.0, 6.0], 2)])
+def test_sinusoid_refuses_a_period_count_other_than_1_or_V(periods, V):
+    with pytest.raises(ValueError, match=f"^{len(periods)} periods for {V} variates$"):
+        gen_sinusoid(50, V=V, periods=periods)
+
+
+def test_series_values_must_hold_a_variate():
+    with pytest.raises(ValueError, match=r"with N, V >= 1, got \(5, 0\)$"):
+        SeriesDataset.from_values("toy", np.zeros((5, 0)))
 
 
 def test_split_bounds_disjoint_and_ordered():

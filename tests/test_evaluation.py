@@ -1,7 +1,9 @@
 """Rollout metrics, report comparison, and curve export."""
 
+import importlib.util
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,10 +14,8 @@ import arforecast.evaluation as evaluation
 from arforecast.data import SeriesDataset, gen_ar_process, gen_sinusoid, window_iter
 from arforecast.evaluation import (
     EvalReport,
-    compare,
     evaluate,
     export_curve,
-    format_comparison,
     report_to_dict,
     violation_rate,
     write_report_json,
@@ -23,6 +23,13 @@ from arforecast.evaluation import (
 from arforecast.models import Dims, apply_norm, init_forecaster, invert_norm
 from arforecast.rollout import RolloutConfig, rollout_predict
 from arforecast.training import TrainConfig, train
+
+# report comparison lives in the error-accumulation script, its only caller
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "error_accumulation.py"
+_spec = importlib.util.spec_from_file_location("error_accumulation", SCRIPT)
+_script = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(_script)
+compare, format_comparison = _script.compare, _script.format_comparison
 
 
 def _copy_last_model(S, T):
