@@ -287,12 +287,14 @@ class RunConfig:
             f"[{section}]\n{''.join(lines)}\n" for section, lines in sections.items()))
 
 
-def check_split(dataset: SeriesDataset, split: str, S: int, horizon: int) -> None:
-    """Refuse a split too short for one window of S context and ``horizon`` future rows."""
-    lo, hi = dataset.split_range(split)
-    if hi - lo < S + horizon:
-        raise ConfigError(f"[rollout] S={S} plus horizon {horizon} needs {S + horizon} "
-                          f"rows, but the {split} split has {hi - lo}")
+def check_split(dataset: SeriesDataset, split: str, S: int, horizon: int,
+                take=SeriesDataset.split_range):
+    """``take(dataset, split, S, horizon)``, by default the split's rows; a split too short for
+    one window of S context and ``horizon`` future rows exits 2 with one ``[rollout]`` line."""
+    try:
+        return take(dataset, split, S, horizon)
+    except ValueError as exc:
+        raise ConfigError(f"[rollout] {exc}") from None
 
 
 def _write_out(path: Path, content) -> None:
@@ -335,7 +337,8 @@ def cmd_train(args) -> int:
     dataset = cfg.build_dataset(cfg.geometry.S)
     model = cfg.build_model(dataset.n_variates)
     horizon = objective_horizon(cfg.rollout, model.dims.T, cfg.train.objective)
-    check_split(dataset, "train", model.dims.S, horizon)
+    for split in ("train", "val"):
+        check_split(dataset, split, model.dims.S, horizon)
     cfg.write_resolved()
 
     checkpoint, history = train(model, dataset, cfg.rollout, cfg.train)
@@ -418,8 +421,7 @@ def cmd_gradcheck(args) -> int:
                           f"limited to {GRADCHECK_MAX_PARAMS} to keep the "
                           f"finite-difference oracle tractable")
     S, horizon = model.dims.S, cfg.rollout.n * model.dims.T
-    check_split(dataset, "train", S, horizon)
-    windows = window_iter(dataset, "train", S, horizon)
+    windows = check_split(dataset, "train", S, horizon, take=window_iter)
     cfg.write_resolved()
 
     # prefer a window whose relu/abs inputs sit safely away from the kinks

@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-import warnings
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -87,10 +86,16 @@ class SeriesDataset:
     def n_variates(self) -> int:
         return self.values.shape[1]
 
-    def split_range(self, split: str) -> tuple[int, int]:
+    def split_range(self, split: str, S: int = 0, horizon: int = 0) -> tuple[int, int]:
+        """The split's (lo, hi) rows, refused if they hold no window of S context and
+        ``horizon`` future rows."""
         if split not in self.splits:
             raise ValueError(f"unknown split {split!r}, have {sorted(self.splits)}")
-        return self.splits[split]
+        lo, hi = self.splits[split]
+        if hi - lo < S + horizon:
+            raise ValueError(f"S={S} plus horizon {horizon} needs {S + horizon} rows, "
+                             f"but the {split} split has {hi - lo}")
+        return lo, hi
 
 
 def gen_sinusoid(length, V=1, periods=24.0, amplitude=1.0, noise_std=0.0, seed=0,
@@ -268,20 +273,11 @@ def window_iter(ds: SeriesDataset, split: str, S: int, horizon: int,
     """Every (context, future) window lying fully inside the split.
 
     Holds floor((split_len - S - horizon) / stride) + 1 windows, as read-only
-    views of the series; a split too short for even one window gives no
-    windows, with a warning rather than an error.
+    views of the series; a split too short for one window raises ``split_range``'s error.
     """
     if S < 1 or horizon < 1 or stride < 1:
         raise ValueError(f"S, horizon, stride must be >= 1, got {S}, {horizon}, {stride}")
-    lo, hi = ds.split_range(split)
-    if hi - lo < S + horizon:
-        warnings.warn(
-            f"split {split!r} of {ds.name!r} has {hi - lo} rows, "
-            f"too short for S={S} + horizon={horizon}; no windows",
-            stacklevel=2,
-        )
-        empty = np.empty((0, S + horizon, ds.n_variates))
-        return Windows(empty[:, :S], empty[:, S:], np.arange(0))
+    lo, hi = ds.split_range(split, S, horizon)
     # one read-only (V, S + horizon) view per origin, turned to (S + horizon, V)
     spans = sliding_window_view(ds.values[lo:hi], S + horizon, 0)[::stride].transpose(0, 2, 1)
     return Windows(spans[:, :S], spans[:, S:], np.arange(lo, hi - S - horizon + 1, stride))

@@ -54,8 +54,6 @@ def evaluate(model: Forecaster, dataset: SeriesDataset, split: str,
     n, S, T, V = cfg.n, model.dims.S, model.dims.T, dataset.n_variates
     horizon = n * T
     windows = window_iter(dataset, split, S, horizon)
-    if not windows:
-        raise ValueError(f"split {split!r} supports no windows of extent {S}+{horizon}")
     n_windows = len(windows)
     per_chunk = max(1, _CHUNK_COLUMNS // V)
     block_mse = np.empty((n_windows, n))

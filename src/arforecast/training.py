@@ -157,16 +157,14 @@ def train(model: Forecaster, dataset: SeriesDataset, rollout_cfg: RolloutConfig,
     The mse objective trains on single-block windows (horizon T); the ar
     objective needs the full n*T future. Each mini-batch is one tape whose
     loss is the mean of its windows' objectives; validation runs in chunks
-    of the same size. If the validation split is too short for any window,
-    the training loss stands in for early stopping. An overflow, a NaN, or a
-    non-finite loss or gradient raises ``TrainingDivergedError`` before that
-    batch's update, and so does one in validation.
+    of the same size. A train or val split too short for one window raises
+    ``window_iter``'s ``ValueError``. An overflow, a NaN, or a non-finite loss
+    or gradient raises ``TrainingDivergedError`` before that batch's update,
+    and so does one in validation.
     """
     S = model.dims.S
     horizon = objective_horizon(rollout_cfg, model.dims.T, train_cfg.objective)
     train_windows = window_iter(dataset, "train", S, horizon)
-    if not train_windows:
-        raise ValueError("train split supports no windows for this config")
     val_windows = window_iter(dataset, "val", S, horizon)
 
     loss_fn = _objective_fn(train_cfg.objective)
@@ -202,7 +200,7 @@ def train(model: Forecaster, dataset: SeriesDataset, rollout_cfg: RolloutConfig,
         train_loss = epoch_loss / len(train_windows)
         try:
             val_loss = _mean_objective(model, val_windows, rollout_cfg, loss_fn,
-                                       train_cfg.batch_size) if val_windows else train_loss
+                                       train_cfg.batch_size)
         except FloatingPointError:
             val_loss = math.nan
         if not math.isfinite(val_loss):

@@ -42,6 +42,11 @@ BASE = {
               "patience": "5", "seed": "1", "objective": "ar"},
 }
 
+# a child interpreter finds the package in src/ first, as pytest's own ``pythonpath`` does
+_CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parent.parent / "src"),
+                  os.environ.get("PYTHONPATH")]))}
+
 
 def write_config(path, out_dir, overrides=None):
     sections = {k: dict(v) for k, v in BASE.items()}
@@ -385,8 +390,8 @@ def test_repeated_runs_are_byte_identical(tmp_path):
 def test_module_entry_point(tmp_path):
     cfg = write_config(tmp_path / "run.ini", tmp_path / "out",
                        {"train": {"max_epochs": "1"}})
-    proc = subprocess.run([sys.executable, "-m", "arforecast", "train",
-                           "--config", str(cfg)], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-m", "arforecast", "train", "--config", str(cfg)],
+                          capture_output=True, text=True, env=_CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "out" / "checkpoint.arpt").exists()
 
@@ -587,7 +592,7 @@ def test_resolved_config_text_is_pinned(tmp_path, monkeypatch, name):
 def _cli(*argv):
     """Run the CLI in a fresh interpreter, so stderr shows every warning as a user sees it."""
     return subprocess.run([sys.executable, "-m", "arforecast", *map(str, argv)],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=_CHILD_ENV)
 
 
 def test_diverging_train_prints_one_stderr_line(tmp_path):
@@ -693,6 +698,20 @@ def test_context_too_long_for_the_train_split_prints_one_stderr_line(tmp_path, c
     assert proc.stderr.startswith(f"error: [rollout] S=299 plus horizon {horizon} needs "
                                   f"{299 + horizon} rows, but the train split has 210")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("objective,horizon", [("ar", 8), ("mse", 4)])
+def test_val_split_too_short_for_train_prints_one_stderr_line(tmp_path, objective, horizon):
+    # 200 rows split 70/10/20 leave 140 train rows and 20 val rows; S=17 fits no val window
+    cfg = write_config(tmp_path / "run.ini", tmp_path / "out",
+                       {"dataset": {"length": "200"}, "rollout": {"s": "17"},
+                        "train": {"objective": objective}})
+    proc = _cli("train", "--config", cfg)
+    assert proc.returncode == 2
+    assert proc.stderr == (f"error: [rollout] S=17 plus horizon {horizon} needs {17 + horizon} "
+                           f"rows, but the val split has 20\n")
+    assert proc.stdout == ""
+    assert sorted(tmp_path.iterdir()) == [cfg]
 
 
 def test_test_split_too_short_for_eval_prints_one_stderr_line(tmp_path, trained):
@@ -993,7 +1012,8 @@ def test_an_output_dir_with_a_line_break_exits_2_writing_nothing(tmp_path, capsy
 
 def test_importing_the_cli_does_not_import_configparser():
     proc = subprocess.run([sys.executable, "-c", "import sys, arforecast.cli; "
-                           "print('configparser' in sys.modules)"], capture_output=True, text=True)
+                           "print('configparser' in sys.modules)"], capture_output=True, text=True,
+                          env=_CHILD_ENV)
     assert proc.stdout == "False\n", proc.stderr
 
 
@@ -1004,36 +1024,46 @@ def test_plain_ini_reads_the_configs_the_cli_writes(tmp_path):
     assert _read_plain_ini((tmp_path / "out" / "config_resolved.ini").read_text()) is not None
 
 
-def _demo_config():
-    """The README's demo config as {section: {key: value}}, cut to 200 rows and one epoch."""
+def _demo_config(source="sinusoid"):
+    """The README's demo config as {section: {key: value}}, cut to 1,000 rows (100 val rows, a
+    window being S + nT = 96) and one epoch; an ``ar`` source draws an AR(0.6, 0.3) series."""
     readme = Path(__file__).resolve().parent.parent / "README.md"
     (block,) = re.findall(r"^```ini\n(.*?)^```", readme.read_text(), re.M | re.S)
     sections = _read_plain_ini(block)
-    sections["dataset"]["length"] = "200"
+    sections["dataset"]["length"] = "1000"
     sections["train"]["max_epochs"] = "1"
+    if source == "ar":
+        del sections["dataset"]["periods"]
+        sections["dataset"].update(source="ar", coeffs="0.6,0.3")
     return sections
 
 
-# each size key's largest fuzzed value, which bounds what a mutation can allocate
-_SIZE_BOUNDS = {"length": 400, "variates": 4, "hidden": 8, "s": 64, "t": 64, "l": 64, "n": 8,
+# each size key's largest fuzzed value, which bounds what a mutation can allocate; lengths
+# fall on both sides of the 960 rows whose val split first holds a demo window
+_SIZE_BOUNDS = {"length": 2000, "variates": 4, "hidden": 8, "s": 64, "t": 64, "l": 64, "n": 8,
                 "batch_size": 64, "max_epochs": 2, "patience": 2}
-# (section, key, value) for every key a sinusoid config reads; None deletes the key
+_FUZZ_VALUES = (None, "", "abc", "-1", "0", "nan", "inf", "-inf")  # None deletes the key
+_FLOAT_VALUES = ("1e308", "5e-324")  # besides _FUZZ_VALUES, for float and float-list keys
+# (source, section, key, value) for every key a sinusoid config reads, and an ar config's coeffs
 _FUZZ_MUTATIONS = tuple(
-    (section, key, value)
+    ("sinusoid", section, key, value)
     for section, key, parse, _, sources in SCHEMA if "sinusoid" in sources
-    for value in (None, "", "abc", "-1", "0", "nan", "inf", "-inf")
-    + (("1e308", "5e-324") if parse in (float, _float_list) else ()))
+    for value in _FUZZ_VALUES + (_FLOAT_VALUES if parse in (float, _float_list) else ())
+) + tuple(("ar", "dataset", "coeffs", value) for value in _FUZZ_VALUES + _FLOAT_VALUES)
 _SIZE_MUTATIONS = st.sampled_from([(section, key) for section, key, *_ in SCHEMA
                                    if key in _SIZE_BOUNDS]).flatmap(
-    lambda sk: st.integers(1, _SIZE_BOUNDS[sk[1]]).map(lambda v: (*sk, str(v))))
+    lambda sk: st.integers(1, _SIZE_BOUNDS[sk[1]]).map(lambda v: ("sinusoid", *sk, str(v))))
 
 
-def _run_mutated(root, section, key, value):
-    """Run ``train`` in a fresh directory under ``root`` on the demo config with one key set
-    to ``value`` (None deletes it). Gives the exit code, the stderr lines, the messages of the
-    warnings recorded, and the files the run left in its directory."""
-    sections = _demo_config()
-    if value is None:
+def _run_mutated(root, source="sinusoid", section=None, key=None, value=None):
+    """Run ``train`` in a fresh directory under ``root`` on the ``source`` demo config with one
+    key set to ``value`` (None deletes it; no section leaves the config as it is). Gives the exit
+    code, the stderr lines, the messages of the warnings recorded, and the files the run left
+    in its directory."""
+    sections = _demo_config(source)
+    if section is None:
+        pass
+    elif value is None:
         sections.get(section, {}).pop(key, None)
     else:
         sections.setdefault(section, {})[key] = value
@@ -1054,6 +1084,18 @@ def _run_mutated(root, section, key, value):
     return code, err.getvalue().splitlines(), [str(w.message) for w in caught], written
 
 
+@pytest.mark.parametrize("source", ["sinusoid", "ar"])
+def test_the_fuzz_base_configs_train_with_validation_and_no_warning(tmp_path, source):
+    code, lines, warned, written = _run_mutated(tmp_path, source)
+    assert (code, lines, warned) == (0, [], [])
+    assert written == ["run.ini", "runs/demo/checkpoint.arpt", "runs/demo/config_resolved.ini",
+                       "runs/demo/history.csv"]
+    (run,) = tmp_path.iterdir()
+    (row,) = (run / "runs" / "demo" / "history.csv").read_text().splitlines()[1:]
+    _, train_loss, val_loss = map(float, row.split(","))
+    assert val_loss != train_loss
+
+
 @settings(max_examples=100, deadline=None)
 @given(mutation=_SIZE_MUTATIONS)
 def test_one_key_config_fuzz_exits_0_or_2_with_one_line_and_nothing_written(mutation):
@@ -1065,6 +1107,8 @@ def test_one_key_config_fuzz_exits_0_or_2_with_one_line_and_nothing_written(muta
             {Path(name).name for name in written}
     elif code != 0:  # each recorded warning would be one more stderr line
         assert (code, len(lines + warned), written) == (2, 1, ["run.ini"]), lines + warned
+    else:  # a run that trains has a val split holding a window, so nothing warns
+        assert not lines + warned, lines + warned
 
 
 for _mutation in _FUZZ_MUTATIONS:  # every fixed mutation runs, besides the drawn sizes

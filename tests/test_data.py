@@ -441,8 +441,8 @@ def _toy_dataset(n):
 def test_window_counts_small_cases():
     assert len(window_iter(_toy_dataset(10), "train", 4, 4)) == 3
     assert len(window_iter(_toy_dataset(8), "train", 4, 4)) == 1
-    with pytest.warns(UserWarning):
-        assert len(window_iter(_toy_dataset(7), "train", 4, 4)) == 0
+    with pytest.raises(ValueError, match="needs 8 rows, but the train split has 7"):
+        window_iter(_toy_dataset(7), "train", 4, 4)
 
 
 def test_window_contiguity_and_origin():
@@ -463,9 +463,9 @@ def test_window_contiguity_and_origin():
 def test_window_count_closed_form(length, S, horizon, stride):
     ds = _toy_dataset(length)
     if length < S + horizon:
-        with pytest.warns(UserWarning):
-            windows = window_iter(ds, "train", S, horizon, stride)
-        assert len(windows) == 0
+        with pytest.raises(ValueError, match=f"needs {S + horizon} rows, "
+                                             f"but the train split has {length}"):
+            window_iter(ds, "train", S, horizon, stride)
     else:
         windows = window_iter(ds, "train", S, horizon, stride)
         assert len(windows) == (length - S - horizon) // stride + 1
@@ -479,6 +479,20 @@ def test_windows_never_cross_split_boundaries():
             (origin,) = w.origins
             assert origin >= lo
             assert origin + 5 <= hi
+
+
+@pytest.mark.parametrize("split,rows", [("train", 21), ("val", 3), ("test", 6)])
+def test_a_split_too_short_for_one_window_raises_one_message(split, rows):
+    ds = gen_sinusoid(30, noise_std=0.1, seed=2)  # 21, 3 and 6 rows
+    message = f"S=20 plus horizon 4 needs 24 rows, but the {split} split has {rows}"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: window_iter(ds, split, 20, 4, stride=3),
+                     lambda: ds.split_range(split, 20, 4)):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message
+    assert ds.split_range(split, rows - 1, 1) == ds.split_range(split)
 
 
 def test_window_iter_validates_arguments():
@@ -502,11 +516,15 @@ def _listed_windows(ds, split, S, horizon, stride=1):
 def test_windows_match_the_listed_windows(length, V, S, horizon, stride, split):
     ds = gen_sinusoid(length, V=V, periods=[24.0, 7.0, 5.0][:V], noise_std=0.3, seed=length)
     want = _listed_windows(ds, split, S, horizon, stride)
+    lo, hi = ds.split_range(split)
+    if hi - lo < S + horizon:
+        with pytest.raises(ValueError, match=f"but the {split} split has {hi - lo}$"):
+            window_iter(ds, split, S, horizon, stride)
+        return
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         got = window_iter(ds, split, S, horizon, stride)
-    lo, hi = ds.split_range(split)
-    assert len(caught) == (hi - lo < S + horizon)
+    assert not caught
     assert isinstance(got, Windows) and len(got) == len(want)
     assert got.contexts.shape == (len(want), S, V)
     assert got.futures.shape == (len(want), horizon, V)
@@ -524,12 +542,11 @@ def test_windows_match_the_listed_windows(length, V, S, horizon, stride, split):
         assert isinstance(part, Windows) and len(part) == len(ref)
         want_contexts = np.array([context for context, _, _ in ref]).reshape(-1, V)
         np.testing.assert_array_equal(part.contexts.reshape(-1, V), want_contexts)
-    if want:
-        with pytest.raises(ValueError, match="read-only"):
-            got.contexts[0, 0, 0] = 1.0
-        with pytest.raises(ValueError, match="read-only"):
-            got[0].futures[0, 0, 0] = 1.0
-        assert ds.values.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        got.contexts[0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        got[0].futures[0, 0, 0] = 1.0
+    assert ds.values.flags.writeable
 
 
 def test_windows_columns_stack_windows_side_by_side():

@@ -104,9 +104,9 @@ def test_evaluate_is_side_effect_free_and_deterministic():
 def test_evaluate_empty_split_is_error():
     ds = gen_sinusoid(100, noise_std=0.1, seed=1)  # test split has 20 rows
     model = init_forecaster("linear", Dims(S=16, T=8), seed=0)
-    with pytest.warns(UserWarning):
-        with pytest.raises(ValueError, match="no windows"):
-            evaluate(model, ds, "test", RolloutConfig(n=2))
+    with pytest.raises(ValueError, match="^S=16 plus horizon 16 needs 32 rows, "
+                                         "but the test split has 20$"):
+        evaluate(model, ds, "test", RolloutConfig(n=2))
 
 
 def _per_window_reference(model, dataset, split, cfg, raw_scale):

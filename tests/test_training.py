@@ -4,6 +4,7 @@ import contextlib
 import json
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -166,9 +167,19 @@ def test_train_zero_epochs_returns_initial_params():
 def test_train_empty_split_is_an_error():
     ds = gen_sinusoid(30, noise_std=0.1, seed=2)  # train split of 21 rows
     model = init_forecaster("linear", Dims(S=20, T=4), seed=0)
-    with pytest.warns(UserWarning):
-        with pytest.raises(ValueError, match="train split"):
-            train(model, ds, RolloutConfig(n=2), TrainConfig(max_epochs=1))
+    with pytest.raises(ValueError, match="but the train split has 21"):
+        train(model, ds, RolloutConfig(n=2), TrainConfig(max_epochs=1))
+
+
+@pytest.mark.parametrize("max_epochs", [0, 1])
+def test_train_with_a_val_split_too_short_for_one_window_is_an_error(max_epochs):
+    ds = gen_sinusoid(200, noise_std=0.1, seed=2)  # 140 train rows, 20 val rows
+    model = init_forecaster("linear", Dims(S=16, T=4), seed=0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^S=16 plus horizon 8 needs 24 rows, "
+                                             "but the val split has 20$"):
+            train(model, ds, RolloutConfig(n=2), TrainConfig(max_epochs=max_epochs))
 
 
 def test_train_determinism_bitwise():
