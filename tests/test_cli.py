@@ -32,6 +32,7 @@ from arforecast.cli import (
 from arforecast.models import Dims, init_forecaster
 from arforecast.rollout import RolloutConfig
 from arforecast.training import Checkpoint, save_checkpoint
+import numpy_oracle
 
 BASE = {
     "dataset": {"source": "sinusoid", "length": "400", "variates": "1",
@@ -260,11 +261,7 @@ def test_predict_with_an_overlap_writes_horizon_rows(tmp_path):
     lines = (out / "predictions.csv").read_text().splitlines()
     assert lines[0] == "load" and len(lines) == 1 + 8
     context = np.loadtxt(inp, skiprows=1)[-S:, None]
-    mean, std = context.mean(), max(context.std(), 1e-5)
-    w, b = model.params["w"].values, model.params["b"].values
-    seq = (context - mean) / std
-    for _ in range(2):
-        seq = np.vstack([seq, (w @ seq[-S:] + b)[L:]])
+    seq, mean, std = numpy_oracle.rollout("linear", numpy_oracle.arrays(model), context, L, 2)
     np.testing.assert_allclose([float(x) for x in lines[1:]], seq[S:, 0] * std + mean,
                                rtol=1e-12, atol=1e-12)
 

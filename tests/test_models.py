@@ -152,37 +152,6 @@ def test_channel_independence_under_permutation(kind, hidden):
     np.testing.assert_allclose(out_perm, out[:, perm], atol=1e-14)
 
 
-def test_single_token_attention_hand_trace():
-    # with one variate the attention weight is exactly 1, so the block
-    # reduces to a numpy re-implementation of the same path
-    dims = Dims(S=5, T=2, V=1, hidden=3)
-    model = init_forecaster("inverted_attention", dims, seed=8)
-    ctx = np.random.default_rng(2).normal(size=(5, 1))
-    p = {k: t.values for k, t in model.params.items()}
-
-    tok = p["embed_w"] @ ctx + p["embed_b"]
-    q = p["q_w"] @ tok + p["q_b"]
-    k = p["k_w"] @ tok + p["k_b"]
-    v = p["v_w"] @ tok + p["v_b"]
-    score = (q.T @ k) / np.sqrt(3.0)
-    attn_weight = 1.0  # softmax over a single token
-    mixed = p["o_w"] @ (v * attn_weight) + p["o_b"]
-
-    def ln(x):
-        mu = x.mean(axis=0, keepdims=True)
-        var = ((x - mu) ** 2).mean(axis=0, keepdims=True)
-        return (x - mu) / np.sqrt(var + 1e-5)
-
-    x1 = ln(tok + mixed)
-    ff = p["ff2_w"] @ np.maximum(p["ff1_w"] @ x1 + p["ff1_b"], 0.0) + p["ff2_b"]
-    x2 = ln(x1 + ff)
-    expected = p["proj_w"] @ x2 + p["proj_b"]
-
-    out = forecast(model, Tensor(ctx)).values
-    assert score.shape == (1, 1)
-    np.testing.assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
-
-
 @pytest.mark.parametrize("kind,hidden", [("linear", 0), ("mlp", 4), ("inverted_attention", 3)])
 def test_forecast_gradients_match_oracle(kind, hidden):
     dims = Dims(S=5, T=2, V=2, hidden=hidden)

@@ -19,6 +19,7 @@ from arforecast.rollout import (
     rollout_predict,
 )
 import composite_ops
+import numpy_oracle
 from composite_ops import matmul, mul
 
 
@@ -39,78 +40,73 @@ def _one_window(context, future):
     return Windows(np.asarray(context)[None], np.asarray(future)[None], np.arange(1))
 
 
-def _numpy_linear_rollout(w, b, context, dims, n):
-    """Independent n-block rollout oracle for the linear model, in plain numpy.
-
-    Returns (blocks, step_inputs); the running sequence starts as the
-    z-scored context and grows by one predicted block per step.
-    """
-    S, T, L = dims.S, dims.T, dims.L
-    padded = (context - context.mean(axis=0)) / np.maximum(context.std(axis=0), 1e-5)
-    blocks, inputs = [], []
-    for k in range(n):
-        x = padded[k * T:S + k * T]
-        inputs.append(x.copy())
-        block = (w @ x + b)[L:]
-        blocks.append(block)
-        padded = np.vstack([padded, block])
-    return blocks, inputs
-
-
-def _assert_blocks_match(got, want):
-    assert len(got) == len(want)
-    for have, block in zip(got, want):
-        assert have.shape == block.shape
-        np.testing.assert_allclose(have.values, block, rtol=1e-12, atol=1e-14)
-
-
-@pytest.mark.parametrize("L", [0, 2])
-@pytest.mark.parametrize("n", [1, 2, 4])
-def test_rollout_matches_numpy_oracle(L, n):
-    cfg = RolloutConfig(n=n)
-    model = init_forecaster("linear", Dims(S=6, T=3, L=L, V=2), seed=13)
-    ctx = np.random.default_rng(5).normal(size=(6, 2))
-    got, state = rollout_predict(model, ctx, cfg)
-    w = model.params["w"].values
-    b = model.params["b"].values
-    blocks, _ = _numpy_linear_rollout(w, b, ctx, model.dims, n)
-    _assert_blocks_match(got, blocks)
-    np.testing.assert_allclose(state.mean, ctx.mean(axis=0), rtol=1e-12, atol=1e-14)
-    np.testing.assert_allclose(state.std, ctx.std(axis=0), rtol=1e-12)
-
-
 @st.composite
-def _linear_geometries(draw):
-    """(Dims, n) over small S, T, L < S, n, V; T may reach or pass S."""
-    S = draw(st.integers(1, 8))
-    T, L, n = draw(st.integers(1, 12)), draw(st.integers(0, S - 1)), draw(st.integers(1, 5))
-    return Dims(S=S, T=T, L=L, V=draw(st.integers(1, 3))), n
+def _oracle_draws(draw):
+    """(kind, Dims, RolloutConfig, B, model seed, data seed); T may reach or pass S."""
+    kind = draw(st.sampled_from(["linear", "mlp", "inverted_attention"]))
+    S, hidden = draw(st.integers(1, 8)), 0 if kind == "linear" else draw(st.integers(2, 4))
+    dims = Dims(S=S, T=draw(st.integers(1, 12)), L=draw(st.integers(0, S - 1)),
+                V=draw(st.integers(1, 3)), hidden=hidden)
+    cfg = RolloutConfig(n=draw(st.integers(1, 5)), gamma=draw(st.sampled_from([0.3, 0.5, 0.9])),
+                        beta=draw(st.sampled_from([0.05, 0.1, 0.3])))
+    return kind, dims, cfg, draw(st.integers(1, 4)), draw(st.integers(0, 999)), \
+        draw(st.integers(0, 2 ** 32 - 1))
 
 
-@settings(max_examples=60, deadline=None)
-@given(_linear_geometries(), st.integers(0, 2 ** 32 - 1))
-@example((Dims(S=3, T=5, L=1, V=2), 4), 0)  # T > S: inputs past block 1 are all predicted
-@example((Dims(S=4, T=2, L=0, V=1), 5), 1)  # 2T == S: a step input is whole blocks
-def test_rollout_matches_numpy_oracle_over_geometries(geometry, seed):
-    dims, n = geometry
-    model = init_forecaster("linear", dims, seed=seed % 1000)
-    ctx = np.random.default_rng(seed).normal(size=(dims.S, dims.V))
+@settings(max_examples=100, deadline=None)
+@given(_oracle_draws())
+def test_rollout_matches_numpy_oracle_over_geometries(draw):
+    """rollout_predict's state and blocks, taped, and ar_loss over B windows are the oracle's;
+    each block is the oracle's forecast from its step's input, so rounding does not compound."""
+    kind, dims, cfg, B, model_seed, seed = draw
+    S, T, V = dims.S, dims.T, dims.V
+    rng = np.random.default_rng(seed)
+    model = init_forecaster(kind, dims, seed=model_seed)
+    windows = Windows(rng.normal(size=(B, S, V)), rng.normal(size=(B, cfg.n * T, V)),
+                      np.arange(B))
     with Tape():
-        got, _ = rollout_predict(model, ctx, RolloutConfig(n=n))
-    blocks, _ = _numpy_linear_rollout(
-        model.params["w"].values, model.params["b"].values, ctx, dims, n)
-    _assert_blocks_match(got, blocks)
+        got, state = rollout_predict(model, windows.columns()[0], cfg)
+    assert [block.shape for block in got] == [(T, B * V)] * cfg.n
+    blocks, p, errors = ar_loss(model, windows, cfg), numpy_oracle.arrays(model), []
+    for b, (context, future) in enumerate(zip(windows.contexts, windows.futures)):
+        columns = slice(b * V, (b + 1) * V)
+        mean, std = numpy_oracle.zscore(context)
+        np.testing.assert_allclose(state.mean[columns], mean, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(state.std[columns], std, rtol=1e-12)
+        seq = np.vstack([(context - mean) / std] + [block.values[:, columns] for block in got])
+        want = numpy_oracle.step_forecasts(kind, p, seq, S, dims.L, T)
+        np.testing.assert_allclose(seq[S:], want, rtol=1e-12, atol=1e-14)
+        errors.append(numpy_oracle.block_mse(want, (future - mean) / std, cfg.n))
+    np.testing.assert_allclose(np.vstack([e.values for e in blocks.e]).T, errors,
+                               rtol=1e-12, atol=0)
+    want = np.mean([numpy_oracle.objective(e, cfg.gamma, cfg.beta) for e in errors])
+    assert abs(blocks.loss.item() - want) <= 1e-12 * abs(want)
 
 
-def test_third_step_input_is_fully_predicted():
+# fixed cases: a linear grid over L and n; T > S (every input after block 1 is predicted); 2T ==
+# S (a step input is whole blocks); and one attention token (V = 1), whose softmax weight is 1
+for _case in [("linear", Dims(S=6, T=3, L=L, V=2), RolloutConfig(n=n), 1, 13, 5)
+              for L in (0, 2) for n in (1, 2, 4)] + [
+        ("linear", Dims(S=3, T=5, L=1, V=2), RolloutConfig(n=4), 1, 0, 0),
+        ("linear", Dims(S=4, T=2, L=0, V=1), RolloutConfig(n=5), 1, 1, 1),
+        ("inverted_attention", Dims(S=5, T=2, V=1, hidden=3), RolloutConfig(n=1), 1, 8, 2)]:
+    test_rollout_matches_numpy_oracle_over_geometries = example(_case)(
+        test_rollout_matches_numpy_oracle_over_geometries)
+
+
+def test_third_step_input_is_fully_predicted(monkeypatch):
     # S=4, T=2, k=2: the step input covers rows 4..7, all beyond the context
     cfg = RolloutConfig(n=3)
     model = init_forecaster("linear", Dims(S=4, T=2), seed=3)
     ctx = np.random.default_rng(7).normal(size=(4, 1))
-    w, b = model.params["w"].values, model.params["b"].values
-    blocks, inputs = _numpy_linear_rollout(w, b, ctx, model.dims, cfg.n)
-    np.testing.assert_array_equal(inputs[2], np.vstack(blocks[:2]))
-    _assert_blocks_match(rollout_predict(model, ctx, cfg)[0], blocks)
+    inputs = []
+    monkeypatch.setattr("arforecast.rollout.forecast",
+                        lambda m, x: inputs.append(x.values.copy()) or forecast(m, x))
+    got, _ = rollout_predict(model, ctx, cfg)
+    np.testing.assert_array_equal(inputs[2], np.vstack([block.values for block in got[:2]]))
+    seq, _, _ = numpy_oracle.rollout("linear", numpy_oracle.arrays(model), ctx, 0, cfg.n)
+    np.testing.assert_allclose(np.vstack([inputs[0]] + [block.values for block in got]), seq,
+                               rtol=1e-12, atol=1e-14)
 
 
 def test_n1_rollout_equals_forecast():
@@ -497,42 +493,6 @@ def test_mse_loss_takes_a_batch():
         ar_loss(model, windows[:0], RolloutConfig())
 
 
-def _numpy_kink_inputs(model, window, cfg):
-    """Every relu and abs input of ar_loss on one window, recomputed in plain numpy."""
-    p = {name: t.values for name, t in model.params.items()}
-
-    def layer_norm(x):
-        centered = x - x.mean(axis=0, keepdims=True)
-        return centered / np.sqrt(np.mean(centered * centered, axis=0, keepdims=True) + 1e-5)
-
-    def forward(x, relu_inputs):
-        if model.kind == "mlp":
-            pre = p["w1"] @ x + p["b1"]
-            relu_inputs.append(pre)
-            return p["w2"] @ np.maximum(pre, 0.0) + p["b2"]
-        tokens = p["embed_w"] @ x + p["embed_b"]
-        q, k, v = (p[f"{n}_w"] @ tokens + p[f"{n}_b"] for n in "qkv")
-        scores = q.T @ k / np.sqrt(model.dims.hidden)
-        e = np.exp(scores - scores.max(axis=1, keepdims=True))
-        x1 = layer_norm(tokens + p["o_w"] @ (v @ (e / e.sum(axis=1, keepdims=True)).T) + p["o_b"])
-        pre = p["ff1_w"] @ x1 + p["ff1_b"]
-        relu_inputs.append(pre)
-        x2 = layer_norm(x1 + p["ff2_w"] @ np.maximum(pre, 0.0) + p["ff2_b"])
-        return p["proj_w"] @ x2 + p["proj_b"]
-
-    S, T, L = model.dims.S, model.dims.T, model.dims.L
-    (context,), (future,) = window.contexts, window.futures
-    mean, std = context.mean(axis=0), np.maximum(context.std(axis=0), 1e-5)
-    seq, future = (context - mean) / std, (future - mean) / std
-    inputs, errors = [], []
-    for k in range(cfg.n):
-        block = forward(seq[-S:], inputs)[L:]
-        errors.append(np.mean((block - future[k * T:(k + 1) * T]) ** 2))
-        seq = np.vstack([seq, block])
-    abs_inputs = [np.array(errors[k] - errors[k - 1]) for k in range(1, cfg.n)]
-    return inputs + abs_inputs
-
-
 @pytest.mark.parametrize("kind,V", [("mlp", 1), ("inverted_attention", 3)])
 def test_min_kink_gap_is_smallest_relu_or_abs_input(kind, V):
     cfg = RolloutConfig(n=3)
@@ -542,7 +502,9 @@ def test_min_kink_gap_is_smallest_relu_or_abs_input(kind, V):
     with Tape() as tape:
         ar_loss(model, window, cfg)
         gap = tape.min_kink_gap
-    inputs = _numpy_kink_inputs(model, window, cfg)
+    inputs, (context,), (future,) = [], window.contexts, window.futures  # relu's, then abs'
+    seq, mean, std = numpy_oracle.rollout(kind, numpy_oracle.arrays(model), context, 1, 3, inputs)
+    inputs += list(np.diff(numpy_oracle.block_mse(seq[12:], (future - mean) / std, 3)))
     assert len(inputs) == 2 * cfg.n - 1
     assert gap == pytest.approx(min(np.min(np.abs(x)) for x in inputs), rel=1e-9)
     assert Tape().min_kink_gap == float("inf")
