@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import inspect
 import math
 import sys
 from dataclasses import MISSING, fields, replace
@@ -54,11 +55,9 @@ _SYNTHETIC = ("sinusoid", "ar")
 
 
 def _bool(raw: str) -> bool:
-    if raw.lower() in ("true", "1", "yes"):
-        return True
-    if raw.lower() in ("false", "0", "no"):
-        return False
-    raise ValueError(raw)
+    if raw.lower() not in ("true", "1", "yes", "false", "0", "no"):
+        raise ValueError(raw)
+    return raw.lower() in ("true", "1", "yes")
 
 
 def _float_list(raw: str) -> tuple[float, ...]:
@@ -88,7 +87,8 @@ SCHEMA = (
     ("dataset", "time_column", str, None, ("csv",)),
     ("dataset", "length", int, MISSING, _SYNTHETIC),
     ("dataset", "variates", int, 1, _SYNTHETIC),
-    ("dataset", "noise_std", float, 0.0, _SYNTHETIC),
+    *(("dataset", "noise_std", float, inspect.signature(generate).parameters["noise_std"].default,
+       (source,)) for source, generate in (("sinusoid", gen_sinusoid), ("ar", gen_ar_process))),
     ("dataset", "seed", int, 0, _SYNTHETIC),
     ("dataset", "periods", _float_list, (24.0,), ("sinusoid",)),
     ("dataset", "amplitude", float, 1.0, ("sinusoid",)),
@@ -106,8 +106,8 @@ SCHEMA = (
 
 _SECTION_KEYS = {section: {row[1] for row in SCHEMA if row[0] == section}
                  for section in dict.fromkeys(row[0] for row in SCHEMA)}
-# each source's (section, key, parser, default) rows, in SCHEMA order
-_SOURCE_SCHEMA = {source: tuple(row[:4] for row in SCHEMA if source in row[4])
+# each source's keys, {(section, key): (parser, default)} in SCHEMA order
+_SOURCE_SCHEMA = {source: {row[:2]: row[2:4] for row in SCHEMA if source in row[4]}
                   for source in SOURCES}
 _REQUIRED_SECTIONS = tuple(dict.fromkeys(row[0] for row in SCHEMA if row[3] is MISSING))
 
@@ -189,20 +189,23 @@ class RunConfig:
             reason = exc.strerror if isinstance(exc, OSError) else exc
             raise ConfigError(f"cannot read config file {path}: {reason}") from None
         raw = _read_plain_ini(text, str(path))
-        for name, items in raw.items():
+        for name in raw:
             if name not in _SECTION_KEYS:
                 raise ConfigError(f"unknown config section [{name}]")
-            for key in items:
-                if key not in _SECTION_KEYS[name]:
-                    raise ConfigError(f"[{name}] unknown key {key!r}")
         for name in _REQUIRED_SECTIONS:
             if name not in raw:
                 raise ConfigError(f"missing config section [{name}]")
 
         self.source = _parse("dataset", "source", str, MISSING, raw["dataset"].get("source"))
         _one_of("dataset", "source", self.source, SOURCES)
+        for name, items in raw.items():
+            for key in items:
+                if (name, key) not in _SOURCE_SCHEMA[self.source]:
+                    raise ConfigError(f"[{name}] key {key!r} does not apply to source "
+                                      f"{self.source!r}" if key in _SECTION_KEYS[name]
+                                      else f"[{name}] unknown key {key!r}")
         self.values: dict[str, dict] = {section: {} for section in _SECTION_KEYS}
-        for section, key, parse, default in _SOURCE_SCHEMA[self.source]:
+        for (section, key), (parse, default) in _SOURCE_SCHEMA[self.source].items():
             self.values[section][key] = \
                 _parse(section, key, parse, default, raw.get(section, {}).get(key))
         if seed_override is not None:
@@ -278,7 +281,7 @@ class RunConfig:
     def write_resolved(self) -> None:
         """Write the keys that apply, defaults filled in, as the plain INI the reader takes."""
         sections: dict[str, list[str]] = {}
-        for section, key, parse, _ in _SOURCE_SCHEMA[self.source]:
+        for (section, key), (parse, _) in _SOURCE_SCHEMA[self.source].items():
             value = self.values[section][key]
             if value is not None:
                 text = _FORMATS.get(parse, str)(value)
@@ -322,13 +325,10 @@ def _rollout_for(ck, horizon: int) -> RolloutConfig:
         raise ConfigError(f"horizon must be >= 1, got {horizon}")
     if horizon % block != 0:
         k = horizon // block
-        options = [k * block, (k + 1) * block] if k >= 1 else [(k + 1) * block]
-        pretty = " or ".join(str(o) for o in options)
-        raise ConfigError(
-            f"horizon {horizon} is not a multiple of the checkpoint block length "
-            f"T={block}; rollouts extend the forecast in whole blocks (k x T), "
-            f"so the nearest valid horizons are {pretty}"
-        )
+        pretty = " or ".join(str(o) for o in (k * block, (k + 1) * block) if o > 0)
+        raise ConfigError(f"horizon {horizon} is not a multiple of the checkpoint block length "
+                          f"T={block}; rollouts extend the forecast in whole blocks (k x T), "
+                          f"so the nearest valid horizons are {pretty}")
     return RolloutConfig(n=horizon // block)
 
 
@@ -351,7 +351,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = RunConfig(args.config, out_override=args.out, seed_override=args.seed)
+    cfg = RunConfig(args.config, out_override=args.out)
     ck = _load_checkpoint_or_fail(args.checkpoint)
     roll = _rollout_for(ck, args.horizon)
     dims = ck.dims
@@ -448,7 +448,6 @@ COMMANDS = {
         ("--horizon", {"type": int, "required": True, "help": "total prediction length; "
                        "must be a multiple of the block length"}),
         ("--out", {}),
-        ("--seed", {"type": int}),
         ("--raw-scale", {"action": "store_true", "help": "report errors on the raw data "
                          "scale instead of normalized"}))),
     "predict": ("roll out a forecast from the tail of a CSV", cmd_predict, (

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import arforecast.autodiff as autodiff
 from arforecast.cli import (
+    _SOURCE_SCHEMA,
     SCHEMA,
     ConfigError,
     RunConfig,
@@ -29,6 +30,7 @@ from arforecast.cli import (
     build_parsers,
     main,
 )
+from arforecast.data import gen_ar_process, gen_sinusoid
 from arforecast.models import Dims, init_forecaster
 from arforecast.rollout import RolloutConfig
 from arforecast.training import Checkpoint, save_checkpoint
@@ -50,10 +52,16 @@ _CHILD_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(
 
 
 def write_config(path, out_dir, overrides=None):
+    """BASE with ``overrides`` applied; BASE's [dataset] keys that an overriding source does not
+    read are left out, since the CLI refuses them."""
     sections = {k: dict(v) for k, v in BASE.items()}
     sections["output"] = {"dir": str(out_dir)}
     for section, kv in (overrides or {}).items():
         sections.setdefault(section, {}).update(kv)
+    dataset = sections["dataset"]
+    for key in BASE["dataset"].keys() - (overrides or {}).get("dataset", {}).keys():
+        if ("dataset", key) not in _SOURCE_SCHEMA[dataset["source"]]:
+            del dataset[key]
     lines = []
     for section, kv in sections.items():
         lines.append(f"[{section}]")
@@ -119,6 +127,48 @@ def test_train_unknown_key_rejected(tmp_path, capsys):
                        {"rollout": {"gama": "0.5"}})
     assert main(["train", "--config", str(cfg)]) == 2
     assert "gama" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dataset,key", [
+    ({"source": "ar", "coeffs": "0.5", "periods": "5"}, "periods"),
+    ({"source": "ar", "coeffs": "0.5", "amplitude": "abc"}, "amplitude"),
+    ({"coeffs": "0.5"}, "coeffs"),
+    ({"path": "data.csv"}, "path"),
+    ({"source": "csv", "path": "data.csv", "length": "400"}, "length"),
+    ({"source": "csv", "path": "data.csv", "noise_std": "0.1"}, "noise_std"),
+])
+@pytest.mark.parametrize("command", ["train", "gradcheck", "eval"])
+def test_a_key_of_another_source_exits_2_with_one_line_naming_it(tmp_path, capsys, dataset, key,
+                                                                 command):
+    cfg = write_config(tmp_path / "run.ini", tmp_path / "out", {"dataset": dataset})
+    extra = ["--checkpoint", str(tmp_path / "absent.arpt"), "--horizon", "8"] \
+        if command == "eval" else []
+    assert main([command, "--config", str(cfg), *extra]) == 2
+    source = dataset.get("source", "sinusoid")
+    assert capsys.readouterr().err == \
+        f"error: [dataset] key {key!r} does not apply to source {source!r}\n"
+    assert sorted(tmp_path.iterdir()) == [cfg]
+
+
+def test_an_ar_config_without_noise_std_draws_the_library_noise(tmp_path):
+    cfg = write_config(tmp_path / "run.ini", tmp_path / "out",
+                       {"dataset": {"source": "ar", "coeffs": "0.5"}})
+    cfg.write_text(cfg.read_text().replace("noise_std = 0.1\n", ""))
+    run = RunConfig(cfg)
+    run.write_resolved()
+    assert "noise_std = 1\n" in (tmp_path / "out" / "config_resolved.ini").read_text()
+    want = gen_ar_process(400, coeffs=(0.5,), seed=0).values
+    assert run.build_dataset(12).values.tobytes() == want.tobytes() and want.std() > 0.5
+
+
+def test_eval_takes_no_seed(tmp_path, capsys, trained):
+    cfg, ck = trained
+    with pytest.raises(SystemExit) as exit_:
+        main(["eval", "--config", str(cfg), "--checkpoint", str(ck), "--horizon", "8",
+              "--seed", "1"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [cfg]
 
 
 def test_resolved_config_echoes_defaults_and_overrides(tmp_path):
@@ -829,7 +879,7 @@ def test_out_naming_a_regular_file_exits_1_and_writes_nothing(tmp_path, capsys, 
 _ARGV_GROUPS = {  # each command's arguments as option-value groups, the required ones first
     "train": [["--config", "run.ini"], ["--out", "o"], ["--seed", "3"]],
     "eval": [["--config", "run.ini"], ["--checkpoint", "c.arpt"], ["--horizon", "12"],
-             ["--out", "o"], ["--seed", "1"], ["--raw-scale"]],
+             ["--out", "o"], ["--raw-scale"]],
     "predict": [["in.csv"], ["--checkpoint", "c.arpt"], ["--horizon", "12"], ["--out", "o"]],
     "gradcheck": [["--config", "run.ini"], ["--out", "o"], ["--seed", "2"]],
 }
@@ -884,7 +934,7 @@ def argv_home(tmp_path_factory):
 _VALID_ARGV = {  # (name, value) pairs; a positional is named by its dest, a flag has no value
     "train": [("--config", "{cfg}"), ("--out", "{out}"), ("--seed", "1")],
     "eval": [("--config", "{cfg}"), ("--checkpoint", "{ck}"), ("--horizon", "8"),
-             ("--out", "{out}"), ("--seed", "1"), ("--raw-scale", None)],
+             ("--out", "{out}"), ("--raw-scale", None)],
     "predict": [("input_csv", "{csv}"), ("--checkpoint", "{ck}"), ("--horizon", "8"),
                 ("--out", "{out}")],
     "gradcheck": [("--config", "{cfg}"), ("--out", "{out}"), ("--seed", "1")],
@@ -1015,24 +1065,36 @@ def test_importing_the_cli_does_not_import_configparser():
 
 
 def test_plain_ini_reads_the_configs_the_cli_writes(tmp_path):
-    cfg = write_config(tmp_path / "run.ini", tmp_path / "out", {"dataset": {"path": "d%1.csv"}})
+    cfg = write_config(tmp_path / "run.ini", tmp_path / "out",
+                       {"dataset": {"source": "csv", "path": "d%1.csv"}})
     assert _read_plain_ini(cfg.read_text()) is not None
     RunConfig(cfg).write_resolved()
     assert _read_plain_ini((tmp_path / "out" / "config_resolved.ini").read_text()) is not None
 
 
+_DEMO_SOURCES = {"sinusoid": {}, "ar": {"coeffs": "0.6,0.3"},
+                 "csv": {"path": "series.csv", "has_header": "true", "time_column": "time"}}
+
+
 def _demo_config(source="sinusoid"):
     """The README's demo config as {section: {key: value}}, cut to 1,000 rows (100 val rows, a
-    window being S + nT = 96) and one epoch; an ``ar`` source draws an AR(0.6, 0.3) series."""
+    window being S + nT = 96) and one epoch; an ``ar`` source draws an AR(0.6, 0.3) series, and
+    a ``csv`` source reads the demo series, beside a time column, from ``series.csv``. The keys
+    of the demo's sinusoid that the source does not read are left out."""
     readme = Path(__file__).resolve().parent.parent / "README.md"
     (block,) = re.findall(r"^```ini\n(.*?)^```", readme.read_text(), re.M | re.S)
     sections = _read_plain_ini(block)
-    sections["dataset"]["length"] = "1000"
+    sections["dataset"].update(length="1000", source=source, **_DEMO_SOURCES[source])
+    sections["dataset"] = {key: value for key, value in sections["dataset"].items()
+                           if ("dataset", key) in _SOURCE_SCHEMA[source]}
     sections["train"]["max_epochs"] = "1"
-    if source == "ar":
-        del sections["dataset"]["periods"]
-        sections["dataset"].update(source="ar", coeffs="0.6,0.3")
     return sections
+
+
+def _write_demo_series(path):
+    """The demo's 1,000-row series as a CSV with a header and a leading time column."""
+    values = gen_sinusoid(1000, periods=144.0, noise_std=0.1, seed=0).values[:, 0].tolist()
+    path.write_text("time,load\n" + "".join(f"{i},{x!r}\n" for i, x in enumerate(values)))
 
 
 # each size key's largest fuzzed value, which bounds what a mutation can allocate; lengths
@@ -1041,12 +1103,18 @@ _SIZE_BOUNDS = {"length": 2000, "variates": 4, "hidden": 8, "s": 64, "t": 64, "l
                 "batch_size": 64, "max_epochs": 2, "patience": 2}
 _FUZZ_VALUES = (None, "", "abc", "-1", "0", "nan", "inf", "-inf")  # None deletes the key
 _FLOAT_VALUES = ("1e308", "5e-324")  # besides _FUZZ_VALUES, for float and float-list keys
-# (source, section, key, value) for every key a sinusoid config reads, and an ar config's coeffs
+# (source, section, key, value) for every key a sinusoid config reads, an ar config's coeffs, a
+# csv config's path, has_header and time_column, and, for each source, each [dataset] key of
+# another source set to 1
 _FUZZ_MUTATIONS = tuple(
     ("sinusoid", section, key, value)
     for section, key, parse, _, sources in SCHEMA if "sinusoid" in sources
     for value in _FUZZ_VALUES + (_FLOAT_VALUES if parse in (float, _float_list) else ())
-) + tuple(("ar", "dataset", "coeffs", value) for value in _FUZZ_VALUES + _FLOAT_VALUES)
+) + tuple(("ar", "dataset", "coeffs", value) for value in _FUZZ_VALUES + _FLOAT_VALUES) + tuple(
+    ("csv", "dataset", key, value) for key in _DEMO_SOURCES["csv"] for value in _FUZZ_VALUES
+) + tuple((source, "dataset", key, "1") for source in _DEMO_SOURCES
+          for key in dict.fromkeys(row[1] for row in SCHEMA if row[0] == "dataset")
+          if ("dataset", key) not in _SOURCE_SCHEMA[source])
 _SIZE_MUTATIONS = st.sampled_from([(section, key) for section, key, *_ in SCHEMA
                                    if key in _SIZE_BOUNDS]).flatmap(
     lambda sk: st.integers(1, _SIZE_BOUNDS[sk[1]]).map(lambda v: ("sinusoid", *sk, str(v))))
@@ -1065,6 +1133,8 @@ def _run_mutated(root, source="sinusoid", section=None, key=None, value=None):
     else:
         sections.setdefault(section, {})[key] = value
     run = Path(tempfile.mkdtemp(dir=root))
+    if source == "csv":
+        _write_demo_series(run / "series.csv")
     (run / "run.ini").write_text("".join(
         f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
         for name, items in sections.items()))
@@ -1081,12 +1151,12 @@ def _run_mutated(root, source="sinusoid", section=None, key=None, value=None):
     return code, err.getvalue().splitlines(), [str(w.message) for w in caught], written
 
 
-@pytest.mark.parametrize("source", ["sinusoid", "ar"])
+@pytest.mark.parametrize("source", sorted(_DEMO_SOURCES))
 def test_the_fuzz_base_configs_train_with_validation_and_no_warning(tmp_path, source):
     code, lines, warned, written = _run_mutated(tmp_path, source)
     assert (code, lines, warned) == (0, [], [])
     assert written == ["run.ini", "runs/demo/checkpoint.arpt", "runs/demo/config_resolved.ini",
-                       "runs/demo/history.csv"]
+                       "runs/demo/history.csv"] + ["series.csv"] * (source == "csv")
     (run,) = tmp_path.iterdir()
     (row,) = (run / "runs" / "demo" / "history.csv").read_text().splitlines()[1:]
     _, train_loss, val_loss = map(float, row.split(","))
@@ -1103,7 +1173,8 @@ def test_one_key_config_fuzz_exits_0_or_2_with_one_line_and_nothing_written(muta
         assert len(lines) == 1 and not {"checkpoint.arpt", "history.csv"} & \
             {Path(name).name for name in written}
     elif code != 0:  # each recorded warning would be one more stderr line
-        assert (code, len(lines + warned), written) == (2, 1, ["run.ini"]), lines + warned
+        inputs = ["run.ini", "series.csv"] if mutation[0] == "csv" else ["run.ini"]
+        assert (code, len(lines + warned), written) == (2, 1, inputs), lines + warned
     else:  # a run that trains has a val split holding a window, so nothing warns
         assert not lines + warned, lines + warned
 

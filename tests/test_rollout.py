@@ -1,12 +1,19 @@
 """Rollout recurrence, block errors, the discounted objective, and its gradient policy."""
 
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from arforecast.autodiff import Tape, Tensor, absolute, mean_all, scale, stop_gradient
-from arforecast.data import Windows, gen_sinusoid, window_iter
+from arforecast.cli import main
+from arforecast.data import SeriesDataset, Windows, gen_sinusoid, window_iter
+from arforecast.evaluation import evaluate
 from arforecast.models import Dims, NormState, apply_norm, forecast, init_forecaster
 from arforecast.rollout import (
     RolloutConfig,
@@ -18,6 +25,7 @@ from arforecast.rollout import (
     mse_loss,
     rollout_predict,
 )
+from arforecast.training import Checkpoint, save_checkpoint
 import composite_ops
 import numpy_oracle
 from composite_ops import matmul, mul
@@ -92,6 +100,50 @@ for _case in [("linear", Dims(S=6, T=3, L=L, V=2), RolloutConfig(n=n), 1, 13, 5)
         ("inverted_attention", Dims(S=5, T=2, V=1, hidden=3), RolloutConfig(n=1), 1, 8, 2)]:
     test_rollout_matches_numpy_oracle_over_geometries = example(_case)(
         test_rollout_matches_numpy_oracle_over_geometries)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_oracle_draws())
+@example(("linear", Dims(S=8, T=4, L=2), RolloutConfig(n=2), 3, 5, 0))
+@example(("mlp", Dims(S=7, T=3, L=2, V=2, hidden=4), RolloutConfig(n=4), 3, 4, 6))
+@example(("inverted_attention", Dims(S=5, T=2, L=3, V=3, hidden=3), RolloutConfig(n=4), 2, 3, 7))
+def test_evaluate_and_predict_match_numpy_oracle(draw):
+    """evaluate's per-block and cumulative MSE over the B windows of a series, and the
+    predictions.csv that the CLI's predict writes from a saved checkpoint, are the oracle's."""
+    kind, dims, cfg, B, model_seed, seed = draw
+    S, T, V, n = dims.S, dims.T, dims.V, cfg.n
+    rng = np.random.default_rng(seed)
+    model = init_forecaster(kind, dims, seed=model_seed)
+    values = (rng.normal(size=(S + n * T + B - 1, V)) + rng.uniform(-5.0, 5.0)) \
+        * rng.uniform(0.1, 10.0)
+    report = evaluate(model, SeriesDataset.from_values("drawn", values, ratios=(0.0, 0.0, 1.0)),
+                      "test", cfg)
+    p, errors = numpy_oracle.arrays(model), []
+    for origin in range(B):
+        seq, mean, std = numpy_oracle.rollout(kind, p, values[origin:origin + S], dims.L, n)
+        future = values[origin + S:origin + S + n * T]
+        errors.append(numpy_oracle.block_mse(seq[S:], (future - mean) / std, n))
+    assert report.window_count == B
+    np.testing.assert_allclose([mse for mse, _ in report.per_block], np.mean(errors, axis=0),
+                               rtol=1e-12, atol=0)
+    assert abs(report.cumulative[0] - np.mean(errors)) <= 1e-12 * np.mean(errors)
+
+    with tempfile.TemporaryDirectory() as home:
+        home = Path(home)
+        save_checkpoint(Checkpoint.from_forecaster(model, cfg, 0, 0.1, 0), home / "model.arpt")
+        (home / "input.csv").write_text(",".join(f"x{v}" for v in range(V)) + "\n" + "".join(
+            ",".join(map(repr, row)) + "\n" for row in values.tolist()))
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["predict", str(home / "input.csv"), "--checkpoint",
+                         str(home / "model.arpt"), "--horizon", str(n * T),
+                         "--out", str(home / "pred")]) == 0
+        lines = (home / "pred" / "predictions.csv").read_text().splitlines()
+    assert lines[0] == ",".join(f"x{v}" for v in range(V)) and len(lines) == 1 + n * T
+    got = np.array([line.split(",") for line in lines[1:]], dtype=float)
+    mean, std = numpy_oracle.zscore(values[-S:])
+    seq = np.vstack([values[-S:], got])
+    want = numpy_oracle.step_forecasts(kind, p, (seq - mean) / std, S, dims.L, T) * std + mean
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14 * np.abs(values).max())
 
 
 def test_third_step_input_is_fully_predicted(monkeypatch):
