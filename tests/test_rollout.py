@@ -84,6 +84,9 @@ def test_rollout_matches_numpy_oracle_over_geometries(draw):
         seq = np.vstack([(context - mean) / std] + [block.values[:, columns] for block in got])
         want = numpy_oracle.step_forecasts(kind, p, seq, S, dims.L, T)
         np.testing.assert_allclose(seq[S:], want, rtol=1e-12, atol=1e-14)
+        if kind == "linear":  # well conditioned, so the oracle's own rollout holds the bound too
+            free = numpy_oracle.rollout(kind, p, context, dims.L, cfg.n)[0]
+            np.testing.assert_allclose(seq[S:], free[S:], rtol=1e-12, atol=1e-14)
         errors.append(numpy_oracle.block_mse(want, (future - mean) / std, cfg.n))
     np.testing.assert_allclose(np.vstack([e.values for e in blocks.e]).T, errors,
                                rtol=1e-12, atol=0)
