@@ -18,6 +18,7 @@ def zscore(context):
 
 
 def _layer_norm(x):
+    """Each column at mean 0 and variance 1, with the variance's epsilon 1e-5."""
     centered = x - x.mean(axis=0, keepdims=True)
     return centered / np.sqrt(np.mean(centered * centered, axis=0, keepdims=True) + 1e-5)
 
