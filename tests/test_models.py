@@ -32,6 +32,7 @@ from arforecast.models import (
     param_count,
 )
 from composite_ops import layer_norm, mul, softmax, window_mix, window_scores
+import numpy_oracle
 
 
 def test_linear_param_count():
@@ -150,6 +151,19 @@ def test_channel_independence_under_permutation(kind, hidden):
     out = forecast(model, Tensor(ctx)).values
     out_perm = forecast(model, Tensor(ctx[:, perm])).values
     np.testing.assert_allclose(out_perm, out[:, perm], atol=1e-14)
+
+
+def test_single_token_attention_hand_trace():
+    # with one variate the softmax weight is exactly 1: the forecast is the oracle's, and scaling
+    # the query, which only moves the one score, leaves it as it was
+    model = init_forecaster("inverted_attention", Dims(S=5, T=2, V=1, hidden=3), seed=8)
+    ctx = np.random.default_rng(2).normal(size=(5, 1))
+    out = forecast(model, Tensor(ctx)).values
+    want = numpy_oracle.forward("inverted_attention", numpy_oracle.arrays(model), ctx)
+    np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
+    model.params["q_w"].values[...] *= -7.0
+    model.params["q_b"].values[...] *= -7.0
+    np.testing.assert_allclose(forecast(model, Tensor(ctx)).values, out, rtol=1e-12, atol=1e-12)
 
 
 @pytest.mark.parametrize("kind,hidden", [("linear", 0), ("mlp", 4), ("inverted_attention", 3)])

@@ -61,12 +61,9 @@ def _oracle_draws(draw):
         draw(st.integers(0, 2 ** 32 - 1))
 
 
-@settings(max_examples=100, deadline=None)
-@given(_oracle_draws())
-def test_rollout_matches_numpy_oracle_over_geometries(draw):
+def _assert_matches_oracle(kind, dims, cfg, B, model_seed, seed):
     """rollout_predict's state and blocks, taped, and ar_loss over B windows are the oracle's;
     each block is the oracle's forecast from its step's input, so rounding does not compound."""
-    kind, dims, cfg, B, model_seed, seed = draw
     S, T, V = dims.S, dims.T, dims.V
     rng = np.random.default_rng(seed)
     model = init_forecaster(kind, dims, seed=model_seed)
@@ -94,15 +91,20 @@ def test_rollout_matches_numpy_oracle_over_geometries(draw):
     assert abs(blocks.loss.item() - want) <= 1e-12 * abs(want)
 
 
-# fixed cases: a linear grid over L and n; T > S (every input after block 1 is predicted); 2T ==
-# S (a step input is whole blocks); and one attention token (V = 1), whose softmax weight is 1
-for _case in [("linear", Dims(S=6, T=3, L=L, V=2), RolloutConfig(n=n), 1, 13, 5)
-              for L in (0, 2) for n in (1, 2, 4)] + [
-        ("linear", Dims(S=3, T=5, L=1, V=2), RolloutConfig(n=4), 1, 0, 0),
-        ("linear", Dims(S=4, T=2, L=0, V=1), RolloutConfig(n=5), 1, 1, 1),
-        ("inverted_attention", Dims(S=5, T=2, V=1, hidden=3), RolloutConfig(n=1), 1, 8, 2)]:
-    test_rollout_matches_numpy_oracle_over_geometries = example(_case)(
-        test_rollout_matches_numpy_oracle_over_geometries)
+# fixed cases: T > S (every input after block 1 is predicted); 2T == S (a step input is whole
+# blocks)
+@settings(max_examples=100, deadline=None)
+@given(_oracle_draws())
+@example(("linear", Dims(S=3, T=5, L=1, V=2), RolloutConfig(n=4), 1, 0, 0))
+@example(("linear", Dims(S=4, T=2, L=0, V=1), RolloutConfig(n=5), 1, 1, 1))
+def test_rollout_matches_numpy_oracle_over_geometries(draw):
+    _assert_matches_oracle(*draw)
+
+
+@pytest.mark.parametrize("L", [0, 2])
+@pytest.mark.parametrize("n", [1, 2, 4])
+def test_rollout_matches_numpy_oracle(L, n):
+    _assert_matches_oracle("linear", Dims(S=6, T=3, L=L, V=2), RolloutConfig(n=n), 1, 13, 5)
 
 
 @settings(max_examples=40, deadline=None)
