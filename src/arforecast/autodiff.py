@@ -4,7 +4,8 @@ Dense float64 tensors plus the operation set the forecasting models and
 the rollout objective record: ``w @ x + b``, relu, the attention model's
 attention and feed-forward sublayers as one record each, slicing, the
 rollout's input windows, the objective's block error and discounted sum,
-and the mean. Same-shape add and sub, scaling, abs and a stop-gradient
+the whole batch objective of a rollout as one record, and the mean.
+Same-shape add and sub, scaling, abs and a stop-gradient
 operator (the identity forward, and no gradient flow backward) spell the
 objective's monotonicity penalty term by term.
 
@@ -137,8 +138,10 @@ class Tape:
 
     @property
     def min_kink_gap(self) -> float:
-        """Smallest |x| at any recorded kink: relu/abs/ffn_sublayer inputs, discounted_loss gaps."""
-        kinks = (_relu_rule, _abs_rule, _ffn_sublayer_rule, _discounted_loss_rule)  # late-bound
+        """Smallest |x| at any recorded kink: relu/abs/ffn_sublayer inputs, the penalty gaps of
+        discounted_loss and rollout_objective."""
+        kinks = (_relu_rule, _abs_rule, _ffn_sublayer_rule, _discounted_loss_rule,
+                 _rollout_objective_rule)  # late-bound
         return min((float(np.min(np.abs(ctx[0]), initial=np.inf))
                     for _, _, rule, ctx in self.records if rule in kinks), default=float("inf"))
 
@@ -297,7 +300,7 @@ def _ffn_sublayer_rule(ctx, g):
 def _block_error_rule(ctx, g):
     # 2 (pred - truth) / (T V) times each window's upstream value, in the sub/mul/matmul order
     diff, c, V = ctx
-    grad = 2.0 * ((c * np.repeat(g, V, axis=1)) * diff)
+    grad = 2.0 * ((c * np.repeat(g, V, axis=-1)) * diff)
     return grad, -grad
 
 
@@ -311,6 +314,18 @@ def _discounted_loss_rule(ctx, g):
         coef = gk * (1.0 - beta)
         grads.append(coef if beta == 0.0 else coef + gk * beta * np.sign(gaps[k - 1]))
     return tuple(grads)
+
+
+def _rollout_objective_rule(ctx, g):
+    # mean_all's rule, then discounted_loss's with its n - 1 later terms stacked, then
+    # block_error's on the n stacked blocks: elementwise, so the floats are the chain's
+    gaps, diff, c, V, gamma, beta = ctx
+    B = diff.shape[2] // V
+    g = np.full((1, B), float(g) / B)
+    gk = g * np.array([gamma ** k for k in range(1, len(diff))]).reshape(-1, 1, 1)
+    coef = gk * (1.0 - beta)
+    g = np.concatenate([g[None], coef if beta == 0.0 else coef + gk * beta * np.sign(gaps)])
+    return tuple(2.0 * ((c * np.repeat(g, V, axis=-1)) * diff))
 
 
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -352,14 +367,11 @@ def block_error(pred_block: Tensor, truth_block, V: int | None = None) -> Tensor
         truth_block = Tensor(truth_block)
     if pred_block.shape != truth_block.shape:
         raise ValueError(f"block shapes differ: {pred_block.shape} vs {truth_block.shape}")
-    rows, width = pred_block.shape
+    _, width = pred_block.shape
     V = width if V is None else V
     _check_windows("block_error", pred_block, V)
     diff = pred_block.values - truth_block.values
-    c = 1.0 / (rows * V)  # the products below are the composite form's, and so are the values
-    errors = np.full((1, rows), c) @ (diff * diff)
-    if V > 1:
-        errors = errors @ np.repeat(np.eye(width // V), V, axis=0)
+    errors, c = _window_mse(diff, V)
     return _emit(errors, (pred_block, truth_block), _block_error_rule, (diff, c, V))
 
 
@@ -371,20 +383,70 @@ def discounted_loss(errors: list[Tensor], gamma: float, beta: float) -> Tensor:
     """
     if not errors:
         raise ValueError("discounted_loss: empty error list")
+    _check_discount(gamma, beta)
+    if len(errors) == 1:
+        return errors[0]
+    loss, gaps = _discounted_values(np.stack([t.values for t in errors]), gamma, beta)
+    return _emit(loss, tuple(errors), _discounted_loss_rule, (gaps, gamma, beta, len(errors)))
+
+
+def rollout_objective(blocks: list[Tensor], truth: np.ndarray, V: int, gamma: float,
+                      beta: float) -> tuple[Tensor, np.ndarray]:
+    """``mean_all(discounted_loss([block_error(block, truth[kT:(k+1)T], V) for k, block in
+    enumerate(blocks)], gamma, beta))`` as one record with the same floats, and the (n, B)
+    block errors.
+
+    ``blocks`` are the n (T, B*V) blocks of a rollout of B windows side by side as groups of
+    ``V`` columns, and ``truth`` their (n T, B*V) targets, a constant. The errors come from one
+    stacked difference and one stacked product with the (1, T) row of 1 / (T V); the record
+    saves the penalty's kinks e_{k+1} - e_k first (none if beta == 0), as discounted_loss does.
+    """
+    if not blocks:
+        raise ValueError("rollout_objective: no blocks")
+    _check_discount(gamma, beta)
+    pred = np.stack([block.values for block in blocks])  # raises on differing shapes
+    n, T, width = pred.shape
+    if truth.shape != (n * T, width) or V < 1 or width % V:
+        raise ValueError(f"rollout_objective: {n} blocks of {(T, width)} and targets of "
+                         f"{truth.shape} are not whole {V}-column windows")
+    diff = pred - truth.reshape(n, T, width)
+    e, c = _window_mse(diff, V)  # (n, 1, B)
+    loss, gaps = _discounted_values(e, gamma, beta)
+    # np.add.reduce(..) / size is np.mean, unwrapped
+    out = _emit(np.add.reduce(loss, None) / loss.size, tuple(blocks), _rollout_objective_rule,
+                (gaps, diff, c, V, gamma, beta))
+    return out, e.reshape(n, -1)
+
+
+def _check_discount(gamma: float, beta: float) -> None:
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must be in (0, 1), got {gamma}")
     if not 0.0 <= beta < 0.5:
         raise ValueError(f"beta must be in [0, 0.5), got {beta}")
-    if len(errors) == 1:
-        return errors[0]
-    e = np.stack([t.values for t in errors])  # raises on differing shapes
+
+
+def _window_mse(diff: np.ndarray, V: int):
+    """(each window's mean squared error over ``diff``'s last two axes, a (T, B*V) block of B
+    windows side by side, as (..., 1, B); the 1 / (T V) it is scaled by). The products are the
+    composite form's, and so are the values."""
+    T, width = diff.shape[-2:]
+    c = 1.0 / (T * V)
+    errors = np.full((1, T), c) @ (diff * diff)
+    if V > 1:
+        errors = errors @ np.repeat(np.eye(width // V), V, axis=0)
+    return errors, c
+
+
+def _discounted_values(e: np.ndarray, gamma: float, beta: float):
+    """(the discounted sum with its penalty over the errors stacked in ``e``, the penalty's
+    gaps e_{k+1} - e_k, none if beta == 0)."""
     gaps = e[1:] - e[:-1] if beta > 0.0 else e[:0]
     loss = e[0]
-    for k in range(1, len(errors)):
+    for k in range(1, len(e)):
         term = e[k] * (1.0 - beta)
         term = term if beta == 0.0 else term + np.abs(gaps[k - 1]) * beta
         loss = loss + term * gamma ** k
-    return _emit(loss, tuple(errors), _discounted_loss_rule, (gaps, gamma, beta, len(errors)))
+    return loss, gaps
 
 
 def _windows(x: np.ndarray, V: int) -> np.ndarray:

@@ -2,7 +2,8 @@
 
 Configuration is a single INI file with [dataset], [model], [rollout],
 [train], and [output] sections. Every config-driven run writes the fully
-defaulted configuration it actually used back into the output directory.
+defaulted configuration it actually used back into the output directory
+(eval, the keys it reads).
 Exit codes: 0 success, 1 runtime failure (including a failed gradient
 check), 2 invalid input or config.
 """
@@ -10,11 +11,14 @@ check), 2 invalid input or config.
 from __future__ import annotations
 
 import argparse
+import codecs
 import functools
 import inspect
+import io
 import math
+import os
 import sys
-from dataclasses import MISSING, fields, replace
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -109,6 +113,12 @@ _SECTION_KEYS = {section: {row[1] for row in SCHEMA if row[0] == section}
 # each source's keys, {(section, key): (parser, default)} in SCHEMA order
 _SOURCE_SCHEMA = {source: {row[:2]: row[2:4] for row in SCHEMA if source in row[4]}
                   for source in SOURCES}
+_ROLLOUT_KEYS = tuple(f.name for f in fields(RolloutConfig))
+# the keys only training reads: eval neither parses nor writes them back
+_TRAINING_KEYS = {("rollout", key) for key in _ROLLOUT_KEYS} | \
+    {("train", key) for key in _SECTION_KEYS["train"]}
+_EVAL_SCHEMA = {source: {key: spec for key, spec in schema.items() if key not in _TRAINING_KEYS}
+                for source, schema in _SOURCE_SCHEMA.items()}
 _REQUIRED_SECTIONS = tuple(dict.fromkeys(row[0] for row in SCHEMA if row[3] is MISSING))
 
 
@@ -176,13 +186,21 @@ class RunConfig:
 
     ``values[section][key]`` holds every SCHEMA key that applies to the
     dataset source; ``geometry`` (the ``Dims`` of ``[rollout]`` s, t and l),
-    ``rollout``, ``train`` and ``out_dir`` are built from it.
+    ``rollout``, ``train`` and ``out_dir`` are built from it. Without
+    ``training``, the ``[train]`` keys and ``[rollout]`` n, gamma and beta are
+    neither parsed nor held (``rollout`` and ``train`` are None), though a key
+    name no source reads is still refused.
     """
 
-    def __init__(self, path, out_override=None, seed_override=None):
+    def __init__(self, path, out_override=None, seed_override=None, training=True):
         path = Path(path)
         try:
-            text = path.read_text(encoding="utf-8-sig")  # a byte order mark is not text
+            with open(path, "rb", buffering=0) as fh:
+                data = fh.read()
+            # what open(path, encoding="utf-8-sig").read() returns, through the same two
+            # decoders but without a text file's setup; a byte order mark is not text
+            text = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8-sig")(),
+                                                translate=True).decode(data, final=True)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
         except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable, not UTF-8
@@ -204,10 +222,12 @@ class RunConfig:
                     raise ConfigError(f"[{name}] key {key!r} does not apply to source "
                                       f"{self.source!r}" if key in _SECTION_KEYS[name]
                                       else f"[{name}] unknown key {key!r}")
+        self._schema = (_SOURCE_SCHEMA if training else _EVAL_SCHEMA)[self.source]
         self.values: dict[str, dict] = {section: {} for section in _SECTION_KEYS}
-        for (section, key), (parse, default) in _SOURCE_SCHEMA[self.source].items():
-            self.values[section][key] = \
-                _parse(section, key, parse, default, raw.get(section, {}).get(key))
+        for (section, key), (parse, default) in self._schema.items():
+            given = raw[section].get(key) if section in raw else None
+            self.values[section][key] = _parse(section, key, parse, default, given) \
+                if given or default is MISSING else default
         if seed_override is not None:
             self.values["train"]["seed"] = seed_override
         if out_override:
@@ -218,11 +238,12 @@ class RunConfig:
         ro = self.values["rollout"]
         try:
             self.geometry = Dims(S=ro["s"], T=ro["t"], L=ro["l"])
-            self.rollout = RolloutConfig(**{f.name: ro[f.name] for f in fields(RolloutConfig)})
+            self.rollout = RolloutConfig(**{key: ro[key] for key in _ROLLOUT_KEYS}) \
+                if training else None
         except ValueError as exc:
             raise ConfigError(f"[rollout] {exc}") from None
         try:
-            self.train = TrainConfig(**self.values["train"])
+            self.train = TrainConfig(**self.values["train"]) if training else None
         except ValueError as exc:
             raise ConfigError(f"[train] {exc}") from None
         self.out_dir = self.values["output"]["dir"]
@@ -273,7 +294,8 @@ class RunConfig:
 
     def build_model(self, n_variates: int):
         try:
-            dims = replace(self.geometry, V=n_variates, hidden=self.values["model"]["hidden"])
+            g = self.geometry
+            dims = Dims(g.S, g.T, g.L, n_variates, self.values["model"]["hidden"])
             return init_forecaster(self.kind, dims, seed=self.train.seed)
         except ValueError as exc:
             raise ConfigError(f"[model] {exc}") from None
@@ -281,12 +303,12 @@ class RunConfig:
     def write_resolved(self) -> None:
         """Write the keys that apply, defaults filled in, as the plain INI the reader takes."""
         sections: dict[str, list[str]] = {}
-        for (section, key), (parse, _) in _SOURCE_SCHEMA[self.source].items():
+        for (section, key), (parse, _) in self._schema.items():
             value = self.values[section][key]
             if value is not None:
                 text = _FORMATS.get(parse, str)(value)
                 sections.setdefault(section, []).append(f"{key} = {text}\n")
-        _write_out(self.out_dir / "config_resolved.ini", "".join(
+        _write_out(os.path.join(self.out_dir, "config_resolved.ini"), "".join(
             f"[{section}]\n{''.join(lines)}\n" for section, lines in sections.items()))
 
 
@@ -300,12 +322,12 @@ def check_split(dataset: SeriesDataset, split: str, S: int, horizon: int,
         raise ConfigError(f"[rollout] {exc}") from None
 
 
-def _write_out(path: Path, content) -> None:
+def _write_out(path: str, content) -> None:
     """``write_fresh``, creating the output directory if the first write finds it missing."""
     try:
         write_fresh(path, content)
     except FileNotFoundError:
-        path.parent.mkdir(parents=True, exist_ok=True)
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
         write_fresh(path, content)
 
 
@@ -342,8 +364,8 @@ def cmd_train(args) -> int:
     cfg.write_resolved()
 
     checkpoint, history = train(model, dataset, cfg.rollout, cfg.train)
-    save_checkpoint(checkpoint, cfg.out_dir / "checkpoint.arpt")
-    write_history_csv(history, cfg.out_dir / "history.csv")
+    save_checkpoint(checkpoint, os.path.join(cfg.out_dir, "checkpoint.arpt"))
+    write_history_csv(history, os.path.join(cfg.out_dir, "history.csv"))
     print(f"trained {cfg.kind} for {len(history)} epochs; "
           f"best val loss {checkpoint.val_loss:.6g} at epoch {checkpoint.epoch}")
     print(f"outputs in {cfg.out_dir}")
@@ -351,7 +373,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = RunConfig(args.config, out_override=args.out)
+    cfg = RunConfig(args.config, out_override=args.out, training=False)
     ck = _load_checkpoint_or_fail(args.checkpoint)
     roll = _rollout_for(ck, args.horizon)
     dims = ck.dims
@@ -370,8 +392,8 @@ def cmd_eval(args) -> int:
 
     model = ck.to_forecaster()
     report = evaluate(model, dataset, "test", roll, raw_scale=args.raw_scale)
-    write_report_json(report, cfg.out_dir / "report.json")
-    export_curve(report, cfg.out_dir / "curve.csv")
+    write_report_json(report, os.path.join(cfg.out_dir, "report.json"))
+    export_curve(report, os.path.join(cfg.out_dir, "curve.csv"))
     print(f"evaluated {report.window_count} windows over horizon {args.horizon} "
           f"({roll.n} blocks, {report.scale} scale)")
     print(f"cumulative mse {report.cumulative[0]:.6g}, mae {report.cumulative[1]:.6g}, "
@@ -404,7 +426,7 @@ def cmd_predict(args) -> int:
         raise ConfigError(f"forecast holds non-finite values on the scale of {args.input_csv}; "
                           f"no predictions written") from None
 
-    out_path = Path(args.out, "predictions.csv")
+    out_path = os.path.join(args.out, "predictions.csv")  # as given: no pathlib parse per call
     row_format = ",".join(["%.17g"] * values.shape[1]) + "\n"
     _write_out(out_path, ",".join(dataset.columns) + "\n"
                + row_format * values.shape[0] % tuple(values.ravel().tolist()))
@@ -521,7 +543,11 @@ def _parse_plain(command: str, argv: list[str]):
                 return None
         values[dest] = value
         given.add(dest)
-    return argparse.Namespace(**values) if required <= given else None
+    if not required <= given:
+        return None
+    args = argparse.Namespace()
+    vars(args).update(values)  # Namespace(**values) sets them one by one, in Python
+    return args
 
 
 def main(argv=None) -> int:

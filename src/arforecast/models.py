@@ -98,22 +98,30 @@ def _shapes(kind: str, S: int, out: int, h: int) -> tuple[tuple[str, tuple[int, 
     raise ValueError(f"unknown forecaster kind {kind!r}")
 
 
+@functools.lru_cache(maxsize=64, typed=True)
+def _layout(kind: str, S: int, out: int, h: int) -> tuple[int, tuple]:
+    """The parameter count and each parameter's (name, shape, start, stop) in the vector."""
+    spans, stop = [], 0
+    for name, shape, _ in _shapes(kind, S, out, h):
+        start, stop = stop, stop + math.prod(shape)
+        spans.append((name, shape, start, stop))
+    return stop, tuple(spans)
+
+
 def param_count(kind: str, dims: Dims) -> int:
-    return sum(math.prod(shape) for _, shape, _ in _param_shapes(kind, dims))
+    return _layout(kind, dims.S, dims.out_len, dims.hidden)[0]
 
 
 def build_forecaster(kind: str, dims: Dims, flat) -> Forecaster:
     """A model over a float64 copy of the parameter vector ``flat``, in _param_shapes order;
     each parameter tensor is a view of that copy."""
-    flat, count = np.array(flat, dtype=np.float64), param_count(kind, dims)
+    count, spans = _layout(kind, dims.S, dims.out_len, dims.hidden)
+    flat = np.array(flat, dtype=np.float64)
     if flat.shape != (count,):
         raise ValueError(f"a {kind} model of {dims} takes a vector of {count} parameters, "
                          f"got shape {flat.shape}")
-    params, offset = {}, 0
-    for name, shape, _ in _param_shapes(kind, dims):
-        size = math.prod(shape)
-        params[name] = Tensor.view(flat[offset:offset + size].reshape(shape), requires_grad=True)
-        offset += size
+    params = {name: Tensor.view(flat[start:stop].reshape(shape), requires_grad=True)
+              for name, shape, start, stop in spans}
     return Forecaster(kind=kind, dims=dims, params=params, flat=flat)
 
 
@@ -125,7 +133,7 @@ def init_forecaster(kind: str, dims: Dims, seed: int) -> Forecaster:
     """
     rng = np.random.Generator(np.random.Philox(seed))
     return build_forecaster(kind, dims, np.concatenate([
-        rng.uniform(-1.0 / np.sqrt(fan_in), 1.0 / np.sqrt(fan_in), size=shape).ravel()
+        rng.uniform(-1.0 / math.sqrt(fan_in), 1.0 / math.sqrt(fan_in), size=shape).ravel()
         for _, shape, fan_in in _param_shapes(kind, dims)]))
 
 

@@ -14,6 +14,7 @@ predecessors.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,10 +24,10 @@ from .autodiff import (
     Tensor,
     _stitch,
     block_error,
-    discounted_loss,
+    discounted_loss,  # noqa: F401 - re-exported
     finite_diff_oracle,
     max_relative_error,
-    mean_all,
+    rollout_objective,
     slice_axis,
 )
 from .data import Windows
@@ -51,14 +52,25 @@ class RolloutConfig:
             raise ValueError(f"beta must be in (0, 0.5), got {self.beta}")
 
 
-@dataclass
 class BlockErrors:
     """Per-block errors e_1..e_n as (1, B) rows over a batch of B windows (still on tape),
-    the batch objective, and how many (window, block) errors fell below the previous block's."""
+    the batch objective, and how many (window, block) errors fell below the previous block's.
 
-    e: list[Tensor]
-    loss: Tensor
-    violations: int
+    The objective is one record. ``e`` is built when first read, as n ``block_error`` records
+    on the tape active then; training reads only ``loss``, and so never builds them.
+    """
+
+    def __init__(self, loss: Tensor, violations: int, blocks: list[Tensor], truth: np.ndarray,
+                 V: int):
+        self.loss = loss
+        self.violations = violations
+        self._blocks, self._truth, self._V = blocks, truth, V
+
+    @functools.cached_property
+    def e(self) -> list[Tensor]:
+        T = self._truth.shape[0] // len(self._blocks)
+        return [block_error(block, self._truth[k * T:(k + 1) * T], self._V)
+                for k, block in enumerate(self._blocks)]
 
 
 @dataclass
@@ -140,12 +152,8 @@ def ar_loss(model: Forecaster, windows: Windows, cfg: RolloutConfig) -> BlockErr
     context, future = windows.columns()
     blocks, state = rollout_predict(model, context, cfg)
     fut_n = apply_norm(future, state)
-    errors = [block_error(block, fut_n[k * T:(k + 1) * T], V) for k, block in enumerate(blocks)]
-    objective = discounted_loss(errors, cfg.gamma, cfg.beta)
-    loss = objective if B == 1 else mean_all(objective)
-    raw = np.vstack([e.values for e in errors])
-    violations = int(np.count_nonzero(raw[1:] < raw[:-1]))
-    return BlockErrors(e=errors, loss=loss, violations=violations)
+    loss, e = rollout_objective(blocks, fut_n, V, cfg.gamma, cfg.beta)
+    return BlockErrors(loss, int(np.count_nonzero(e[1:] < e[:-1])), blocks, fut_n, V)
 
 
 def mse_loss(model: Forecaster, windows: Windows) -> Tensor:

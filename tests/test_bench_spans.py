@@ -6,9 +6,13 @@ in the program would otherwise surface only in a traced benchmark run, or
 not at all.
 """
 
+import contextlib
 import importlib.util
+import io
 import json
 import math
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -24,11 +28,19 @@ from arforecast.training import Checkpoint, save_checkpoint
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
 
+def _load_bench(name, monkeypatch=None):
+    """``bench/<name>.py`` as a module; with ``monkeypatch``, listed in ``sys.modules`` for the
+    test, as a module defining dataclasses must be."""
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", SPANS.parent / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    if monkeypatch is not None:
+        monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _load_spans():
-    spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
-    spans = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(spans)
-    return spans
+    return _load_bench("spans")
 
 
 def test_every_trace_target_resolves():
@@ -51,12 +63,14 @@ def test_counted_rule_names_match_the_tape(kind, V, extra):
     with Tape() as tape:
         ar_loss(model, batch, cfg)
     # the note spans.py takes on Tape.gradient, stripped to names as its metrics do
-    counted = spans._rules((tape,), None)
-    names = {rule.__name__.strip("_").removesuffix("_rule") for rule in counted}
+    names = Counter()
+    for rule, count in spans._rules((tape,), None).items():
+        names[rule.__name__.strip("_").removesuffix("_rule")] += count
     # layers are affine records (attention's two sublayers one record each), each step's
-    # input window is one stitch record, each block's error is one block_error record and
-    # the objective one discounted_loss; at L = 0 no block is sliced
-    assert names == {"affine", "stitch", "block_error", "discounted_loss", "mean", *extra}
+    # input window is one stitch record and the whole objective one rollout_objective record;
+    # at L = 0 no block is sliced
+    assert set(names) == {"affine", "stitch", "rollout_objective", *extra}
+    assert names["rollout_objective"] == 1
     assert {"concat", "softmax", "layer_norm"} <= set(spans.RULES)
 
 
@@ -83,3 +97,21 @@ def test_traced_eval_records_the_spans_the_benchmark_checks(tmp_path, monkeypatc
     windows = json.loads((out / "report.json").read_text())["window_count"]
     chunks = 1 if chunk_windows is None else math.ceil(windows / chunk_windows)
     assert names.count("rollout.rollout_predict") == chunks
+
+
+@pytest.mark.parametrize("objective", ["ar", "mse"])
+def test_traced_train_records_the_spans_the_benchmark_checks(tmp_path, monkeypatch, objective):
+    """The benchmark's own train request, traced as a --trace 1 run traces it, records every
+    span that run requires, rollout.mse_loss (through training's module global) included."""
+    monkeypatch.setitem(sys.modules, "refmodel", _load_bench("refmodel"))  # workloads imports it
+    workloads = _load_bench("workloads", monkeypatch)
+    csv = workloads.write_series(tmp_path / "series.csv", workloads.TRAIN_ROWS, 1, 0)
+    request = workloads.train_request(workloads.Checker(), f"train {objective}", tmp_path, csv,
+                                      "linear", objective, 1)
+    assert f"rollout.{objective}_loss" in request.spans
+    tracer = _load_spans().Tracer()
+    with tracer.installed(), contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(request.argv) == 0
+    assert tracer.missing == set()
+    assert set(request.spans) <= {span[0] for span in tracer.spans}
+    assert request.check() is None

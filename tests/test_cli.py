@@ -261,6 +261,31 @@ def test_eval_ignores_the_config_objective_weights_and_block_count(tmp_path, tra
     assert (tmp_path / "eval" / "report.json").exists()
 
 
+@pytest.mark.parametrize("section,key,value", [
+    ("train", "lr", "-1"), ("train", "objective", "nope"), ("train", "max_epochs", "many"),
+    ("train", "seed", "-3"), ("rollout", "gamma", "7"), ("rollout", "beta", "0"),
+    ("rollout", "n", "x"),
+])
+def test_eval_reads_no_training_key(tmp_path, capsys, trained, section, key, value):
+    _, ck = trained
+    cfg = write_config(tmp_path / "other.ini", tmp_path / "eval", {section: {key: value}})
+    assert main(["eval", "--config", str(cfg), "--checkpoint", str(ck), "--horizon", "8"]) == 0
+    assert capsys.readouterr().err == ""
+    resolved = _read_plain_ini((tmp_path / "eval" / "config_resolved.ini").read_text())
+    assert list(resolved) == ["dataset", "model", "rollout", "output"]
+    assert list(resolved["rollout"]) == ["s", "t", "l"]
+
+
+@pytest.mark.parametrize("section", ["train", "rollout"])
+def test_eval_refuses_an_unknown_key_of_a_section_it_does_not_read(tmp_path, capsys, trained,
+                                                                   section):
+    _, ck = trained
+    cfg = write_config(tmp_path / "other.ini", tmp_path / "eval", {section: {"bogus": "1"}})
+    assert main(["eval", "--config", str(cfg), "--checkpoint", str(ck), "--horizon", "8"]) == 2
+    assert capsys.readouterr().err == f"error: [{section}] unknown key 'bogus'\n"
+    assert not (tmp_path / "eval").exists()
+
+
 def test_eval_rejects_bad_checkpoint(tmp_path, capsys):
     bogus = tmp_path / "bogus.arpt"
     bogus.write_bytes(b"JUNKJUNKJUNKJUNK")

@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -270,11 +271,24 @@ def test_export_curve_rows_and_header(tmp_path):
     assert float(lines[4].split(",")[1]) == 1.0 / 3.0
 
 
-def test_report_json_bytes_match_the_json_module(tmp_path):
-    rep = _report(float("inf"), per_block=[(0.1, 1 / 3), (2e-320, float("nan"))])
-    write_report_json(rep, tmp_path / "report.json")
-    assert (tmp_path / "report.json").read_text() == \
-        json.dumps(report_to_dict(rep), indent=2, sort_keys=True) + "\n"
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [0.0, -0.0, 1 / 3, 2e-320, 1e16, 1e-5, float("nan"), float("inf"), -float("inf")])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_FLOATS, _FLOATS), max_size=6), st.lists(_FLOATS, max_size=6),
+       st.tuples(_FLOATS, _FLOATS, _FLOATS, _FLOATS), st.integers(0, 10 ** 6),
+       st.integers(1, 10 ** 4), st.sampled_from(["normalized", "raw"]))
+@example([(0.1, 1 / 3), (2e-320, float("nan"))], [0.0, 0.0], (float("inf"), 0.5, 0.1, 0.2),
+         10, 12, "normalized")
+def test_report_json_bytes_match_the_json_module(per_block, rates, floats, windows, T, scale):
+    rep = EvalReport(per_block=per_block, cumulative=floats[:2], block_violation_rate=floats[2],
+                     step_violation_rate=floats[3], window_count=windows, block_length=T,
+                     per_block_violation_rate=rates, scale=scale)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "report.json")
+        write_report_json(rep, path)
+        assert path.read_text() == json.dumps(report_to_dict(rep), indent=2, sort_keys=True) + "\n"
 
 
 def test_report_json_round_trip(tmp_path):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import arforecast.autodiff as autodiff
 from arforecast.autodiff import Tape, Tensor, absolute, mean_all, scale, stop_gradient
 from arforecast.cli import main
 from arforecast.data import SeriesDataset, Windows, gen_sinusoid, window_iter
@@ -380,10 +381,15 @@ def test_ar_loss_n1_is_exactly_block_mse():
 
     with Tape() as tape:
         blocks = ar_loss(model, w, cfg)
-        assert blocks.loss is blocks.e[0]
         g_ar = np.concatenate(
             [g.ravel() for g in tape.gradient(blocks.loss, list(model.params.values()))]
         )
+        # the one-block objective is the block's error itself, in value and gradient, bitwise
+        g_e = np.concatenate(
+            [g.ravel() for g in tape.gradient(blocks.e[0], list(model.params.values()))]
+        )
+        assert blocks.loss.values.tobytes() == blocks.e[0].values.tobytes()
+        assert g_ar.tobytes() == g_e.tobytes()
     with Tape() as tape:
         plain = mse_loss(model, w)
         g_mse = np.concatenate(
@@ -648,6 +654,81 @@ def test_discounted_loss_saves_the_penalty_gaps():
     with Tape() as tape:  # without the penalty there is no kink
         discounted_loss(errors, 0.5, 0.0)
         assert tape.min_kink_gap == float("inf")
+
+
+def _composite_ar_loss(model, windows, cfg):
+    """``ar_loss`` as n block_error records, one discounted_loss and, past one window, one mean:
+    the reference for its one rollout_objective record; (loss, e rows, violations)."""
+    T, V = model.dims.T, windows.contexts.shape[2]
+    context, future = windows.columns()
+    blocks, state = rollout_predict(model, context, cfg)
+    future = apply_norm(future, state)
+    errors = [block_error(block, future[k * T:(k + 1) * T], V) for k, block in enumerate(blocks)]
+    objective = discounted_loss(errors, cfg.gamma, cfg.beta)
+    e = np.vstack([error.values for error in errors])
+    return objective if len(windows) == 1 else mean_all(objective), e, \
+        int(np.count_nonzero(e[1:] < e[:-1]))
+
+
+@st.composite
+def _rollout_objective_draws(draw):
+    kind, hidden = draw(st.sampled_from([("linear", 0), ("mlp", 3), ("inverted_attention", 3)]))
+    S = draw(st.integers(2, 8))
+    dims = Dims(S=S, T=draw(st.integers(1, 5)), L=draw(st.integers(0, S - 1)),
+                V=draw(st.integers(1, 3)), hidden=hidden)
+    cfg = RolloutConfig(n=draw(st.integers(1, 5)), gamma=draw(st.sampled_from([0.3, 0.5, 0.9])),
+                        beta=draw(st.sampled_from([0.05, 0.1, 0.3, 0.45])))
+    return kind, dims, cfg, draw(st.integers(1, 6)), draw(st.integers(0, 2 ** 32 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rollout_objective_draws())
+@example(("linear", Dims(S=7, T=3, L=2), RolloutConfig(n=5, beta=0.45), 6, 0))
+@example(("mlp", Dims(S=5, T=2, L=1, V=2, hidden=3), RolloutConfig(n=4, gamma=0.9), 3, 1))
+@example(("inverted_attention", Dims(S=5, T=3, L=4, V=3, hidden=3), RolloutConfig(n=3), 2, 2))
+@example(("linear", Dims(S=4, T=4), RolloutConfig(n=1), 1, 3))  # one block, one window
+def test_rollout_objective_matches_the_composite_bit_for_bit(draw):
+    """The one-record objective gives the composite's loss, e rows, violations, parameter
+    gradients and min_kink_gap, bit for bit; S % T != 0 and L > 0 included."""
+    kind, dims, cfg, B, seed = draw
+    rng = np.random.default_rng(seed)
+    model = init_forecaster(kind, dims, seed=seed % 1000)
+    windows = Windows(rng.normal(size=(B, dims.S, dims.V)) * rng.uniform(0.5, 3.0),
+                      rng.normal(size=(B, cfg.n * dims.T, dims.V)), np.arange(B))
+    params = list(model.params.values())
+    with Tape() as tape:
+        blocks = ar_loss(model, windows, cfg)
+        got = [blocks.loss.values.tobytes(), *(g.tobytes() for g in
+                                               tape.gradient(blocks.loss, params))]
+        gap = tape.min_kink_gap
+        e = np.vstack([error.values for error in blocks.e])
+        assert [rule.__name__ for _, _, rule, _ in tape.records].count(
+            "_rollout_objective_rule") == 1
+    with Tape() as tape:
+        loss, want_e, want_violations = _composite_ar_loss(model, windows, cfg)
+        want = [loss.values.tobytes(), *(g.tobytes() for g in tape.gradient(loss, params))]
+        assert gap == tape.min_kink_gap
+    assert got == want
+    assert e.tobytes() == want_e.tobytes() and e.shape == (cfg.n, B)
+    assert blocks.violations == want_violations
+
+
+def test_gradcheck_fails_without_the_penalty_sign_in_the_fused_rule(monkeypatch):
+    """Negative control: the fused objective's rule with its beta sign(e_k - e_(k-1)) term
+    dropped (every gap read as 0) no longer matches the finite-difference oracle."""
+    cfg = RolloutConfig(n=3, beta=0.3)
+    ds = gen_sinusoid(200, noise_std=0.2, seed=3)
+    model = init_forecaster("mlp", Dims(S=8, T=2, hidden=4), seed=7)
+    window = window_iter(ds, "train", 8, 6)[0]
+    assert check_gradients(model, window, cfg).max_rel_error < 1e-5
+    rule = autodiff._rollout_objective_rule
+
+    def without_the_sign(ctx, g):
+        gaps, *rest = ctx
+        return rule((np.zeros_like(gaps), *rest), g)
+
+    monkeypatch.setattr(autodiff, "_rollout_objective_rule", without_the_sign)
+    assert check_gradients(model, window, cfg).max_rel_error > 1e-3
 
 
 @pytest.mark.parametrize("kind,V", [("linear", 1), ("inverted_attention", 3)])
