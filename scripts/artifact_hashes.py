@@ -148,6 +148,13 @@ def machine_line() -> str:
     return f"numpy {np.__version__}, blas {blas['name']} {blas.get('version', '')}".rstrip()
 
 
+def hash_lines(root: Path) -> list[str]:
+    """``<sha256>  <path>`` for every file under ``root`` but those naming it, by path."""
+    return [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(root)}"
+            for path in sorted(root.rglob("*"))
+            if path.is_file() and path.name not in ("run.ini", "config_resolved.ini")]
+
+
 def main() -> None:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("out", type=Path, help="directory for the artifacts (created if missing)")
@@ -157,10 +164,7 @@ def main() -> None:
     root = args.out.resolve()
     for name, spec in CONFIGS.items():
         produce(root, name, *spec)
-    lines = [machine_line()] + [
-        f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(root)}"
-        for path in sorted(root.rglob("*"))
-        if path.is_file() and path.name not in ("run.ini", "config_resolved.ini")]
+    lines = [machine_line()] + hash_lines(root)
     print("\n".join(lines))
     if args.check is not None:
         expected = args.check.read_text().splitlines() or [""]

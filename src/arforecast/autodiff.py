@@ -297,35 +297,37 @@ def _ffn_sublayer_rule(ctx, g):
     return g + g_x, g_w1, g_b1, g_w2, g_b2
 
 
-def _block_error_rule(ctx, g):
+def _discount_coefficients(g, gaps, gamma, beta, n):
+    # e_1..e_n's upstream values for their discounted sum's upstream g, stacked as (n, *g.shape):
+    # g on e_1, then g gamma^(k-1) ((1 - beta) + beta sign(e_k - e_{k-1})), that is 1, 1 - beta
+    # or 1 - 2 beta times g gamma^(k-1) as the error rose, held or fell; in the scale/abs order
+    gk = g * np.array([gamma ** k for k in range(1, n)]).reshape((-1,) + (1,) * g.ndim)
+    coef = gk * (1.0 - beta)
+    return np.concatenate([g[None], coef if beta == 0.0 else coef + gk * beta * np.sign(gaps)])
+
+
+def _window_error_grad(g, diff, c, V):
     # 2 (pred - truth) / (T V) times each window's upstream value, in the sub/mul/matmul order
-    diff, c, V = ctx
-    grad = 2.0 * ((c * np.repeat(g, V, axis=-1)) * diff)
+    return 2.0 * ((c * np.repeat(g, V, axis=-1)) * diff)
+
+
+def _block_error_rule(ctx, g):
+    grad = _window_error_grad(g, *ctx)  # ctx is (diff, c, V)
     return grad, -grad
 
 
 def _discounted_loss_rule(ctx, g):
-    # 1 on e_1, then gamma^(k-1) ((1 - beta) + beta sign(e_k - e_{k-1})): 1, 1 - beta or
-    # 1 - 2 beta as the error rose, held or fell; multiplied out in the scale/abs order
-    gaps, gamma, beta, n = ctx
-    grads = [g]
-    for k in range(1, n):
-        gk = g * gamma ** k
-        coef = gk * (1.0 - beta)
-        grads.append(coef if beta == 0.0 else coef + gk * beta * np.sign(gaps[k - 1]))
-    return tuple(grads)
+    return tuple(_discount_coefficients(g, *ctx))  # ctx is (gaps, gamma, beta, n)
 
 
 def _rollout_objective_rule(ctx, g):
-    # mean_all's rule, then discounted_loss's with its n - 1 later terms stacked, then
-    # block_error's on the n stacked blocks: elementwise, so the floats are the chain's
+    # mean_all's rule, then discounted_loss's and block_error's on the n stacked blocks:
+    # elementwise, so the floats are the chain's
     gaps, diff, c, V, gamma, beta = ctx
     B = diff.shape[2] // V
-    g = np.full((1, B), float(g) / B)
-    gk = g * np.array([gamma ** k for k in range(1, len(diff))]).reshape(-1, 1, 1)
-    coef = gk * (1.0 - beta)
-    g = np.concatenate([g[None], coef if beta == 0.0 else coef + gk * beta * np.sign(gaps)])
-    return tuple(2.0 * ((c * np.repeat(g, V, axis=-1)) * diff))
+    (g,) = _mean_rule(((1, B), B), g)
+    return tuple(_window_error_grad(_discount_coefficients(g, gaps, gamma, beta, len(diff)),
+                                    diff, c, V))
 
 
 def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
@@ -378,15 +380,13 @@ def block_error(pred_block: Tensor, truth_block, V: int | None = None) -> Tensor
 def discounted_loss(errors: list[Tensor], gamma: float, beta: float) -> Tensor:
     """e_1 + sum_k gamma^k * ((1-beta) * e_{k+1} + beta * |e_{k+1} - sg(e_k)|), as one record.
 
-    The record saves the penalty's kinks e_{k+1} - e_k (none if beta == 0). Accepts beta == 0
-    so the pure geometric accumulation can be exercised on its own; RolloutConfig does not.
+    The record saves the penalty's kinks e_{k+1} - e_k (none if beta == 0).
     """
     if not errors:
         raise ValueError("discounted_loss: empty error list")
-    _check_discount(gamma, beta)
+    loss, gaps = _discounted_values(np.stack([t.values for t in errors]), gamma, beta)
     if len(errors) == 1:
         return errors[0]
-    loss, gaps = _discounted_values(np.stack([t.values for t in errors]), gamma, beta)
     return _emit(loss, tuple(errors), _discounted_loss_rule, (gaps, gamma, beta, len(errors)))
 
 
@@ -403,7 +403,6 @@ def rollout_objective(blocks: list[Tensor], truth: np.ndarray, V: int, gamma: fl
     """
     if not blocks:
         raise ValueError("rollout_objective: no blocks")
-    _check_discount(gamma, beta)
     pred = np.stack([block.values for block in blocks])  # raises on differing shapes
     n, T, width = pred.shape
     if truth.shape != (n * T, width) or V < 1 or width % V:
@@ -439,7 +438,8 @@ def _window_mse(diff: np.ndarray, V: int):
 
 def _discounted_values(e: np.ndarray, gamma: float, beta: float):
     """(the discounted sum with its penalty over the errors stacked in ``e``, the penalty's
-    gaps e_{k+1} - e_k, none if beta == 0)."""
+    gaps e_{k+1} - e_k, none if beta == 0); gamma and beta checked first."""
+    _check_discount(gamma, beta)
     gaps = e[1:] - e[:-1] if beta > 0.0 else e[:0]
     loss = e[0]
     for k in range(1, len(e)):

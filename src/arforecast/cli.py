@@ -11,10 +11,8 @@ check), 2 invalid input or config.
 from __future__ import annotations
 
 import argparse
-import codecs
 import functools
 import inspect
-import io
 import math
 import os
 import sys
@@ -47,7 +45,6 @@ from .training import (
 )
 
 GRADCHECK_MAX_PARAMS = 5000
-GRADCHECK_STEP = 1e-4
 
 
 class ConfigError(ValueError):
@@ -71,7 +68,7 @@ def _float_list(raw: str) -> tuple[float, ...]:
 _FORMATS = {
     float: "{:g}".format,
     _bool: lambda value: str(value).lower(),
-    _float_list: lambda value: ",".join(f"{x:g}" for x in value),
+    _float_list: lambda value: ",".join(f"{x:g}" for x in np.ravel(value)),
 }
 _PARSERS = {"int": int, "float": float, "str": str}
 
@@ -90,12 +87,13 @@ SCHEMA = (
     ("dataset", "has_header", _bool, True, ("csv",)),
     ("dataset", "time_column", str, None, ("csv",)),
     ("dataset", "length", int, MISSING, _SYNTHETIC),
-    ("dataset", "variates", int, 1, _SYNTHETIC),
-    *(("dataset", "noise_std", float, inspect.signature(generate).parameters["noise_std"].default,
-       (source,)) for source, generate in (("sinusoid", gen_sinusoid), ("ar", gen_ar_process))),
-    ("dataset", "seed", int, 0, _SYNTHETIC),
-    ("dataset", "periods", _float_list, (24.0,), ("sinusoid",)),
-    ("dataset", "amplitude", float, 1.0, ("sinusoid",)),
+    # a key for each generator that takes its parameter, defaulting as the generator does
+    *(("dataset", key, parse, parameters[name].default, (source,))
+      for key, parse, name in (("variates", int, "V"), ("noise_std", float, "noise_std"),
+                               ("seed", int, "seed"), ("periods", _float_list, "periods"),
+                               ("amplitude", float, "amplitude"))
+      for source, generate in (("sinusoid", gen_sinusoid), ("ar", gen_ar_process))
+      for parameters in [inspect.signature(generate).parameters] if name in parameters),
     ("dataset", "coeffs", _float_list, MISSING, ("ar",)),
     ("model", "kind", str, MISSING, SOURCES),
     ("model", "hidden", int, 0, SOURCES),
@@ -197,10 +195,8 @@ class RunConfig:
         try:
             with open(path, "rb", buffering=0) as fh:
                 data = fh.read()
-            # what open(path, encoding="utf-8-sig").read() returns, through the same two
-            # decoders but without a text file's setup; a byte order mark is not text
-            text = io.IncrementalNewlineDecoder(codecs.getincrementaldecoder("utf-8-sig")(),
-                                                translate=True).decode(data, final=True)
+            # a byte order mark is not text, and a part of one is not UTF-8
+            text = data.decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n")
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}") from None
         except (OSError, UnicodeDecodeError) as exc:  # a directory, unreadable, not UTF-8
@@ -354,6 +350,19 @@ def _rollout_for(ck, horizon: int) -> RolloutConfig:
     return RolloutConfig(n=horizon // block)
 
 
+def _finite(compute, numbers, failure: str):
+    """``compute()``, with an overflow or NaN raising where it happens; exits 2 with the one
+    line ``failure`` if one does or ``numbers(result)`` holds a non-finite value."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            result = compute()
+            if np.isfinite(numbers(result)).all():
+                return result
+    except FloatingPointError:
+        pass
+    raise ConfigError(failure)
+
+
 def cmd_train(args) -> int:
     cfg = RunConfig(args.config, out_override=args.out, seed_override=args.seed)
     dataset = cfg.build_dataset(cfg.geometry.S)
@@ -388,10 +397,12 @@ def cmd_eval(args) -> int:
         raise ConfigError(f"checkpoint was built for {dims.V} variates, "
                           f"dataset has {dataset.n_variates}")
     check_split(dataset, "test", dims.S, roll.n * dims.T)
-    cfg.write_resolved()
 
     model = ck.to_forecaster()
-    report = evaluate(model, dataset, "test", roll, raw_scale=args.raw_scale)
+    report = _finite(lambda: evaluate(model, dataset, "test", roll, raw_scale=args.raw_scale),
+                     lambda report: [report.cumulative, *report.per_block],
+                     f"test errors under {args.checkpoint} are not finite; nothing written")
+    cfg.write_resolved()
     write_report_json(report, os.path.join(cfg.out_dir, "report.json"))
     export_curve(report, os.path.join(cfg.out_dir, "curve.csv"))
     print(f"evaluated {report.window_count} windows over horizon {args.horizon} "
@@ -401,7 +412,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-@np.errstate(over="raise", invalid="raise")  # an overflow or NaN raises where it happens
 def cmd_predict(args) -> int:
     ck = _load_checkpoint_or_fail(args.checkpoint)
     roll = _rollout_for(ck, args.horizon)
@@ -416,15 +426,12 @@ def cmd_predict(args) -> int:
         raise ConfigError(f"checkpoint was built for {ck.dims.V} variates, "
                           f"input has {dataset.n_variates}")
 
-    model = ck.to_forecaster()
-    try:
-        blocks, state = rollout_predict(model, dataset.values[-ck.dims.S:], roll)
-        values = invert_norm(np.concatenate([block.values for block in blocks]), state)
-        if not np.isfinite(values).all():
-            raise FloatingPointError
-    except FloatingPointError:
-        raise ConfigError(f"forecast holds non-finite values on the scale of {args.input_csv}; "
-                          f"no predictions written") from None
+    def forecast():
+        blocks, state = rollout_predict(ck.to_forecaster(), dataset.values[-ck.dims.S:], roll)
+        return invert_norm(np.concatenate([block.values for block in blocks]), state)
+
+    values = _finite(forecast, lambda values: values, f"forecast holds non-finite values on "
+                     f"the scale of {args.input_csv}; no predictions written")
 
     out_path = os.path.join(args.out, "predictions.csv")  # as given: no pathlib parse per call
     row_format = ",".join(["%.17g"] * values.shape[1]) + "\n"
@@ -448,7 +455,7 @@ def cmd_gradcheck(args) -> int:
 
     # prefer a window whose relu/abs inputs sit safely away from the kinks
     window = max(windows[:32], key=lambda w: loss_kink_gap(model, w, cfg.rollout))
-    report = check_gradients(model, window, cfg.rollout, h=GRADCHECK_STEP)
+    report = check_gradients(model, window, cfg.rollout)
     for line in report.lines():
         print(line)
     ok = report.max_rel_error < 1e-5 and report.norm_bound_ok

@@ -22,6 +22,7 @@ import numpy as np
 from .autodiff import (
     Tape,
     Tensor,
+    _check_discount,
     _stitch,
     block_error,
     discounted_loss,  # noqa: F401 - re-exported
@@ -46,24 +47,21 @@ class RolloutConfig:
     def __post_init__(self):
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
-        if not 0.0 < self.gamma < 1.0:
-            raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
-        if not 0.0 < self.beta < 0.5:
-            raise ValueError(f"beta must be in (0, 0.5), got {self.beta}")
+        _check_discount(self.gamma, self.beta)
 
 
 class BlockErrors:
-    """Per-block errors e_1..e_n as (1, B) rows over a batch of B windows (still on tape),
-    the batch objective, and how many (window, block) errors fell below the previous block's.
+    """The batch objective (one record), its (n, B) per-block errors e_1..e_n over a batch of
+    B windows, and how many (window, block) errors fell below the previous block's.
 
-    The objective is one record. ``e`` is built when first read, as n ``block_error`` records
-    on the tape active then; training reads only ``loss``, and so never builds them.
+    ``e`` holds ``errors`` again as n (1, B) ``block_error`` records, built when first read on
+    the tape active then; training reads only ``loss``, and so never builds them.
     """
 
-    def __init__(self, loss: Tensor, violations: int, blocks: list[Tensor], truth: np.ndarray,
-                 V: int):
-        self.loss = loss
-        self.violations = violations
+    def __init__(self, loss: Tensor, errors: np.ndarray, blocks: list[Tensor],
+                 truth: np.ndarray, V: int):
+        self.loss, self.errors = loss, errors
+        self.violations = int(np.count_nonzero(errors[1:] < errors[:-1]))
         self._blocks, self._truth, self._V = blocks, truth, V
 
     @functools.cached_property
@@ -152,8 +150,8 @@ def ar_loss(model: Forecaster, windows: Windows, cfg: RolloutConfig) -> BlockErr
     context, future = windows.columns()
     blocks, state = rollout_predict(model, context, cfg)
     fut_n = apply_norm(future, state)
-    loss, e = rollout_objective(blocks, fut_n, V, cfg.gamma, cfg.beta)
-    return BlockErrors(loss, int(np.count_nonzero(e[1:] < e[:-1])), blocks, fut_n, V)
+    return BlockErrors(*rollout_objective(blocks, fut_n, V, cfg.gamma, cfg.beta), blocks,
+                       fut_n, V)
 
 
 def mse_loss(model: Forecaster, windows: Windows) -> Tensor:
@@ -176,7 +174,7 @@ def _pinned_loss_value(model: Forecaster, window: Windows, cfg: RolloutConfig,
     Plain-float accumulation, independent of the tape and of
     discounted_loss; used only as the finite-difference surrogate.
     """
-    raw = [e.item() for e in ar_loss(model, window, cfg).e]
+    raw = ar_loss(model, window, cfg).errors[:, 0].tolist()
     value = raw[0]
     for k in range(1, cfg.n):
         value += cfg.gamma ** k * (
@@ -185,13 +183,8 @@ def _pinned_loss_value(model: Forecaster, window: Windows, cfg: RolloutConfig,
     return value
 
 
-def check_gradients(
-    model: Forecaster,
-    window: Windows,
-    cfg: RolloutConfig,
-    h: float = 1e-4,
-    scale_floor: float = 1e-6,
-) -> GradCheckReport:
+def check_gradients(model: Forecaster, window: Windows, cfg: RolloutConfig,
+                    h: float = 1e-4) -> GradCheckReport:
     """Compare reverse-mode gradients of ar_loss against the central-difference oracle.
 
     The objective's gradient is defined with the detached previous-block
@@ -204,13 +197,15 @@ def check_gradients(
     (and the looser 1/(1-gamma) * max_k form), reporting the largest
     per-block gradient norm as d_hat.
     """
+    if len(window) != 1:
+        raise ValueError(f"check_gradients takes one window, got a batch of {len(window)}")
     names, params = list(model.params.keys()), list(model.params.values())
     with Tape() as tape:
         blocks = ar_loss(model, window, cfg)
         grad_loss, *grad_e = (np.concatenate([g.ravel() for g in tape.gradient(t, params)])
                               for t in [blocks.loss, *blocks.e])
     block_norms = [float(np.linalg.norm(g)) for g in grad_e]
-    anchors = [e.item() for e in blocks.e]
+    anchors = blocks.errors[:, 0].tolist()
 
     base = model.param_vector()
 
@@ -224,17 +219,13 @@ def check_gradients(
         model.set_param_vector(base)
 
     cuts = np.cumsum([t.values.size for t in params])[:-1]
-    per_param = [(name, max_relative_error(g, f, scale_floor))
+    per_param = [(name, max_relative_error(g, f))
                  for name, g, f in zip(names, np.split(grad_loss, cuts), np.split(fd, cuts))]
 
     loss_norm = float(np.linalg.norm(grad_loss))
     triangle = sum(cfg.gamma ** k * block_norms[k] for k in range(cfg.n))
     d_hat = max(block_norms)
     bound_ok = loss_norm <= triangle and loss_norm < d_hat / (1.0 - cfg.gamma) + 1e-9
-    return GradCheckReport(
-        max_rel_error=max(err for _, err in per_param),
-        per_param_errors=per_param,
-        step_size=h,
-        norm_bound_ok=bound_ok,
-        d_hat=d_hat,
-    )
+    return GradCheckReport(max_rel_error=max(err for _, err in per_param),
+                           per_param_errors=per_param, step_size=h, norm_bound_ok=bound_ok,
+                           d_hat=d_hat)

@@ -689,6 +689,22 @@ def test_overflowing_predict_prints_one_stderr_line(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("raw_scale", [False, True])
+def test_overflowing_eval_prints_one_stderr_line_and_writes_nothing(tmp_path, raw_scale):
+    # a finite checkpoint whose rollout overflows on BASE's series
+    model = init_forecaster("linear", Dims(S=12, T=4), seed=3)
+    model.set_param_vector(np.full(model.param_count, 1e150))
+    ck = tmp_path / "huge.arpt"
+    save_checkpoint(Checkpoint.from_forecaster(model, RolloutConfig(n=2), 0, 0.1, 3), ck)
+    cfg, out = write_config(tmp_path / "run.ini", tmp_path / "cfg_out"), tmp_path / "eval"
+    proc = _cli("eval", "--config", cfg, "--checkpoint", ck, "--horizon", "16", "--out", out,
+                *["--raw-scale"] * raw_scale)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [proc.stderr.strip()]
+    assert proc.stderr.startswith("error: test errors under ")
+    assert not out.exists()
+
+
 def _percent_csv_config(tmp_path, path_text):
     csv = tmp_path / "d%1.csv"
     csv.write_text("a\n" + "".join(f"{np.sin(i / 4):.6f}\n" for i in range(200)))
@@ -1070,6 +1086,45 @@ def test_a_config_with_a_byte_order_mark_trains(tmp_path):
     cfg.write_bytes(b"\xef\xbb\xbf" + cfg.read_bytes())
     assert main(["train", "--config", str(cfg)]) == 0
     assert (tmp_path / "out" / "checkpoint.arpt").exists()
+
+
+@pytest.mark.parametrize("partial", [b"\xef", b"\xef\xbb"])
+def test_a_config_of_a_partial_byte_order_mark_exits_2_naming_it(tmp_path, capsys, partial):
+    cfg = tmp_path / "run.ini"
+    cfg.write_bytes(partial)
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith(f"error: cannot read config file {cfg}: ")
+    assert sorted(tmp_path.iterdir()) == [cfg]
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+@pytest.mark.parametrize("newline", [b"\r\n", b"\r"])
+def test_crlf_and_cr_configs_read_as_lf(tmp_path, bom, newline):
+    lf = write_config(tmp_path / "lf.ini", tmp_path / "out")
+    other = tmp_path / "other.ini"
+    other.write_bytes(bom + lf.read_bytes().replace(b"\n", newline))
+    assert RunConfig(other).values == RunConfig(lf).values
+
+
+@pytest.mark.parametrize("source,dataset,resolved", [
+    ("sinusoid", "length = 400\n",
+     "length = 400\nvariates = 1\nnoise_std = 0\nseed = 0\nperiods = 24\namplitude = 1\n"),
+    ("ar", "length = 300\ncoeffs = 0.5\n",
+     "length = 300\nvariates = 1\nnoise_std = 1\nseed = 0\ncoeffs = 0.5\n"),
+])
+def test_generator_keys_default_as_the_generators_do(tmp_path, source, dataset, resolved):
+    run = tmp_path / "run.ini"
+    run.write_text(f"[dataset]\nsource = {source}\n{dataset}\n[model]\nkind = linear\n\n"
+                   f"[rollout]\ns = 6\nt = 2\n\n[output]\ndir = {tmp_path / 'out'}\n")
+    cfg = RunConfig(run)
+    cfg.write_resolved()
+    text = (tmp_path / "out" / "config_resolved.ini").read_text()
+    assert text.startswith(f"[dataset]\nsource = {source}\nsplit = 0.7,0.1,0.2\n{resolved}\n")
+    # and the series is the generator's own at its defaults
+    series = gen_sinusoid(400) if source == "sinusoid" else gen_ar_process(300, coeffs=(0.5,))
+    assert cfg.build_dataset(6).values.tobytes() == series.values.tobytes()
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r"])

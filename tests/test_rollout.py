@@ -37,8 +37,9 @@ def test_config_validation():
         RolloutConfig(gamma=1.5)
     with pytest.raises(ValueError, match="beta"):
         RolloutConfig(beta=0.5)
+    assert RolloutConfig(beta=0.0).beta == 0.0  # no penalty: the plain discounted sum
     with pytest.raises(ValueError, match="beta"):
-        RolloutConfig(beta=0.0)
+        RolloutConfig(beta=-0.1)
     with pytest.raises(ValueError, match="n"):
         RolloutConfig(n=0)
     with pytest.raises(ValueError, match="L"):
@@ -85,7 +86,9 @@ def _assert_matches_oracle(kind, dims, cfg, B, model_seed, seed):
         if kind == "linear":  # well conditioned, so the oracle's own rollout holds the bound too
             free = numpy_oracle.rollout(kind, p, context, dims.L, cfg.n)[0]
             np.testing.assert_allclose(seq[S:], free[S:], rtol=1e-12, atol=1e-14)
-        errors.append(numpy_oracle.block_mse(want, (future - mean) / std, cfg.n))
+        # the oracle's errors of the blocks just checked: two forecasts that agree to the last
+        # few bits can give errors that differ at 1e-12, where a block's error cancels to ~1e-8
+        errors.append(numpy_oracle.block_mse(seq[S:], (future - mean) / std, cfg.n))
     np.testing.assert_allclose(np.vstack([e.values for e in blocks.e]).T, errors,
                                rtol=1e-12, atol=0)
     want = np.mean([numpy_oracle.objective(e, cfg.gamma, cfg.beta) for e in errors])
@@ -98,6 +101,8 @@ def _assert_matches_oracle(kind, dims, cfg, B, model_seed, seed):
 @given(_oracle_draws())
 @example(("linear", Dims(S=3, T=5, L=1, V=2), RolloutConfig(n=4), 1, 0, 0))
 @example(("linear", Dims(S=4, T=2, L=0, V=1), RolloutConfig(n=5), 1, 1, 1))
+@example(("inverted_attention", Dims(S=5, T=1, L=0, V=1, hidden=4),  # an error of 7e-9
+          RolloutConfig(n=4, gamma=0.3, beta=0.05), 3, 3, 3))
 def test_rollout_matches_numpy_oracle_over_geometries(draw):
     _assert_matches_oracle(*draw)
 
@@ -677,8 +682,15 @@ def _rollout_objective_draws(draw):
     dims = Dims(S=S, T=draw(st.integers(1, 5)), L=draw(st.integers(0, S - 1)),
                 V=draw(st.integers(1, 3)), hidden=hidden)
     cfg = RolloutConfig(n=draw(st.integers(1, 5)), gamma=draw(st.sampled_from([0.3, 0.5, 0.9])),
-                        beta=draw(st.sampled_from([0.05, 0.1, 0.3, 0.45])))
+                        beta=draw(st.sampled_from([0.0, 0.05, 0.1, 0.3, 0.45])))
     return kind, dims, cfg, draw(st.integers(1, 6)), draw(st.integers(0, 2 ** 32 - 1))
+
+
+def _drawn_model_and_windows(kind, dims, cfg, B, seed):
+    rng = np.random.default_rng(seed)
+    model = init_forecaster(kind, dims, seed=seed % 1000)
+    return model, Windows(rng.normal(size=(B, dims.S, dims.V)) * rng.uniform(0.5, 3.0),
+                          rng.normal(size=(B, cfg.n * dims.T, dims.V)), np.arange(B))
 
 
 @settings(max_examples=150, deadline=None)
@@ -691,10 +703,7 @@ def test_rollout_objective_matches_the_composite_bit_for_bit(draw):
     """The one-record objective gives the composite's loss, e rows, violations, parameter
     gradients and min_kink_gap, bit for bit; S % T != 0 and L > 0 included."""
     kind, dims, cfg, B, seed = draw
-    rng = np.random.default_rng(seed)
-    model = init_forecaster(kind, dims, seed=seed % 1000)
-    windows = Windows(rng.normal(size=(B, dims.S, dims.V)) * rng.uniform(0.5, 3.0),
-                      rng.normal(size=(B, cfg.n * dims.T, dims.V)), np.arange(B))
+    model, windows = _drawn_model_and_windows(*draw)
     params = list(model.params.values())
     with Tape() as tape:
         blocks = ar_loss(model, windows, cfg)
@@ -711,6 +720,34 @@ def test_rollout_objective_matches_the_composite_bit_for_bit(draw):
     assert got == want
     assert e.tobytes() == want_e.tobytes() and e.shape == (cfg.n, B)
     assert blocks.violations == want_violations
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rollout_objective_draws())
+@example(("mlp", Dims(S=5, T=2, L=1, V=2, hidden=3), RolloutConfig(n=4, beta=0.0), 3, 4))
+def test_block_errors_keep_the_objective_errors_bit_for_bit(draw):
+    """``BlockErrors.errors``, the (n, B) errors the objective's record computed, are the values
+    of the n block_error records ``e`` builds, byte for byte."""
+    model, windows = _drawn_model_and_windows(*draw)
+    blocks = ar_loss(model, windows, draw[2])
+    assert blocks.errors.tobytes() == np.vstack([e.values for e in blocks.e]).tobytes()
+    assert blocks.errors.shape == (draw[2].n, len(windows))
+
+
+def test_check_gradients_refuses_a_batch_of_windows():
+    ds = gen_sinusoid(200, noise_std=0.2, seed=3)
+    model = init_forecaster("linear", Dims(S=8, T=2), seed=7)
+    with pytest.raises(ValueError, match="one window"):
+        check_gradients(model, window_iter(ds, "train", 8, 4)[:2], RolloutConfig(n=2))
+
+
+def test_gradcheck_passes_without_the_penalty():
+    """beta = 0 (the plain discounted sum) is a valid objective, and its gradients match."""
+    ds = gen_sinusoid(200, noise_std=0.2, seed=3)
+    model = init_forecaster("mlp", Dims(S=8, T=2, hidden=4), seed=7)
+    report = check_gradients(model, window_iter(ds, "train", 8, 6)[0],
+                             RolloutConfig(n=3, beta=0.0))
+    assert report.max_rel_error < 1e-5 and report.norm_bound_ok
 
 
 def test_gradcheck_fails_without_the_penalty_sign_in_the_fused_rule(monkeypatch):
