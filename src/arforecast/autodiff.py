@@ -26,6 +26,7 @@ import threading
 import numpy as np
 
 _LN_EPS = 1e-5  # layer_norm variance floor
+_RELATIVE_ERROR_FLOOR = 1e-6  # max_relative_error's denominator floor
 
 _local = threading.local()
 _serials = itertools.count(1)
@@ -384,9 +385,10 @@ def discounted_loss(errors: list[Tensor], gamma: float, beta: float) -> Tensor:
     """
     if not errors:
         raise ValueError("discounted_loss: empty error list")
-    loss, gaps = _discounted_values(np.stack([t.values for t in errors]), gamma, beta)
+    _check_discount(gamma, beta)
     if len(errors) == 1:
         return errors[0]
+    loss, gaps = _discounted_values(np.stack([t.values for t in errors]), gamma, beta)
     return _emit(loss, tuple(errors), _discounted_loss_rule, (gaps, gamma, beta, len(errors)))
 
 
@@ -403,6 +405,7 @@ def rollout_objective(blocks: list[Tensor], truth: np.ndarray, V: int, gamma: fl
     """
     if not blocks:
         raise ValueError("rollout_objective: no blocks")
+    _check_discount(gamma, beta)
     pred = np.stack([block.values for block in blocks])  # raises on differing shapes
     n, T, width = pred.shape
     if truth.shape != (n * T, width) or V < 1 or width % V:
@@ -438,8 +441,7 @@ def _window_mse(diff: np.ndarray, V: int):
 
 def _discounted_values(e: np.ndarray, gamma: float, beta: float):
     """(the discounted sum with its penalty over the errors stacked in ``e``, the penalty's
-    gaps e_{k+1} - e_k, none if beta == 0); gamma and beta checked first."""
-    _check_discount(gamma, beta)
+    gaps e_{k+1} - e_k, none if beta == 0)."""
     gaps = e[1:] - e[:-1] if beta > 0.0 else e[:0]
     loss = e[0]
     for k in range(1, len(e)):
@@ -591,10 +593,10 @@ def finite_diff_oracle(eval_fn, params, h: float) -> np.ndarray:
     return grad
 
 
-def max_relative_error(a, b, scale_floor: float = 1e-6) -> float:
+def max_relative_error(a, b) -> float:
     """Largest coordinate-wise relative difference between two arrays.
 
-    Coordinates where both magnitudes sit below ``scale_floor`` are
+    Coordinates where both magnitudes sit below ``_RELATIVE_ERROR_FLOOR`` are
     compared against the floor instead, so exact-zero gradients do not
     turn finite-difference roundoff into spurious relative error.
     """
@@ -604,5 +606,5 @@ def max_relative_error(a, b, scale_floor: float = 1e-6) -> float:
         raise ValueError(f"max_relative_error: size mismatch {a.size} vs {b.size}")
     if a.size == 0:
         return 0.0
-    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), scale_floor)
+    denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), _RELATIVE_ERROR_FLOOR)
     return float(np.max(np.abs(a - b) / denom))

@@ -68,13 +68,25 @@ def _float_list(raw: str) -> tuple[float, ...]:
 _FORMATS = {
     float: "{:g}".format,
     _bool: lambda value: str(value).lower(),
-    _float_list: lambda value: ",".join(f"{x:g}" for x in np.ravel(value)),
+    _float_list: lambda value: ",".join(f"{x:g}" for x in value),
 }
 _PARSERS = {"int": int, "float": float, "str": str}
 
 
 def _dataclass_keys(section, cls):
     return tuple((section, f.name, _PARSERS[f.type], f.default, SOURCES) for f in fields(cls))
+
+
+def _generator_keys():
+    """A [dataset] row for each synthetic source whose generator takes the key's parameter,
+    defaulting to the generator's default as the config's value would parse."""
+    for key, parse, name in (("variates", int, "V"), ("noise_std", float, "noise_std"),
+                             ("seed", int, "seed"), ("periods", _float_list, "periods"),
+                             ("amplitude", float, "amplitude")):
+        for source, generate in (("sinusoid", gen_sinusoid), ("ar", gen_ar_process)):
+            parameters = inspect.signature(generate).parameters
+            if name in parameters:  # the str of a float parses back to it
+                yield "dataset", key, parse, parse(str(parameters[name].default)), (source,)
 
 
 # (section, key, parser, default, sources the key applies to), in the order
@@ -87,13 +99,7 @@ SCHEMA = (
     ("dataset", "has_header", _bool, True, ("csv",)),
     ("dataset", "time_column", str, None, ("csv",)),
     ("dataset", "length", int, MISSING, _SYNTHETIC),
-    # a key for each generator that takes its parameter, defaulting as the generator does
-    *(("dataset", key, parse, parameters[name].default, (source,))
-      for key, parse, name in (("variates", int, "V"), ("noise_std", float, "noise_std"),
-                               ("seed", int, "seed"), ("periods", _float_list, "periods"),
-                               ("amplitude", float, "amplitude"))
-      for source, generate in (("sinusoid", gen_sinusoid), ("ar", gen_ar_process))
-      for parameters in [inspect.signature(generate).parameters] if name in parameters),
+    *_generator_keys(),
     ("dataset", "coeffs", _float_list, MISSING, ("ar",)),
     ("model", "kind", str, MISSING, SOURCES),
     ("model", "hidden", int, 0, SOURCES),
@@ -456,8 +462,7 @@ def cmd_gradcheck(args) -> int:
     # prefer a window whose relu/abs inputs sit safely away from the kinks
     window = max(windows[:32], key=lambda w: loss_kink_gap(model, w, cfg.rollout))
     report = check_gradients(model, window, cfg.rollout)
-    for line in report.lines():
-        print(line)
+    print(*report.lines(), sep="\n")
     ok = report.max_rel_error < 1e-5 and report.norm_bound_ok
     print("gradcheck:", "PASS" if ok else "FAIL")
     return 0 if ok else 1

@@ -82,14 +82,9 @@ class GradCheckReport:
     d_hat: float
 
     def lines(self) -> list[str]:
-        out = [
-            f"max_rel_error: {self.max_rel_error:.3e}",
-            f"step_size: {self.step_size:.1e}",
-            f"norm_bound_ok: {self.norm_bound_ok}",
-            f"d_hat: {self.d_hat:.6g}",
-        ]
-        out.extend(f"  {name}: {err:.3e}" for name, err in self.per_param_errors)
-        return out
+        return [f"max_rel_error: {self.max_rel_error:.3e}", f"step_size: {self.step_size:.1e}",
+                f"norm_bound_ok: {self.norm_bound_ok}", f"d_hat: {self.d_hat:.6g}",
+                *(f"  {name}: {err:.3e}" for name, err in self.per_param_errors)]
 
 
 def rollout_predict(model: Forecaster, context: np.ndarray,
@@ -177,9 +172,8 @@ def _pinned_loss_value(model: Forecaster, window: Windows, cfg: RolloutConfig,
     raw = ar_loss(model, window, cfg).errors[:, 0].tolist()
     value = raw[0]
     for k in range(1, cfg.n):
-        value += cfg.gamma ** k * (
-            (1.0 - cfg.beta) * raw[k] + cfg.beta * abs(raw[k] - anchors[k - 1])
-        )
+        value += cfg.gamma ** k * ((1.0 - cfg.beta) * raw[k]
+                                   + cfg.beta * abs(raw[k] - anchors[k - 1]))
     return value
 
 
