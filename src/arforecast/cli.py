@@ -462,7 +462,8 @@ def cmd_gradcheck(args) -> int:
     # prefer a window whose relu/abs inputs sit safely away from the kinks
     window = max(windows[:32], key=lambda w: loss_kink_gap(model, w, cfg.rollout))
     report = check_gradients(model, window, cfg.rollout)
-    print(*report.lines(), sep="\n")
+    for line in report.lines():
+        print(line)
     ok = report.max_rel_error < 1e-5 and report.norm_bound_ok
     print("gradcheck:", "PASS" if ok else "FAIL")
     return 0 if ok else 1

@@ -82,9 +82,14 @@ class GradCheckReport:
     d_hat: float
 
     def lines(self) -> list[str]:
-        return [f"max_rel_error: {self.max_rel_error:.3e}", f"step_size: {self.step_size:.1e}",
-                f"norm_bound_ok: {self.norm_bound_ok}", f"d_hat: {self.d_hat:.6g}",
-                *(f"  {name}: {err:.3e}" for name, err in self.per_param_errors)]
+        out = [
+            f"max_rel_error: {self.max_rel_error:.3e}",
+            f"step_size: {self.step_size:.1e}",
+            f"norm_bound_ok: {self.norm_bound_ok}",
+            f"d_hat: {self.d_hat:.6g}",
+        ]
+        out.extend(f"  {name}: {err:.3e}" for name, err in self.per_param_errors)
+        return out
 
 
 def rollout_predict(model: Forecaster, context: np.ndarray,
@@ -162,21 +167,6 @@ def loss_kink_gap(model: Forecaster, window: Windows, cfg: RolloutConfig) -> flo
         return tape.min_kink_gap
 
 
-def _pinned_loss_value(model: Forecaster, window: Windows, cfg: RolloutConfig,
-                       anchors: list[float]) -> float:
-    """ar_loss value with every stop-gradient operand frozen to ``anchors``.
-
-    Plain-float accumulation, independent of the tape and of
-    discounted_loss; used only as the finite-difference surrogate.
-    """
-    raw = ar_loss(model, window, cfg).errors[:, 0].tolist()
-    value = raw[0]
-    for k in range(1, cfg.n):
-        value += cfg.gamma ** k * ((1.0 - cfg.beta) * raw[k]
-                                   + cfg.beta * abs(raw[k] - anchors[k - 1]))
-    return value
-
-
 def check_gradients(model: Forecaster, window: Windows, cfg: RolloutConfig,
                     h: float = 1e-4) -> GradCheckReport:
     """Compare reverse-mode gradients of ar_loss against the central-difference oracle.
@@ -200,15 +190,22 @@ def check_gradients(model: Forecaster, window: Windows, cfg: RolloutConfig,
                               for t in [blocks.loss, *blocks.e])
     block_norms = [float(np.linalg.norm(g)) for g in grad_e]
     anchors = blocks.errors[:, 0].tolist()
-
     base = model.param_vector()
 
-    def eval_at(vec: np.ndarray) -> float:
+    def pinned_loss(vec: np.ndarray) -> float:
+        # the finite-difference surrogate: ar_loss at ``vec`` with every stop-gradient operand
+        # frozen to ``anchors``, accumulated in plain floats apart from the tape
         model.set_param_vector(vec)
-        return _pinned_loss_value(model, window, cfg, anchors)
+        raw = ar_loss(model, window, cfg).errors[:, 0].tolist()
+        value = raw[0]
+        for k in range(1, cfg.n):
+            value += cfg.gamma ** k * (
+                (1.0 - cfg.beta) * raw[k] + cfg.beta * abs(raw[k] - anchors[k - 1])
+            )
+        return value
 
     try:
-        fd = finite_diff_oracle(eval_at, base, h)
+        fd = finite_diff_oracle(pinned_loss, base, h)
     finally:
         model.set_param_vector(base)
 
