@@ -1,13 +1,12 @@
 """Reverse-mode automatic differentiation on a per-evaluation tape.
 
-Dense float64 tensors plus the operation set the forecasting models and
-the rollout objective record: ``w @ x + b``, relu, the attention model's
+Dense float64 tensors plus only the ops the forecasting models and the
+rollout objective record: ``w @ x + b``, relu, the attention model's
 attention and feed-forward sublayers as one record each, slicing, the
 rollout's input windows, the objective's block error and discounted sum,
-the whole batch objective of a rollout as one record, and the mean.
-Same-shape add and sub, scaling, abs and a stop-gradient
-operator (the identity forward, and no gradient flow backward) spell the
-objective's monotonicity penalty term by term.
+and the whole batch objective of a rollout as one record. The discounted
+sum holds the monotonicity penalty's abs and stop-gradient inside its
+record, so the engine has no generic arithmetic ops.
 
 A ``Tape`` is built fresh for every loss evaluation (define-by-run) and
 is a single-threaded unit of work; separate tapes share no mutable state
@@ -80,19 +79,6 @@ class Tensor:
             raise ValueError(f"item() requires a scalar tensor, got shape {self.shape}")
         return float(self.values.item())
 
-    def mean(self) -> "Tensor":
-        return mean_all(self)
-
-    def __add__(self, other):
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        return add(self, other)
-
-    def __sub__(self, other):
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        return sub(self, other)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
@@ -139,9 +125,9 @@ class Tape:
 
     @property
     def min_kink_gap(self) -> float:
-        """Smallest |x| at any recorded kink: relu/abs/ffn_sublayer inputs, the penalty gaps of
+        """Smallest |x| at any recorded kink: relu and ffn_sublayer inputs, the penalty gaps of
         discounted_loss and rollout_objective."""
-        kinks = (_relu_rule, _abs_rule, _ffn_sublayer_rule, _discounted_loss_rule,
+        kinks = (_relu_rule, _ffn_sublayer_rule, _discounted_loss_rule,
                  _rollout_objective_rule)  # late-bound
         return min((float(np.min(np.abs(ctx[0]), initial=np.inf))
                     for _, _, rule, ctx in self.records if rule in kinks), default=float("inf"))
@@ -195,14 +181,6 @@ def _emit(values, inputs: tuple[Tensor, ...], rule, ctx: tuple) -> Tensor:
 # Local-gradient rules. Module-level on purpose: records resolve them at
 # op time, so a test harness can swap one out as a negative control.
 
-def _add_rule(ctx, g):
-    return g, g
-
-
-def _sub_rule(ctx, g):
-    return g, -g
-
-
 def _scale_rule(ctx, g):
     (c,) = ctx
     return (g * c,)
@@ -218,11 +196,6 @@ def _affine_rule(ctx, g):
 def _relu_rule(ctx, g):
     (x,) = ctx
     return (g * (x > 0.0),)
-
-
-def _abs_rule(ctx, g):
-    (x,) = ctx
-    return (g * np.sign(x),)
 
 
 def _mean_rule(ctx, g):
@@ -301,14 +274,16 @@ def _ffn_sublayer_rule(ctx, g):
 def _discount_coefficients(g, gaps, gamma, beta, n):
     # e_1..e_n's upstream values for their discounted sum's upstream g, stacked as (n, *g.shape):
     # g on e_1, then g gamma^(k-1) ((1 - beta) + beta sign(e_k - e_{k-1})), that is 1, 1 - beta
-    # or 1 - 2 beta times g gamma^(k-1) as the error rose, held or fell; in the scale/abs order
+    # or 1 - 2 beta times g gamma^(k-1) as the error rose, held or fell; in the order of the
+    # term-by-term form's scale and abs rules
     gk = g * np.array([gamma ** k for k in range(1, n)]).reshape((-1,) + (1,) * g.ndim)
     coef = gk * (1.0 - beta)
     return np.concatenate([g[None], coef if beta == 0.0 else coef + gk * beta * np.sign(gaps)])
 
 
 def _window_error_grad(g, diff, c, V):
-    # 2 (pred - truth) / (T V) times each window's upstream value, in the sub/mul/matmul order
+    # 2 (pred - truth) / (T V) times each window's upstream value, in the order of the
+    # composite form's sub, mul and matmul rules
     return 2.0 * ((c * np.repeat(g, V, axis=-1)) * diff)
 
 
@@ -322,35 +297,13 @@ def _discounted_loss_rule(ctx, g):
 
 
 def _rollout_objective_rule(ctx, g):
-    # mean_all's rule, then discounted_loss's and block_error's on the n stacked blocks:
+    # the mean's rule, then discounted_loss's and block_error's on the n stacked blocks:
     # elementwise, so the floats are the chain's
     gaps, diff, c, V, gamma, beta = ctx
     B = diff.shape[2] // V
     (g,) = _mean_rule(((1, B), B), g)
     return tuple(_window_error_grad(_discount_coefficients(g, gaps, gamma, beta, len(diff)),
                                     diff, c, V))
-
-
-def _same_shape(a: Tensor, b: Tensor, op: str) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "add")
-    return _emit(a.values + b.values, (a, b), _add_rule, ())
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape(a, b, "sub")
-    return _emit(a.values - b.values, (a, b), _sub_rule, ())
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    if not np.isfinite(c):
-        raise ValueError("scale factor must be finite")
-    return _emit(a.values * c, (a,), _scale_rule, (c,))
 
 
 def affine(w: Tensor, x: Tensor, b: Tensor) -> Tensor:
@@ -394,9 +347,9 @@ def discounted_loss(errors: list[Tensor], gamma: float, beta: float) -> Tensor:
 
 def rollout_objective(blocks: list[Tensor], truth: np.ndarray, V: int, gamma: float,
                       beta: float) -> tuple[Tensor, np.ndarray]:
-    """``mean_all(discounted_loss([block_error(block, truth[kT:(k+1)T], V) for k, block in
-    enumerate(blocks)], gamma, beta))`` as one record with the same floats, and the (n, B)
-    block errors.
+    """The mean over the B windows of ``discounted_loss([block_error(block, truth[kT:(k+1)T],
+    V) for k, block in enumerate(blocks)], gamma, beta)``, as one record with the floats of
+    that chain and a mean record; and the (n, B) block errors.
 
     ``blocks`` are the n (T, B*V) blocks of a rollout of B windows side by side as groups of
     ``V`` columns, and ``truth`` their (n T, B*V) targets, a constant. The errors come from one
@@ -512,14 +465,6 @@ def relu(a: Tensor) -> Tensor:
     return _emit(np.maximum(a.values, 0.0), (a,), _relu_rule, (a.values,))
 
 
-def absolute(a: Tensor) -> Tensor:
-    return _emit(np.abs(a.values), (a,), _abs_rule, (a.values,))
-
-
-def mean_all(a: Tensor) -> Tensor:
-    return _emit(np.mean(a.values), (a,), _mean_rule, (a.values.shape, a.values.size))
-
-
 def stitch(rows: np.ndarray, start: int, stop: int, blocks) -> Tensor:
     """The window ``rows[start:stop]`` of a buffer whose rows up to ``stop`` end with copies of
     ``blocks``, back to back, as one record with the blocks as inputs.
@@ -569,11 +514,6 @@ def _layer_norm_values(x: np.ndarray, axis: int):
     centered = x - np.add.reduce(x, axis, keepdims=True) / n
     inv = 1.0 / np.sqrt(np.add.reduce(centered * centered, axis, keepdims=True) / n + _LN_EPS)
     return centered * inv, inv
-
-
-def stop_gradient(a: Tensor) -> Tensor:
-    """Identity forward (bit-exact copy), no gradient flows to ancestors."""
-    return Tensor(a.values)
 
 
 def finite_diff_oracle(eval_fn, params, h: float) -> np.ndarray:

@@ -314,12 +314,11 @@ class RunConfig:
             f"[{section}]\n{''.join(lines)}\n" for section, lines in sections.items()))
 
 
-def check_split(dataset: SeriesDataset, split: str, S: int, horizon: int,
-                take=SeriesDataset.split_range):
-    """``take(dataset, split, S, horizon)``, by default the split's rows; a split too short for
-    one window of S context and ``horizon`` future rows exits 2 with one ``[rollout]`` line."""
+def check_split(dataset: SeriesDataset, split: str, S: int, horizon: int) -> None:
+    """A split too short for one window of S context and ``horizon`` future rows exits 2 with
+    one ``[rollout]`` line."""
     try:
-        return take(dataset, split, S, horizon)
+        dataset.split_range(split, S, horizon)
     except ValueError as exc:
         raise ConfigError(f"[rollout] {exc}") from None
 
@@ -456,10 +455,11 @@ def cmd_gradcheck(args) -> int:
                           f"limited to {GRADCHECK_MAX_PARAMS} to keep the "
                           f"finite-difference oracle tractable")
     S, horizon = model.dims.S, cfg.rollout.n * model.dims.T
-    windows = check_split(dataset, "train", S, horizon, take=window_iter)
+    check_split(dataset, "train", S, horizon)
+    windows = window_iter(dataset, "train", S, horizon)
     cfg.write_resolved()
 
-    # prefer a window whose relu/abs inputs sit safely away from the kinks
+    # prefer a window whose relu inputs and penalty gaps sit safely away from the kinks
     window = max(windows[:32], key=lambda w: loss_kink_gap(model, w, cfg.rollout))
     report = check_gradients(model, window, cfg.rollout)
     for line in report.lines():

@@ -8,6 +8,7 @@ chronological and windows never straddle a split boundary.
 from __future__ import annotations
 
 import csv
+import io
 import math
 import os
 from dataclasses import dataclass, field
@@ -18,8 +19,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 DEFAULT_SPLIT = (0.7, 0.1, 0.2)
-
-SPLITS = ("train", "val", "test")
 
 
 class Windows:
@@ -98,15 +97,19 @@ class SeriesDataset:
         return lo, hi
 
 
-def gen_sinusoid(length, V=1, periods=24.0, amplitude=1.0, noise_std=0.0, seed=0,
-                 ratios=DEFAULT_SPLIT) -> SeriesDataset:
-    """amplitude * sin(2*pi*t / period_v) plus seeded Gaussian noise."""
+def _check_generator(length, V, seed) -> None:
     if length < 1:
         raise ValueError(f"length must be >= 1, got {length}")
     if V < 1:
         raise ValueError(f"variates must be >= 1, got {V}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+
+
+def gen_sinusoid(length, V=1, periods=24.0, amplitude=1.0, noise_std=0.0, seed=0,
+                 ratios=DEFAULT_SPLIT) -> SeriesDataset:
+    """amplitude * sin(2*pi*t / period_v) plus seeded Gaussian noise."""
+    _check_generator(length, V, seed)
     if np.size(periods) not in (1, V):
         raise ValueError(f"{np.size(periods)} periods for {V} variates")
     periods = np.broadcast_to(np.asarray(periods, dtype=np.float64), (V,))
@@ -137,12 +140,7 @@ def _spectral_radius(coeffs: np.ndarray) -> float:
 def gen_ar_process(length, V=1, coeffs=(0.9,), noise_std=1.0, seed=0,
                    ratios=DEFAULT_SPLIT) -> SeriesDataset:
     """AR(p) process from zero initial state, first 10*p samples discarded as burn-in."""
-    if length < 1:
-        raise ValueError(f"length must be >= 1, got {length}")
-    if V < 1:
-        raise ValueError(f"variates must be >= 1, got {V}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    _check_generator(length, V, seed)
     if noise_std < 0 or noise_std == np.inf:  # a NaN noise gives a NaN series, refused below
         raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
     coeffs = np.asarray(coeffs, dtype=np.float64)
@@ -184,19 +182,21 @@ def write_fresh(path, content) -> None:
 def load_csv(path, has_header=True, time_column=None, ratios=DEFAULT_SPLIT) -> SeriesDataset:
     """Comma-separated, '.' decimal, optional header row, optional time column to drop.
 
-    A leading byte order mark is skipped and blank lines are ignored. Every cell goes through
-    ``float`` in one pass; a ragged row, an unparsable cell or a non-finite value raises the
-    error that ``_bad_cell_error`` builds by reading the file again cell by cell.
+    A leading byte order mark is skipped and blank lines are ignored. The file is read once;
+    every cell goes through ``float`` in one pass, and a ragged row, an unparsable cell or a
+    non-finite value raises the error that ``_bad_cell_error`` builds by parsing the text
+    again cell by cell.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            rows = list(reader)
-        except csv.Error as exc:  # e.g. a cell over csv's field size limit
-            raise ValueError(f"{path}: {exc} at line {reader.line_num}") from None
+        text = fh.read()
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        rows = list(reader)
+    except csv.Error as exc:  # e.g. a cell over csv's field size limit
+        raise ValueError(f"{path}: {exc} at line {reader.line_num}") from None
     rows = [r for r in rows if r]  # tolerate blank lines
     if not rows:
         raise ValueError(f"{path}: empty file")
@@ -238,34 +238,33 @@ def load_csv(path, has_header=True, time_column=None, ratios=DEFAULT_SPLIT) -> S
             if np.isfinite(values).all():
                 values = values.reshape(len(data_rows), len(names))
                 return SeriesDataset.from_values(path.stem, values, columns=names, ratios=ratios)
-    raise _bad_cell_error(path, has_header, width, drop, names)
+    raise _bad_cell_error(path, text, has_header, width, drop, names)
 
 
-def _bad_cell_error(path: Path, has_header: bool, width: int, drop: int | None,
+def _bad_cell_error(path: Path, text: str, has_header: bool, width: int, drop: int | None,
                     names: list[str]) -> ValueError:
-    """The error naming the first ragged row, unparsable cell or non-finite value of ``path``,
-    at the physical line the csv reader has reached."""
+    """The error naming the first ragged row, unparsable cell or non-finite value of ``text``,
+    the contents of ``path`` that load_csv's one-pass parse refused, at the physical line the
+    csv reader has reached."""
     columns = [j for j in range(width) if j != drop]
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        rows = filter(None, reader)
-        if has_header:
-            next(rows, None)
-        for row in rows:
-            line = reader.line_num
-            if len(row) != width:
-                return ValueError(f"{path}: ragged row at line {line} "
-                                  f"({len(row)} cells, expected {width})")
-            for j, name in zip(columns, names):
-                try:
-                    value = float(row[j])
-                except ValueError:
-                    return ValueError(f"{path}: cannot parse {row[j]!r} at line {line}, "
-                                      f"column {j + 1} ({name!r})")
-                if not math.isfinite(value):
-                    return ValueError(f"{path}: non-finite value at line {line}, "
-                                      f"column {j + 1} ({name!r})")
-    return ValueError(f"{path}: changed while it was read")
+    reader = csv.reader(io.StringIO(text, newline=""))
+    rows = filter(None, reader)
+    if has_header:
+        next(rows, None)
+    for row in rows:
+        line = reader.line_num
+        if len(row) != width:
+            return ValueError(f"{path}: ragged row at line {line} "
+                              f"({len(row)} cells, expected {width})")
+        for j, name in zip(columns, names):
+            try:
+                value = float(row[j])
+            except ValueError:
+                return ValueError(f"{path}: cannot parse {row[j]!r} at line {line}, "
+                                  f"column {j + 1} ({name!r})")
+            if not math.isfinite(value):
+                return ValueError(f"{path}: non-finite value at line {line}, "
+                                  f"column {j + 1} ({name!r})")
 
 
 def window_iter(ds: SeriesDataset, split: str, S: int, horizon: int,

@@ -161,7 +161,7 @@ def mse_loss(model: Forecaster, windows: Windows) -> Tensor:
 
 
 def loss_kink_gap(model: Forecaster, window: Windows, cfg: RolloutConfig) -> float:
-    """Smallest |input| seen at any relu/abs kink while evaluating ar_loss."""
+    """Smallest |x| at any kink ar_loss records: a relu input or a penalty gap e_{k+1} - e_k."""
     with Tape() as tape:
         ar_loss(model, window, cfg)
         return tape.min_kink_gap

@@ -2,11 +2,14 @@
 
 The engine records only the ops the models and the objective use. These
 rebuild, on the engine's ``_emit`` and its private value helpers and
-rules, the single ops that the fused records replace: elementwise product,
-matrix product, full sum, softmax, layer norm, the two per-window products,
-a bias-column add and concatenation. Each computes and differentiates with
-the floats of the single-op form, so a test can compare a fused record with
-them bit for bit. They do no input validation: tests give them valid shapes.
+rules, the single ops that the fused records replace: elementwise sum,
+difference and product, scaling, abs, a stop-gradient (the identity forward,
+no gradient backward), matrix product, full sum and mean, softmax, layer
+norm, the two per-window products, a bias-column add and concatenation.
+Each computes and differentiates with the floats of the single-op form, so a
+test can compare a fused record with them bit for bit. They do no input
+validation: tests give them valid shapes. The engine's ``Tape.min_kink_gap``
+does not read their abs records; ``abs_kink_gap`` does.
 
 ``rollout_predict`` is the rollout as it stitched each step's input from
 pieces (the context and the blocks, cut with ``slice_axis`` and joined with
@@ -20,6 +23,19 @@ import numpy as np
 
 import arforecast.autodiff as ad
 from arforecast.models import NormState, apply_norm, forecast
+
+
+def _add_rule(ctx, g):
+    return g, g
+
+
+def _sub_rule(ctx, g):
+    return g, -g
+
+
+def _abs_rule(ctx, g):
+    (x,) = ctx
+    return (g * np.sign(x),)
 
 
 def _mul_rule(ctx, g):
@@ -47,6 +63,34 @@ def _concat_rule(ctx, g):
     return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
 
 
+def add(a, b):
+    return ad._emit(a.values + b.values, (a, b), _add_rule, ())
+
+
+def sub(a, b):
+    return ad._emit(a.values - b.values, (a, b), _sub_rule, ())
+
+
+def scale(a, c):
+    return ad._emit(a.values * c, (a,), ad._scale_rule, (c,))
+
+
+def absolute(a):
+    return ad._emit(np.abs(a.values), (a,), _abs_rule, (a.values,))
+
+
+def stop_gradient(a):
+    """The values, bit for bit, as a constant: no gradient flows back through it."""
+    return ad.Tensor(a.values)
+
+
+def abs_kink_gap(tape):
+    """Smallest |input| of the tape's ``absolute`` records: their kinks, which
+    ``tape.min_kink_gap`` does not read."""
+    return min((float(np.min(np.abs(ctx[0]), initial=np.inf))
+                for _, _, rule, ctx in tape.records if rule is _abs_rule), default=float("inf"))
+
+
 def mul(a, b):
     return ad._emit(a.values * b.values, (a, b), _mul_rule, (a.values, b.values))
 
@@ -57,6 +101,10 @@ def matmul(a, b):
 
 def sum_all(a):
     return ad._emit(np.sum(a.values), (a,), _sum_rule, (a.values.shape,))
+
+
+def mean_all(a):
+    return ad._emit(np.mean(a.values), (a,), ad._mean_rule, (a.values.shape, a.values.size))
 
 
 def add_column(m, col):

@@ -15,6 +15,7 @@ import pytest
 import arforecast as af
 from arforecast.cli import main
 from arforecast.rollout import loss_kink_gap
+from composite_ops import absolute, add, scale, stop_gradient, sub
 
 H_STEP = 1e-4
 KINK_MARGIN = 10 * H_STEP
@@ -138,12 +139,18 @@ def test_criterion_3_stop_gradient_policy():
         with af.Tape() as tape:
             prev = af.Tensor(prev_val, requires_grad=True)
             cur = af.Tensor(cur_val, requires_grad=True)
-            term = af.scale(
-                af.scale(cur, 1 - beta)
-                + af.scale(af.absolute(cur - af.stop_gradient(prev)), beta),
+            term = scale(
+                add(scale(cur, 1 - beta),
+                    scale(absolute(sub(cur, stop_gradient(prev))), beta)),
                 gamma,
             )
             (grad,) = tape.gradient(term, [cur])
+        assert abs(float(grad) - want) < 1e-6
+        # the discounted sum training records applies the same coefficient
+        with af.Tape() as tape:
+            prev = af.Tensor(prev_val, requires_grad=True)
+            cur = af.Tensor(cur_val, requires_grad=True)
+            (grad,) = tape.gradient(af.discounted_loss([prev, cur], gamma, beta), [cur])
         assert abs(float(grad) - want) < 1e-6
 
 

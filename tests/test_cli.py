@@ -1200,6 +1200,16 @@ _SIZE_MUTATIONS = st.sampled_from([(section, key) for section, key, *_ in SCHEMA
     lambda sk: st.integers(1, _SIZE_BOUNDS[sk[1]]).map(lambda v: ("sinusoid", *sk, str(v))))
 
 
+def _main_quietly(argv):
+    """(exit code, stderr lines, messages of the warnings recorded) of ``main(argv)``."""
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        code = main(argv)
+    return code, err.getvalue().splitlines(), [str(w.message) for w in caught]
+
+
 def _run_mutated(root, source="sinusoid", section=None, key=None, value=None):
     """Run ``train`` in a fresh directory under ``root`` on the ``source`` demo config with one
     key set to ``value`` (None deletes it; no section leaves the config as it is). Gives the exit
@@ -1218,17 +1228,14 @@ def _run_mutated(root, source="sinusoid", section=None, key=None, value=None):
     (run / "run.ini").write_text("".join(
         f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
         for name, items in sections.items()))
-    home, err = os.getcwd(), io.StringIO()
+    home = os.getcwd()
     os.chdir(run)  # a relative [output] dir lands in the run's directory
     try:
-        with warnings.catch_warnings(record=True) as caught, \
-                contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            warnings.simplefilter("always")
-            code = main(["train", "--config", "run.ini"])
+        code, lines, warned = _main_quietly(["train", "--config", "run.ini"])
     finally:
         os.chdir(home)
     written = sorted(p.relative_to(run).as_posix() for p in run.rglob("*") if p.is_file())
-    return code, err.getvalue().splitlines(), [str(w.message) for w in caught], written
+    return code, lines, warned, written
 
 
 @pytest.mark.parametrize("source", sorted(_DEMO_SOURCES))
@@ -1262,3 +1269,58 @@ def test_one_key_config_fuzz_exits_0_or_2_with_one_line_and_nothing_written(muta
 for _mutation in _FUZZ_MUTATIONS:  # every fixed mutation runs, besides the drawn sizes
     test_one_key_config_fuzz_exits_0_or_2_with_one_line_and_nothing_written = example(
         mutation=_mutation)(test_one_key_config_fuzz_exits_0_or_2_with_one_line_and_nothing_written)
+
+
+# 270 rows at split 0.1,0.1,0.8 leave 216 test rows: a window of S = 8 and 100 blocks of T = 2
+_MAGNITUDE_SERIES = gen_sinusoid(270, V=2, periods=[24.0, 17.0], noise_std=0.1, seed=0).values
+
+
+def _assert_finite_output(path):
+    """A JSON report parses strictly (no Infinity or NaN); a CSV's cells under its header are
+    finite floats."""
+    text = path.read_text()
+    if path.suffix == ".json":
+        json.loads(text, parse_constant=lambda token: pytest.fail(f"{path.name} holds {token}"))
+    else:
+        cells = [float(cell) for line in text.splitlines()[1:] for cell in line.split(",")]
+        assert np.isfinite(cells).all(), path.name
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["linear", "mlp", "inverted_attention"]),
+       param_exp=st.integers(-300, 300), data_exp=st.integers(-300, 300),
+       blocks=st.integers(1, 100))
+@example(kind="linear", param_exp=150, data_exp=0, blocks=4)  # eval used to write Infinity
+@example(kind="mlp", param_exp=300, data_exp=300, blocks=100)
+@example(kind="inverted_attention", param_exp=-300, data_exp=-300, blocks=100)
+@example(kind="inverted_attention", param_exp=2, data_exp=0, blocks=100)
+def test_eval_and_predict_at_any_magnitude_exit_0_finite_or_2_writing_nothing(
+        kind, param_exp, data_exp, blocks):
+    """Each run exits 0 with finite outputs and no warning, or 2 with one stderr line, no
+    warning and no file written."""
+    dims = Dims(S=8, T=2, L=1, V=2, hidden=0 if kind == "linear" else 3)
+    with tempfile.TemporaryDirectory() as root:
+        root = Path(root)
+        model = init_forecaster(kind, dims, seed=1)
+        model.set_param_vector(model.param_vector() * 10.0 ** param_exp)
+        ck, series, cfg = root / "ck.arpt", root / "series.csv", root / "run.ini"
+        save_checkpoint(Checkpoint.from_forecaster(model, RolloutConfig(), 0, 0.1, 1), ck)
+        series.write_text("a,b\n" + "".join(
+            f"{x!r},{y!r}\n" for x, y in (_MAGNITUDE_SERIES * 10.0 ** data_exp).tolist()))
+        cfg.write_text(f"[dataset]\nsource = csv\npath = {series}\nsplit = 0.1,0.1,0.8\n"
+                       f"[model]\nkind = {kind}\nhidden = {dims.hidden}\n[rollout]\ns = {dims.S}\n"
+                       f"t = {dims.T}\nl = {dims.L}\n[output]\ndir = {root / 'unused'}\n")
+        horizon = ["--checkpoint", str(ck), "--horizon", str(blocks * dims.T)]
+        for argv, outputs in ((["eval", "--config", str(cfg)], ["config_resolved.ini",
+                                                                 "curve.csv", "report.json"]),
+                              (["predict", str(series)], ["predictions.csv"])):
+            out = root / argv[0]
+            code, lines, warned = _main_quietly(argv + horizon + ["--out", str(out)])
+            written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+            assert not warned, (argv[0], warned)
+            if code == 0:
+                assert (lines, written) == ([], outputs), argv[0]
+                for name in set(outputs) - {"config_resolved.ini"}:
+                    _assert_finite_output(out / name)
+            else:
+                assert (code, len(lines), written) == (2, 1, []), (argv[0], lines, written)

@@ -16,9 +16,7 @@ from arforecast.autodiff import (
     discounted_loss,
     finite_diff_oracle,
     max_relative_error,
-    mean_all,
     relu,
-    scale,
 )
 from arforecast.models import (
     Dims,
@@ -31,7 +29,7 @@ from arforecast.models import (
     invert_norm,
     param_count,
 )
-from composite_ops import layer_norm, mul, softmax, window_mix, window_scores
+from composite_ops import add, layer_norm, mean_all, mul, scale, softmax, window_mix, window_scores
 import numpy_oracle
 
 
@@ -174,7 +172,7 @@ def test_forecast_gradients_match_oracle(kind, hidden):
 
     def loss_of(m):
         out = forecast(m, Tensor(ctx))
-        return mul(out, out).mean()
+        return mean_all(mul(out, out))
 
     with Tape() as tape:
         grads = tape.gradient(loss_of(model), list(model.params.values()))
@@ -225,10 +223,10 @@ def _composite_attention_forecast(model, context):
     scores = scale(window_scores(q, k, dims.V), 1.0 / np.sqrt(dims.hidden))
     attn = softmax(scores, axis=1)
     mixed = affine(p["o_w"], window_mix(val, attn, dims.V), p["o_b"])
-    x1 = layer_norm(tokens + mixed, axis=0)
+    x1 = layer_norm(add(tokens, mixed), axis=0)
     ff = relu(affine(p["ff1_w"], x1, p["ff1_b"]))
     ff = affine(p["ff2_w"], ff, p["ff2_b"])
-    x2 = layer_norm(x1 + ff, axis=0)
+    x2 = layer_norm(add(x1, ff), axis=0)
     return affine(p["proj_w"], x2, p["proj_b"])
 
 

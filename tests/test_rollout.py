@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import arforecast.autodiff as autodiff
-from arforecast.autodiff import Tape, Tensor, absolute, mean_all, scale, stop_gradient
+from arforecast.autodiff import Tape, Tensor
 from arforecast.cli import main
 from arforecast.data import SeriesDataset, Windows, gen_sinusoid, window_iter
 from arforecast.evaluation import evaluate
@@ -29,7 +29,17 @@ from arforecast.rollout import (
 from arforecast.training import Checkpoint, save_checkpoint
 import composite_ops
 import numpy_oracle
-from composite_ops import matmul, mul
+from composite_ops import (
+    abs_kink_gap,
+    absolute,
+    add,
+    matmul,
+    mean_all,
+    mul,
+    scale,
+    stop_gradient,
+    sub,
+)
 
 
 def test_config_validation():
@@ -244,7 +254,7 @@ def test_rollout_predict_matches_the_piecewise_stitch(draw):
                       for k, block in enumerate(taped)]
             total = errors[0]
             for e in errors[1:]:
-                total = total + e
+                total = add(total, e)
             grads = tape.gradient(mean_all(total), params)
             records = [(rule.__name__, ctx) for _, _, rule, ctx in tape.records]
         return ([b.values.tobytes() for b in blocks], state.mean.tobytes(), state.std.tobytes(),
@@ -341,7 +351,7 @@ def test_gradient_coefficient_three_cases():
             prev = Tensor(prev_val, requires_grad=True)
             cur = Tensor(cur_val, requires_grad=True)
             term = scale(
-                scale(cur, 0.9) + scale(absolute(cur - stop_gradient(prev)), 0.1), 0.5
+                add(scale(cur, 0.9), scale(absolute(sub(cur, stop_gradient(prev))), 0.1)), 0.5
             )
             (g,) = tape.gradient(term, [cur])
             assert float(g) == pytest.approx(want, abs=1e-12)
@@ -363,7 +373,8 @@ def test_penalty_gradient_norm_ratio_through_model():
             blocks = ar_loss(model, window, cfg)
             e1, e2 = blocks.e
             term = scale(
-                scale(e2, 1 - beta) + scale(absolute(e2 - stop_gradient(e1)), beta), gamma
+                add(scale(e2, 1 - beta), scale(absolute(sub(e2, stop_gradient(e1))), beta)),
+                gamma,
             )
             grads = tape.gradient(term, list(model.params.values()))
         return float(np.linalg.norm(np.concatenate([g.ravel() for g in grads])))
@@ -577,7 +588,7 @@ def test_min_kink_gap_is_smallest_relu_or_abs_input(kind, V):
 def _composite_block_error(pred_block, truth_block, V):
     """block_error as sub, mul and constant-matrix matmul records: the fused op's reference."""
     rows, width = pred_block.shape
-    diff = pred_block - Tensor(truth_block)
+    diff = sub(pred_block, Tensor(truth_block))
     per_column = matmul(Tensor(np.full((1, rows), 1.0 / (rows * V))), mul(diff, diff))
     if V == 1:
         return per_column
@@ -590,13 +601,14 @@ def _composite_discounted_loss(errors, gamma, beta):
     for k in range(1, len(errors)):
         term = scale(errors[k], 1.0 - beta)
         if beta > 0.0:
-            term = term + scale(absolute(errors[k] - stop_gradient(errors[k - 1])), beta)
-        loss = loss + scale(term, gamma ** k)
+            term = add(term, scale(absolute(sub(errors[k], stop_gradient(errors[k - 1]))), beta))
+        loss = add(loss, scale(term, gamma ** k))
     return loss
 
 
 def _batch_objective(model, context, future, cfg, beta, V, block_error_fn, discounted_fn):
-    """(loss, e rows, parameter gradient, min_kink_gap, rule names) of one taped batch."""
+    """(loss, e rows, parameter gradient, kink gap, rule names) of one taped batch; the kink gap
+    is the smaller of min_kink_gap and the smallest |input| of the test-side abs records."""
     T = model.dims.T
     with Tape() as tape:
         errors = [block_error_fn(block, future[k * T:(k + 1) * T], V)
@@ -604,7 +616,8 @@ def _batch_objective(model, context, future, cfg, beta, V, block_error_fn, disco
         loss = mean_all(discounted_fn(errors, cfg.gamma, beta))
         grad = np.concatenate([g.ravel() for g in tape.gradient(loss, list(model.params.values()))])
         rules = [rule.__name__ for _, _, rule, _ in tape.records]
-        return loss.item(), np.vstack([e.values for e in errors]), grad, tape.min_kink_gap, rules
+        gap = min(tape.min_kink_gap, abs_kink_gap(tape))
+        return loss.item(), np.vstack([e.values for e in errors]), grad, gap, rules
 
 
 @st.composite
