@@ -18,9 +18,7 @@ from .rollout import (
     GradCheckReport,
     RolloutConfig,
     ar_loss,
-    block_error,
     check_gradients,
-    discounted_loss,
     loss_magnitude_factor,
     mse_loss,
     rollout_predict,

@@ -3,10 +3,10 @@
 Dense float64 tensors plus only the ops the forecasting models and the
 rollout objective record: ``w @ x + b``, relu, the attention model's
 attention and feed-forward sublayers as one record each, slicing, the
-rollout's input windows, the objective's block error and discounted sum,
-and the whole batch objective of a rollout as one record. The discounted
-sum holds the monotonicity penalty's abs and stop-gradient inside its
-record, so the engine has no generic arithmetic ops.
+rollout's input windows, and the whole batch objective of a rollout as
+one record. That record holds the block errors, their discounted sum and
+the monotonicity penalty's abs and stop-gradient, so the engine has no
+generic arithmetic ops.
 
 A ``Tape`` is built fresh for every loss evaluation (define-by-run) and
 is a single-threaded unit of work; separate tapes share no mutable state
@@ -126,9 +126,8 @@ class Tape:
     @property
     def min_kink_gap(self) -> float:
         """Smallest |x| at any recorded kink: relu and ffn_sublayer inputs, the penalty gaps of
-        discounted_loss and rollout_objective."""
-        kinks = (_relu_rule, _ffn_sublayer_rule, _discounted_loss_rule,
-                 _rollout_objective_rule)  # late-bound
+        rollout_objective."""
+        kinks = (_relu_rule, _ffn_sublayer_rule, _rollout_objective_rule)  # late-bound
         return min((float(np.min(np.abs(ctx[0]), initial=np.inf))
                     for _, _, rule, ctx in self.records if rule in kinks), default=float("inf"))
 
@@ -271,39 +270,20 @@ def _ffn_sublayer_rule(ctx, g):
     return g + g_x, g_w1, g_b1, g_w2, g_b2
 
 
-def _discount_coefficients(g, gaps, gamma, beta, n):
-    # e_1..e_n's upstream values for their discounted sum's upstream g, stacked as (n, *g.shape):
-    # g on e_1, then g gamma^(k-1) ((1 - beta) + beta sign(e_k - e_{k-1})), that is 1, 1 - beta
-    # or 1 - 2 beta times g gamma^(k-1) as the error rose, held or fell; in the order of the
-    # term-by-term form's scale and abs rules
-    gk = g * np.array([gamma ** k for k in range(1, n)]).reshape((-1,) + (1,) * g.ndim)
-    coef = gk * (1.0 - beta)
-    return np.concatenate([g[None], coef if beta == 0.0 else coef + gk * beta * np.sign(gaps)])
-
-
-def _window_error_grad(g, diff, c, V):
-    # 2 (pred - truth) / (T V) times each window's upstream value, in the order of the
-    # composite form's sub, mul and matmul rules
-    return 2.0 * ((c * np.repeat(g, V, axis=-1)) * diff)
-
-
-def _block_error_rule(ctx, g):
-    grad = _window_error_grad(g, *ctx)  # ctx is (diff, c, V)
-    return grad, -grad
-
-
-def _discounted_loss_rule(ctx, g):
-    return tuple(_discount_coefficients(g, *ctx))  # ctx is (gaps, gamma, beta, n)
-
-
 def _rollout_objective_rule(ctx, g):
-    # the mean's rule, then discounted_loss's and block_error's on the n stacked blocks:
-    # elementwise, so the floats are the chain's
+    # the mean's rule, then the discounted sum's and the block errors' on the n stacked blocks:
+    # elementwise, in the term-by-term form's order, so the floats are that chain's
     gaps, diff, c, V, gamma, beta = ctx
     B = diff.shape[2] // V
     (g,) = _mean_rule(((1, B), B), g)
-    return tuple(_window_error_grad(_discount_coefficients(g, gaps, gamma, beta, len(diff)),
-                                    diff, c, V))
+    # e_1..e_n's upstream values, stacked as (n, 1, B): g on e_1, then g gamma^(k-1)
+    # ((1 - beta) + beta sign(e_k - e_{k-1})), that is 1, 1 - beta or 1 - 2 beta times
+    # g gamma^(k-1) as the error rose, held or fell
+    gk = g * np.array([gamma ** k for k in range(1, len(diff))]).reshape(-1, 1, 1)
+    coef = gk * (1.0 - beta)
+    g = np.concatenate([g[None], coef if beta == 0.0 else coef + gk * beta * np.sign(gaps)])
+    # 2 (pred - truth) / (T V) times each window's upstream value
+    return tuple(2.0 * ((c * np.repeat(g, V, axis=-1)) * diff))
 
 
 def affine(w: Tensor, x: Tensor, b: Tensor) -> Tensor:
@@ -314,47 +294,16 @@ def affine(w: Tensor, x: Tensor, b: Tensor) -> Tensor:
     return _emit(w.values @ x.values + b.values, (w, x, b), _affine_rule, (w.values, x.values))
 
 
-def block_error(pred_block: Tensor, truth_block, V: int | None = None) -> Tensor:
-    """The (1, B) row of per-window mean squared errors of one block, as one record.
-
-    The block holds B windows side by side as groups of ``V`` columns (by default, one window).
-    """
-    if not isinstance(truth_block, Tensor):
-        truth_block = Tensor(truth_block)
-    if pred_block.shape != truth_block.shape:
-        raise ValueError(f"block shapes differ: {pred_block.shape} vs {truth_block.shape}")
-    _, width = pred_block.shape
-    V = width if V is None else V
-    _check_windows("block_error", pred_block, V)
-    diff = pred_block.values - truth_block.values
-    errors, c = _window_mse(diff, V)
-    return _emit(errors, (pred_block, truth_block), _block_error_rule, (diff, c, V))
-
-
-def discounted_loss(errors: list[Tensor], gamma: float, beta: float) -> Tensor:
-    """e_1 + sum_k gamma^k * ((1-beta) * e_{k+1} + beta * |e_{k+1} - sg(e_k)|), as one record.
-
-    The record saves the penalty's kinks e_{k+1} - e_k (none if beta == 0).
-    """
-    if not errors:
-        raise ValueError("discounted_loss: empty error list")
-    _check_discount(gamma, beta)
-    if len(errors) == 1:
-        return errors[0]
-    loss, gaps = _discounted_values(np.stack([t.values for t in errors]), gamma, beta)
-    return _emit(loss, tuple(errors), _discounted_loss_rule, (gaps, gamma, beta, len(errors)))
-
-
 def rollout_objective(blocks: list[Tensor], truth: np.ndarray, V: int, gamma: float,
                       beta: float) -> tuple[Tensor, np.ndarray]:
-    """The mean over the B windows of ``discounted_loss([block_error(block, truth[kT:(k+1)T],
-    V) for k, block in enumerate(blocks)], gamma, beta)``, as one record with the floats of
-    that chain and a mean record; and the (n, B) block errors.
+    """The mean over the B windows of e_1 + sum_k gamma^k ((1 - beta) e_{k+1} + beta
+    |e_{k+1} - sg(e_k)|), with e_k a window's mean squared error over block k, as one record;
+    and the (n, B) block errors.
 
     ``blocks`` are the n (T, B*V) blocks of a rollout of B windows side by side as groups of
     ``V`` columns, and ``truth`` their (n T, B*V) targets, a constant. The errors come from one
-    stacked difference and one stacked product with the (1, T) row of 1 / (T V); the record
-    saves the penalty's kinks e_{k+1} - e_k first (none if beta == 0), as discounted_loss does.
+    stacked difference and one stacked product with the (1, T) row of 1 / (T V). The record
+    saves the penalty's kinks e_{k+1} - e_k first (none if beta == 0).
     """
     if not blocks:
         raise ValueError("rollout_objective: no blocks")

@@ -14,7 +14,6 @@ predecessors.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,8 +23,6 @@ from .autodiff import (
     Tensor,
     _check_discount,
     _stitch,
-    block_error,
-    discounted_loss,  # noqa: F401 - re-exported
     finite_diff_oracle,
     max_relative_error,
     rollout_objective,
@@ -52,23 +49,14 @@ class RolloutConfig:
 
 class BlockErrors:
     """The batch objective (one record), its (n, B) per-block errors e_1..e_n over a batch of
-    B windows, and how many (window, block) errors fell below the previous block's.
-
-    ``e`` holds ``errors`` again as n (1, B) ``block_error`` records, built when first read on
-    the tape active then; training reads only ``loss``, and so never builds them.
+    B windows, and how many (window, block) errors fell below the previous block's; with the n
+    (T, B*V) ``blocks`` and the normalized (n T, B*V) ``truth`` that the record scored.
     """
 
     def __init__(self, loss: Tensor, errors: np.ndarray, blocks: list[Tensor],
-                 truth: np.ndarray, V: int):
-        self.loss, self.errors = loss, errors
+                 truth: np.ndarray):
+        self.loss, self.errors, self.blocks, self.truth = loss, errors, blocks, truth
         self.violations = int(np.count_nonzero(errors[1:] < errors[:-1]))
-        self._blocks, self._truth, self._V = blocks, truth, V
-
-    @functools.cached_property
-    def e(self) -> list[Tensor]:
-        T = self._truth.shape[0] // len(self._blocks)
-        return [block_error(block, self._truth[k * T:(k + 1) * T], self._V)
-                for k, block in enumerate(self._blocks)]
 
 
 @dataclass
@@ -150,8 +138,7 @@ def ar_loss(model: Forecaster, windows: Windows, cfg: RolloutConfig) -> BlockErr
     context, future = windows.columns()
     blocks, state = rollout_predict(model, context, cfg)
     fut_n = apply_norm(future, state)
-    return BlockErrors(*rollout_objective(blocks, fut_n, V, cfg.gamma, cfg.beta), blocks,
-                       fut_n, V)
+    return BlockErrors(*rollout_objective(blocks, fut_n, V, cfg.gamma, cfg.beta), blocks, fut_n)
 
 
 def mse_loss(model: Forecaster, windows: Windows) -> Tensor:
@@ -179,15 +166,19 @@ def check_gradients(model: Forecaster, window: Windows, cfg: RolloutConfig,
     Also verifies the per-sample gradient-norm bound
     ||grad loss|| <= sum_k gamma^(k-1) * ||grad e_k||
     (and the looser 1/(1-gamma) * max_k form), reporting the largest
-    per-block gradient norm as d_hat.
+    per-block gradient norm as d_hat. Block k's gradient is that of a one-block
+    ``rollout_objective`` record of block k, which for one window is e_k.
     """
     if len(window) != 1:
         raise ValueError(f"check_gradients takes one window, got a batch of {len(window)}")
     names, params = list(model.params.keys()), list(model.params.values())
+    T, V = model.dims.T, window.contexts.shape[2]
     with Tape() as tape:
         blocks = ar_loss(model, window, cfg)
+        e = [rollout_objective([block], blocks.truth[k * T:(k + 1) * T], V, cfg.gamma,
+                               cfg.beta)[0] for k, block in enumerate(blocks.blocks)]
         grad_loss, *grad_e = (np.concatenate([g.ravel() for g in tape.gradient(t, params)])
-                              for t in [blocks.loss, *blocks.e])
+                              for t in [blocks.loss, *e])
     block_norms = [float(np.linalg.norm(g)) for g in grad_e]
     anchors = blocks.errors[:, 0].tolist()
     base = model.param_vector()

@@ -11,6 +11,13 @@ test can compare a fused record with them bit for bit. They do no input
 validation: tests give them valid shapes. The engine's ``Tape.min_kink_gap``
 does not read their abs records; ``abs_kink_gap`` does.
 
+``block_error`` (one block's per-window errors) and ``discounted_loss`` (the
+discounted sum with its penalty) are the objective's two ops from before
+``rollout_objective`` became the engine's one objective record. They check
+their inputs as they did, and their rules hold copies of the two gradient
+kernels that rule was folded from, so their floats are the engine's; the
+engine's ``min_kink_gap`` reads neither; ``abs_kink_gap`` reads the penalty gaps.
+
 ``rollout_predict`` is the rollout as it stitched each step's input from
 pieces (the context and the blocks, cut with ``slice_axis`` and joined with
 ``concat``) before the one-buffer ``stitch`` record replaced it.
@@ -85,10 +92,10 @@ def stop_gradient(a):
 
 
 def abs_kink_gap(tape):
-    """Smallest |input| of the tape's ``absolute`` records: their kinks, which
-    ``tape.min_kink_gap`` does not read."""
-    return min((float(np.min(np.abs(ctx[0]), initial=np.inf))
-                for _, _, rule, ctx in tape.records if rule is _abs_rule), default=float("inf"))
+    """Smallest |input| of the tape's ``absolute`` records and smallest penalty gap of its
+    ``discounted_loss`` records: their kinks, which ``tape.min_kink_gap`` does not read."""
+    return min((float(np.min(np.abs(ctx[0]), initial=np.inf)) for _, _, rule, ctx in tape.records
+                if rule in (_abs_rule, _discounted_loss_rule)), default=float("inf"))
 
 
 def mul(a, b):
@@ -155,6 +162,59 @@ def _tail(pieces, rows):
         rows -= size
     taken.reverse()
     return taken[0] if len(taken) == 1 else concat(taken, axis=0)
+
+
+def _discount_coefficients(g, gaps, gamma, beta, n):
+    # e_1..e_n's upstream values for their discounted sum's upstream g, stacked as (n, *g.shape):
+    # g on e_1, then g gamma^(k-1) times 1, 1 - beta or 1 - 2 beta as the error rose, held or fell
+    gk = g * np.array([gamma ** k for k in range(1, n)]).reshape((-1,) + (1,) * g.ndim)
+    coef = gk * (1.0 - beta)
+    return np.concatenate([g[None], coef if beta == 0.0 else coef + gk * beta * np.sign(gaps)])
+
+
+def _window_error_grad(g, diff, c, V):
+    # 2 (pred - truth) / (T V) times each window's upstream value
+    return 2.0 * ((c * np.repeat(g, V, axis=-1)) * diff)
+
+
+def _block_error_rule(ctx, g):
+    grad = _window_error_grad(g, *ctx)  # ctx is (diff, c, V)
+    return grad, -grad
+
+
+def _discounted_loss_rule(ctx, g):
+    return tuple(_discount_coefficients(g, *ctx))  # ctx is (gaps, gamma, beta, n)
+
+
+def block_error(pred_block, truth_block, V=None):
+    """The (1, B) row of per-window mean squared errors of one block, as one record.
+
+    The block holds B windows side by side as groups of ``V`` columns (by default, one window).
+    """
+    if not isinstance(truth_block, ad.Tensor):
+        truth_block = ad.Tensor(truth_block)
+    if pred_block.shape != truth_block.shape:
+        raise ValueError(f"block shapes differ: {pred_block.shape} vs {truth_block.shape}")
+    _, width = pred_block.shape
+    V = width if V is None else V
+    ad._check_windows("block_error", pred_block, V)
+    diff = pred_block.values - truth_block.values
+    errors, c = ad._window_mse(diff, V)
+    return ad._emit(errors, (pred_block, truth_block), _block_error_rule, (diff, c, V))
+
+
+def discounted_loss(errors, gamma, beta):
+    """e_1 + sum_k gamma^k * ((1-beta) * e_{k+1} + beta * |e_{k+1} - sg(e_k)|), as one record.
+
+    The record saves the penalty's kinks e_{k+1} - e_k (none if beta == 0).
+    """
+    if not errors:
+        raise ValueError("discounted_loss: empty error list")
+    ad._check_discount(gamma, beta)
+    if len(errors) == 1:
+        return errors[0]
+    loss, gaps = ad._discounted_values(np.stack([t.values for t in errors]), gamma, beta)
+    return ad._emit(loss, tuple(errors), _discounted_loss_rule, (gaps, gamma, beta, len(errors)))
 
 
 def rollout_predict(model, context, cfg):

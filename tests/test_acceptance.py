@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import arforecast as af
+from arforecast.autodiff import rollout_objective
 from arforecast.cli import main
 from arforecast.rollout import loss_kink_gap
 from composite_ops import absolute, add, scale, stop_gradient, sub
@@ -146,12 +147,14 @@ def test_criterion_3_stop_gradient_policy():
             )
             (grad,) = tape.gradient(term, [cur])
         assert abs(float(grad) - want) < 1e-6
-        # the discounted sum training records applies the same coefficient
+        # the objective record training runs applies the same coefficient: for 1x1 blocks p_1,
+        # p_2 and zero targets, e_k = p_k^2, so d(loss)/d(p_2) is the coefficient times 2 p_2
         with af.Tape() as tape:
-            prev = af.Tensor(prev_val, requires_grad=True)
-            cur = af.Tensor(cur_val, requires_grad=True)
-            (grad,) = tape.gradient(af.discounted_loss([prev, cur], gamma, beta), [cur])
-        assert abs(float(grad) - want) < 1e-6
+            p1 = af.Tensor([[np.sqrt(prev_val)]], requires_grad=True)
+            p2 = af.Tensor([[np.sqrt(cur_val)]], requires_grad=True)
+            loss, _ = rollout_objective([p1, p2], np.zeros((2, 1)), 1, gamma, beta)
+            (grad,) = tape.gradient(loss, [p2])
+        assert abs(grad.item() / (2.0 * p2.item()) - want) < 1e-6
 
 
 # -- 4. gradient norm bound ---------------------------------------------------
@@ -177,10 +180,12 @@ def test_criterion_4_norm_bound():
             params = list(model.params.values())
             norm_l = np.linalg.norm(np.concatenate(
                 [g.ravel() for g in tape.gradient(blocks.loss, params)]))
+            # block k's error alone, as check_gradients takes it: a one-block record
             norms_e = [
                 np.linalg.norm(np.concatenate(
                     [g.ravel() for g in tape.gradient(e, params)]))
-                for e in blocks.e
+                for e in (rollout_objective([block], blocks.truth[3 * k:3 * (k + 1)], 2, gamma,
+                                            beta)[0] for k, block in enumerate(blocks.blocks))
             ]
         assert norm_l <= sum(gamma ** k * norms_e[k] for k in range(n))
         assert norm_l < max(norms_e) / (1.0 - gamma) + 1e-9
@@ -194,12 +199,13 @@ def test_criterion_4_norm_bound():
 def test_criterion_5_magnitude_factor():
     for gamma in (0.3, 0.5, 0.9):
         for n in (1, 2, 4, 8):
-            e = 0.37
-            errors = [af.Tensor(e, requires_grad=True) for _ in range(n)]
+            # n equal 1x1 blocks against zero targets: every block error is e, about 0.37
+            blocks = [af.Tensor([[np.sqrt(0.37)]], requires_grad=True) for _ in range(n)]
             with af.Tape():
-                value = af.discounted_loss(errors, gamma, 0.0).item() if n > 1 else errors[0].item()
+                loss, errors = rollout_objective(blocks, np.zeros((n, 1)), 1, gamma, 0.0)
+            e = errors[0, 0]
             factor = af.loss_magnitude_factor(af.RolloutConfig(n=n, gamma=gamma))
-            assert abs(value / e - factor) <= 1e-12
+            assert abs(loss.item() / e - factor) <= 1e-12
     # gamma = 0.5 approaches a doubled single-block magnitude as n grows
     f = lambda n: af.loss_magnitude_factor(af.RolloutConfig(n=n))
     assert f(4) == pytest.approx(1.875)

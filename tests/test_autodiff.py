@@ -10,11 +10,10 @@ from arforecast.autodiff import (
     Tape,
     Tensor,
     affine,
-    block_error,
-    discounted_loss,
     finite_diff_oracle,
     max_relative_error,
     relu,
+    rollout_objective,
     slice_axis,
     stitch,
 )
@@ -23,6 +22,7 @@ from composite_ops import (
     absolute,
     add,
     add_column,
+    block_error,
     concat,
     layer_norm,
     matmul,
@@ -65,13 +65,14 @@ def test_relu_backward():
 
 
 def test_min_kink_gap_reads_relu_and_abs_records():
-    # the engine's abs kinks are the penalty gaps e_{k+1} - e_k that discounted_loss saves
+    # the engine's abs kinks are the penalty gaps e_{k+1} - e_k that rollout_objective saves:
+    # here e_1 = (0.25, 4) and e_2 = (0, 2.25) for two 1-row blocks of two windows
     with Tape() as tape:
         assert tape.min_kink_gap == float("inf")
         x = Tensor([[-0.5, 2.0]], requires_grad=True)
         relu(x)
         assert tape.min_kink_gap == 0.5
-        discounted_loss([x, Tensor([[0.0, 1.75]])], 0.5, 0.1)
+        rollout_objective([x, Tensor([[0.0, 1.5]])], np.zeros((2, 2)), 1, 0.5, 0.1)
         relu(Tensor([[1e-9]]))  # no tracked input, so no record and no kink
         assert tape.min_kink_gap == 0.25
 

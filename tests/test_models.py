@@ -12,8 +12,6 @@ from arforecast.autodiff import (
     Tape,
     Tensor,
     affine,
-    block_error,
-    discounted_loss,
     finite_diff_oracle,
     max_relative_error,
     relu,
@@ -29,7 +27,19 @@ from arforecast.models import (
     invert_norm,
     param_count,
 )
-from composite_ops import add, layer_norm, mean_all, mul, scale, softmax, window_mix, window_scores
+from composite_ops import (
+    abs_kink_gap,
+    add,
+    block_error,
+    discounted_loss,
+    layer_norm,
+    mean_all,
+    mul,
+    scale,
+    softmax,
+    window_mix,
+    window_scores,
+)
 import numpy_oracle
 
 
@@ -231,7 +241,8 @@ def _composite_attention_forecast(model, context):
 
 
 def _taped_rollout_objective(model, context, future, cfg):
-    """(forecast bytes, loss bytes, per-parameter gradient bytes, min_kink_gap, rule names)."""
+    """(forecast bytes, loss bytes, per-parameter gradient bytes, kink gap, rule names); the kink
+    gap is the smaller of min_kink_gap and the test-side discounted_loss's smallest penalty gap."""
     with Tape() as tape:
         blocks, _ = rollout.rollout_predict(model, context, cfg)
         T = model.dims.T
@@ -240,7 +251,7 @@ def _taped_rollout_objective(model, context, future, cfg):
         loss = mean_all(discounted_loss(errors, cfg.gamma, cfg.beta))
         grads = tape.gradient(loss, list(model.params.values()))
         return ([block.values.tobytes() for block in blocks], loss.values.tobytes(),
-                [g.tobytes() for g in grads], tape.min_kink_gap,
+                [g.tobytes() for g in grads], min(tape.min_kink_gap, abs_kink_gap(tape)),
                 [rule.__name__ for _, _, rule, _ in tape.records])
 
 

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import arforecast.autodiff as autodiff
-from arforecast.autodiff import Tape, Tensor
+from arforecast.autodiff import Tape, Tensor, rollout_objective
 from arforecast.cli import main
 from arforecast.data import SeriesDataset, Windows, gen_sinusoid, window_iter
 from arforecast.evaluation import evaluate
@@ -19,9 +19,7 @@ from arforecast.models import Dims, NormState, apply_norm, forecast, init_foreca
 from arforecast.rollout import (
     RolloutConfig,
     ar_loss,
-    block_error,
     check_gradients,
-    discounted_loss,
     loss_magnitude_factor,
     mse_loss,
     rollout_predict,
@@ -33,6 +31,8 @@ from composite_ops import (
     abs_kink_gap,
     absolute,
     add,
+    block_error,
+    discounted_loss,
     matmul,
     mean_all,
     mul,
@@ -58,6 +58,14 @@ def test_config_validation():
 
 def _one_window(context, future):
     return Windows(np.asarray(context)[None], np.asarray(future)[None], np.arange(1))
+
+
+def _block_record(blocks, k, V, cfg):
+    """Block k's objective alone, as check_gradients takes it: a one-block rollout_objective
+    record of ``blocks.blocks[k]`` against its rows of ``blocks.truth``; e_k for one window."""
+    T = blocks.blocks[k].shape[0]
+    return rollout_objective([blocks.blocks[k]], blocks.truth[k * T:(k + 1) * T], V, cfg.gamma,
+                             cfg.beta)[0]
 
 
 @st.composite
@@ -97,8 +105,7 @@ def _assert_matches_oracle(kind, dims, cfg, B, model_seed, seed):
             free = numpy_oracle.rollout(kind, p, context, dims.L, cfg.n)[0]
             np.testing.assert_allclose(seq[S:], free[S:], rtol=1e-12, atol=1e-14)
         errors.append(numpy_oracle.block_mse(want, (future - mean) / std, cfg.n))
-    np.testing.assert_allclose(np.vstack([e.values for e in blocks.e]).T, errors,
-                               rtol=1e-12, atol=0)
+    np.testing.assert_allclose(blocks.errors.T, errors, rtol=1e-12, atol=0)
     want = np.mean([numpy_oracle.objective(e, cfg.gamma, cfg.beta) for e in errors])
     assert abs(blocks.loss.item() - want) <= 1e-12 * abs(want)
 
@@ -371,7 +378,7 @@ def test_penalty_gradient_norm_ratio_through_model():
         window = _one_window(ctx, future)
         with Tape() as tape:
             blocks = ar_loss(model, window, cfg)
-            e1, e2 = blocks.e
+            e1, e2 = (_block_record(blocks, k, 1, cfg) for k in range(2))
             term = scale(
                 add(scale(e2, 1 - beta), scale(absolute(sub(e2, stop_gradient(e1))), beta)),
                 gamma,
@@ -397,10 +404,11 @@ def test_ar_loss_n1_is_exactly_block_mse():
             [g.ravel() for g in tape.gradient(blocks.loss, list(model.params.values()))]
         )
         # the one-block objective is the block's error itself, in value and gradient, bitwise
+        e1 = block_error(blocks.blocks[0], blocks.truth)
         g_e = np.concatenate(
-            [g.ravel() for g in tape.gradient(blocks.e[0], list(model.params.values()))]
+            [g.ravel() for g in tape.gradient(e1, list(model.params.values()))]
         )
-        assert blocks.loss.values.tobytes() == blocks.e[0].values.tobytes()
+        assert blocks.loss.values.tobytes() == e1.values.tobytes() == blocks.errors.tobytes()
         assert g_ar.tobytes() == g_e.tobytes()
     with Tape() as tape:
         plain = mse_loss(model, w)
@@ -420,7 +428,7 @@ def test_ar_loss_violation_count():
     future = np.vstack([b.values + o for b, o in zip(preview, offsets)])
     blocks = ar_loss(model, _one_window(ctx, future), cfg)
     assert blocks.violations == 1
-    np.testing.assert_allclose([e.item() for e in blocks.e], [1.0, 4.0, 0.25])
+    np.testing.assert_allclose(blocks.errors[:, 0], [1.0, 4.0, 0.25])
 
 
 def test_ar_loss_window_shape_errors():
@@ -471,7 +479,7 @@ def test_gradient_norm_bound_over_random_draws():
             )
             norms_e = [
                 np.linalg.norm(np.concatenate([g.ravel() for g in tape.gradient(e, params)]))
-                for e in blocks.e
+                for e in (_block_record(blocks, k, 2, cfg) for k in range(n))
             ]
         triangle = sum(gamma ** k * norms_e[k] for k in range(n))
         assert norm_l <= triangle
@@ -503,7 +511,8 @@ def test_check_gradients_n1_bound_degenerates():
             np.concatenate([g.ravel() for g in tape.gradient(blocks.loss, params)])
         )
         norm_e1 = np.linalg.norm(
-            np.concatenate([g.ravel() for g in tape.gradient(blocks.e[0], params)])
+            np.concatenate([g.ravel() for g in tape.gradient(_block_record(blocks, 0, 1, cfg),
+                                                             params)])
         )
     assert abs(norm_l - norm_e1) <= 1e-12
 
@@ -551,11 +560,10 @@ def test_batched_ar_loss_is_mean_of_per_window(draw):
         # relative to the largest coordinate: attention's k gradient is
         # analytically zero, so per-coordinate errors would compare noise
         assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
-        per_window = np.array([[e.item() for e in b.e] for b, _ in singles])  # (B, n)
-        np.testing.assert_allclose(np.vstack([e.values for e in blocks.e]).T, per_window,
-                                   rtol=1e-12, atol=1e-15)
+        per_window = np.array([b.errors[:, 0] for b, _ in singles])  # (B, n)
+        np.testing.assert_allclose(blocks.errors.T, per_window, rtol=1e-12, atol=1e-15)
         assert blocks.violations == sum(b.violations for b, _ in singles)
-        assert blocks.e[0].shape == (1, len(batch))
+        assert blocks.errors.shape == (cfg.n, len(batch))
 
 
 def test_mse_loss_takes_a_batch():
@@ -606,18 +614,26 @@ def _composite_discounted_loss(errors, gamma, beta):
     return loss
 
 
-def _batch_objective(model, context, future, cfg, beta, V, block_error_fn, discounted_fn):
+def _chained(block_error_fn, discounted_fn):
+    """The objective of ``rollout_objective``'s signature as per-block error records, their
+    discounted sum and a mean."""
+    def objective(blocks, truth, V, gamma, beta):
+        T = blocks[0].shape[0]
+        errors = [block_error_fn(block, truth[k * T:(k + 1) * T], V)
+                  for k, block in enumerate(blocks)]
+        return mean_all(discounted_fn(errors, gamma, beta)), np.vstack([e.values for e in errors])
+    return objective
+
+
+def _batch_objective(model, context, future, cfg, beta, V, objective_fn):
     """(loss, e rows, parameter gradient, kink gap, rule names) of one taped batch; the kink gap
-    is the smaller of min_kink_gap and the smallest |input| of the test-side abs records."""
-    T = model.dims.T
+    is the smaller of min_kink_gap and the test-side records' ``abs_kink_gap``."""
     with Tape() as tape:
-        errors = [block_error_fn(block, future[k * T:(k + 1) * T], V)
-                  for k, block in enumerate(rollout_predict(model, context, cfg)[0])]
-        loss = mean_all(discounted_fn(errors, cfg.gamma, beta))
+        loss, e = objective_fn(rollout_predict(model, context, cfg)[0], future, V, cfg.gamma, beta)
         grad = np.concatenate([g.ravel() for g in tape.gradient(loss, list(model.params.values()))])
         rules = [rule.__name__ for _, _, rule, _ in tape.records]
         gap = min(tape.min_kink_gap, abs_kink_gap(tape))
-        return loss.item(), np.vstack([e.values for e in errors]), grad, gap, rules
+        return loss.item(), e, grad, gap, rules
 
 
 @st.composite
@@ -642,16 +658,20 @@ def test_fused_objective_matches_the_composite(draw):
     context = rng.normal(size=(S, B * V))
     future = rng.normal(size=(cfg.n * T, B * V))
     args = (model, context, future, cfg, beta, V)
-    loss, e, grad, gap, rules = _batch_objective(*args, block_error, discounted_loss)
+    engine = _batch_objective(*args, rollout_objective)
+    fused = _batch_objective(*args, _chained(block_error, discounted_loss))
     want_loss, want_e, want_grad, want_gap, _ = _batch_objective(
-        *args, _composite_block_error, _composite_discounted_loss)
-    assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
-    np.testing.assert_allclose(e, want_e, rtol=1e-12, atol=0.0)
-    assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
-    assert gap == want_gap
-    # one record per block error and, past one block, one for the whole objective
-    assert rules.count("_block_error_rule") == cfg.n
-    assert rules.count("_discounted_loss_rule") == (cfg.n > 1)
+        *args, _chained(_composite_block_error, _composite_discounted_loss))
+    for loss, e, grad, gap, _ in (engine, fused):
+        assert abs(loss - want_loss) <= 1e-12 * abs(want_loss)
+        np.testing.assert_allclose(e, want_e, rtol=1e-12, atol=0.0)
+        assert np.max(np.abs(grad - want_grad)) <= 1e-12 * np.max(np.abs(want_grad))
+        assert gap == want_gap
+    # the engine records one objective; the test-side ops one per block error and, past one
+    # block, one for the discounted sum
+    assert engine[4].count("_rollout_objective_rule") == 1
+    assert fused[4].count("_block_error_rule") == cfg.n
+    assert fused[4].count("_discounted_loss_rule") == (cfg.n > 1)
 
 
 def test_block_error_rejects_partial_windows():
@@ -664,10 +684,10 @@ def test_discounted_loss_saves_the_penalty_gaps():
                                                           [[0.875, 0.5]])]
     with Tape() as tape:
         discounted_loss(errors, 0.5, 0.1)
-        assert tape.min_kink_gap == 0.125
+        assert abs_kink_gap(tape) == 0.125
     with Tape() as tape:  # without the penalty there is no kink
         discounted_loss(errors, 0.5, 0.0)
-        assert tape.min_kink_gap == float("inf")
+        assert abs_kink_gap(tape) == float("inf")
 
 
 def _composite_ar_loss(model, windows, cfg):
@@ -719,13 +739,13 @@ def test_rollout_objective_matches_the_composite_bit_for_bit(draw):
         got = [blocks.loss.values.tobytes(), *(g.tobytes() for g in
                                                tape.gradient(blocks.loss, params))]
         gap = tape.min_kink_gap
-        e = np.vstack([error.values for error in blocks.e])
+        e = blocks.errors
         assert [rule.__name__ for _, _, rule, _ in tape.records].count(
             "_rollout_objective_rule") == 1
     with Tape() as tape:
         loss, want_e, want_violations = _composite_ar_loss(model, windows, cfg)
         want = [loss.values.tobytes(), *(g.tobytes() for g in tape.gradient(loss, params))]
-        assert gap == tape.min_kink_gap
+        assert gap == min(tape.min_kink_gap, abs_kink_gap(tape))
     assert got == want
     assert e.tobytes() == want_e.tobytes() and e.shape == (cfg.n, B)
     assert blocks.violations == want_violations
@@ -736,11 +756,36 @@ def test_rollout_objective_matches_the_composite_bit_for_bit(draw):
 @example(("mlp", Dims(S=5, T=2, L=1, V=2, hidden=3), RolloutConfig(n=4, beta=0.0), 3, 4))
 def test_block_errors_keep_the_objective_errors_bit_for_bit(draw):
     """``BlockErrors.errors``, the (n, B) errors the objective's record computed, are the values
-    of the n block_error records ``e`` builds, byte for byte."""
+    of n block_error records over its ``blocks`` and ``truth``, byte for byte."""
     model, windows = _drawn_model_and_windows(*draw)
     blocks = ar_loss(model, windows, draw[2])
-    assert blocks.errors.tobytes() == np.vstack([e.values for e in blocks.e]).tobytes()
+    T, V = model.dims.T, windows.contexts.shape[2]
+    want = [block_error(block, blocks.truth[k * T:(k + 1) * T], V).values
+            for k, block in enumerate(blocks.blocks)]
+    assert blocks.errors.tobytes() == np.vstack(want).tobytes()
     assert blocks.errors.shape == (draw[2].n, len(windows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rollout_objective_draws())
+@example(("inverted_attention", Dims(S=5, T=3, L=4, V=3, hidden=3), RolloutConfig(n=3, beta=0.0),
+          1, 2))
+@example(("mlp", Dims(S=5, T=2, L=1, V=2, hidden=3), RolloutConfig(n=4, beta=0.45), 1, 1))
+def test_one_block_record_gives_the_block_error_gradient_bit_for_bit(draw):
+    """For one window, block k's one-block rollout_objective record, which check_gradients
+    differentiates, has the value and parameter gradient of block k's block_error record, bit
+    for bit."""
+    kind, dims, cfg, _, seed = draw  # one window, whatever B was drawn
+    model, window = _drawn_model_and_windows(kind, dims, cfg, 1, seed)
+    params = list(model.params.values())
+    with Tape() as tape:
+        blocks = ar_loss(model, window, cfg)
+        for k, block in enumerate(blocks.blocks):
+            got = _block_record(blocks, k, dims.V, cfg)
+            want = block_error(block, blocks.truth[k * dims.T:(k + 1) * dims.T], dims.V)
+            assert got.values.tobytes() == want.values.tobytes()
+            assert [g.tobytes() for g in tape.gradient(got, params)] == \
+                [g.tobytes() for g in tape.gradient(want, params)]
 
 
 def test_check_gradients_refuses_a_batch_of_windows():
@@ -794,7 +839,7 @@ def test_ar_loss_on_windows_equals_ar_loss_on_listed_windows(kind, V):
         with Tape() as tape:
             blocks = ar_loss(model, batch, cfg)
             grads = tape.gradient(blocks.loss, params)
-        results.append((blocks.loss.values.tobytes(), [e.values.tobytes() for e in blocks.e],
+        results.append((blocks.loss.values.tobytes(), blocks.errors.tobytes(),
                         [g.tobytes() for g in grads], blocks.violations,
                         mse_loss(model, batch).values.tobytes()))
     assert results[0] == results[1]
