@@ -163,7 +163,7 @@ def _emit(values, inputs: tuple[Tensor, ...], rule, ctx: tuple) -> Tensor:
 
     A C-contiguous slice stays a view of its input; no op writes to its
     inputs or outputs in place, so the view is never changed through. A
-    ``stitch`` window is a view of its caller's buffer, and records may save
+    ``_stitch`` window is a view of its caller's buffer, and records may save
     it for their backward: a window's rows are never written after the
     window is taken.
     """
@@ -414,26 +414,16 @@ def relu(a: Tensor) -> Tensor:
     return _emit(np.maximum(a.values, 0.0), (a,), _relu_rule, (a.values,))
 
 
-def stitch(rows: np.ndarray, start: int, stop: int, blocks) -> Tensor:
-    """The window ``rows[start:stop]`` of a buffer whose rows up to ``stop`` end with copies of
-    ``blocks``, back to back, as one record with the blocks as inputs.
-
-    The value is a view of ``rows``, not a copy; rows before the blocks are constants. The
-    first block may start above the window, and gets zero gradient rows there. A window that
-    is exactly one block is that block, with no record.
-    """
-    sizes = [block.values.shape[0] for block in blocks]
-    lo = stop - start - sum(sizes)  # the first block's row in the window
-    if not 0 <= start < stop <= rows.shape[0] or sizes and lo + sizes[0] <= 0 \
-            or any(block.values.shape[1:] != rows.shape[1:] for block in blocks):
-        raise ValueError(f"stitch: blocks of {sizes} rows ending at row {stop} do not fit "
-                         f"the window [{start}, {stop}) of {rows.shape} rows")
-    return _stitch(rows[start:stop], tuple(blocks), lo, sizes)
-
-
 def _stitch(window: np.ndarray, blocks: tuple[Tensor, ...], lo: int, sizes: list[int]) -> Tensor:
-    """``stitch``'s record, unchecked: ``window`` is the rows, ``lo`` the first block's row in
-    it and ``sizes`` the blocks' row counts, which the caller has made fit."""
+    """A rollout step's input ``window``, rows of a buffer that end with copies of ``blocks``
+    back to back, as one record with the blocks as inputs; unchecked: ``lo`` is the first
+    block's row in the window and ``sizes`` the blocks' row counts, which the caller has made
+    fit.
+
+    The value is ``window`` itself, a view of the buffer; rows before the blocks are
+    constants. The first block may start above the window (``lo`` < 0), and gets zero
+    gradient rows there. A window that is exactly one block is that block, with no record.
+    """
     if lo == 0 and len(sizes) == 1:
         return blocks[0]
     return _emit(window, blocks, _stitch_rule, (lo, sizes))

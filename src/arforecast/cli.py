@@ -417,6 +417,13 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def format_rows(values: np.ndarray) -> str:
+    """The rows of a 2-d array as CSV lines, each value ``%.17g``: all of them through one
+    format string, the fastest spelling of that text."""
+    row_format = ",".join(["%.17g"] * values.shape[1]) + "\n"
+    return row_format * values.shape[0] % tuple(values.ravel().tolist())
+
+
 def cmd_predict(args) -> int:
     ck = _load_checkpoint_or_fail(args.checkpoint)
     roll = _rollout_for(ck, args.horizon)
@@ -439,9 +446,7 @@ def cmd_predict(args) -> int:
                      f"the scale of {args.input_csv}; no predictions written")
 
     out_path = os.path.join(args.out, "predictions.csv")  # as given: no pathlib parse per call
-    row_format = ",".join(["%.17g"] * values.shape[1]) + "\n"
-    _write_out(out_path, ",".join(dataset.columns) + "\n"
-               + row_format * values.shape[0] % tuple(values.ravel().tolist()))
+    _write_out(out_path, ",".join(dataset.columns) + "\n" + format_rows(values))
     print(f"wrote {values.shape[0]} forecast rows to {out_path}")
     return 0
 

@@ -12,7 +12,7 @@ import io
 import math
 import os
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -179,17 +179,80 @@ def write_fresh(path, content) -> None:
         os.close(fd)
 
 
+CHUNK_ROWS = 1024  # rows load_csv turns into floats at a time, which bounds its working memory
+
+
 def load_csv(path, has_header=True, time_column=None, ratios=DEFAULT_SPLIT) -> SeriesDataset:
     """Comma-separated, '.' decimal, optional header row, optional time column to drop.
 
-    A leading byte order mark is skipped and blank lines are ignored. The file is read once;
-    every cell goes through ``float`` in one pass, and a ragged row, an unparsable cell or a
-    non-finite value raises the error that ``_bad_cell_error`` builds by parsing the text
-    again cell by cell.
+    A leading byte order mark is skipped and blank lines are ignored. ``csv.reader`` runs over
+    the open file, and each chunk of ``CHUNK_ROWS`` rows has its widths checked and its cells
+    turned into floats by ``float``, then checked finite, so no list of every row is kept. A
+    file this refuses is read again, whole, by ``_whole_file_error``, whose error is the first
+    fault in file order.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            parsed = _parse_chunks(filter(None, csv.reader(fh)), has_header, time_column)
+    except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
+        parsed = None
+    if parsed is None:
+        raise _whole_file_error(path, has_header, time_column)
+    names, values = parsed
+    return SeriesDataset.from_values(path.stem, values, columns=names, ratios=ratios)
+
+
+def _parse_chunks(rows, has_header, time_column) -> tuple[list[str], np.ndarray]:
+    """The column names and (N, V) values of the nonblank csv ``rows``, parsed CHUNK_ROWS at a
+    time; a ValueError, with no message, on any fault."""
+    first = next(rows, None)
+    if first is None:
+        raise ValueError
+    if has_header is None:
+        has_header = _is_header(first)
+    if has_header:
+        names = [c.strip() for c in first]
+    elif time_column is None:
+        names = [f"var{i}" for i in range(len(first))]
+        rows = chain([first], rows)
+    else:
+        raise ValueError
+    width, drop = len(first), None
+    if time_column is not None:
+        drop = names.index(time_column)
+        names = names[:drop] + names[drop + 1:]
+    chunks = []
+    while chunk := list(islice(rows, CHUNK_ROWS)):
+        if set(map(len, chunk)) != {width}:
+            raise ValueError
+        if drop is not None:
+            chunk = [row[:drop] + row[drop + 1:] for row in chunk]
+        values = np.fromiter(map(float, chain.from_iterable(chunk)), np.float64,
+                             len(chunk) * len(names)).reshape(len(chunk), len(names))
+        if not np.isfinite(values).all():
+            raise ValueError
+        chunks.append(values)
+    if not chunks:
+        raise ValueError
+    return names, np.concatenate(chunks)
+
+
+def _is_header(row: list[str]) -> bool:
+    """Whether a first row is a header: whether any of its cells is not a number."""
+    try:
+        [float(cell) for cell in row]
+    except ValueError:
+        return True
+    return False
+
+
+def _whole_file_error(path: Path, has_header, time_column) -> ValueError:
+    """The error for a file the chunked parse refused, from its whole text: a decode error or a
+    csv error anywhere in it, then an empty file or a header, time column or no-data fault,
+    are raised here; the first ragged row, unparsable cell or non-finite value is returned."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         text = fh.read()
     reader = csv.reader(io.StringIO(text, newline=""))
@@ -200,22 +263,16 @@ def load_csv(path, has_header=True, time_column=None, ratios=DEFAULT_SPLIT) -> S
     rows = [r for r in rows if r]  # tolerate blank lines
     if not rows:
         raise ValueError(f"{path}: empty file")
-    if has_header is None:  # a first row with any non-numeric cell is a header
-        try:
-            [float(cell) for cell in rows[0]]
-            has_header = False
-        except ValueError:
-            has_header = True
+    if has_header is None:
+        has_header = _is_header(rows[0])
 
     if has_header:
         names = [c.strip() for c in rows[0]]
-        data_rows = rows[1:]
     else:
         if time_column is not None:
             raise ValueError("time_column requires has_header=True")
         names = [f"var{i}" for i in range(len(rows[0]))]
-        data_rows = rows
-    if not data_rows:
+    if has_header and len(rows) == 1:
         raise ValueError(f"{path}: no data rows")
 
     drop = None
@@ -224,28 +281,8 @@ def load_csv(path, has_header=True, time_column=None, ratios=DEFAULT_SPLIT) -> S
             raise ValueError(f"{path}: time column {time_column!r} not in header {names}")
         drop = names.index(time_column)
         names = names[:drop] + names[drop + 1:]
-
-    width = len(rows[0])  # header row (or first data row) fixes the width
-    if set(map(len, rows)) == {width}:
-        if drop is not None:
-            data_rows = [row[:drop] + row[drop + 1:] for row in data_rows]
-        try:
-            values = np.fromiter(map(float, chain.from_iterable(data_rows)), np.float64,
-                                 len(data_rows) * len(names))
-        except ValueError:
-            pass
-        else:
-            if np.isfinite(values).all():
-                values = values.reshape(len(data_rows), len(names))
-                return SeriesDataset.from_values(path.stem, values, columns=names, ratios=ratios)
-    raise _bad_cell_error(path, text, has_header, width, drop, names)
-
-
-def _bad_cell_error(path: Path, text: str, has_header: bool, width: int, drop: int | None,
-                    names: list[str]) -> ValueError:
-    """The error naming the first ragged row, unparsable cell or non-finite value of ``text``,
-    the contents of ``path`` that load_csv's one-pass parse refused, at the physical line the
-    csv reader has reached."""
+    # parse the text again, to name the physical line the csv reader has reached
+    width = len(rows[0])
     columns = [j for j in range(width) if j != drop]
     reader = csv.reader(io.StringIO(text, newline=""))
     rows = filter(None, reader)

@@ -86,12 +86,11 @@ def rollout_predict(model: Forecaster, context: np.ndarray,
     the context's z-scored scale, and that scale's ``NormState``. Reads no ground-truth future.
 
     The z-scored context fills rows [0, S) of one (S + n T, width) buffer and block k is
-    copied to rows [S + kT, S + (k+1)T), so step k's input is the ``stitch`` window
+    copied to rows [S + kT, S + (k+1)T), so step k's input is the ``_stitch`` window
     [kT, kT + S): the last S rows of the context and the blocks before it, entered
     un-detached so gradients flow through the whole chain. Of each forecast, the rows after
     its first L are the block. The context is checked once, here; ``Dims`` and
-    ``RolloutConfig`` have checked S, T, L and n, so every window fits by construction and
-    skips ``stitch``'s checks.
+    ``RolloutConfig`` have checked S, T, L and n, so every window fits by construction.
     """
     S, T, L = model.dims.S, model.dims.T, model.dims.L
     context = np.asarray(context, dtype=np.float64)

@@ -18,11 +18,13 @@ their inputs as they did, and their rules hold copies of the two gradient
 kernels that rule was folded from, so their floats are the engine's; the
 engine's ``min_kink_gap`` reads neither; ``abs_kink_gap`` reads the penalty gaps.
 
+``stitch`` is the engine's ``_stitch`` record behind the checks it had as a
+public op, when ``arforecast.autodiff`` exported it; only tests called it.
 ``rollout_predict`` is the rollout as it stitched each step's input from
 pieces (the context and the blocks, cut with ``slice_axis`` and joined with
-``concat``) before the one-buffer ``stitch`` record replaced it.
+``concat``) before the one-buffer ``_stitch`` record replaced it.
 ``checked_rollout_predict`` is the one-buffer rollout with every step's
-window taken through the public, checked ``stitch`` and every block through
+window taken through the checked ``stitch`` and every block through
 ``slice_axis``, as it was before its steps skipped those checks.
 """
 
@@ -229,6 +231,18 @@ def rollout_predict(model, context, cfg):
     return blocks, state
 
 
+def stitch(rows, start, stop, blocks):
+    """The window ``rows[start:stop]`` of a buffer whose rows up to ``stop`` end with copies of
+    ``blocks``, back to back, as one ``_stitch`` record; ValueError if they do not fit."""
+    sizes = [block.values.shape[0] for block in blocks]
+    lo = stop - start - sum(sizes)  # the first block's row in the window
+    if not 0 <= start < stop <= rows.shape[0] or sizes and lo + sizes[0] <= 0 \
+            or any(block.values.shape[1:] != rows.shape[1:] for block in blocks):
+        raise ValueError(f"stitch: blocks of {sizes} rows ending at row {stop} do not fit "
+                         f"the window [{start}, {stop}) of {rows.shape} rows")
+    return ad._stitch(rows[start:stop], tuple(blocks), lo, sizes)
+
+
 def checked_rollout_predict(model, context, cfg):
     """(blocks, NormState) of the one-buffer rollout, each window a checked ``stitch``."""
     S, T, L = model.dims.S, model.dims.T, model.dims.L
@@ -237,7 +251,7 @@ def checked_rollout_predict(model, context, cfg):
     rows[:S] = apply_norm(context, state)
     blocks, reach = [], -(-S // T)
     for k in range(cfg.n):
-        window = ad.stitch(rows, k * T, k * T + S, blocks[-reach:])
+        window = stitch(rows, k * T, k * T + S, blocks[-reach:])
         block = ad.slice_axis(forecast(model, window), 0, L, L + T)
         rows[S + k * T:S + (k + 1) * T] = block.values
         blocks.append(block)

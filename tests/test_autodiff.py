@@ -15,7 +15,6 @@ from arforecast.autodiff import (
     relu,
     rollout_objective,
     slice_axis,
-    stitch,
 )
 from composite_ops import (
     abs_kink_gap,
@@ -30,6 +29,7 @@ from composite_ops import (
     mul,
     scale,
     softmax,
+    stitch,
     stop_gradient,
     sum_all,
     window_mix,

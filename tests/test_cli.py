@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import arforecast.autodiff as autodiff
 from arforecast.cli import (
@@ -28,6 +29,7 @@ from arforecast.cli import (
     _parse_plain,
     _read_plain_ini,
     build_parsers,
+    format_rows,
     main,
 )
 from arforecast.data import gen_ar_process, gen_sinusoid
@@ -321,6 +323,20 @@ def test_predict_row_counts(tmp_path, horizon, rows):
     assert lines[0] == "load"
     assert len(lines) == 1 + rows
     assert np.isfinite([float(line) for line in lines[1:]]).all()
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.sampled_from([1, 4]).flatmap(lambda V: arrays(
+    np.float64, st.tuples(st.integers(1, 200), st.just(V)),
+    elements=st.floats(allow_nan=False, allow_infinity=False))))
+def test_format_rows_writes_the_bytes_of_predicts_inline_format(values):
+    """predict's forecast text, from the function it calls, is the one format string over
+    every value that cmd_predict built inline before; and each value reads back exactly."""
+    row_format = ",".join(["%.17g"] * values.shape[1]) + "\n"
+    text = format_rows(values)
+    assert text == row_format * values.shape[0] % tuple(values.ravel().tolist())
+    got = np.array([line.split(",") for line in text.splitlines()], dtype=np.float64)
+    assert got.tobytes() == values.tobytes()
 
 
 def test_predict_with_an_overlap_writes_horizon_rows(tmp_path):

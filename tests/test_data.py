@@ -1,13 +1,17 @@
 """Generators, CSV ingestion, splits, and sliding windows."""
 
+import importlib.util
 import os
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import arforecast.data as data
 from arforecast.data import (
     SeriesDataset,
     Windows,
@@ -18,6 +22,8 @@ from arforecast.data import (
     write_fresh,
 )
 from csv_oracle import load_csv as per_cell_load_csv
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
 def test_sinusoid_known_points():
@@ -375,7 +381,8 @@ _BAD_CELLS = st.one_of(
 @st.composite
 def _csv_files(draw):
     """(text, has_header, time_column, same_lines): a CSV with a header row or none, a date
-    or number time column t, a few bad cells, ragged rows and blank lines; same_lines is
+    or number time column t, a few bad cells, ragged rows and blank lines, and at times a last
+    cell that the csv reader or the UTF-8 decoder refuses; same_lines is
     False when a blank line or a quoted line break puts rows off their physical lines."""
     width = draw(st.integers(1, 4))
     rows = draw(st.lists(st.lists(_GOOD_CELLS, min_size=width, max_size=width),
@@ -393,6 +400,11 @@ def _csv_files(draw):
             del row[-1:]
         else:
             row.append(draw(_GOOD_CELLS))
+    # last, a cell over csv's field limit or a byte that is not UTF-8 (a lone surrogate, which
+    # the test writes with surrogateescape): an error the reader raises before any row's
+    rows[-1].append(draw(st.sampled_from(["", "", "", "", "1" * 131_073, "\udcff"])))
+    if not rows[-1][-1]:
+        del rows[-1][-1]
     lines = [",".join(row) for row in rows]
     has_header = draw(st.sampled_from([None, True, False]))
     if draw(st.booleans()):
@@ -412,16 +424,22 @@ def _load_or_message(loader, path, has_header, time_column):
         return str(exc)
 
 
-@settings(max_examples=500, deadline=None)
-@given(csv_file=_csv_files(), bom=st.booleans())
-def test_load_csv_matches_the_per_cell_loader(tmp_path_factory, csv_file, bom):
+def _assert_matches_the_per_cell_loader(tmp_path_factory, chunk_rows, csv_file, bom):
+    """load_csv, parsing ``chunk_rows`` rows at a time, gives the oracle's dataset or error; an
+    accepted file never needs the whole-file parse."""
     text, has_header, time_column, same_lines = csv_file
     path = tmp_path_factory.mktemp("csv") / "series.csv"
-    path.write_text(text, encoding="utf-8")
+    path.write_text(text, encoding="utf-8", errors="surrogateescape")
     want = _load_or_message(per_cell_load_csv, path, has_header, time_column)
     if bom:  # the oracle reads the same file without its byte order mark
-        path.write_text("\ufeff" + text, encoding="utf-8")
-    got = _load_or_message(load_csv, path, has_header, time_column)
+        path.write_text("\ufeff" + text, encoding="utf-8", errors="surrogateescape")
+    whole_file_parses, whole_file_error = [], data._whole_file_error
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(data, "CHUNK_ROWS", chunk_rows)
+        patch.setattr(data, "_whole_file_error", lambda *args: whole_file_parses.append(args)
+                      or whole_file_error(*args))
+        got = _load_or_message(load_csv, path, has_header, time_column)
+    assert isinstance(want, str) or not whole_file_parses
     if isinstance(want, str) or isinstance(got, str):
         assert isinstance(want, str) and isinstance(got, str), (want, got)
         if same_lines:
@@ -430,6 +448,65 @@ def test_load_csv_matches_the_per_cell_loader(tmp_path_factory, csv_file, bom):
     assert got.values.dtype == want.values.dtype and got.values.shape == want.values.shape
     assert got.values.tobytes() == want.values.tobytes()
     assert (got.name, got.columns, got.splits) == (want.name, want.columns, want.splits)
+
+
+@settings(max_examples=500, deadline=None)
+@given(csv_file=_csv_files(), bom=st.booleans())
+def test_load_csv_matches_the_per_cell_loader(tmp_path_factory, csv_file, bom):
+    _assert_matches_the_per_cell_loader(tmp_path_factory, data.CHUNK_ROWS, csv_file, bom)
+
+
+# chunks of 1 and of 2 rows put a chunk boundary between any two rows of a drawn file
+@pytest.mark.parametrize("chunk_rows", [1, 2])
+@settings(max_examples=500, deadline=None)
+@given(csv_file=_csv_files(), bom=st.booleans())
+def test_load_csv_matches_the_per_cell_loader_a_row_or_two_at_a_time(tmp_path_factory,
+                                                                      chunk_rows, csv_file,
+                                                                      bom):
+    _assert_matches_the_per_cell_loader(tmp_path_factory, chunk_rows, csv_file, bom)
+
+
+@pytest.mark.parametrize("late,message", [
+    (b"\xff", "'utf-8' codec can't decode byte 0xff in position {at}: invalid start byte"),
+    (b"1" * 131_073, "{path}: field larger than field limit (131072) at line 3000"),
+], ids=["invalid-utf-8", "over-the-field-limit"])
+def test_a_reader_error_late_in_the_file_beats_a_ragged_row_early_in_it(tmp_path, late,
+                                                                        message):
+    """The chunked parse meets the ragged row of line 3 first, in its first chunk; the error
+    is still the one the reader raises at line 3000, as a parse of the whole file finds it."""
+    blob = b"a,b\n1,2\n3\n" + b"4,5\n" * 2996 + b"6," + late + b"\n7,8\n"
+    path = tmp_path / "late.csv"
+    path.write_bytes(blob)
+    with pytest.raises(ValueError) as err:
+        load_csv(path)
+    assert str(err.value) == message.format(at=blob.find(b"\xff"), path=path)
+
+
+def test_load_csv_peaks_below_three_times_the_array_it_returns(tmp_path):
+    """One chunk of rows at a time: the parse holds the chunks' floats, the array joined from
+    them and one chunk's rows, not the file's text or a list of every row."""
+    path = tmp_path / "long.csv"
+    np.savetxt(path, np.random.default_rng(0).normal(size=(20_000, 4)), fmt="%.6f",
+               delimiter=",", header="a,b,c,d", comments="")
+    tracemalloc.start()
+    try:
+        ds = load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.values.shape == (20_000, 4)
+    assert peak < 3 * ds.values.nbytes, peak / ds.values.nbytes
+
+
+def test_csv_memory_script_prints_one_line_per_row_count(capsys):
+    spec = importlib.util.spec_from_file_location("csv_memory", SCRIPTS / "csv_memory.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.main(["--variates", "2", "300", "2000"]) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header == "rows,peak_mb,peak_over_array,load_ms"
+    assert [line.split(",")[0] for line in lines] == ["300", "2000"]
+    assert all(float(cell) > 0 for line in lines for cell in line.split(",")[1:])
 
 
 def _toy_dataset(n):

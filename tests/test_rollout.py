@@ -104,18 +104,23 @@ def _assert_matches_oracle(kind, dims, cfg, B, model_seed, seed):
         if kind == "linear":  # well conditioned, so the oracle's own rollout holds the bound too
             free = numpy_oracle.rollout(kind, p, context, dims.L, cfg.n)[0]
             np.testing.assert_allclose(seq[S:], free[S:], rtol=1e-12, atol=1e-14)
-        errors.append(numpy_oracle.block_mse(want, (future - mean) / std, cfg.n))
+        # the errors of the forecasts the engine scored, which the line above checks: an error
+        # that cancels to far below its forecasts' size magnifies their last-bit differences
+        errors.append(numpy_oracle.block_mse(seq[S:], (future - mean) / std, cfg.n))
     np.testing.assert_allclose(blocks.errors.T, errors, rtol=1e-12, atol=0)
     want = np.mean([numpy_oracle.objective(e, cfg.gamma, cfg.beta) for e in errors])
     assert abs(blocks.loss.item() - want) <= 1e-12 * abs(want)
 
 
 # fixed cases: T > S (every input after block 1 is predicted); 2T == S (a step input is whole
-# blocks)
+# blocks); a block error of 7.1e-9 from forecasts of order 1, which cancellation leaves with a
+# relative rounding of 2.6e-12 against the oracle's errors over the oracle's own forecasts
 @settings(max_examples=100, deadline=None)
 @given(_oracle_draws())
 @example(("linear", Dims(S=3, T=5, L=1, V=2), RolloutConfig(n=4), 1, 0, 0))
 @example(("linear", Dims(S=4, T=2, L=0, V=1), RolloutConfig(n=5), 1, 1, 1))
+@example(("inverted_attention", Dims(S=5, T=1, L=0, V=1, hidden=4),
+          RolloutConfig(n=4, gamma=0.3, beta=0.05), 3, 3, 3))
 def test_rollout_matches_numpy_oracle_over_geometries(draw):
     _assert_matches_oracle(*draw)
 
@@ -140,12 +145,19 @@ def test_evaluate_and_predict_match_numpy_oracle(draw):
     model = init_forecaster(kind, dims, seed=model_seed)
     values = (rng.normal(size=(S + n * T + B - 1, V)) + rng.uniform(-5.0, 5.0)) \
         * rng.uniform(0.1, 10.0)
-    report = evaluate(model, SeriesDataset.from_values("drawn", values, ratios=(0.0, 0.0, 1.0)),
-                      "test", cfg)
+    dataset = SeriesDataset.from_values("drawn", values, ratios=(0.0, 0.0, 1.0))
+    report = evaluate(model, dataset, "test", cfg)
+    # the B windows are one chunk of evaluate's, so this is the rollout it scored
+    got = rollout_predict(model, window_iter(dataset, "test", S, n * T).columns()[0], cfg)[0]
     p, errors = numpy_oracle.arrays(model), []
     for origin in range(B):
-        seq, mean, std = numpy_oracle.rollout(kind, p, values[origin:origin + S], dims.L, n)
-        future = values[origin + S:origin + S + n * T]
+        context, future = values[origin:origin + S], values[origin + S:origin + S + n * T]
+        mean, std = numpy_oracle.zscore(context)
+        seq = np.vstack([(context - mean) / std]
+                        + [block.values[:, origin * V:(origin + 1) * V] for block in got])
+        want = numpy_oracle.step_forecasts(kind, p, seq, S, dims.L, T)
+        np.testing.assert_allclose(seq[S:], want, rtol=1e-12, atol=1e-14)
+        # the errors of the forecasts evaluate scored, as in _assert_matches_oracle
         errors.append(numpy_oracle.block_mse(seq[S:], (future - mean) / std, n))
     assert report.window_count == B
     np.testing.assert_allclose([mse for mse, _ in report.per_block], np.mean(errors, axis=0),
