@@ -4,8 +4,9 @@
 For each row count, writes a CSV of that many rows of V normal values, ``%.6f``, under a
 header, to a temporary directory, loads it once to warm up, then loads it again under
 ``tracemalloc`` and prints the row count, the peak in MB, the peak over the array's bytes,
-and the best of three untraced load times. It imports arforecast from the checkout it lives
-in.
+the same ratio for the file with a last row whose last cell does not parse (which
+``load_csv`` refuses), and the best of three untraced load times. It imports arforecast from
+the checkout it lives in.
 
 Usage:
     python scripts/csv_memory.py [--variates 4] [rows ...]    (default rows: 8000 20000 200000)
@@ -29,7 +30,7 @@ def main(argv=None) -> int:
     parser.add_argument("rows", nargs="*", type=int, default=[8000, 20_000, 200_000])
     parser.add_argument("--variates", type=int, default=4)
     args = parser.parse_args(argv)
-    print("rows,peak_mb,peak_over_array,load_ms")
+    print("rows,peak_mb,peak_over_array,refused_peak_over_array,load_ms")
     with tempfile.TemporaryDirectory() as home:
         for rows in args.rows:
             path = Path(home) / f"{rows}.csv"
@@ -48,7 +49,17 @@ def main(argv=None) -> int:
                 start = time.perf_counter()
                 load_csv(path)
                 best = min(best, time.perf_counter() - start)
-            print(f"{rows},{peak / 1e6:.2f},{peak / nbytes:.2f},{best * 1e3:.1f}")
+            with open(path, "a") as fh:
+                fh.write(",".join(["1"] * (args.variates - 1) + ["x"]) + "\n")
+            tracemalloc.start()
+            try:
+                load_csv(path)
+            except ValueError:  # the refusal this column measures
+                refused = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            print(f"{rows},{peak / 1e6:.2f},{peak / nbytes:.2f},{refused / nbytes:.2f},"
+                  f"{best * 1e3:.1f}")
     return 0
 
 

@@ -8,7 +8,6 @@ chronological and windows never straddle a split boundary.
 from __future__ import annotations
 
 import csv
-import io
 import math
 import os
 from dataclasses import dataclass, field
@@ -185,32 +184,47 @@ CHUNK_ROWS = 1024  # rows load_csv turns into floats at a time, which bounds its
 def load_csv(path, has_header=True, time_column=None, ratios=DEFAULT_SPLIT) -> SeriesDataset:
     """Comma-separated, '.' decimal, optional header row, optional time column to drop.
 
-    A leading byte order mark is skipped and blank lines are ignored. ``csv.reader`` runs over
-    the open file, and each chunk of ``CHUNK_ROWS`` rows has its widths checked and its cells
-    turned into floats by ``float``, then checked finite, so no list of every row is kept. A
-    file this refuses is read again, whole, by ``_whole_file_error``, whose error is the first
-    fault in file order.
+    A leading byte order mark is skipped and blank lines are ignored. ``csv.reader`` runs once
+    over the open file, and each chunk of ``CHUNK_ROWS`` rows has its widths checked and its
+    cells turned into floats by ``float``, then checked finite, so no list of every row is
+    kept. A refused file is still read to its end, so invalid UTF-8 anywhere is named first and
+    a ``csv`` error anywhere next; otherwise the error is the first fault in file order. Only a
+    refused chunk is checked row by row, for its first ragged row, unparsable cell or
+    non-finite value, and a second streamed read up to that row finds its physical line.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
     try:
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            parsed = _parse_chunks(filter(None, csv.reader(fh)), has_header, time_column)
-    except (ValueError, csv.Error):  # UnicodeDecodeError is a ValueError
-        parsed = None
-    if parsed is None:
-        raise _whole_file_error(path, has_header, time_column)
-    names, values = parsed
+            reader = csv.reader(fh)
+            try:
+                try:
+                    names, values = _parse_chunks(path, filter(None, reader), has_header,
+                                                  time_column)
+                except UnicodeDecodeError:
+                    raise
+                except ValueError:
+                    for _ in reader:  # a csv error later in the file is named first
+                        pass
+                    raise
+            except csv.Error as exc:  # e.g. a cell over csv's field size limit
+                fault = ValueError(f"{path}: {exc} at line {reader.line_num}")
+                for _ in fh:  # invalid UTF-8 later in the file is named first
+                    pass
+                raise fault from None
+    except UnicodeDecodeError:  # name the bad byte's position in the whole file
+        path.read_bytes().decode("utf-8-sig")
+        raise
     return SeriesDataset.from_values(path.stem, values, columns=names, ratios=ratios)
 
 
-def _parse_chunks(rows, has_header, time_column) -> tuple[list[str], np.ndarray]:
-    """The column names and (N, V) values of the nonblank csv ``rows``, parsed CHUNK_ROWS at a
-    time; a ValueError, with no message, on any fault."""
+def _parse_chunks(path, rows, has_header, time_column) -> tuple[list[str], np.ndarray]:
+    """The column names and (N, V) values of the nonblank csv ``rows`` of ``path``, parsed
+    CHUNK_ROWS at a time; a ValueError naming the first fault in them."""
     first = next(rows, None)
     if first is None:
-        raise ValueError
+        raise ValueError(f"{path}: empty file")
     if has_header is None:
         has_header = _is_header(first)
     if has_header:
@@ -219,24 +233,37 @@ def _parse_chunks(rows, has_header, time_column) -> tuple[list[str], np.ndarray]
         names = [f"var{i}" for i in range(len(first))]
         rows = chain([first], rows)
     else:
-        raise ValueError
+        raise ValueError("time_column requires has_header=True")
     width, drop = len(first), None
+    done = 1 if has_header else 0  # the nonblank rows before each chunk
+    chunk = list(islice(rows, CHUNK_ROWS))
+    if not chunk:
+        raise ValueError(f"{path}: no data rows")
     if time_column is not None:
+        if time_column not in names:
+            raise ValueError(f"{path}: time column {time_column!r} not in header {names}")
         drop = names.index(time_column)
         names = names[:drop] + names[drop + 1:]
     chunks = []
-    while chunk := list(islice(rows, CHUNK_ROWS)):
-        if set(map(len, chunk)) != {width}:
-            raise ValueError
-        if drop is not None:
-            chunk = [row[:drop] + row[drop + 1:] for row in chunk]
-        values = np.fromiter(map(float, chain.from_iterable(chunk)), np.float64,
-                             len(chunk) * len(names)).reshape(len(chunk), len(names))
-        if not np.isfinite(values).all():
-            raise ValueError
+    while chunk:
+        try:
+            if set(map(len, chunk)) != {width}:
+                raise ValueError
+            values = np.fromiter(map(float, chain.from_iterable(
+                chunk if drop is None else [row[:drop] + row[drop + 1:] for row in chunk])),
+                np.float64, len(chunk) * len(names)).reshape(len(chunk), len(names))
+            if not np.isfinite(values).all():
+                raise ValueError
+        except ValueError:
+            columns = [j for j in range(width) if j != drop]
+            for i, row in enumerate(chunk):
+                if fault := _row_fault(row, width, columns, names):
+                    what, where = fault
+                    raise ValueError(f"{path}: {what} at line {_line_of(path, done + i)}"
+                                     f"{where}") from None
         chunks.append(values)
-    if not chunks:
-        raise ValueError
+        done += len(chunk)
+        chunk = list(islice(rows, CHUNK_ROWS))
     return names, np.concatenate(chunks)
 
 
@@ -249,59 +276,28 @@ def _is_header(row: list[str]) -> bool:
     return False
 
 
-def _whole_file_error(path: Path, has_header, time_column) -> ValueError:
-    """The error for a file the chunked parse refused, from its whole text: a decode error or a
-    csv error anywhere in it, then an empty file or a header, time column or no-data fault,
-    are raised here; the first ragged row, unparsable cell or non-finite value is returned."""
+def _row_fault(row, width, columns, names) -> tuple[str, str] | None:
+    """A data row's first fault, as the words before and after its line number: a ragged row,
+    then in column order an unparsable cell or a non-finite value; None if it has none."""
+    if len(row) != width:
+        return "ragged row", f" ({len(row)} cells, expected {width})"
+    for j, name in zip(columns, names):
+        try:
+            if math.isfinite(float(row[j])):
+                continue
+            what = "non-finite value"
+        except ValueError:
+            what = f"cannot parse {row[j]!r}"
+        return what, f", column {j + 1} ({name!r})"
+    return None
+
+
+def _line_of(path: Path, index: int) -> int:
+    """The physical line on which nonblank csv row ``index`` (from 0) of ``path`` ends."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
-        text = fh.read()
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        rows = list(reader)
-    except csv.Error as exc:  # e.g. a cell over csv's field size limit
-        raise ValueError(f"{path}: {exc} at line {reader.line_num}") from None
-    rows = [r for r in rows if r]  # tolerate blank lines
-    if not rows:
-        raise ValueError(f"{path}: empty file")
-    if has_header is None:
-        has_header = _is_header(rows[0])
-
-    if has_header:
-        names = [c.strip() for c in rows[0]]
-    else:
-        if time_column is not None:
-            raise ValueError("time_column requires has_header=True")
-        names = [f"var{i}" for i in range(len(rows[0]))]
-    if has_header and len(rows) == 1:
-        raise ValueError(f"{path}: no data rows")
-
-    drop = None
-    if time_column is not None:
-        if time_column not in names:
-            raise ValueError(f"{path}: time column {time_column!r} not in header {names}")
-        drop = names.index(time_column)
-        names = names[:drop] + names[drop + 1:]
-    # parse the text again, to name the physical line the csv reader has reached
-    width = len(rows[0])
-    columns = [j for j in range(width) if j != drop]
-    reader = csv.reader(io.StringIO(text, newline=""))
-    rows = filter(None, reader)
-    if has_header:
-        next(rows, None)
-    for row in rows:
-        line = reader.line_num
-        if len(row) != width:
-            return ValueError(f"{path}: ragged row at line {line} "
-                              f"({len(row)} cells, expected {width})")
-        for j, name in zip(columns, names):
-            try:
-                value = float(row[j])
-            except ValueError:
-                return ValueError(f"{path}: cannot parse {row[j]!r} at line {line}, "
-                                  f"column {j + 1} ({name!r})")
-            if not math.isfinite(value):
-                return ValueError(f"{path}: non-finite value at line {line}, "
-                                  f"column {j + 1} ({name!r})")
+        reader = csv.reader(fh)
+        next(islice(filter(None, reader), index, None))
+        return reader.line_num
 
 
 def window_iter(ds: SeriesDataset, split: str, S: int, horizon: int,

@@ -426,20 +426,20 @@ def _load_or_message(loader, path, has_header, time_column):
 
 def _assert_matches_the_per_cell_loader(tmp_path_factory, chunk_rows, csv_file, bom):
     """load_csv, parsing ``chunk_rows`` rows at a time, gives the oracle's dataset or error; an
-    accepted file never needs the whole-file parse."""
+    accepted file is opened once."""
     text, has_header, time_column, same_lines = csv_file
     path = tmp_path_factory.mktemp("csv") / "series.csv"
     path.write_text(text, encoding="utf-8", errors="surrogateescape")
     want = _load_or_message(per_cell_load_csv, path, has_header, time_column)
     if bom:  # the oracle reads the same file without its byte order mark
         path.write_text("\ufeff" + text, encoding="utf-8", errors="surrogateescape")
-    whole_file_parses, whole_file_error = [], data._whole_file_error
+    opened = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(data, "CHUNK_ROWS", chunk_rows)
-        patch.setattr(data, "_whole_file_error", lambda *args: whole_file_parses.append(args)
-                      or whole_file_error(*args))
+        patch.setattr(data, "open", lambda *args, **kwargs: opened.append(args)
+                      or open(*args, **kwargs), raising=False)
         got = _load_or_message(load_csv, path, has_header, time_column)
-    assert isinstance(want, str) or not whole_file_parses
+    assert isinstance(want, str) or len(opened) == 1
     if isinstance(want, str) or isinstance(got, str):
         assert isinstance(want, str) and isinstance(got, str), (want, got)
         if same_lines:
@@ -482,6 +482,29 @@ def test_a_reader_error_late_in_the_file_beats_a_ragged_row_early_in_it(tmp_path
     assert str(err.value) == message.format(at=blob.find(b"\xff"), path=path)
 
 
+_OVER_THE_LIMIT = b"1" * 131_073
+
+
+@pytest.mark.parametrize("blob,time_column,bom", [
+    (b"a,b\n1," + _OVER_THE_LIMIT + b"\n" + b"4,5\n" * 2996 + b"6,\xff\n7,8\n", None, False),
+    (b"a,b\n1,2\n3\n" + b"4,5\n" * 1500 + b"6," + _OVER_THE_LIMIT + b"\n" + b"4,5\n" * 1500
+     + b"6,\xff\n7,8\n", None, False),
+    (b"a,b\n" + b"4,5\n" * 2998 + b"6,\xff\n7,8\n", "t", False),
+    (b"\xef\xbb\xbfa,b\n" + b"4,5\n" * 2998 + b"6,\xff\n7,8\n", None, True),
+], ids=["field-limit-first", "ragged-then-field-limit", "missing-time-column", "bom"])
+def test_invalid_utf_8_late_in_the_file_beats_every_earlier_fault(tmp_path, blob, time_column,
+                                                                  bom):
+    """Invalid UTF-8 is named first wherever it lies, at its position in the whole file
+    (counted after a byte order mark), whatever fault the parse meets before it."""
+    path = tmp_path / "late.csv"
+    path.write_bytes(blob)
+    with pytest.raises(ValueError) as err:
+        load_csv(path, time_column=time_column)
+    at = blob.find(b"\xff") - 3 * bom
+    assert str(err.value) == ("'utf-8' codec can't decode byte 0xff in position "
+                              f"{at}: invalid start byte")
+
+
 def test_load_csv_peaks_below_three_times_the_array_it_returns(tmp_path):
     """One chunk of rows at a time: the parse holds the chunks' floats, the array joined from
     them and one chunk's rows, not the file's text or a list of every row."""
@@ -496,6 +519,19 @@ def test_load_csv_peaks_below_three_times_the_array_it_returns(tmp_path):
         tracemalloc.stop()
     assert ds.values.shape == (20_000, 4)
     assert peak < 3 * ds.values.nbytes, peak / ds.values.nbytes
+    # a refused file is read through the same one parse, then only up to its fault's row
+    text = path.read_text()
+    for last, fault in [("1,2,3,x", "cannot parse 'x'"), ("1,2", "ragged row"),
+                        ("1,2,3,inf", "non-finite value")]:
+        path.write_text(text + last + "\n")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"{fault} at line 20002"):
+                load_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * ds.values.nbytes, (last, peak / ds.values.nbytes)
 
 
 def test_csv_memory_script_prints_one_line_per_row_count(capsys):
@@ -504,7 +540,7 @@ def test_csv_memory_script_prints_one_line_per_row_count(capsys):
     spec.loader.exec_module(script)
     assert script.main(["--variates", "2", "300", "2000"]) == 0
     header, *lines = capsys.readouterr().out.splitlines()
-    assert header == "rows,peak_mb,peak_over_array,load_ms"
+    assert header == "rows,peak_mb,peak_over_array,refused_peak_over_array,load_ms"
     assert [line.split(",")[0] for line in lines] == ["300", "2000"]
     assert all(float(cell) > 0 for line in lines for cell in line.split(",")[1:])
 
