@@ -27,21 +27,20 @@ import numpy as np
 _LN_EPS = 1e-5  # layer_norm variance floor
 _RELATIVE_ERROR_FLOOR = 1e-6  # max_relative_error's denominator floor
 
-_local = threading.local()
 _serials = itertools.count(1)
 
 
-def _tape_stack() -> list["Tape"]:
-    stack = getattr(_local, "tapes", None)
-    if stack is None:
-        stack = []
-        _local.tapes = stack
-    return stack
+class _ThreadTapes(threading.local):
+    def __init__(self):
+        self.stack: list[Tape] = []  # this thread's active tapes, innermost last
+
+
+_local = _ThreadTapes()
 
 
 def active_tape() -> "Tape | None":
     """The innermost tape of the current thread, or None."""
-    stack = _tape_stack()
+    stack = _local.stack
     return stack[-1] if stack else None
 
 
@@ -97,11 +96,11 @@ class Tape:
         self._next_id = 0
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        _local.stack.append(self)
         return self
 
     def __exit__(self, *exc):
-        popped = _tape_stack().pop()
+        popped = _local.stack.pop()
         assert popped is self
         return False
 
@@ -167,10 +166,7 @@ def _emit(values, inputs: tuple[Tensor, ...], rule, ctx: tuple) -> Tensor:
     it for their backward: a window's rows are never written after the
     window is taken.
     """
-    out = Tensor.__new__(Tensor)
-    out.values = np.asarray(values, dtype=np.float64, order="C")
-    out.requires_grad = False
-    out.tape_serial = out.node_id = None
+    out = Tensor.view(np.asarray(values, dtype=np.float64, order="C"))
     tape = active_tape()
     if tape is not None:
         tape.record(out, inputs, rule, ctx)

@@ -65,10 +65,16 @@ def _float_list(raw: str) -> tuple[float, ...]:
     return tuple(float(x) for x in raw.split(","))
 
 
+def _float_text(x: float) -> str:
+    """``x`` as ``{:g}`` writes it when that reads back as ``x``, else as ``repr``."""
+    text = f"{x:g}"
+    return text if float(text) == x else repr(x)
+
+
 _FORMATS = {
-    float: "{:g}".format,
+    float: _float_text,
     _bool: lambda value: str(value).lower(),
-    _float_list: lambda value: ",".join(f"{x:g}" for x in value),
+    _float_list: lambda value: ",".join(map(_float_text, value)),
 }
 _PARSERS = {"int": int, "float": float, "str": str}
 
@@ -310,7 +316,7 @@ class RunConfig:
             if value is not None:
                 text = _FORMATS.get(parse, str)(value)
                 sections.setdefault(section, []).append(f"{key} = {text}\n")
-        _write_out(os.path.join(self.out_dir, "config_resolved.ini"), "".join(
+        write_fresh(os.path.join(self.out_dir, "config_resolved.ini"), "".join(
             f"[{section}]\n{''.join(lines)}\n" for section, lines in sections.items()))
 
 
@@ -321,15 +327,6 @@ def check_split(dataset: SeriesDataset, split: str, S: int, horizon: int) -> Non
         dataset.split_range(split, S, horizon)
     except ValueError as exc:
         raise ConfigError(f"[rollout] {exc}") from None
-
-
-def _write_out(path: str, content) -> None:
-    """``write_fresh``, creating the output directory if the first write finds it missing."""
-    try:
-        write_fresh(path, content)
-    except FileNotFoundError:
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        write_fresh(path, content)
 
 
 def _load_checkpoint_or_fail(path):
@@ -446,7 +443,7 @@ def cmd_predict(args) -> int:
                      f"the scale of {args.input_csv}; no predictions written")
 
     out_path = os.path.join(args.out, "predictions.csv")  # as given: no pathlib parse per call
-    _write_out(out_path, ",".join(dataset.columns) + "\n" + format_rows(values))
+    write_fresh(out_path, ",".join(dataset.columns) + "\n" + format_rows(values))
     print(f"wrote {values.shape[0]} forecast rows to {out_path}")
     return 0
 

@@ -7,6 +7,7 @@ chronological and windows never straddle a split boundary.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import math
 import os
@@ -164,13 +165,19 @@ def gen_ar_process(length, V=1, coeffs=(0.9,), noise_std=1.0, seed=0,
 
 
 def write_fresh(path, content) -> None:
-    """Unlink ``path``, then write ``content`` (text as UTF-8, or bytes) there as a new file."""
+    """Unlink ``path``, then write ``content`` (text as UTF-8, or bytes) there as a new file,
+    creating its directory if that is missing."""
     data = memoryview(content.encode("utf-8") if isinstance(content, str) else content)
     try:
         os.unlink(path)
     except FileNotFoundError:
         pass
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL
+    try:
+        fd = os.open(path, flags, 0o666)
+    except FileNotFoundError:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        fd = os.open(path, flags, 0o666)
     try:
         while data:
             data = data[os.write(fd, data):]
@@ -187,17 +194,18 @@ def load_csv(path, has_header=True, time_column=None, ratios=DEFAULT_SPLIT) -> S
     A leading byte order mark is skipped and blank lines are ignored. ``csv.reader`` runs once
     over the open file, and each chunk of ``CHUNK_ROWS`` rows has its widths checked and its
     cells turned into floats by ``float``, then checked finite, so no list of every row is
-    kept. A refused file is still read to its end, so invalid UTF-8 anywhere is named first and
-    a ``csv`` error anywhere next; otherwise the error is the first fault in file order. Only a
+    kept. A refused file is still read to its end, so invalid UTF-8 anywhere is named first, at
+    its position in the file after any byte order mark, as ``bytes.decode`` words it, and a
+    ``csv`` error anywhere next; otherwise the error is the first fault in file order. Only a
     refused chunk is checked row by row, for its first ragged row, unparsable cell or
     non-finite value, and a second streamed read up to that row finds its physical line.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
             try:
                 try:
                     names, values = _parse_chunks(path, filter(None, reader), has_header,
@@ -213,9 +221,14 @@ def load_csv(path, has_header=True, time_column=None, ratios=DEFAULT_SPLIT) -> S
                 for _ in fh:  # invalid UTF-8 later in the file is named first
                     pass
                 raise fault from None
-    except UnicodeDecodeError:  # name the bad byte's position in the whole file
-        path.read_bytes().decode("utf-8-sig")
-        raise
+        except UnicodeDecodeError as exc:  # exc.object holds the bytes the file read last
+            at = fh.buffer.tell() - len(exc.object) + exc.start
+            fh.buffer.seek(0)
+            at -= 3 if fh.buffer.read(3) == codecs.BOM_UTF8 else 0
+            bad = exc.object[exc.start:exc.end]
+            where = f"byte 0x{bad[0]:02x} in position {at}" if len(bad) == 1 else \
+                f"bytes in position {at}-{at + len(bad) - 1}"
+            raise ValueError(f"'{exc.encoding}' codec can't decode {where}: {exc.reason}") from None
     return SeriesDataset.from_values(path.stem, values, columns=names, ratios=ratios)
 
 

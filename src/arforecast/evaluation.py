@@ -74,8 +74,9 @@ def evaluate(model: Forecaster, dataset: SeriesDataset, split: str,
         err = np.ascontiguousarray((pred - future).reshape(horizon, B, V).transpose(1, 0, 2))
         block_err = err.reshape(B, n, T * V)
         block_mse[start:start + B] = np.mean(block_err * block_err, axis=2)
-        block_mae[start:start + B] = np.mean(np.abs(block_err), axis=2)
-        step_mae += np.abs(err).mean(axis=2).sum(axis=0)
+        np.abs(err, out=err)  # err is a fresh array, and block_err a view of it
+        block_mae[start:start + B] = np.mean(block_err, axis=2)
+        step_mae += err.mean(axis=2).sum(axis=0)
 
     per_block = [(float(block_mse[:, k].mean()), float(block_mae[:, k].mean()))
                  for k in range(n)]

@@ -79,33 +79,31 @@ class Forecaster:
 def _param_shapes(kind: str, dims: Dims) -> tuple[tuple[str, tuple[int, int], int], ...]:
     """(name, shape, fan_in) triples, in initialization/serialization order; one immutable
     tuple per (kind, S, L + T, hidden), worked out once."""
-    return _shapes(kind, dims.S, dims.out_len, dims.hidden)
+    return _layout(kind, dims.S, dims.out_len, dims.hidden)[1]
 
 
 @functools.lru_cache(maxsize=64, typed=True)  # typed: an int dim never gets another type's shapes
-def _shapes(kind: str, S: int, out: int, h: int) -> tuple[tuple[str, tuple[int, int], int], ...]:
+def _layout(kind: str, S: int, out: int, h: int) -> tuple[int, tuple, tuple]:
+    """The parameter count, the ``_param_shapes`` triples, and each parameter's (name, shape,
+    start, stop) in the vector."""
     if kind in ("mlp", "inverted_attention") and h < 1:
         raise ValueError(f"{kind} requires hidden >= 1, got {h}")
     if kind == "linear":
-        return ("w", (out, S), S), ("b", (out, 1), S)
-    if kind == "mlp":
-        return ("w1", (h, S), S), ("b1", (h, 1), S), ("w2", (out, h), h), ("b2", (out, 1), h)
-    if kind == "inverted_attention":
+        shapes = ("w", (out, S), S), ("b", (out, 1), S)
+    elif kind == "mlp":
+        shapes = ("w1", (h, S), S), ("b1", (h, 1), S), ("w2", (out, h), h), ("b2", (out, 1), h)
+    elif kind == "inverted_attention":
         shapes = [("embed_w", (h, S), S), ("embed_b", (h, 1), S)]
         for name in ("q", "k", "v", "o", "ff1", "ff2"):
             shapes += [(f"{name}_w", (h, h), h), (f"{name}_b", (h, 1), h)]
-        return (*shapes, ("proj_w", (out, h), h), ("proj_b", (out, 1), h))
-    raise ValueError(f"unknown forecaster kind {kind!r}")
-
-
-@functools.lru_cache(maxsize=64, typed=True)
-def _layout(kind: str, S: int, out: int, h: int) -> tuple[int, tuple]:
-    """The parameter count and each parameter's (name, shape, start, stop) in the vector."""
+        shapes = (*shapes, ("proj_w", (out, h), h), ("proj_b", (out, 1), h))
+    else:
+        raise ValueError(f"unknown forecaster kind {kind!r}")
     spans, stop = [], 0
-    for name, shape, _ in _shapes(kind, S, out, h):
+    for name, shape, _ in shapes:
         start, stop = stop, stop + math.prod(shape)
         spans.append((name, shape, start, stop))
-    return stop, tuple(spans)
+    return stop, shapes, tuple(spans)
 
 
 def param_count(kind: str, dims: Dims) -> int:
@@ -115,7 +113,7 @@ def param_count(kind: str, dims: Dims) -> int:
 def build_forecaster(kind: str, dims: Dims, flat) -> Forecaster:
     """A model over a float64 copy of the parameter vector ``flat``, in _param_shapes order;
     each parameter tensor is a view of that copy."""
-    count, spans = _layout(kind, dims.S, dims.out_len, dims.hidden)
+    count, _, spans = _layout(kind, dims.S, dims.out_len, dims.hidden)
     flat = np.array(flat, dtype=np.float64)
     if flat.shape != (count,):
         raise ValueError(f"a {kind} model of {dims} takes a vector of {count} parameters, "

@@ -130,20 +130,6 @@ class EpochStats:
     val_loss: float
 
 
-def _objective_fn(objective: str):
-    if objective == "ar":
-        return lambda model, windows, cfg: ar_loss(model, windows, cfg).loss
-    return lambda model, windows, cfg: mse_loss(model, windows)
-
-
-def _mean_objective(model, windows, cfg, loss_fn, batch_size: int) -> float:
-    total = 0.0
-    for start in range(0, len(windows), batch_size):
-        chunk = windows[start:start + batch_size]
-        total += loss_fn(model, chunk, cfg).item() * len(chunk)
-    return total / len(windows)
-
-
 def objective_horizon(rollout_cfg: RolloutConfig, T: int, objective: str) -> int:
     """Rows a training window forecasts: one T-step block for mse, the n*T rollout for ar."""
     return T if objective == "mse" else rollout_cfg.n * T
@@ -167,7 +153,11 @@ def train(model: Forecaster, dataset: SeriesDataset, rollout_cfg: RolloutConfig,
     train_windows = window_iter(dataset, "train", S, horizon)
     val_windows = window_iter(dataset, "val", S, horizon)
 
-    loss_fn = _objective_fn(train_cfg.objective)
+    def loss_of(windows):  # through the module globals, which a tracer may wrap
+        if train_cfg.objective == "mse":
+            return mse_loss(model, windows)
+        return ar_loss(model, windows, rollout_cfg).loss
+
     param_tensors = list(model.params.values())
     state = AdamState.zeros_like(model.flat)
     rng = np.random.Generator(np.random.Philox(train_cfg.seed))
@@ -187,7 +177,7 @@ def train(model: Forecaster, dataset: SeriesDataset, rollout_cfg: RolloutConfig,
             step += 1
             try:
                 with Tape() as tape:
-                    loss = loss_fn(model, batch, rollout_cfg)
+                    loss = loss_of(batch)
                     grad = np.concatenate([g.ravel() for g in tape.gradient(loss, param_tensors)])
                 value = loss.item()
                 if not (math.isfinite(value) and np.isfinite(grad).all()):
@@ -198,9 +188,12 @@ def train(model: Forecaster, dataset: SeriesDataset, rollout_cfg: RolloutConfig,
                                             f"non-finite loss or gradient ({exc})") from None
             epoch_loss += value * len(batch)
         train_loss = epoch_loss / len(train_windows)
+        val_loss = 0.0
         try:
-            val_loss = _mean_objective(model, val_windows, rollout_cfg, loss_fn,
-                                       train_cfg.batch_size)
+            for start in range(0, len(val_windows), train_cfg.batch_size):
+                chunk = val_windows[start:start + train_cfg.batch_size]
+                val_loss += loss_of(chunk).item() * len(chunk)
+            val_loss /= len(val_windows)
         except FloatingPointError:
             val_loss = math.nan
         if not math.isfinite(val_loss):

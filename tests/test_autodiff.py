@@ -282,6 +282,36 @@ def test_tapes_are_independent_across_threads():
     assert results == {0: 2.0, 1: 4.0, 2: 6.0, 3: 8.0}
 
 
+def test_nested_tapes_record_on_the_innermost_and_restore_the_outer():
+    assert autodiff.active_tape() is None
+    with Tape() as outer:
+        assert autodiff.active_tape() is outer
+        with Tape() as inner:
+            assert autodiff.active_tape() is inner
+        assert autodiff.active_tape() is outer
+        with pytest.raises(RuntimeError, match="inner body"):
+            with Tape() as inner:
+                assert autodiff.active_tape() is inner
+                raise RuntimeError("inner body")
+        assert autodiff.active_tape() is outer
+        x = Tensor(np.ones((1, 1)), requires_grad=True)
+        relu(x)
+    assert autodiff.active_tape() is None
+    assert len(outer.records) == 1 and inner.records == []
+
+
+def test_tapes_exited_out_of_order_fail_the_assertion():
+    outer, inner = Tape(), Tape()
+    outer.__enter__()
+    inner.__enter__()
+    try:
+        with pytest.raises(AssertionError):
+            outer.__exit__(None, None, None)  # pops inner, which is not outer
+    finally:
+        outer.__exit__(None, None, None)  # pops outer, the one tape left
+    assert autodiff.active_tape() is None
+
+
 def test_tape_determinism_bitwise():
     def run():
         rng = np.random.default_rng(42)

@@ -677,6 +677,50 @@ def test_resolved_config_text_is_pinned(tmp_path, monkeypatch, name):
     assert (cfg.out_dir / "config_resolved.ini").read_text() == RESOLVED_TEXTS[name]
 
 
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_FINITE_LISTS = st.lists(_FINITE, min_size=1, max_size=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(source=st.sampled_from(["sinusoid", "ar"]), split=_FINITE_LISTS, noise_std=_POSITIVE,
+       periods=_FINITE_LISTS, amplitude=_FINITE, coeffs=_FINITE_LISTS,
+       gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       beta=st.floats(0.0, 0.5, exclude_max=True), lr=_POSITIVE, adam_eps=_POSITIVE,
+       adam_beta1=st.floats(0.0, 1.0, exclude_max=True),
+       adam_beta2=st.floats(0.0, 1.0, exclude_max=True))
+def test_resolved_config_reads_back_to_the_float_values_that_ran(tmp_path_factory, source,
+                                                                  split, periods, coeffs,
+                                                                  **floats):
+    """Each float the resolved config writes parses back to the value the run used."""
+    home = tmp_path_factory.mktemp("resolved")
+    dataset = {"source": source, "split": ",".join(map(repr, split)),
+               "noise_std": repr(floats["noise_std"])}
+    if source == "sinusoid":
+        dataset.update(periods=",".join(map(repr, periods)), amplitude=repr(floats["amplitude"]))
+    else:
+        dataset.update(coeffs=",".join(map(repr, coeffs)))
+    cfg = RunConfig(write_config(home / "run.ini", home / "out", {
+        "dataset": dataset,
+        "rollout": {key: repr(floats[key]) for key in ("gamma", "beta")},
+        "train": {key: repr(floats[key]) for key in ("lr", "adam_eps", "adam_beta1",
+                                                       "adam_beta2")}}))
+    cfg.write_resolved()
+    assert RunConfig(home / "out" / "config_resolved.ini").values == cfg.values
+
+
+def test_training_from_the_resolved_config_writes_the_same_checkpoint(tmp_path):
+    cfg = write_config(tmp_path / "run.ini", tmp_path / "out", {
+        "dataset": {"noise_std": "0.1234567891", "periods": "24.123456789"},
+        "rollout": {"gamma": "0.123456789", "beta": "0.0123456789"},
+        "train": {"lr": "0.0012345678"}})
+    assert main(["train", "--config", str(cfg)]) == 0
+    assert main(["train", "--config", str(tmp_path / "out" / "config_resolved.ini"),
+                 "--out", str(tmp_path / "again")]) == 0
+    assert (tmp_path / "again" / "checkpoint.arpt").read_bytes() == \
+        (tmp_path / "out" / "checkpoint.arpt").read_bytes()
+
+
 def _cli(*argv):
     """Run the CLI in a fresh interpreter, so stderr shows every warning as a user sees it."""
     return subprocess.run([sys.executable, "-m", "arforecast", *map(str, argv)],

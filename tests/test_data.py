@@ -519,14 +519,17 @@ def test_load_csv_peaks_below_three_times_the_array_it_returns(tmp_path):
         tracemalloc.stop()
     assert ds.values.shape == (20_000, 4)
     assert peak < 3 * ds.values.nbytes, peak / ds.values.nbytes
-    # a refused file is read through the same one parse, then only up to its fault's row
-    text = path.read_text()
-    for last, fault in [("1,2,3,x", "cannot parse 'x'"), ("1,2", "ragged row"),
-                        ("1,2,3,inf", "non-finite value")]:
-        path.write_text(text + last + "\n")
+    # a refused file is read through the same one parse, then only up to its fault's row;
+    # invalid UTF-8 is named at its position without the file's bytes
+    blob = path.read_bytes()
+    for last, fault in [(b"1,2,3,x", "cannot parse 'x' at line 20002"),
+                        (b"1,2", "ragged row at line 20002"),
+                        (b"1,2,3,inf", "non-finite value at line 20002"),
+                        (b"1,2,3,\xff", f"byte 0xff in position {len(blob) + 6}: ")]:
+        path.write_bytes(blob + last + b"\n")
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match=f"{fault} at line 20002"):
+            with pytest.raises(ValueError, match=fault):
                 load_csv(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
@@ -540,7 +543,8 @@ def test_csv_memory_script_prints_one_line_per_row_count(capsys):
     spec.loader.exec_module(script)
     assert script.main(["--variates", "2", "300", "2000"]) == 0
     header, *lines = capsys.readouterr().out.splitlines()
-    assert header == "rows,peak_mb,peak_over_array,refused_peak_over_array,load_ms"
+    assert header == ("rows,peak_mb,peak_over_array,refused_peak_over_array,"
+                      "refused_utf8_peak_over_array,load_ms")
     assert [line.split(",")[0] for line in lines] == ["300", "2000"]
     assert all(float(cell) > 0 for line in lines for cell in line.split(",")[1:])
 

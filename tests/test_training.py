@@ -288,6 +288,13 @@ def test_checkpoint_save_is_byte_stable(tmp_path):
         assert p3.read_bytes() == p1.read_bytes()
 
 
+def test_save_checkpoint_creates_a_missing_nested_directory(tmp_path):
+    ck = _small_checkpoint()
+    path = tmp_path / "a" / "b" / "model.arpt"
+    save_checkpoint(ck, path)
+    assert load_checkpoint(path).flat.tobytes() == ck.flat.tobytes()
+
+
 def test_checkpoint_wrong_magic(tmp_path):
     path = tmp_path / "bogus.arpt"
     path.write_bytes(b"NOPE" + b"\x00" * 16)
