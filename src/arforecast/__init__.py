@@ -1,6 +1,6 @@
 """Autoregressive-rollout training and evaluation for small time-series forecasters."""
 
-from .autodiff import Tape, Tensor, finite_diff_oracle, max_relative_error, relu, slice_axis
+from .autodiff import Tape, Tensor, finite_diff_oracle, max_relative_error, relu
 from .data import SeriesDataset, Windows, gen_ar_process, gen_sinusoid, load_csv, window_iter
 from .evaluation import EvalReport, evaluate, export_curve, write_report_json
 from .models import (

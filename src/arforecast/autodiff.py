@@ -2,11 +2,11 @@
 
 Dense float64 tensors plus only the ops the forecasting models and the
 rollout objective record: ``w @ x + b``, relu, the attention model's
-attention and feed-forward sublayers as one record each, slicing, the
-rollout's input windows, and the whole batch objective of a rollout as
-one record. That record holds the block errors, their discounted sum and
-the monotonicity penalty's abs and stop-gradient, so the engine has no
-generic arithmetic ops.
+attention and feed-forward sublayers as one record each, the stitch
+record that takes the rows of a rollout's input windows and blocks, and
+the whole batch objective of a rollout as one record. That record holds
+the block errors, their discounted sum and the monotonicity penalty's abs
+and stop-gradient, so the engine has no generic arithmetic ops.
 
 A ``Tape`` is built fresh for every loss evaluation (define-by-run) and
 is a single-threaded unit of work; separate tapes share no mutable state
@@ -201,22 +201,10 @@ def _mean_rule(ctx, g):
 def _stitch_rule(ctx, g):
     # each block its rows of the window's gradient; a block the window cuts at the top gets
     # zero rows there, as a slice of it would
-    lo, sizes = ctx
-    grads = []
-    for size in sizes:
-        grads.append(g[lo:lo + size] if lo >= 0 else
-                     np.concatenate([np.zeros((-lo,) + g.shape[1:]), g[:lo + size]]))
-        lo += size
-    return tuple(grads)
-
-
-def _slice_rule(ctx, g):
-    shape, axis, start, stop = ctx
-    out = np.zeros(shape)
-    index = [slice(None)] * len(shape)
-    index[axis] = slice(start, stop)
-    out[tuple(index)] = g
-    return (out,)
+    lo, size, count = ctx
+    return tuple(g[at:at + size] if at >= 0 else
+                 np.concatenate([np.zeros((-at,) + g.shape[1:]), g[:at + size]])
+                 for at in range(lo, lo + count * size, size))
 
 
 def _softmax_rule(ctx, g):
@@ -410,32 +398,19 @@ def relu(a: Tensor) -> Tensor:
     return _emit(np.maximum(a.values, 0.0), (a,), _relu_rule, (a.values,))
 
 
-def _stitch(window: np.ndarray, blocks: tuple[Tensor, ...], lo: int, sizes: list[int]) -> Tensor:
-    """A rollout step's input ``window``, rows of a buffer that end with copies of ``blocks``
-    back to back, as one record with the blocks as inputs; unchecked: ``lo`` is the first
-    block's row in the window and ``sizes`` the blocks' row counts, which the caller has made
-    fit.
+def _stitch(window: np.ndarray, blocks: tuple[Tensor, ...], lo: int, size: int) -> Tensor:
+    """A rollout step's input ``window``, or a forecast's block, as one record with ``blocks``
+    as inputs: rows of a buffer that end with copies of ``blocks`` back to back; unchecked:
+    ``lo`` is the first block's row in the window and ``size`` each block's row count, which
+    the caller has made fit.
 
     The value is ``window`` itself, a view of the buffer; rows before the blocks are
     constants. The first block may start above the window (``lo`` < 0), and gets zero
     gradient rows there. A window that is exactly one block is that block, with no record.
     """
-    if lo == 0 and len(sizes) == 1:
+    if lo == 0 and len(blocks) == 1:
         return blocks[0]
-    return _emit(window, blocks, _stitch_rule, (lo, sizes))
-
-
-def slice_axis(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
-    ndim = a.values.ndim
-    if not 0 <= axis < ndim:
-        raise ValueError(f"slice_axis: axis {axis} out of range for shape {a.shape}")
-    if not (0 <= start < stop <= a.shape[axis]):
-        raise ValueError(f"slice_axis: bounds [{start}, {stop}) invalid for extent {a.shape[axis]}")
-    if stop - start == a.shape[axis]:  # the whole axis is the tensor itself, with no record
-        return a
-    index = [slice(None)] * ndim
-    index[axis] = slice(start, stop)
-    return _emit(a.values[tuple(index)], (a,), _slice_rule, (a.values.shape, axis, start, stop))
+    return _emit(window, blocks, _stitch_rule, (lo, size, len(blocks)))
 
 
 def _softmax_values(x: np.ndarray, axis: int) -> np.ndarray:

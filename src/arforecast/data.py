@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import codecs
 import csv
+import io
 import math
 import os
 from dataclasses import dataclass, field
@@ -198,17 +199,23 @@ def load_csv(path, has_header=True, time_column=None, ratios=DEFAULT_SPLIT) -> S
     its position in the file after any byte order mark, as ``bytes.decode`` words it, and a
     ``csv`` error anywhere next; otherwise the error is the first fault in file order. Only a
     refused chunk is checked row by row, for its first ragged row, unparsable cell or
-    non-finite value, and a second streamed read up to that row finds its physical line.
+    non-finite value, and a second streamed read up to that row finds its physical line. A file
+    that cannot seek (a pipe) is read into memory first, and both reads are of that copy.
     """
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no such file: {path}")
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+    fh, data = _open_text(path), None
+    if not fh.seekable():
+        with fh:
+            data = fh.buffer.read()
+        fh = _open_text(path, data)
+    with fh:
         reader = csv.reader(fh)
         try:
             try:
                 try:
-                    names, values = _parse_chunks(path, filter(None, reader), has_header,
+                    names, values = _parse_chunks(path, data, filter(None, reader), has_header,
                                                   time_column)
                 except UnicodeDecodeError:
                     raise
@@ -232,9 +239,18 @@ def load_csv(path, has_header=True, time_column=None, ratios=DEFAULT_SPLIT) -> S
     return SeriesDataset.from_values(path.stem, values, columns=names, ratios=ratios)
 
 
-def _parse_chunks(path, rows, has_header, time_column) -> tuple[list[str], np.ndarray]:
-    """The column names and (N, V) values of the nonblank csv ``rows`` of ``path``, parsed
-    CHUNK_ROWS at a time; a ValueError naming the first fault in them."""
+def _open_text(path: Path, data: bytes | None = None):
+    """``path`` opened as text the way ``load_csv`` reads it; or ``data``, the bytes read from
+    it, if it cannot seek."""
+    if data is None:
+        return open(path, newline="", encoding="utf-8-sig")
+    return io.TextIOWrapper(io.BytesIO(data), newline="", encoding="utf-8-sig")
+
+
+def _parse_chunks(path, data, rows, has_header, time_column) -> tuple[list[str], np.ndarray]:
+    """The column names and (N, V) values of the nonblank csv ``rows`` of ``path`` (or of
+    ``data``, its bytes, if not None), parsed CHUNK_ROWS at a time; a ValueError naming the
+    first fault in them."""
     first = next(rows, None)
     if first is None:
         raise ValueError(f"{path}: empty file")
@@ -272,8 +288,8 @@ def _parse_chunks(path, rows, has_header, time_column) -> tuple[list[str], np.nd
             for i, row in enumerate(chunk):
                 if fault := _row_fault(row, width, columns, names):
                     what, where = fault
-                    raise ValueError(f"{path}: {what} at line {_line_of(path, done + i)}"
-                                     f"{where}") from None
+                    line = _line_of(path, data, done + i)
+                    raise ValueError(f"{path}: {what} at line {line}{where}") from None
         chunks.append(values)
         done += len(chunk)
         chunk = list(islice(rows, CHUNK_ROWS))
@@ -305,9 +321,10 @@ def _row_fault(row, width, columns, names) -> tuple[str, str] | None:
     return None
 
 
-def _line_of(path: Path, index: int) -> int:
-    """The physical line on which nonblank csv row ``index`` (from 0) of ``path`` ends."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
+def _line_of(path: Path, data: bytes | None, index: int) -> int:
+    """The physical line on which nonblank csv row ``index`` (from 0) of ``path`` (or of
+    ``data``, its bytes, if not None) ends."""
+    with _open_text(path, data) as fh:
         reader = csv.reader(fh)
         next(islice(filter(None, reader), index, None))
         return reader.line_num

@@ -26,7 +26,6 @@ from .autodiff import (
     finite_diff_oracle,
     max_relative_error,
     rollout_objective,
-    slice_axis,
 )
 from .data import Windows
 from .models import Forecaster, NormState, apply_norm, forecast
@@ -89,8 +88,9 @@ def rollout_predict(model: Forecaster, context: np.ndarray,
     copied to rows [S + kT, S + (k+1)T), so step k's input is the ``_stitch`` window
     [kT, kT + S): the last S rows of the context and the blocks before it, entered
     un-detached so gradients flow through the whole chain. Of each forecast, the rows after
-    its first L are the block. The context is checked once, here; ``Dims`` and
-    ``RolloutConfig`` have checked S, T, L and n, so every window fits by construction.
+    its first L are the block, a one-block ``_stitch`` that cuts those L off. The context is
+    checked once, here; ``Dims`` and ``RolloutConfig`` have checked S, T, L and n, so every
+    window and block fits by construction.
     """
     S, T, L = model.dims.S, model.dims.T, model.dims.L
     context = np.asarray(context, dtype=np.float64)
@@ -102,9 +102,8 @@ def rollout_predict(model: Forecaster, context: np.ndarray,
     blocks, reach = [], -(-S // T)  # a window holds parts of at most ceil(S / T) blocks
     for k in range(cfg.n):
         used = tuple(blocks[-reach:])
-        out = forecast(model, _stitch(rows[k * T:k * T + S], used, S - len(used) * T,
-                                      [T] * len(used)))
-        block = out if L == 0 else slice_axis(out, 0, L, L + T)
+        out = forecast(model, _stitch(rows[k * T:k * T + S], used, S - len(used) * T, T))
+        block = _stitch(out.values[L:], (out,), -L, L + T)
         rows[S + k * T:S + (k + 1) * T] = block.values
         blocks.append(block)
     return blocks, state

@@ -5,7 +5,9 @@ rebuild, on the engine's ``_emit`` and its private value helpers and
 rules, the single ops that the fused records replace: elementwise sum,
 difference and product, scaling, abs, a stop-gradient (the identity forward,
 no gradient backward), matrix product, full sum and mean, softmax, layer
-norm, the two per-window products, a bias-column add and concatenation.
+norm, the two per-window products, a bias-column add, concatenation and
+slicing along one axis (``slice_axis``, an engine op until each rollout block
+became a one-block ``_stitch`` record).
 Each computes and differentiates with the floats of the single-op form, so a
 test can compare a fused record with them bit for bit. They do no input
 validation: tests give them valid shapes. The engine's ``Tape.min_kink_gap``
@@ -24,8 +26,8 @@ public op, when ``arforecast.autodiff`` exported it; only tests called it.
 pieces (the context and the blocks, cut with ``slice_axis`` and joined with
 ``concat``) before the one-buffer ``_stitch`` record replaced it.
 ``checked_rollout_predict`` is the one-buffer rollout with every step's
-window taken through the checked ``stitch`` and every block through
-``slice_axis``, as it was before its steps skipped those checks.
+window and every block taken through the checked ``stitch``, as it was before
+its steps skipped those checks.
 """
 
 import numpy as np
@@ -70,6 +72,15 @@ def _add_column_rule(ctx, g):
 def _concat_rule(ctx, g):
     axis, sizes = ctx
     return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
+
+
+def _slice_rule(ctx, g):
+    shape, axis, start, stop = ctx
+    out = np.zeros(shape)
+    index = [slice(None)] * len(shape)
+    index[axis] = slice(start, stop)
+    out[tuple(index)] = g
+    return (out,)
 
 
 def add(a, b):
@@ -149,6 +160,19 @@ def concat(tensors, axis=0):
     return ad._emit(values, tuple(tensors), _concat_rule, (axis, sizes))
 
 
+def slice_axis(a, axis, start, stop):
+    ndim = a.values.ndim
+    if not 0 <= axis < ndim:
+        raise ValueError(f"slice_axis: axis {axis} out of range for shape {a.shape}")
+    if not (0 <= start < stop <= a.shape[axis]):
+        raise ValueError(f"slice_axis: bounds [{start}, {stop}) invalid for extent {a.shape[axis]}")
+    if stop - start == a.shape[axis]:  # the whole axis is the tensor itself, with no record
+        return a
+    index = [slice(None)] * ndim
+    index[axis] = slice(start, stop)
+    return ad._emit(a.values[tuple(index)], (a,), _slice_rule, (a.values.shape, axis, start, stop))
+
+
 def _tail(pieces, rows):
     """The last ``rows`` rows of the pieces stacked in order.
 
@@ -160,7 +184,7 @@ def _tail(pieces, rows):
         if rows <= 0:
             break
         size = piece.shape[0]
-        taken.append(piece if size <= rows else ad.slice_axis(piece, 0, size - rows, size))
+        taken.append(piece if size <= rows else slice_axis(piece, 0, size - rows, size))
         rows -= size
     taken.reverse()
     return taken[0] if len(taken) == 1 else concat(taken, axis=0)
@@ -227,20 +251,22 @@ def rollout_predict(model, context, cfg):
     blocks = []
     for _ in range(cfg.n):
         out = forecast(model, _tail([context] + blocks, S))
-        blocks.append(ad.slice_axis(out, 0, L, L + T))
+        blocks.append(slice_axis(out, 0, L, L + T))
     return blocks, state
 
 
 def stitch(rows, start, stop, blocks):
     """The window ``rows[start:stop]`` of a buffer whose rows up to ``stop`` end with copies of
-    ``blocks``, back to back, as one ``_stitch`` record; ValueError if they do not fit."""
+    ``blocks``, back to back and of one row count, as one ``_stitch`` record; ValueError if
+    they do not fit."""
     sizes = [block.values.shape[0] for block in blocks]
     lo = stop - start - sum(sizes)  # the first block's row in the window
     if not 0 <= start < stop <= rows.shape[0] or sizes and lo + sizes[0] <= 0 \
+            or len(set(sizes)) > 1 \
             or any(block.values.shape[1:] != rows.shape[1:] for block in blocks):
         raise ValueError(f"stitch: blocks of {sizes} rows ending at row {stop} do not fit "
                          f"the window [{start}, {stop}) of {rows.shape} rows")
-    return ad._stitch(rows[start:stop], tuple(blocks), lo, sizes)
+    return ad._stitch(rows[start:stop], tuple(blocks), lo, sizes[0] if sizes else 0)
 
 
 def checked_rollout_predict(model, context, cfg):
@@ -251,8 +277,8 @@ def checked_rollout_predict(model, context, cfg):
     rows[:S] = apply_norm(context, state)
     blocks, reach = [], -(-S // T)
     for k in range(cfg.n):
-        window = stitch(rows, k * T, k * T + S, blocks[-reach:])
-        block = ad.slice_axis(forecast(model, window), 0, L, L + T)
+        out = forecast(model, stitch(rows, k * T, k * T + S, blocks[-reach:]))
+        block = stitch(out.values, L, L + T, [out])
         rows[S + k * T:S + (k + 1) * T] = block.values
         blocks.append(block)
     return blocks, state

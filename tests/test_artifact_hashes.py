@@ -1,7 +1,8 @@
-"""Four of the fixed configs of ``scripts/artifact_hashes.py`` keep their artifact bytes.
+"""Five of the fixed configs of ``scripts/artifact_hashes.py`` keep their artifact bytes.
 
-The script is loaded by path and its ``produce`` run for the linear, linear_partial, mlp and
-mlp_csv configs; their hashes must equal the matching lines of ``artifact_hashes.txt``. The
+The script is loaded by path and its ``produce`` run for the linear, linear_partial, mlp,
+mlp_csv and attention_overlap (an attention model whose forecasts overlap the context by L = 3)
+configs; their hashes must equal the matching lines of ``artifact_hashes.txt``. The
 list holds for the NumPy and BLAS its first line names, so another machine skips the check.
 """
 
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "artifact_hashes.py"
-GUARDED = ("linear", "linear_partial", "mlp", "mlp_csv")
+GUARDED = ("linear", "linear_partial", "mlp", "mlp_csv", "attention_overlap")
 
 
 def test_the_guarded_configs_keep_their_artifact_bytes(tmp_path):

@@ -14,7 +14,6 @@ from arforecast.autodiff import (
     max_relative_error,
     relu,
     rollout_objective,
-    slice_axis,
 )
 from composite_ops import (
     abs_kink_gap,
@@ -28,6 +27,7 @@ from composite_ops import (
     mean_all,
     mul,
     scale,
+    slice_axis,
     softmax,
     stitch,
     stop_gradient,
@@ -194,6 +194,8 @@ def test_stitch_hands_each_block_its_window_rows():
         stitch(rows, 5, 7, [a, b])  # a ends where the window starts
     with pytest.raises(ValueError, match="do not fit"):
         stitch(rows, 5, 7, [Tensor(np.zeros((2, 3)))])  # not the buffer's width
+    with pytest.raises(ValueError, match="do not fit"):
+        stitch(rows, 4, 7, [Tensor(rows[4:5]), b])  # blocks of two row counts
 
 
 @pytest.mark.parametrize("a,b", [((3, 4), (4, 1)), ((3, 4), (1, 4)), ((3, 4), (3, 2)),

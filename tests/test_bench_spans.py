@@ -50,16 +50,18 @@ def test_every_trace_target_resolves():
     assert tracer.missing == set()
 
 
-@pytest.mark.parametrize("kind,V,extra", [
-    ("linear", 1, ()), ("mlp", 1, ("relu",)),
-    ("inverted_attention", 4, ("attention_sublayer", "ffn_sublayer")),
-])
-def test_counted_rule_names_match_the_tape(kind, V, extra):
+@pytest.mark.parametrize("kind,V,extra,S,L", [
+    ("linear", 1, (), 48, 0), ("mlp", 1, ("relu",), 48, 0),
+    ("inverted_attention", 4, ("attention_sublayer", "ffn_sublayer"), 48, 0),
+    ("inverted_attention", 3, ("attention_sublayer", "ffn_sublayer"), 30, 2),  # S % T != 0
+], ids=["linear-1-extra0", "mlp-1-extra1", "inverted_attention-4-extra2",
+        "inverted_attention-3-overlap"])
+def test_counted_rule_names_match_the_tape(kind, V, extra, S, L):
     spans = _load_spans()
     cfg = RolloutConfig(n=4)
     ds = gen_sinusoid(400, V=V, periods=144.0, noise_std=0.1, seed=0)
-    batch = window_iter(ds, "train", 48, cfg.n * 12)[:4]
-    model = init_forecaster(kind, Dims(S=48, T=12, V=V, hidden=8), seed=1)
+    batch = window_iter(ds, "train", S, cfg.n * 12)[:4]
+    model = init_forecaster(kind, Dims(S=S, T=12, L=L, V=V, hidden=8), seed=1)
     with Tape() as tape:
         ar_loss(model, batch, cfg)
     # the note spans.py takes on Tape.gradient, stripped to names as its metrics do
@@ -67,8 +69,8 @@ def test_counted_rule_names_match_the_tape(kind, V, extra):
     for rule, count in spans._rules((tape,), None).items():
         names[rule.__name__.strip("_").removesuffix("_rule")] += count
     # layers are affine records (attention's two sublayers one record each), each step's
-    # input window is one stitch record and the whole objective one rollout_objective record;
-    # at L = 0 no block is sliced
+    # input window is one stitch record, and so is each block at L > 0 (at L = 0 a block is its
+    # forecast), and the whole objective is one rollout_objective record
     assert set(names) == {"affine", "stitch", "rollout_objective", *extra}
     assert names["rollout_objective"] == 1
     assert {"concat", "softmax", "layer_norm"} <= set(spans.RULES)

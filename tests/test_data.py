@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -332,6 +333,63 @@ def test_load_csv_cell_over_the_field_limit_names_file_and_line(tmp_path):
     p.write_text("load\n1.0\n" + "1" * 131_073 + "\n2.0\n")
     with pytest.raises(ValueError, match=r"long\.csv: .*field limit.* at line 3"):
         load_csv(p, has_header=None)
+
+
+# a header and 20 data rows: a bad row after them is on line 22, which a second read must find
+_BAD_TAIL = "a,b\n" + "".join(f"{i},{i}.5\n" for i in range(20))
+
+
+def _message(path):
+    with pytest.raises(ValueError) as raised:
+        load_csv(path)
+    return str(raised.value)
+
+
+@pytest.mark.parametrize("blob", [(_BAD_TAIL + "x,1\n").encode(),
+                                  (_BAD_TAIL + "1,2\n").encode() + b"\xff\n"],
+                         ids=["bad cell", "invalid utf-8"])
+def test_load_csv_names_the_fault_of_a_pipe_as_of_a_regular_file(tmp_path, blob):
+    regular = tmp_path / "f.csv"
+    regular.write_bytes(blob)
+    read, write = os.pipe()
+    try:
+        os.write(write, blob)  # a few hundred bytes: the pipe holds them all
+        os.close(write)
+        pipe = f"/dev/fd/{read}"
+        assert _message(pipe) == _message(regular).replace(str(regular), pipe)
+    finally:
+        os.close(read)
+
+
+def test_load_csv_reads_a_fifo_once(tmp_path):
+    blob = (_BAD_TAIL + "x,1\n").encode()
+    regular, fifo = tmp_path / "f.csv", tmp_path / "fifo.csv"
+    regular.write_bytes(blob)
+    os.mkfifo(fifo)
+
+    def write():
+        with open(fifo, "wb") as fh:
+            fh.write(blob)
+
+    errors = []
+
+    def read():
+        try:
+            load_csv(fifo)
+        except ValueError as exc:
+            errors.append(exc)
+
+    writer, reader = (threading.Thread(target=f, daemon=True) for f in (write, read))
+    writer.start()
+    reader.start()
+    reader.join(10)
+    if reader.is_alive():  # it opened the FIFO again and waits for a writer: end that wait
+        os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+        reader.join(10)
+        pytest.fail("load_csv opened the FIFO a second time and waited for a writer")
+    writer.join(10)
+    assert not writer.is_alive()
+    assert [str(exc) for exc in errors] == [_message(regular).replace(str(regular), str(fifo))]
 
 
 _CSV = b"date,load,temp\n2020-01-01,1.5,-2\n2020-01-02,3.25,4e-3\n2020-01-03,-0.5,7\n"
