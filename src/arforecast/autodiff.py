@@ -47,27 +47,19 @@ def active_tape() -> "Tape | None":
 class Tensor:
     """Dense float64 array, optionally tracked on the active tape.
 
-    Construction copies ``values``; ``Tensor.view`` does not. A tensor with
-    ``requires_grad`` becomes a leaf of whichever tape first consumes it, so
+    A C-ordered float64 array is wrapped as it is, sharing its memory; anything else is
+    converted to one, which copies it. No op writes to its inputs or outputs in place. A
+    tensor with ``requires_grad`` becomes a leaf of whichever tape first consumes it, so
     persistent parameters can be reused across the per-evaluation tapes.
     """
 
     __slots__ = ("values", "requires_grad", "tape_serial", "node_id")
 
     def __init__(self, values, requires_grad: bool = False):
-        self.values = np.array(values, dtype=np.float64, order="C")
+        self.values = np.asarray(values, dtype=np.float64, order="C")
         self.requires_grad = bool(requires_grad)
         self.tape_serial: int | None = None
         self.node_id: int | None = None
-
-    @classmethod
-    def view(cls, values: np.ndarray, requires_grad: bool = False) -> "Tensor":
-        """A tensor over ``values`` itself, without the copy; ``values`` is C-ordered float64."""
-        out = cls.__new__(cls)
-        out.values = values
-        out.requires_grad = requires_grad
-        out.tape_serial = out.node_id = None
-        return out
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -158,15 +150,14 @@ class Tape:
 
 
 def _emit(values, inputs: tuple[Tensor, ...], rule, ctx: tuple) -> Tensor:
-    """Wrap an op's freshly computed values, without the copy ``Tensor()`` makes.
+    """An op's computed values as a tensor, recorded on the active tape.
 
-    A C-contiguous slice stays a view of its input; no op writes to its
-    inputs or outputs in place, so the view is never changed through. A
-    ``_stitch`` window is a view of its caller's buffer, and records may save
-    it for their backward: a window's rows are never written after the
-    window is taken.
+    ``Tensor`` wraps C-ordered float64 values without a copy, so a C-contiguous
+    slice stays a view of its input, which is never changed through. A ``_stitch`` window
+    is a view of its caller's buffer, and records may save it for their
+    backward: a window's rows are never written after the window is taken.
     """
-    out = Tensor.view(np.asarray(values, dtype=np.float64, order="C"))
+    out = Tensor(values)
     tape = active_tape()
     if tape is not None:
         tape.record(out, inputs, rule, ctx)

@@ -11,8 +11,10 @@ check), 2 invalid input or config.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import inspect
+import io
 import math
 import os
 import sys
@@ -234,8 +236,7 @@ class RunConfig:
         self.values: dict[str, dict] = {section: {} for section in _SECTION_KEYS}
         for (section, key), (parse, default) in self._schema.items():
             given = raw[section].get(key) if section in raw else None
-            self.values[section][key] = _parse(section, key, parse, default, given) \
-                if given or default is MISSING else default
+            self.values[section][key] = _parse(section, key, parse, default, given)
         if seed_override is not None:
             self.values["train"]["seed"] = seed_override
         if out_override:
@@ -443,7 +444,9 @@ def cmd_predict(args) -> int:
                      f"the scale of {args.input_csv}; no predictions written")
 
     out_path = os.path.join(args.out, "predictions.csv")  # as given: no pathlib parse per call
-    write_fresh(out_path, ",".join(dataset.columns) + "\n" + format_rows(values))
+    header = io.StringIO()  # quoted where a name needs it, so a csv reader reads it back
+    csv.writer(header, lineterminator="\n").writerow(dataset.columns)
+    write_fresh(out_path, header.getvalue() + format_rows(values))
     print(f"wrote {values.shape[0]} forecast rows to {out_path}")
     return 0
 

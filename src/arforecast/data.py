@@ -39,9 +39,6 @@ class Windows:
             index = slice(i, i + 1)
         return Windows(self.contexts[index], self.futures[index], self.origins[index])
 
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
     def columns(self) -> tuple[np.ndarray, np.ndarray]:
         """C-ordered (S, N*V) contexts and (H, N*V) futures; column n*V + v is window n's v."""
         return tuple(np.ascontiguousarray(a.transpose(1, 0, 2)).reshape(a.shape[1], -1)

@@ -95,19 +95,6 @@ def evaluate(model: Forecaster, dataset: SeriesDataset, split: str,
     )
 
 
-def report_to_dict(report: EvalReport) -> dict:
-    return {
-        "per_block": [{"mse": mse, "mae": mae} for mse, mae in report.per_block],
-        "cumulative": {"mse": report.cumulative[0], "mae": report.cumulative[1]},
-        "block_violation_rate": report.block_violation_rate,
-        "step_violation_rate": report.step_violation_rate,
-        "window_count": report.window_count,
-        "block_length": report.block_length,
-        "per_block_violation_rate": report.per_block_violation_rate,
-        "scale": report.scale,
-    }
-
-
 def _json_float(x: float) -> str:
     """``x`` as ``json.dumps`` writes a float."""
     if math.isfinite(x):
@@ -122,9 +109,10 @@ def _json_list(items: list[str], pad: str) -> str:
 
 
 def write_report_json(report: EvalReport, path) -> None:
-    """``json.dumps(report_to_dict(report), indent=2, sort_keys=True)`` and a newline, laid out
-    here: the standard library encodes an indented dump in pure Python, at several times the
-    cost of the rest of the file's work."""
+    """The report's fields as ``json.dumps(..., indent=2, sort_keys=True)`` writes them, with
+    ``per_block`` as a list of {"mse", "mae"} objects, ``cumulative`` as one, and a newline;
+    laid out here: the standard library encodes an indented dump in pure Python, at several
+    times the cost of the rest of the file's work."""
     f = _json_float
     blocks = [f'{{\n      "mae": {f(mae)},\n      "mse": {f(mse)}\n    }}'
               for mse, mae in report.per_block]

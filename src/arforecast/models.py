@@ -118,7 +118,7 @@ def build_forecaster(kind: str, dims: Dims, flat) -> Forecaster:
     if flat.shape != (count,):
         raise ValueError(f"a {kind} model of {dims} takes a vector of {count} parameters, "
                          f"got shape {flat.shape}")
-    params = {name: Tensor.view(flat[start:stop].reshape(shape), requires_grad=True)
+    params = {name: Tensor(flat[start:stop].reshape(shape), requires_grad=True)
               for name, shape, start, stop in spans}
     return Forecaster(kind=kind, dims=dims, params=params, flat=flat)
 
@@ -138,8 +138,6 @@ def init_forecaster(kind: str, dims: Dims, seed: int) -> Forecaster:
 def forecast(model: Forecaster, context: Tensor) -> Tensor:
     """Apply the model to an S-by-(B*V) stack of B contexts, producing (L+T)-by-(B*V) values."""
     dims = model.dims
-    if not isinstance(context, Tensor):
-        context = Tensor(context)
     if context.values.ndim != 2 or context.shape[0] != dims.S:
         raise ValueError(f"context must be ({dims.S}, V), got {context.shape}")
     p = model.params

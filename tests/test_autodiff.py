@@ -43,6 +43,18 @@ def test_matmul_values():
     np.testing.assert_array_equal(matmul(a, b).values, [[3.0], [7.0]])
 
 
+def test_tensor_wraps_a_c_ordered_float64_array_and_converts_anything_else():
+    a = np.arange(6.0).reshape(2, 3)
+    assert Tensor(a).values is a
+    base = np.arange(12.0).reshape(3, 4)
+    for source in ([[1, 2], [3, 4]], np.arange(4).reshape(2, 2), np.asfortranarray(base),
+                   base[:, ::2]):
+        values = Tensor(source).values
+        assert values.dtype == np.float64 and values.flags.c_contiguous
+        assert not np.shares_memory(values, base)
+        np.testing.assert_array_equal(values, source)
+
+
 def test_abs_forward_and_subgradient_at_zero():
     with Tape() as tape:
         x = Tensor([-2.0, 0.0, 5.0], requires_grad=True)

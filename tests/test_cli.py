@@ -2,6 +2,7 @@
 
 import configparser
 import contextlib
+import csv
 import io
 import json
 import os
@@ -32,7 +33,7 @@ from arforecast.cli import (
     format_rows,
     main,
 )
-from arforecast.data import gen_ar_process, gen_sinusoid
+from arforecast.data import gen_ar_process, gen_sinusoid, load_csv
 from arforecast.models import Dims, init_forecaster
 from arforecast.rollout import RolloutConfig
 from arforecast.training import Checkpoint, save_checkpoint
@@ -129,6 +130,19 @@ def test_train_unknown_key_rejected(tmp_path, capsys):
                        {"rollout": {"gama": "0.5"}})
     assert main(["train", "--config", str(cfg)]) == 2
     assert "gama" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda text: text + "[bogus]\nx = 1\n", "unknown config section [bogus]"),
+    (lambda text: text.replace("[model]\nkind = linear\n", ""), "missing config section [model]"),
+], ids=["unknown", "missing"])
+def test_a_refused_config_section_exits_2_with_one_line_naming_it(tmp_path, capsys, edit,
+                                                                  message):
+    cfg = write_config(tmp_path / "run.ini", tmp_path / "out")
+    cfg.write_text(edit(cfg.read_text()))
+    assert main(["train", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert sorted(tmp_path.iterdir()) == [cfg]
 
 
 @pytest.mark.parametrize("dataset,key", [
@@ -365,6 +379,24 @@ def test_predict_headerless_input(tmp_path):
                  "--horizon", "12", "--out", str(out)]) == 0
     lines = (out / "predictions.csv").read_text().splitlines()
     assert lines[0] == "var0"
+
+
+@pytest.mark.parametrize("names", [["load, kW", 'say "hi"', "two\nlines"], [""]],
+                         ids=["comma-quote-line-break", "lone-empty"])
+def test_predict_header_reads_back_as_the_input_names(tmp_path, names):
+    model = init_forecaster("linear", Dims(S=48, T=12, V=len(names)), seed=3)
+    ck = tmp_path / "predict.arpt"
+    save_checkpoint(Checkpoint.from_forecaster(model, RolloutConfig(), 0, 0.1, 3), ck)
+    inp = tmp_path / "input.csv"
+    with open(inp, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(names)
+        writer.writerows(np.random.default_rng(1).normal(size=(48, len(names))).tolist())
+    assert load_csv(inp, has_header=None).columns == names
+    out = tmp_path / "pred"
+    assert main(["predict", str(inp), "--checkpoint", str(ck),
+                 "--horizon", "12", "--out", str(out)]) == 0
+    assert load_csv(out / "predictions.csv", has_header=None).columns == names
 
 
 def test_predict_missing_input_exits_2(tmp_path, capsys):
@@ -975,6 +1007,25 @@ def test_out_naming_a_regular_file_exits_1_and_writes_nothing(tmp_path, capsys, 
     assert err.splitlines() == [err.strip()] and err.startswith("runtime error: ")
     assert blocker.read_text() == "keep\n"
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("command", ["eval", "predict"])
+def test_a_variate_count_other_than_the_checkpoints_exits_2_writing_nothing(tmp_path, capsys,
+                                                                           command, trained):
+    _, ck = trained
+    out = tmp_path / "out"
+    if command == "eval":
+        cfg = write_config(tmp_path / "run.ini", out, {"dataset": {"variates": "2"}})
+        argv, has = ["eval", "--config", str(cfg), "--checkpoint", str(ck), "--horizon", "8"], \
+            "dataset has 2"
+    else:
+        inp = tmp_path / "input.csv"
+        inp.write_text("a,b\n" + "".join(f"{i},{-i}\n" for i in range(48)))
+        argv, has = ["predict", str(inp), "--checkpoint", str(_predict_checkpoint(tmp_path)),
+                     "--horizon", "12", "--out", str(out)], "input has 2"
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: checkpoint was built for 1 variates, {has}\n"
+    assert not out.exists()
 
 
 _ARGV_GROUPS = {  # each command's arguments as option-value groups, the required ones first

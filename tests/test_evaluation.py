@@ -17,7 +17,6 @@ from arforecast.evaluation import (
     EvalReport,
     evaluate,
     export_curve,
-    report_to_dict,
     violation_rate,
     write_report_json,
 )
@@ -269,6 +268,20 @@ def test_export_curve_rows_and_header(tmp_path):
     assert lengths == [12, 24, 36, 48]
     # 17 significant digits survive a parse round-trip
     assert float(lines[4].split(",")[1]) == 1.0 / 3.0
+
+
+def report_to_dict(report: EvalReport) -> dict:
+    """The object ``write_report_json`` writes, as ``json.dumps`` is handed it: its oracle."""
+    return {
+        "per_block": [{"mse": mse, "mae": mae} for mse, mae in report.per_block],
+        "cumulative": {"mse": report.cumulative[0], "mae": report.cumulative[1]},
+        "block_violation_rate": report.block_violation_rate,
+        "step_violation_rate": report.step_violation_rate,
+        "window_count": report.window_count,
+        "block_length": report.block_length,
+        "per_block_violation_rate": report.per_block_violation_rate,
+        "scale": report.scale,
+    }
 
 
 _FLOATS = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(

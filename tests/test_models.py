@@ -150,7 +150,7 @@ def test_linear_row_sums_on_ones():
     np.testing.assert_allclose(out.values[:, 0], model.params["w"].values.sum(axis=1))
 
 
-@pytest.mark.parametrize("kind,hidden", [("linear", 0), ("mlp", 5)])
+@pytest.mark.parametrize("kind,hidden", [("linear", 0), ("mlp", 5), ("inverted_attention", 4)])
 def test_channel_independence_under_permutation(kind, hidden):
     dims = Dims(S=6, T=3, V=3, hidden=hidden)
     model = init_forecaster(kind, dims, seed=4)
